@@ -1,10 +1,11 @@
-"""Four independent routes to the same reachability Gramian.
+"""Independent routes to the same reachability Gramian.
 
 Quadrature integrates the defining formula, the ODE route integrates the
-matrix differential equation, the closed form needs a symmetric A commuting
-with B B^T, and the algebraic route subtracts the flowed infinite-horizon
-solution.  They must agree to roundoff-ish levels on any stable system; the
-cross-check is the backbone of the test suite.
+matrix differential equation, the block exponential (the engine behind
+``compute_gramian``) reads the Gramian off one exponential of a 2n x 2n
+block matrix and doubles the horizon exactly, and the closed form needs a
+symmetric A commuting with B B^T.  They must agree to roundoff-ish levels on
+any system; the cross-check is the backbone of the test suite.
 """
 
 import numpy as np
@@ -18,13 +19,13 @@ t = 1.3
 routes = {
     "quadrature": me.gramian_quadrature(sys_, t),
     "lyapunov_ode": me.gramian_lyapunov_ode(sys_, t),
-    "algebraic": me.gramian_algebraic(sys_, t),
+    "block_exponential": me.gramian_block_exponential(sys_, t),
 }
 ref = routes["quadrature"].Q.matrix
 print(f"random stable system, n = {sys_.n}, horizon {t}")
 for name, gram in routes.items():
     gap = np.linalg.norm(gram.Q.matrix - ref, 2) / np.linalg.norm(ref, 2)
-    print(f"  {name:<14} relative gap to quadrature: {gap:.2e}")
+    print(f"  {name:<17} relative gap to quadrature: {gap:.2e}")
 
 diag = me.LinearSystem(np.diag([-1.0, -2.5]), np.eye(2))
 cf = me.gramian_commuting_closed_form(diag, t).Q.matrix

@@ -12,6 +12,7 @@ from .errors import (
     MarginError,
     MeshResolutionError,
     MinEnergyError,
+    NonFiniteError,
     NotInSpaceError,
     NotPSDError,
     NotSymmetricError,
@@ -41,14 +42,13 @@ from .gramians import (
     KernelChainReport,
     RangeEqualityReport,
     compute_gramian,
-    gramian_algebraic,
+    gramian_block_exponential,
     gramian_commuting_closed_form,
     gramian_infinite,
     gramian_lyapunov_ode,
     gramian_quadrature,
     kernel_chain_check,
     range_equality_check,
-    solve_algebraic_lyapunov,
 )
 from .energy import (
     ControlSignal,
@@ -90,6 +90,7 @@ from .riccati import (
     riccati_residual_X,
     riccati_residual_commuting,
     uniqueness_reconstruction,
+    weighted_pairings,
 )
 from .exppoly import ExpPoly, PiecewiseExpPoly
 from .models import (

@@ -21,14 +21,15 @@ import jsonschema
 import numpy as np
 
 from .energy import (
+    ControlSignal,
     classify_target,
     null_controllability_test,
     optimal_control,
     optimal_trajectory,
     value_function,
 )
-from .errors import MinEnergyError, ScenarioError
-from .gramians import GramianCache, compute_gramian
+from .errors import MinEnergyError, NonFiniteError, ScenarioError
+from .gramians import GramianCache, gramian_quadrature
 from .linalg import DEFAULT_POLICY, expm
 from .models import (
     DelaySystem,
@@ -45,18 +46,16 @@ from .models import (
     spectral_null_controllability,
 )
 from .riccati import (
-    FD_STEP_FACTOR,
-    _pairing_derivative,
     commuting_candidate,
     inverse_candidate,
     lyapunov_residual,
     projected_solution_check,
     pv_candidate,
     recover_L,
-    residual_probes,
     riccati_residual_H,
     riccati_residual_X,
     riccati_residual_commuting,
+    weighted_pairings,
 )
 from .systems import LinearSystem
 
@@ -105,11 +104,7 @@ _SCENARIO_SCHEMA = {
         "grid_points": {"type": "integer", "minimum": 2},
         "seed": {"type": "integer", "minimum": 0},
         "mesh": {"type": "integer", "minimum": 2},
-        "nodes": {"type": "integer", "minimum": 2},
         "tolerance": _POSITIVE,
-        "method": {
-            "enum": ["auto", "quadrature", "lyapunov_ode", "closed_form", "algebraic"]
-        },
         "margin": _POSITIVE,
         "t_star": _POSITIVE,
         "K": _MATRIX,
@@ -197,15 +192,21 @@ def _validate_scenario(raw):
 
 
 def _load_model(value, mesh):
-    if isinstance(value, dict):
-        return LinearSystem.from_json_dict(value)
-    text = value.strip()
-    if text.startswith("{"):
-        return LinearSystem.from_json_dict(json.loads(text))
-    if os.path.isfile(text):
-        with open(text) as f:
-            return LinearSystem.from_json_dict(json.load(f))
-    return parse_model(text, mesh=mesh)
+    """The scenario's model; a model that cannot be built is a usage error."""
+    try:
+        if isinstance(value, dict):
+            return LinearSystem.from_json_dict(value)
+        text = value.strip()
+        if text.startswith("{"):
+            return LinearSystem.from_json_dict(json.loads(text))
+        if os.path.isfile(text):
+            with open(text) as f:
+                return LinearSystem.from_json_dict(json.load(f))
+        return parse_model(text, mesh=mesh)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"scenario field 'model': {exc}") from exc
 
 
 def _model_echo(model):
@@ -260,8 +261,6 @@ class _Run:
         self.grid_points = scenario.get("grid_points", 129)
         self.seed = scenario.get("seed", 0)
         self.tol = scenario.get("tolerance", 1e-6)
-        self.nodes = scenario.get("nodes", 8)
-        self.method = scenario.get("method", "auto")
         self.margin = scenario.get("margin", 1e-6)
         self.t_star = scenario.get("t_star")
         self.K = np.asarray(scenario["K"], dtype=float) if "K" in scenario else None
@@ -306,14 +305,12 @@ class _Run:
             return spectral_gramian(self.model, t)
         if isinstance(self.model, DelaySystem):
             return delay_gramian(self.model, t)
-        return self.cache.get(self.model, t, self.method)
+        return self.cache.get(self.model, t)
 
 
 _GRAMIAN_FORMULA = {
-    "quadrature": "gramian-integral",
-    "lyapunov_ode": "gramian-differential-lyapunov",
+    "block_exponential": "gramian-block-exponential",
     "closed_form": "gramian-commuting-closed-form",
-    "algebraic": "gramian-horizon-split",
 }
 
 
@@ -395,7 +392,7 @@ def _task_min_energy(run):
                         "formula": "shift-reachability-defect",
                         "horizon": t,
                         "target_id": xi,
-                        "value": 0.5 * run.model.h * float(v @ v),
+                        "value": 0.5 * run.model.h * float(v @ v) if reachable else None,
                         "energy_oracle": None,
                         "defect": rep.defect,
                         "class": "in_range_Q" if reachable else "unreachable",
@@ -430,9 +427,7 @@ def _task_min_energy(run):
             ):
                 z = gram.Q.pinv() @ np.asarray(x, dtype=float)
                 rs, u = _delay_optimal_control_values(run.model, t, z, run.grid_points)
-                energy = 0.5 * float(np.trapezoid(u**2, rs) if hasattr(np, "trapezoid")
-                                     else np.trapz(u**2, rs))
-                entry["energy_oracle"] = energy
+                entry["energy_oracle"] = ControlSignal(rs, u[:, None]).energy()
                 entry["formula"]["control"] = "control-adjoint-flow"
                 entry["formula"]["energy_oracle"] = "control-energy-quadrature"
                 name = f"timeseries_h{ti}_x{xi}.csv"
@@ -590,8 +585,13 @@ def _task_recover_l(run):
     if run.t_star is None:
         raise ScenarioError("task 'recover-L' requires scenario field 't_star'")
     rep = recover_L(cand.sys, cand, run.t_star)
-    E = expm(cand.sys.A, -rep.t_star)
-    K_round = E @ rep.L @ E
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = expm(cand.sys.A, -rep.t_star)
+        K_round = E @ rep.L @ E
+    if not np.all(np.isfinite(K_round)):
+        raise NonFiniteError(
+            f"round trip e^(-t* A) L e^(-t* A) overflows double precision at t* = {rep.t_star:g}"
+        )
     roundtrip = float(
         np.linalg.norm(K_round - run.K, 2) / max(np.linalg.norm(run.K, 2), 1e-300)
     )
@@ -689,15 +689,7 @@ def _value_sweep_rows(run):
     rows = []
     for t in run.finite_horizons():
         gram = run.gramian_for(t)
-        if sys_lin is not None and not (
-            isinstance(run.model, SpectralSystem)
-        ):
-            oracle_method = "quadrature" if gram.method != "quadrature" else "lyapunov_ode"
-            gram_oracle = compute_gramian(sys_lin, t, oracle_method)
-        elif isinstance(run.model, SpectralSystem):
-            gram_oracle = compute_gramian(sys_lin, t, "quadrature")
-        else:
-            gram_oracle = None
+        gram_oracle = gramian_quadrature(sys_lin, t) if sys_lin is not None else None
         for xi, x in enumerate(run.targets):
             cls = classify_target(gram, x)
             if cls.reachable:
@@ -715,21 +707,11 @@ def _residual_sweep_rows(run):
     if sys_lin is None:
         raise ScenarioError("the residual sweep needs a matrix model")
     cand = pv_candidate(sys_lin, cache=run.cache)
-    W = cand.geometry.metric
-    A = sys_lin.A
-    Bt = sys_lin.B.T
     rows = []
     for t in run.finite_horizons():
-        X = residual_probes(cand, t, seed=run.seed)
-        h = FD_STEP_FACTOR * max(1.0, t)
-        lhs = _pairing_derivative(cand, t, X, X, W, h)
-        P = cand.evaluate(t)
-        WP_X = W @ (P @ X.T)
-        AX = A @ X.T
-        BtWP = Bt @ WP_X
-        rhs = -(AX.T @ WP_X) - (WP_X.T @ AX) - (BtWP.T @ BtWP)
-        for i in range(X.shape[0]):
-            for j in range(X.shape[0]):
+        _, lhs, rhs = weighted_pairings(cand, t, seed=run.seed)
+        for i in range(lhs.shape[0]):
+            for j in range(lhs.shape[0]):
                 rows.append((t, i, j, lhs[i, j], rhs[i, j], lhs[i, j] - rhs[i, j]))
     return rows
 
@@ -837,13 +819,12 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="seed for random probes")
     p.add_argument("--tol", type=float, default=1e-6, help="base verification tolerance")
     p.add_argument("--mesh", type=int, default=32, help="mesh cells for the delay model")
-    p.add_argument("--nodes", type=int, default=8, help="quadrature nodes per panel")
     p.add_argument("--model", help="preset name, JSON file path, or inline JSON system")
 
 
 def _scenario_from_args(args, tasks):
     scenario = {"tasks": tasks, "seed": args.seed, "tolerance": args.tol,
-                "mesh": args.mesh, "nodes": args.nodes}
+                "mesh": args.mesh}
     if args.model is None:
         raise ScenarioError("a --model is required")
     model = args.model.strip()
@@ -856,8 +837,6 @@ def _scenario_from_args(args, tasks):
         ]
     if getattr(args, "grid_points", None):
         scenario["grid_points"] = args.grid_points
-    if getattr(args, "method", None):
-        scenario["method"] = args.method
     if getattr(args, "K", None):
         scenario["K"] = _parse_matrix_arg(args.K)
     if getattr(args, "projector", None):
@@ -889,8 +868,6 @@ def _build_parser():
     p = sub.add_parser("gramian", help="compute reachability Gramians")
     _add_common(p)
     p.add_argument("--horizons", required=True, help="comma list of horizons; 'inf' allowed")
-    p.add_argument("--method", default=None,
-                   choices=["auto", "quadrature", "lyapunov_ode", "closed_form", "algebraic"])
 
     p = sub.add_parser("min-energy", help="minimum-energy steering to targets")
     _add_common(p)

@@ -7,6 +7,7 @@ __all__ = [
     "PreconditionError",
     "UnstableSystemError",
     "StiffnessError",
+    "NonFiniteError",
     "ReachabilityError",
     "NotInSpaceError",
     "MarginError",
@@ -37,6 +38,10 @@ class UnstableSystemError(MinEnergyError, ValueError):
 
 class StiffnessError(MinEnergyError, RuntimeError):
     """Step-size control underflowed; the system is too stiff for the requested tolerance."""
+
+
+class NonFiniteError(MinEnergyError, ArithmeticError):
+    """A computed quantity left the double-precision range (overflow or NaN)."""
 
 
 class ReachabilityError(MinEnergyError, ValueError):

@@ -1,24 +1,32 @@
 """Controllability Gramians over finite and infinite horizons.
 
-Four routes to the same object, kept deliberately independent so they can
-cross-validate each other:
+``compute_gramian`` is the one production route:
 
-* ``gramian_quadrature``     -- composite Gauss-Legendre on the defining integral
-* ``gramian_lyapunov_ode``   -- RK4 on the differential Lyapunov equation
-* ``gramian_infinite``       -- dense algebraic Lyapunov solve (stable systems)
-* ``gramian_commuting_closed_form`` -- entrywise formula when A = A^T commutes
-  with B B^T
-* ``gramian_algebraic``      -- finite horizon from the infinite one via the
-  exact splitting Q_t = Q_inf - e^{tA} Q_inf e^{tA^T}
+* finite horizons, any A (stable or not): Van Loan's block exponential of
+  [[-A, BB^T], [0, A^T]] at a step t / 2^k with ||A||_1 t / 2^k <= 1,
+  followed by k exact doublings (``gramian_block_exponential``; C. Van Loan,
+  "Computing integrals involving the matrix exponential", IEEE TAC 23(3),
+  1978);
+* the infinite horizon of a stable system: Bartels-Stewart on the algebraic
+  Lyapunov equation (``gramian_infinite``);
+* symmetric, invertible A commuting with B B^T: the entrywise closed form
+  (``gramian_commuting_closed_form``).
+
+Two oracles stay beside it, independent of the engine and of each other,
+and are only ever called by name:
+
+* ``gramian_quadrature``   -- composite Gauss-Legendre on the defining integral
+* ``gramian_lyapunov_ode`` -- RK4 on the differential Lyapunov equation
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from .errors import PreconditionError, StiffnessError, UnstableSystemError
+from .errors import NonFiniteError, PreconditionError, StiffnessError, UnstableSystemError
 from .linalg import DEFAULT_POLICY, SymmetricPSD, expm, range_inclusion
-from .systems import LinearSystem
 
 __all__ = [
     "Gramian",
@@ -27,9 +35,8 @@ __all__ = [
     "gramian_lyapunov_ode",
     "gramian_infinite",
     "gramian_commuting_closed_form",
-    "gramian_algebraic",
+    "gramian_block_exponential",
     "compute_gramian",
-    "solve_algebraic_lyapunov",
     "kernel_chain_check",
     "KernelChainReport",
     "range_equality_check",
@@ -68,6 +75,10 @@ def _finite_horizon(t):
 
 
 def _wrap(sys, Q, t, method, policy):
+    if not np.all(np.isfinite(Q)):
+        raise NonFiniteError(
+            f"{method} Gramian at horizon {t:g} overflows double precision"
+        )
     Q = 0.5 * (Q + Q.T)
     return Gramian(SymmetricPSD(Q, policy), float(t), method, sys.fingerprint())
 
@@ -170,50 +181,12 @@ def gramian_lyapunov_ode(sys, t, rtol=1e-8, n_steps0=64, max_doublings=14,
     )
 
 
-def _sym_basis_pairs(n, ordering):
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    if ordering == "row":
-        return pairs
-    if ordering == "col":
-        return sorted(pairs, key=lambda ij: (ij[1], ij[0]))
-    raise ValueError(f"unknown ordering {ordering!r}; use 'row' or 'col'")
-
-
-def solve_algebraic_lyapunov(A, C, ordering="row"):
-    """Solve ``A X + X A^T + C = 0`` for symmetric X by a dense linear solve.
-
-    The unknown is the upper triangle of X (n(n+1)/2 coefficients); the map
-    X -> AX + XA^T is assembled column by column in that coordinate system
-    and inverted directly.  ``ordering`` picks the enumeration of the
-    unknowns ('row' or 'col'); the solution must not depend on it, which the
-    tests use as a uniqueness check.
-    """
-    A = np.asarray(A, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n = A.shape[0]
-    pairs = _sym_basis_pairs(n, ordering)
-    N = len(pairs)
-    L = np.empty((N, N))
-    for col, (i, j) in enumerate(pairs):
-        E = np.zeros((n, n))
-        E[i, j] = 1.0
-        E[j, i] = 1.0
-        M = A @ E + E @ A.T
-        L[:, col] = [M[k, l] for (k, l) in pairs]
-    rhs = np.array([-C[k, l] for (k, l) in pairs])
-    coef = np.linalg.solve(L, rhs)
-    X = np.zeros((n, n))
-    for c, (i, j) in zip(coef, pairs):
-        X[i, j] = c
-        X[j, i] = c
-    return X
-
-
 def gramian_infinite(sys, policy=DEFAULT_POLICY, residual_rtol=1e-10):
-    """Infinite-horizon Gramian of a stable system via the algebraic Lyapunov equation.
+    """Infinite-horizon Gramian of a stable system: Bartels-Stewart on the
+    algebraic Lyapunov equation A Q + Q A^T + BB^T = 0.
 
     Raises UnstableSystemError when the decay margin is zero, and
-    StiffnessError when the direct solve cannot meet the residual bound
+    StiffnessError when the solve cannot meet the residual bound
     ``||A Q + Q A^T + BB^T|| <= residual_rtol * ||BB^T||``.
     """
     if not sys.stable:
@@ -221,7 +194,7 @@ def gramian_infinite(sys, policy=DEFAULT_POLICY, residual_rtol=1e-10):
             f"infinite-horizon Gramian needs a strictly stable system; decay margin is {sys.omega}"
         )
     C = sys.BBt
-    Q = solve_algebraic_lyapunov(sys.A, C)
+    Q = scipy.linalg.solve_continuous_lyapunov(sys.A, -C)
     scale = max(np.abs(C).max(), np.finfo(float).tiny)
     resid = np.abs(sys.A @ Q + Q @ sys.A.T + C).max()
     if resid > residual_rtol * scale:
@@ -229,7 +202,14 @@ def gramian_infinite(sys, policy=DEFAULT_POLICY, residual_rtol=1e-10):
             f"algebraic solve residual {resid:.3e} exceeds {residual_rtol:g} * ||BB^T||; "
             "eigenvalue pair sums are nearly singular"
         )
-    return _wrap(sys, Q, np.inf, "algebraic", policy)
+    return _wrap(sys, Q, np.inf, "bartels_stewart", policy)
+
+
+def _has_closed_form(sys):
+    if not sys.is_commuting_selfadjoint():
+        return False
+    eigs = np.linalg.eigvalsh(sys.A)
+    return bool(np.abs(eigs).min() > 1e-12 * max(np.abs(eigs).max(), 1.0))
 
 
 def gramian_commuting_closed_form(sys, t, policy=DEFAULT_POLICY):
@@ -240,79 +220,77 @@ def gramian_commuting_closed_form(sys, t, policy=DEFAULT_POLICY):
 
     A must be invertible.  Raises PreconditionError off the commuting case.
     """
-    if not sys.is_commuting_selfadjoint():
-        raise PreconditionError("closed form requires symmetric A commuting with B B^T")
-    eigs = np.linalg.eigvalsh(sys.A)
-    if np.abs(eigs).min() <= 1e-12 * max(np.abs(eigs).max(), 1.0):
-        raise PreconditionError("closed form requires invertible A")
+    if not _has_closed_form(sys):
+        raise PreconditionError(
+            "closed form requires symmetric, invertible A commuting with B B^T"
+        )
     if np.isinf(t):
         if not sys.stable:
             raise UnstableSystemError("infinite-horizon closed form needs a stable system")
         Q = -0.5 * np.linalg.solve(sys.A, sys.BBt)
         return _wrap(sys, Q, np.inf, "closed_form", policy)
     t = _finite_horizon(t)
-    Q = 0.5 * np.linalg.solve(sys.A, (expm(sys.A, 2.0 * t) - np.eye(sys.n)) @ sys.BBt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q = 0.5 * np.linalg.solve(sys.A, (expm(sys.A, 2.0 * t) - np.eye(sys.n)) @ sys.BBt)
     return _wrap(sys, Q, t, "closed_form", policy)
 
 
-def gramian_algebraic(sys, t, policy=DEFAULT_POLICY):
-    """Finite-horizon Gramian of a stable system without quadrature.
+def gramian_block_exponential(sys, t, policy=DEFAULT_POLICY):
+    """Finite-horizon Gramian by Van Loan's block exponential at a short step,
+    then exact doublings.
 
-    Uses the exact horizon splitting Q_t = Q_inf - e^{tA} Q_inf e^{tA^T},
-    so the only numerical work is one algebraic Lyapunov solve and one
-    matrix exponential.
+    One exponential of [[-A, BB^T], [0, A^T]] at h = t / 2^k with
+    ||A||_1 h <= 1 gives e^{hA} and Q_h; each doubling
+    Q_2s = Q_s + e^{sA} Q_s e^{sA^T} adds a PSD term, so neither a stiff
+    stable A (whose -A block would overflow at the full horizon) nor an
+    unstable one loses accuracy.
     """
+    t = _finite_horizon(t)
+    n = sys.n
+    reach = np.abs(sys.A).sum(axis=0).max() * t
+    k = math.ceil(math.log2(reach)) if reach > 1.0 else 0
+    M = np.block([[-sys.A, sys.BBt], [np.zeros((n, n)), sys.A.T]])
+    F = expm(M, t / 2.0 ** k)
+    E = F[n:, n:].T
+    Q = E @ F[:n, n:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            Q = Q + E @ Q @ E.T
+            E = E @ E
+    return _wrap(sys, Q, t, "block_exponential", policy)
+
+
+def compute_gramian(sys, t, policy=DEFAULT_POLICY):
+    """The reachability Gramian Q_t for t in (0, inf].
+
+    The commuting closed form when A is symmetric, invertible and commutes
+    with BB^T; otherwise Bartels-Stewart for t = inf and the scaled block
+    exponential for finite t (stable or not).
+    """
+    if _has_closed_form(sys):
+        return gramian_commuting_closed_form(sys, t, policy)
     if np.isinf(t):
         return gramian_infinite(sys, policy)
-    t = _finite_horizon(t)
-    Qinf = gramian_infinite(sys, policy).matrix
-    E = expm(sys.A, t)
-    Q = Qinf - E @ Qinf @ E.T
-    return _wrap(sys, Q, t, "algebraic", policy)
-
-
-def compute_gramian(sys, t, method="auto", policy=DEFAULT_POLICY):
-    """Dispatch to a Gramian route.
-
-    ``auto`` prefers exactness and speed: the commuting closed form when
-    available, the algebraic splitting for stable systems, and quadrature
-    otherwise.
-    """
-    if method == "auto":
-        if sys.is_commuting_selfadjoint():
-            eigs = np.linalg.eigvalsh(sys.A)
-            if np.abs(eigs).min() > 1e-12 * max(np.abs(eigs).max(), 1.0):
-                return gramian_commuting_closed_form(sys, t, policy)
-        if np.isinf(t) or sys.stable:
-            return gramian_algebraic(sys, t, policy)
-        return gramian_quadrature(sys, t, policy=policy)
-    if method == "quadrature":
-        return gramian_quadrature(sys, t, policy=policy)
-    if method == "lyapunov_ode":
-        return gramian_lyapunov_ode(sys, t, policy=policy)
-    if method == "closed_form":
-        return gramian_commuting_closed_form(sys, t, policy)
-    if method == "algebraic":
-        return gramian_algebraic(sys, t, policy)
-    raise ValueError(f"unknown Gramian method {method!r}")
+    return gramian_block_exponential(sys, t, policy)
 
 
 class GramianCache:
-    """Write-once cache keyed by (system fingerprint, horizon, method).
+    """Write-once cache keyed by (system fingerprint, horizon).
 
     Trajectory and residual scans evaluate Gramians on dense time grids;
-    caching keeps each (system, time) pair computed exactly once.
+    caching keeps each (system, time) pair computed exactly once, Q_inf
+    included.
     """
 
     def __init__(self, policy=DEFAULT_POLICY):
         self._store = {}
         self.policy = policy
 
-    def get(self, sys, t, method="auto"):
-        key = (sys.fingerprint(), float(t), method)
+    def get(self, sys, t):
+        key = (sys.fingerprint(), float(t))
         hit = self._store.get(key)
         if hit is None:
-            hit = compute_gramian(sys, t, method, self.policy)
+            hit = compute_gramian(sys, t, self.policy)
             self._store[key] = hit
         return hit
 

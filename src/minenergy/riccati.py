@@ -37,6 +37,7 @@ __all__ = [
     "callable_candidate",
     "residual_probes",
     "riccati_residual_H",
+    "weighted_pairings",
     "riccati_residual_X",
     "riccati_residual_commuting",
     "uniqueness_reconstruction",
@@ -159,7 +160,7 @@ def inverse_candidate(sys, policy=DEFAULT_POLICY, cache=None):
     """Candidate wrapping the inverse-Gramian family R(t) = Q_t^+ (plain geometry)."""
     if cache is None:
         cache = GramianCache(policy)
-    geometry = _default_geometry(sys, policy)
+    geometry = HGeometry(cache.get(sys, np.inf), policy)
 
     def fn(t):
         return cache.get(sys, t).Q.pinv()
@@ -238,6 +239,24 @@ def _as_times(t):
     return ts
 
 
+def weighted_pairings(cand, t, probes=None, fd_step=None, seed=0):
+    """Both sides of the weighted-space equation, paired against probes at time t.
+
+    Returns ``(X, lhs, rhs)``: the probes (rows) and the matrices
+    ``lhs[i, j] = d/dt <P x_i, x_j>_H`` (Richardson finite differences) and
+    ``rhs[i, j] = - <A x_i, W P x_j> - <W P x_i, A x_j> - <B^T W P x_i, B^T W P x_j>``.
+    """
+    X = residual_probes(cand, t, seed=seed) if probes is None else np.asarray(probes)
+    W = cand.geometry.metric
+    h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, t)
+    lhs = _pairing_derivative(cand, t, X, X, W, h)
+    WP_X = W @ (cand.evaluate(t) @ X.T)          # columns: W P x_i
+    AX = cand.sys.A @ X.T
+    BtWP = cand.sys.B.T @ WP_X
+    rhs = -(AX.T @ WP_X) - (WP_X.T @ AX) - (BtWP.T @ BtWP)
+    return X, lhs, rhs
+
+
 def riccati_residual_H(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
     """Weak-form residual of the weighted-space equation with reversed linear sign:
 
@@ -249,22 +268,12 @@ def riccati_residual_H(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
     ``tol * max(1, ||P||_H)^2 * max(1, ||A||)``.
     """
     times = _as_times(t)
-    A = cand.sys.A
-    Bt = cand.sys.B.T
-    W = cand.geometry.metric
     residuals = []
     worst_scale = 0.0
     n_probes = 0
     for tau in times:
-        X = residual_probes(cand, tau, seed=seed) if probes is None else np.asarray(probes)
+        X, lhs, rhs = weighted_pairings(cand, tau, probes, fd_step, seed)
         n_probes = X.shape[0]
-        h = (fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, tau))
-        lhs = _pairing_derivative(cand, tau, X, X, W, h)
-        P = cand.evaluate(tau)
-        WP_X = W @ (P @ X.T)          # columns: W P x_i
-        AX = A @ X.T
-        BtWP = Bt @ WP_X
-        rhs = -(AX.T @ WP_X) - (WP_X.T @ AX) - (BtWP.T @ BtWP)
         residuals.append(float(np.abs(lhs - rhs).max()))
         worst_scale = max(worst_scale, _scale(cand, tau, weighted=True))
     tol_scaled = tol * worst_scale
@@ -333,26 +342,19 @@ def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, fd_step=None, see
         raise PreconditionError("commuting-case residual requires symmetric A commuting with B B^T")
     times = _as_times(t)
     A = cand.sys.A
-    Bt = cand.sys.B.T
     W = cand.geometry.metric
     residuals = []
     consistency = 0.0
     worst_scale = 0.0
     n_probes = 0
     for tau in times:
-        X = residual_probes(cand, tau, seed=seed) if probes is None else np.asarray(probes)
+        # the general weighted right-hand side on the same probes comes along
+        X, lhs, rhs_general = weighted_pairings(cand, tau, probes, fd_step, seed)
         n_probes = X.shape[0]
-        h = (fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, tau))
-        lhs = _pairing_derivative(cand, tau, X, X, W, h)
-        P = cand.evaluate(tau)
-        PX = P @ X.T
+        PX = cand.evaluate(tau) @ X.T
         AX = A @ X.T
         APX = A @ PX
         rhs = -(AX.T @ (W @ PX)) - (PX.T @ (W @ AX)) + 2.0 * (APX.T @ (W @ PX))
-        # general weighted right-hand side on the same probes
-        WP_X = W @ PX
-        BtWP = Bt @ WP_X
-        rhs_general = -(AX.T @ WP_X) - (WP_X.T @ AX) - (BtWP.T @ BtWP)
         consistency = max(consistency, float(np.abs(rhs - rhs_general).max()))
         residuals.append(float(np.abs(lhs - rhs).max()))
         worst_scale = max(worst_scale, _scale(cand, tau, weighted=True))

@@ -59,18 +59,27 @@ def seeded_systems(count, max_n=8, diagonal_every=2):
 
 def test_c01_gramian_cross_validation():
     systems, rng = seeded_systems(50)
+    # the engine must also hold where it cannot lean on stability
+    unstable_rng = np.random.default_rng(SEED + 1)
+    unstable = [me.random_stable_system(unstable_rng, int(unstable_rng.integers(2, 7)),
+                                        margin=-0.5) for _ in range(5)]
+    cases = [(s, rng) for s in systems] + [(s, unstable_rng) for s in unstable]
     closed_form_hits = 0
-    for sys_ in systems:
-        t = float(rng.uniform(0.3, 2.5))
+    for sys_, rng_t in cases:
+        t = float(rng_t.uniform(0.3, 2.5))
         q_quad = me.gramian_quadrature(sys_, t).Q.matrix
         q_ode = me.gramian_lyapunov_ode(sys_, t).Q.matrix
+        q_eng = me.compute_gramian(sys_, t).Q.matrix
         scale = max(np.linalg.norm(q_quad, 2), 1e-300)
         assert np.linalg.norm(q_ode - q_quad, 2) / scale < 1e-8
+        assert np.linalg.norm(q_eng - q_quad, 2) / scale < 1e-8
+        assert np.linalg.norm(q_eng - q_ode, 2) / scale < 1e-8
         if sys_.is_commuting_selfadjoint():
             q_cf = me.gramian_commuting_closed_form(sys_, t).Q.matrix
             assert np.linalg.norm(q_cf - q_quad, 2) / scale < 1e-8
             closed_form_hits += 1
     assert closed_form_hits >= 20  # the diagonal half actually exercises it
+    assert all(not s.stable for s in unstable)
     for name, preset in SPECTRAL_PRESETS:
         ssys = preset()
         lin = ssys.to_linear_system()
@@ -80,7 +89,7 @@ def test_c01_gramian_cross_validation():
         scale = max(np.linalg.norm(q_spec, 2), 1e-300)
         assert np.linalg.norm(q_quad - q_spec, 2) / scale < 1e-8, name
         assert np.linalg.norm(q_ode - q_spec, 2) / scale < 1e-8, name
-    _pass(1, "quadrature / ODE / closed-form agree to 1e-8 on 50 systems + presets")
+    _pass(1, "engine / quadrature / ODE / closed-form agree to 1e-8 on 55 systems + presets")
 
 
 def test_c02_minimum_energy_brute_force_oracle():

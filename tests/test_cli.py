@@ -310,3 +310,95 @@ def test_missing_scenario_file_is_usage_error():
     p = run_cli(["run", "/nonexistent/scenario.json"])
     assert p.returncode == 2
     assert p.stderr.strip()
+
+
+COUPLED_MODEL = {"A": [[-1.0, 1.0], [-1.0, -1.0]], "B": [[1.0], [0.0]]}
+
+
+def test_gramian_route_labels(tmp_path):
+    out = str(tmp_path / "out")
+    rc = cli.main(["gramian", "--model", json.dumps(COUPLED_MODEL),
+                   "--horizons", "1.0,inf", "--out", out])
+    assert rc == 0
+    res = read_report(out)["tasks"][0]["results"]
+    assert [(r["method"], r["formula"]) for r in res] == [
+        ("block_exponential", "gramian-block-exponential"),
+        ("bartels_stewart", "gramian-infinite-lyapunov"),
+    ]
+
+
+def test_residual_sweep_matches_riccati_residual_H(tmp_path):
+    import minenergy as me
+
+    out = str(tmp_path / "out")
+    path = write_scenario(
+        tmp_path,
+        {
+            "model": COUPLED_MODEL,
+            "tasks": ["sweep"],
+            "horizons": [0.5, 1.0, 2.0],
+            "sweep_kinds": ["residual"],
+            "seed": 3,
+            "output": out,
+        },
+    )
+    assert cli.main(["run", path]) == 0
+    lines = open(os.path.join(out, "residual_sweep.csv")).read().strip().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    sys_ = me.LinearSystem(COUPLED_MODEL["A"], COUPLED_MODEL["B"])
+    rep = me.riccati_residual_H(me.pv_candidate(sys_), [0.5, 1.0, 2.0], seed=3)
+    swept = [max(abs(r[5]) for r in rows if r[0] == t) for t in rep.times]
+    assert swept == list(rep.residuals)
+
+
+def test_shift_min_energy_unreachable_target_has_no_value(tmp_path):
+    # the saturating ramp is not reachable through a quarter window
+    out = str(tmp_path / "out")
+    path = write_scenario(
+        tmp_path,
+        {"model": "shift(256)", "tasks": ["min-energy"], "horizons": [0.25, 1.0],
+         "output": out},
+    )
+    assert cli.main(["run", path]) == 0
+    quarter, full = read_report(out)["tasks"][0]["results"]
+    assert quarter["class"] == "unreachable" and quarter["defect"] > 0.1
+    assert quarter["value"] is None
+    assert full["class"] == "in_range_Q"
+    assert full["value"] == pytest.approx(0.5, rel=1e-9)
+
+
+def test_non_square_inline_model_is_usage_error(tmp_path):
+    p = run_cli(["gramian", "--model", '{"A": [[1.0, 2.0]], "B": [[1.0]]}',
+                 "--horizons", "1", "--out", str(tmp_path / "out")])
+    assert p.returncode == 2
+    assert "must be square" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+def test_coarse_delay_mesh_is_usage_error(tmp_path):
+    p = run_cli(["gramian", "--model", "delay(-1,0.5,1,1)", "--mesh", "3",
+                 "--horizons", "1", "--out", str(tmp_path / "out")])
+    assert p.returncode == 2
+    assert "mesh" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+def test_overflowing_gramian_reports_typed_error(tmp_path):
+    out = str(tmp_path / "out")
+    rc = cli.main(["gramian", "--model", '{"A": [[800.0]], "B": [[1.0]]}',
+                   "--horizons", "1", "--out", out])
+    assert rc == 1
+    rep = read_report(out)
+    assert rep["failures"] == ["gramian"]
+    assert rep["tasks"][0]["error"].startswith("NonFiniteError:")
+
+
+def test_recover_l_nonfinite_roundtrip_reports_typed_error(tmp_path):
+    # e^{-t* A} overflows for the stiffest Landau-Ginzburg modes
+    out = str(tmp_path / "out")
+    K = [[0.5 + 2.5 * i / 31 if i == j else 0.0 for j in range(32)] for i in range(32)]
+    rc = cli.main(["recover-L", "--model", "spectral:landau-ginzburg(32)",
+                   "--K", json.dumps(K), "--t-star", "1", "--out", out])
+    assert rc == 1
+    rep = read_report(out)
+    assert rep["tasks"][0]["error"].startswith("NonFiniteError:")

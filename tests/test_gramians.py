@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_lyapunov
 
 import minenergy as me
 from conftest import SCALAR_Q1, SCALAR_QINF
 
-METHODS = ["quadrature", "lyapunov_ode", "closed_form", "algebraic"]
+ROUTES = {
+    "quadrature": me.gramian_quadrature,
+    "lyapunov_ode": me.gramian_lyapunov_ode,
+    "closed_form": me.gramian_commuting_closed_form,
+    "block_exponential": me.gramian_block_exponential,
+}
+
+
+def _rel(Q, ref):
+    return np.linalg.norm(Q - ref, 2) / np.linalg.norm(ref, 2)
 
 
 def test_scalar_frozen_value(scalar_sys):
@@ -22,9 +30,9 @@ def test_diagonal_closed_form(diag_sys):
     assert_allclose(g.Q.matrix, expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", list(ROUTES))
 def test_methods_agree_scalar(scalar_sys, method):
-    g = me.compute_gramian(scalar_sys, 1.0, method=method)
+    g = ROUTES[method](scalar_sys, 1.0)
     assert g.Q.matrix[0, 0] == pytest.approx(SCALAR_Q1, rel=1e-8)
     assert g.method == method
 
@@ -36,10 +44,10 @@ def test_methods_cross_validate_random(rng):
         t = float(rng.uniform(0.3, 3.0))
         q_quad = me.gramian_quadrature(sys, t).Q.matrix
         q_ode = me.gramian_lyapunov_ode(sys, t).Q.matrix
-        q_alg = me.gramian_algebraic(sys, t).Q.matrix
+        q_eng = me.compute_gramian(sys, t).Q.matrix
         scale = max(np.linalg.norm(q_quad, 2), 1e-30)
         assert np.linalg.norm(q_ode - q_quad, 2) / scale < 1e-8
-        assert np.linalg.norm(q_alg - q_quad, 2) / scale < 1e-8
+        assert np.linalg.norm(q_eng - q_quad, 2) / scale < 1e-8
 
 
 def test_commuting_closed_form_requires_commutation(coupled_sys):
@@ -59,18 +67,41 @@ def test_infinite_gramian_requires_stability():
         me.gramian_infinite(unstable)
 
 
-def test_solve_algebraic_lyapunov_orderings_and_scipy(rng):
+def test_infinite_gramian_residual(rng):
     for _ in range(5):
         sys = me.random_stable_system(rng, 4)
-        C = sys.BBt
-        q_row = me.solve_algebraic_lyapunov(sys.A, C, ordering="row")
-        q_col = me.solve_algebraic_lyapunov(sys.A, C, ordering="col")
-        assert_allclose(q_row, q_col, rtol=1e-9, atol=1e-12)
-        q_ref = solve_lyapunov(sys.A, -C)
-        assert_allclose(q_row, q_ref, rtol=1e-8, atol=1e-11)
-        # it actually solves the equation
-        resid = sys.A @ q_row + q_row @ sys.A.T + C
+        g = me.gramian_infinite(sys)
+        assert g.method == "bartels_stewart"
+        Q, C = g.Q.matrix, sys.BBt
+        resid = sys.A @ Q + Q @ sys.A.T + C
         assert np.linalg.norm(resid, 2) < 1e-10 * np.linalg.norm(C, 2)
+
+
+@pytest.mark.parametrize("omega", [1e-3, 1e-5])
+def test_block_exponential_rotation_without_cancellation(omega):
+    # Q_inf - e^{tA} Q_inf e^{tA^T} cancels for a weakly damped rotation at
+    # a short horizon; the block exponential never forms that difference
+    sys = me.LinearSystem([[-1e-3, omega], [-omega, -1e-3]], [[1.0], [0.0]])
+    g = me.compute_gramian(sys, 1e-4)
+    assert g.method == "block_exponential"
+    assert _rel(g.Q.matrix, me.gramian_quadrature(sys, 1e-4).Q.matrix) <= 1e-12
+
+
+def test_block_exponential_stiff_stable_matches_infinite():
+    # a single exponential of the block matrix overflows here (its -A block
+    # grows like e^{2000}); the doublings keep every intermediate bounded
+    rng = np.random.default_rng(5)
+    sys = me.LinearSystem(-1000.0 * np.eye(8) + 50.0 * rng.standard_normal((8, 8)),
+                          rng.standard_normal((8, 2)))
+    q_t = me.compute_gramian(sys, 2.0).Q.matrix
+    assert np.all(np.isfinite(q_t))
+    assert _rel(q_t, me.gramian_infinite(sys).Q.matrix) <= 1e-12
+
+
+def test_overflowing_gramian_is_typed_error():
+    sys = me.LinearSystem([[800.0, 1.0], [0.0, 800.0]], [[1.0], [1.0]])
+    with pytest.raises(me.NonFiniteError):
+        me.compute_gramian(sys, 1.0)
 
 
 def test_splitting_identity(rng):
@@ -78,7 +109,7 @@ def test_splitting_identity(rng):
     for _ in range(5):
         sys = me.random_stable_system(rng, 3)
         t = float(rng.uniform(0.2, 2.0))
-        q_t = me.compute_gramian(sys, t, method="quadrature").Q.matrix
+        q_t = me.gramian_quadrature(sys, t).Q.matrix
         q_inf = me.gramian_infinite(sys).Q.matrix
         E = me.expm(sys.A, t)
         assert_allclose(q_t, q_inf - E @ q_inf @ E.T, atol=1e-9 * np.linalg.norm(q_inf, 2))
@@ -151,6 +182,23 @@ def test_gramian_cache_hits(scalar_sys):
     g2 = cache.get(scalar_sys, 1.0)
     assert g1 is g2
     assert len(cache) == 1
+
+
+def test_cache_solves_infinite_gramian_once(coupled_sys, monkeypatch):
+    from minenergy import gramians
+
+    calls = []
+    solve = gramians.scipy.linalg.solve_continuous_lyapunov
+    monkeypatch.setattr(gramians.scipy.linalg, "solve_continuous_lyapunov",
+                        lambda *a: calls.append(1) or solve(*a))
+    cache = me.GramianCache()
+    for t in (0.5, 1.0, 2.0, np.inf, 4.0):
+        cache.get(coupled_sys, t)
+        cache.get(coupled_sys, np.inf)
+    cand = me.pv_candidate(coupled_sys, cache=cache)
+    me.inverse_candidate(coupled_sys, cache=cache)
+    me.riccati_residual_H(cand, [1.0, 2.0])
+    assert len(calls) == 1
 
 
 def test_null_controllability_scalar(scalar_sys):
