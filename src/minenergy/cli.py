@@ -35,8 +35,8 @@ from .models import (
     DelaySystem,
     ShiftSystem,
     SpectralSystem,
-    delay_fundamental_solution,
     delay_gramian,
+    delay_kernels,
     delay_null_controllability,
     parse_model,
     shift_benchmark_target,
@@ -310,13 +310,12 @@ class _Run:
 
 _GRAMIAN_FORMULA = {
     "block_exponential": "gramian-block-exponential",
+    "bartels_stewart": "gramian-infinite-lyapunov",
     "closed_form": "gramian-commuting-closed-form",
 }
 
 
 def _gramian_formula(gram):
-    if math.isinf(gram.horizon):
-        return "gramian-infinite-lyapunov"
     return _GRAMIAN_FORMULA[gram.method]
 
 
@@ -359,20 +358,13 @@ def _task_gramian(run):
 
 def _delay_optimal_control_values(model, t, z, grid):
     """Sample the least-norm control reconstructed from mesh coordinates."""
-    h = model.h
-    g = delay_fundamental_solution(model, t + h)
-    F = g.antiderivative()
-    W = F - F.shift(-h)
-    c = np.arange(1, model.mesh + 1, dtype=float) * h - model.delay
+    kern = delay_kernels(model, t + model.h)
     rs = np.linspace(-t, 0.0, grid)
-    vals = np.empty(grid)
-    rt_h = math.sqrt(h)
-    for i, r in enumerate(rs):
-        s = t + r  # control time measured from 0
-        acc = model.b0 * g(t - s) * z[0]
-        for j in range(model.mesh):
-            acc += (model.b0 / rt_h) * W(t + c[j] - s) * z[1 + j]
-        vals[i] = acc
+    s = t + rs  # control times measured from 0
+    vals = model.b0 * kern.g(t - s) * z[0]
+    weight = model.b0 / math.sqrt(model.h)
+    for j, cj in enumerate(kern.c):
+        vals = vals + weight * kern.W(t + cj - s) * z[1 + j]
     return rs, vals
 
 
@@ -383,10 +375,11 @@ def _task_min_energy(run):
             targets = run.targets or [shift_benchmark_target(run.model.m)]
             for xi, x in enumerate(targets):
                 rep = shift_reachable_defect(run.model, t, target=x)
-                L = shift_control_map(run.model, t)
                 f_hat = math.sqrt(run.model.h) * np.asarray(x, dtype=float)
-                v = np.linalg.pinv(L, rcond=1e-12) @ f_hat
-                reachable = rep.defect <= 1e-10 * max(np.linalg.norm(f_hat), 1e-300)
+                v = rep.coefficients
+                reachable = rep.defect <= DEFAULT_POLICY.rel_threshold * max(
+                    np.linalg.norm(f_hat), 1e-300
+                )
                 results.append(
                     {
                         "formula": "shift-reachability-defect",

@@ -166,35 +166,47 @@ class PiecewiseExpPoly:
     def _tol(self):
         return 1e-12 * max(1.0, abs(self.start), abs(self.end))
 
-    def _piece_index(self, t):
+    def _piece_indices(self, flat):
+        """Index of the piece owning each point of a 1-d array, -1 below the start.
+
+        Points within the break tolerance of an end belong to the end piece;
+        a point beyond the end raises.
+        """
         tol = self._tol()
-        if t < self.start - tol:
-            return -1
-        if t > self.end + tol:
+        beyond = flat > self.end + tol
+        if beyond.any():
             raise ValueError(
-                f"evaluation at {t:g} beyond the built range [{self.start:g}, {self.end:g}]"
+                f"evaluation at {flat[np.argmax(beyond)]:g} beyond the built range "
+                f"[{self.start:g}, {self.end:g}]"
             )
-        idx = int(np.searchsorted(self.breaks, min(max(t, self.start), self.end),
-                                  side="right")) - 1
-        return min(max(idx, 0), len(self.pieces) - 1)
+        idx = np.searchsorted(self.breaks, np.clip(flat, self.start, self.end),
+                              side="right") - 1
+        np.clip(idx, 0, len(self.pieces) - 1, out=idx)
+        idx[flat < self.start - tol] = -1
+        return idx
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr).ravel()
-        out = np.empty_like(flat)
-        for i, x in enumerate(flat):
-            k = self._piece_index(x)
-            out[i] = 0.0 if k < 0 else self.pieces[k](x)
-        out = out.reshape(np.atleast_1d(arr).shape)
-        return float(out[0]) if scalar else out
+        """Evaluate at a scalar (returns a float) or elementwise on an array.
 
-    def _piece_or_zero(self, lo_mid):
-        """Piece valid at a point inside the combined grid, honoring zero-below."""
-        tol = self._tol()
-        if lo_mid < self.start - tol:
-            return ExpPoly.zero(self.rate)
-        return self.pieces[self._piece_index(lo_mid)]
+        One ``searchsorted`` locates every point; each piece then runs once
+        on the points it owns.  Points below the start give 0.
+        """
+        arr = np.asarray(t, dtype=float)
+        flat = arr.ravel()
+        idx = self._piece_indices(flat)
+        out = np.zeros_like(flat)
+        order = np.argsort(idx, kind="stable")
+        cuts = np.flatnonzero(np.diff(idx[order])) + 1
+        for sel in np.split(order, cuts):
+            k = idx[sel[0]] if sel.size else -1
+            if k >= 0:
+                out[sel] = self.pieces[k](flat[sel])
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def _pieces_at(self, points):
+        """The piece valid at each point, the zero function below the start."""
+        zero = ExpPoly.zero(self.rate)
+        return [zero if k < 0 else self.pieces[k] for k in self._piece_indices(points)]
 
     def _combine(self, other, op):
         if self.rate != other.rate:
@@ -205,10 +217,8 @@ class PiecewiseExpPoly:
             raise ValueError("combined domain is empty")
         tol = max(self._tol(), other._tol())
         breaks = _merge_breaks([self.breaks, other.breaks], lo, hi, tol)
-        pieces = []
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            mid = 0.5 * (a + b)
-            pieces.append(op(self._piece_or_zero(mid), other._piece_or_zero(mid)))
+        mids = 0.5 * (breaks[:-1] + breaks[1:])
+        pieces = [op(p, q) for p, q in zip(self._pieces_at(mids), other._pieces_at(mids))]
         return PiecewiseExpPoly(breaks, pieces, self.rate)
 
     def __add__(self, other):
@@ -234,9 +244,9 @@ class PiecewiseExpPoly:
         running = 0.0
         for (a, b), p in zip(zip(self.breaks[:-1], self.breaks[1:]), self.pieces):
             G = p.antiderivative()
-            const = running - G(a)
-            pieces.append(G + ExpPoly.const(self.rate, const))
-            running = running + (G(b) - G(a))
+            Ga, Gb = G(np.array([a, b]))
+            pieces.append(G + ExpPoly.const(self.rate, running - Ga))
+            running = running + (Gb - Ga)
         return PiecewiseExpPoly(self.breaks, pieces, self.rate)
 
     def integrate(self, a, b):

@@ -12,6 +12,7 @@ without discretization error in the dynamics:
   computed from an exactly assembled cell/interval overlap matrix.
 """
 
+import functools
 import hashlib
 import math
 import re
@@ -39,6 +40,8 @@ __all__ = [
     "power_law",
     "thin_control_example",
     "DelaySystem",
+    "DelayKernels",
+    "delay_kernels",
     "delay_fundamental_solution",
     "delay_gramian",
     "delay_semigroup_matrix",
@@ -324,24 +327,16 @@ def _require_mesh(sys_, horizon):
         )
 
 
-_G_CACHE = {}
+# Kernel sets of the systems used most recently; a scenario needs one per
+# distinct segment count (a handful), so a small bound keeps every repeat
+# horizon a hit while memory stays flat across many systems.
+KERNEL_CACHE_SIZE = 8
 
 
-def delay_fundamental_solution(sys_, t_max):
-    """Fundamental solution g on [0, K*delay] covering t_max, exactly.
-
-    g solves the uncontrolled equation with g(0) = 1 and zero history.
-    On the k-th delay interval g(t) = e^{a0 t} P_k(t) with a polynomial
-    P_k obtained by integrating the shifted previous segment:
-    P_k' (t) = a1 e^{-a0 d} P_{k-1}(t - d),  P_k(k d) = P_{k-1}(k d).
-    """
-    d = sys_.delay
-    n_seg = max(1, int(math.ceil(float(t_max) / d - 1e-12)))
-    key = (sys_.fingerprint(), n_seg)
-    hit = _G_CACHE.get(key)
-    if hit is not None:
-        return hit
-    a0, a1 = sys_.a0, sys_.a1
+def _method_of_steps(sys_, n_seg):
+    """The fundamental solution on n_seg delay intervals (see
+    ``delay_fundamental_solution``)."""
+    d, a0, a1 = sys_.delay, sys_.a0, sys_.a1
     c_step = a1 * math.exp(-a0 * d)
     P = Polynomial([1.0])
     polys = [P]
@@ -352,15 +347,80 @@ def delay_fundamental_solution(sys_, t_max):
         polys.append(P)
     breaks = np.arange(n_seg + 1, dtype=float) * d
     pieces = [ExpPoly(a0, {1: p}) for p in polys]
-    g = PiecewiseExpPoly(breaks, pieces, rate=a0)
-    _G_CACHE[key] = g
-    return g
+    return PiecewiseExpPoly(breaks, pieces, rate=a0)
 
 
-def _cell_coeff(sys_):
-    """Offsets c_j = (j+1) h - delay used throughout the mesh formulas."""
-    h = sys_.h
-    return np.arange(1, sys_.mesh + 1, dtype=float) * h - sys_.delay
+class DelayKernels:
+    """Horizon-independent exponential polynomials of one delay system.
+
+    Built on ``n_seg`` delay intervals.  ``g`` is the fundamental solution,
+    ``F`` its antiderivative and ``W(u) = F(u) - F(u - h)`` the cell kernel;
+    the Gramian needs the antiderivatives of g², of g·W(· + c_j) for each
+    cell offset c_j (``heads``) and of W·W(· + m h) for each lag m
+    (``lags``); the semigroup needs ``F2``, the antiderivative of F.  Every
+    kernel beyond g is built on first use, so a segment count used only by
+    the semigroup never builds the Gramian kernels.
+    """
+
+    def __init__(self, sys_, n_seg):
+        self.system = sys_
+        self.g = _method_of_steps(sys_, n_seg)
+        # cell offsets c_j = (j+1) h - delay used throughout the mesh formulas
+        self.c = np.arange(1, sys_.mesh + 1, dtype=float) * sys_.h - sys_.delay
+
+    @functools.cached_property
+    def F(self):
+        return self.g.antiderivative()
+
+    @functools.cached_property
+    def F2(self):
+        return self.F.antiderivative()
+
+    @functools.cached_property
+    def W(self):
+        return self.F - self.F.shift(-self.system.h)
+
+    @functools.cached_property
+    def g_sq(self):
+        return (self.g * self.g).antiderivative()
+
+    @functools.cached_property
+    def heads(self):
+        return [(self.g * self.W.shift(cj)).antiderivative() for cj in self.c]
+
+    @functools.cached_property
+    def lags(self):
+        h = self.system.h
+        return [(self.W * self.W.shift(m * h)).antiderivative()
+                for m in range(self.system.mesh)]
+
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _cached_kernels(sys_, n_seg):
+    return DelayKernels(sys_, n_seg)
+
+
+def delay_kernels(sys_, t_max):
+    """The system's kernels on enough delay intervals to cover [0, t_max].
+
+    Kept in a least-recently-used cache of ``KERNEL_CACHE_SIZE`` entries,
+    keyed by the system (its fields, which also make its fingerprint) and
+    the segment count, so every horizon in the same delay interval shares
+    one set.
+    """
+    n_seg = max(1, int(math.ceil(float(t_max) / sys_.delay - 1e-12)))
+    return _cached_kernels(sys_, n_seg)
+
+
+def delay_fundamental_solution(sys_, t_max):
+    """Fundamental solution g on [0, K*delay] covering t_max, exactly.
+
+    g solves the uncontrolled equation with g(0) = 1 and zero history.
+    On the k-th delay interval g(t) = e^{a0 t} P_k(t) with a polynomial
+    P_k obtained by integrating the shifted previous segment:
+    P_k' (t) = a1 e^{-a0 d} P_{k-1}(t - d),  P_k(k d) = P_{k-1}(k d).
+    """
+    return delay_kernels(sys_, t_max).g
 
 
 def delay_gramian(sys_, t, policy=DEFAULT_POLICY):
@@ -369,30 +429,29 @@ def delay_gramian(sys_, t, policy=DEFAULT_POLICY):
     Writing F for the antiderivative of g and W(u) = F(u) - F(u - h), the
     control-to-state kernels are b0 g(t - s) for the head component and
     (b0/sqrt(h)) W(t + c_j - s) for cell j.  All pairwise L^2 products are
-    integrals of exponential polynomials and are evaluated in closed form;
-    the lag structure needs only ``mesh`` antiderivatives.
+    integrals of exponential polynomials and are evaluated in closed form:
+    entries at lag m are differences of one antiderivative, so the whole
+    matrix takes ``mesh`` array evaluations plus the head row.
     """
     t = float(t)
     if t <= 0:
         raise ValueError("horizon must be positive")
     _require_mesh(sys_, t)
     M, h, b0 = sys_.mesh, sys_.h, sys_.b0
-    g = delay_fundamental_solution(sys_, t + h)
-    F = g.antiderivative()
-    W = F - F.shift(-h)
-    c = _cell_coeff(sys_)
+    kern = delay_kernels(sys_, t + h)
+    c = kern.c
 
     Q = np.zeros((M + 1, M + 1))
-    Q[0, 0] = b0**2 * (g * g).integrate(0.0, t)
-    for j in range(M):
-        Q[0, 1 + j] = (b0**2 / math.sqrt(h)) * (g * W.shift(c[j])).integrate(0.0, t)
-        Q[1 + j, 0] = Q[0, 1 + j]
-    for m in range(M):
-        Pi = (W * W.shift(m * h)).antiderivative()
-        for j in range(M - m):
-            val = (b0**2 / h) * (Pi(t + c[j]) - Pi(c[j]))
-            Q[1 + j, 1 + j + m] = val
-            Q[1 + j + m, 1 + j] = val
+    Q[0, 0] = b0**2 * (kern.g_sq(t) - kern.g_sq(0.0))
+    head = np.array([H(t) - H(0.0) for H in kern.heads])
+    Q[0, 1:] = (b0**2 / math.sqrt(h)) * head
+    Q[1:, 0] = Q[0, 1:]
+    for m, Pi in enumerate(kern.lags):
+        cj = c[: M - m]
+        vals = Pi(np.concatenate([t + cj, cj]))
+        rows = np.arange(1, M - m + 1)
+        Q[rows, rows + m] = (b0**2 / h) * (vals[: M - m] - vals[M - m:])
+        Q[rows + m, rows] = Q[rows, rows + m]
     Q = 0.5 * (Q + Q.T)
     return Gramian(
         Q=SymmetricPSD(Q, policy=policy),
@@ -415,25 +474,24 @@ def delay_semigroup_matrix(sys_, T0):
     if T0 < 0:
         raise ValueError("flow time must be nonnegative")
     M, h, d, a1 = sys_.mesh, sys_.h, sys_.delay, sys_.a1
-    g = delay_fundamental_solution(sys_, T0 + h + d)
-    F = g.antiderivative()
-    F2 = F.antiderivative()
-    c = _cell_coeff(sys_)
+    kern = delay_kernels(sys_, T0 + h + d)
+    F, F2, c = kern.F, kern.F2, kern.c
     rt_h = math.sqrt(h)
+    cells = np.arange(M)
 
     S = np.zeros((M + 1, M + 1))
-    S[0, 0] = g(T0)
-    for k in range(M):
-        S[1 + k, 0] = (F(T0 + c[k]) - F(T0 + c[k] - h)) / rt_h
-    for j in range(M):
-        S[0, 1 + j] = (a1 / rt_h) * (F(T0 - j * h) - F(T0 - (j + 1) * h))
-        for k in range(M):
-            a = T0 - d + (k - j) * h
-            b = a + h
-            duhamel = (a1 / h) * (F2(b) - F2(a) - F2(b - h) + F2(a - h))
-            lo = max(-d + k * h, -d + j * h - T0)
-            hi = min(-d + (k + 1) * h, -d + (j + 1) * h - T0, -T0)
-            S[1 + k, 1 + j] = duhamel + max(0.0, hi - lo) / h
+    S[0, 0] = kern.g(T0)
+    S[1:, 0] = (F(T0 + c) - F(T0 + c - h)) / rt_h
+    S[0, 1:] = (a1 / rt_h) * (F(T0 - cells * h) - F(T0 - (cells + 1) * h))
+    # the Duhamel term of cell j in cell k depends on k - j only
+    lag = np.arange(-(M - 1), M)
+    a = T0 - d + lag * h
+    b = a + h
+    duhamel = (a1 / h) * (F2(b) - F2(a) - F2(b - h) + F2(a - h))
+    k, j = cells[:, None], cells[None, :]
+    lo = np.maximum(-d + k * h, -d + j * h - T0)
+    hi = np.minimum(np.minimum(-d + (k + 1) * h, -d + (j + 1) * h - T0), -T0)
+    S[1:, 1:] = duhamel[k - j + (M - 1)] + np.maximum(0.0, hi - lo) / h
     return S
 
 
@@ -554,10 +612,18 @@ def shift_benchmark_target(m):
 
 @dataclass(frozen=True)
 class ShiftDefectReport:
+    """Reachability defect of one target, from one SVD of the control map.
+
+    ``coefficients`` is the least-norm control (lattice coefficients v with
+    L v the projection of the scaled target onto the kept range of L), cut
+    at the same ``RankPolicy`` threshold as ``rank``.
+    """
+
     defect: float
     horizon: float
     m: int
     rank: int
+    coefficients: np.ndarray = field(repr=False, compare=False)
 
 
 def shift_reachable_defect(sys_, t, target=None, policy=DEFAULT_POLICY):
@@ -579,15 +645,17 @@ def shift_reachable_defect(sys_, t, target=None, policy=DEFAULT_POLICY):
         raise ValueError("target must provide one value per cell")
     f_hat = math.sqrt(sys_.h) * f
     L = shift_control_map(sys_, t)
-    U, s, _ = np.linalg.svd(L, full_matrices=False)
+    U, s, Vt = np.linalg.svd(L, full_matrices=False)
     keep = s > policy.cutoff(s[0]) if s.size else np.zeros(0, dtype=bool)
     Ur = U[:, keep]
-    resid = f_hat - Ur @ (Ur.T @ f_hat)
+    proj = Ur.T @ f_hat
+    resid = f_hat - Ur @ proj
     return ShiftDefectReport(
         defect=float(np.linalg.norm(resid)),
         horizon=float(t),
         m=sys_.m,
         rank=int(np.count_nonzero(keep)),
+        coefficients=Vt[keep].T @ (proj / s[keep]),
     )
 
 

@@ -325,6 +325,16 @@ def test_gramian_route_labels(tmp_path):
         ("block_exponential", "gramian-block-exponential"),
         ("bartels_stewart", "gramian-infinite-lyapunov"),
     ]
+    # a commuting system takes the closed form at every horizon, inf included
+    out = str(tmp_path / "out_commuting")
+    diag = {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+    assert cli.main(["gramian", "--model", json.dumps(diag),
+                     "--horizons", "1.0,inf", "--out", out]) == 0
+    res = read_report(out)["tasks"][0]["results"]
+    assert [(r["method"], r["formula"]) for r in res] == [
+        ("closed_form", "gramian-commuting-closed-form"),
+        ("closed_form", "gramian-commuting-closed-form"),
+    ]
 
 
 def test_residual_sweep_matches_riccati_residual_H(tmp_path):
@@ -402,3 +412,38 @@ def test_recover_l_nonfinite_roundtrip_reports_typed_error(tmp_path):
     assert rc == 1
     rep = read_report(out)
     assert rep["tasks"][0]["error"].startswith("NonFiniteError:")
+
+
+def test_delay_run_builds_kernels_once_per_segment_count(tmp_path, monkeypatch):
+    from minenergy import models
+
+    builds = []
+
+    class CountingKernels(models.DelayKernels):
+        def __init__(self, sys_, n_seg):
+            builds.append(n_seg)
+            super().__init__(sys_, n_seg)
+
+    models._cached_kernels.cache_clear()
+    monkeypatch.setattr(models, "DelayKernels", CountingKernels)
+    out = str(tmp_path / "out")
+    path = write_scenario(
+        tmp_path,
+        {
+            "model": "delay(-0.7,0.6,1.0,1.0)",
+            "mesh": 8,
+            "tasks": ["gramian", "min-energy", "null-controllability"],
+            "horizons": [0.5, 0.75, 1.5, 2.5],
+            "targets": [[0.5] + [0.0] * 8, [0.3] + [0.0] * 4 + [0.1] * 4],
+            "output": out,
+        },
+    )
+    try:
+        assert cli.main(["run", path]) == 0
+    finally:
+        models._cached_kernels.cache_clear()
+    # Gramians and controls need ceil(t + h) delay intervals (1, 1, 2, 3), the
+    # flow ceil(t + h + d) (2, 2, 3, 4): each count is built exactly once
+    assert sorted(builds) == [1, 2, 3, 4]
+    tasks = {t["task"]: t for t in read_report(out)["tasks"]}
+    assert all("timeseries_csv" in r for r in tasks["min-energy"]["results"])

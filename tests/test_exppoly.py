@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from minenergy.exppoly import ExpPoly, PiecewiseExpPoly
@@ -127,3 +127,24 @@ def test_piecewise_scale():
     g = f.scale(-2.0)
     ts = np.linspace(0.0, 2.5, 7)
     assert_allclose(g(ts), -2.0 * f(ts), rtol=1e-14)
+
+
+def test_piecewise_array_matches_pointwise():
+    f = pw_example()
+    tol = f._tol()
+    pts = np.array([-1.0, -tol / 2, 0.0, 0.3, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.7,
+                    2.5 - 1e-13, 2.5, 2.5 + tol / 2, 0.3, -0.2])
+    vals = f(pts)
+    assert_array_equal(vals, [f(float(x)) for x in pts])
+    assert vals[0] == 0.0 and vals[-1] == 0.0  # zero below the start
+    assert vals[5] == f.pieces[1](1.0)  # a break belongs to the piece on its right
+    grid = pts[:12].reshape(3, 4)
+    assert_array_equal(f(grid), vals[:12].reshape(3, 4))
+    assert isinstance(f(0.3), float)
+    assert f(np.array([])).shape == (0,)
+
+
+def test_piecewise_array_beyond_end_raises():
+    f = pw_example()
+    with pytest.raises(ValueError, match="beyond the built range"):
+        f(np.array([0.5, 2.5 + 1e-6, 1.0]))

@@ -10,6 +10,7 @@ from minenergy.models import (
     delay_domain_residual,
     delay_fundamental_solution,
     delay_gramian,
+    delay_kernels,
     delay_null_controllability,
     delay_semigroup_matrix,
     landau_ginzburg,
@@ -246,6 +247,56 @@ def test_delay_semigroup_vs_dde_integration(dsys, T0):
         assert np.abs(S[:, j] - col).max() < 1e-6
 
 
+def _semigroup_scalar_loop(sys_, T0):
+    """The mesh semigroup entry by entry, one scalar evaluation at a time."""
+    M, h, d, a1 = sys_.mesh, sys_.h, sys_.delay, sys_.a1
+    g = delay_fundamental_solution(sys_, T0 + h + d)
+    F = g.antiderivative()
+    F2 = F.antiderivative()
+    c = np.arange(1, M + 1, dtype=float) * h - d
+    rt_h = math.sqrt(h)
+    S = np.zeros((M + 1, M + 1))
+    S[0, 0] = g(T0)
+    for k in range(M):
+        S[1 + k, 0] = (F(T0 + c[k]) - F(T0 + c[k] - h)) / rt_h
+    for j in range(M):
+        S[0, 1 + j] = (a1 / rt_h) * (F(T0 - j * h) - F(T0 - (j + 1) * h))
+        for k in range(M):
+            a = T0 - d + (k - j) * h
+            b = a + h
+            duhamel = (a1 / h) * (F2(b) - F2(a) - F2(b - h) + F2(a - h))
+            lo = max(-d + k * h, -d + j * h - T0)
+            hi = min(-d + (k + 1) * h, -d + (j + 1) * h - T0, -T0)
+            S[1 + k, 1 + j] = duhamel + max(0.0, hi - lo) / h
+    return S
+
+
+@pytest.mark.parametrize("T0", [0.0, 0.3, 1.0, 1.7, 2.5])
+def test_delay_semigroup_matches_scalar_loop(dsys, T0):
+    assert_allclose(delay_semigroup_matrix(dsys, T0), _semigroup_scalar_loop(dsys, T0),
+                    rtol=0, atol=1e-14)
+
+
+def test_delay_kernel_cache_is_bounded():
+    from minenergy import models
+
+    models._cached_kernels.cache_clear()
+    systems = [me.DelaySystem(a0=-0.5, a1=0.1 * (i + 1), b0=1.0, delay=1.0, mesh=8)
+               for i in range(models.KERNEL_CACHE_SIZE + 5)]
+    kernels = [delay_kernels(s, 1.5) for s in systems]
+    assert models._cached_kernels.cache_info().currsize == models.KERNEL_CACHE_SIZE
+    assert delay_kernels(systems[-1], 1.5) is kernels[-1]  # recent: kept
+    assert delay_kernels(systems[0], 1.5) is not kernels[0]  # oldest: evicted
+    assert models._cached_kernels.cache_info().currsize == models.KERNEL_CACHE_SIZE
+
+
+def test_delay_kernels_shared_within_a_delay_interval(dsys):
+    # horizons in one delay interval share a kernel set and its g
+    assert delay_kernels(dsys, 1.2) is delay_kernels(dsys, 1.9)
+    assert delay_fundamental_solution(dsys, 1.2) is delay_kernels(dsys, 2.0).g
+    assert delay_kernels(dsys, 2.1) is not delay_kernels(dsys, 1.9)
+
+
 def test_delay_domain_residual_vanishes(dsys):
     # columns of the Gramian lie in the compatibility set: the head value
     # matches the right endpoint of the history profile
@@ -317,6 +368,19 @@ def test_shift_defect_unit_time_vanishes():
         rep = shift_reachable_defect(sh, 1.0, shift_benchmark_target(m))
         assert rep.defect < 1e-3
         assert rep.rank == m
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+def test_shift_defect_report_carries_least_norm_control(t):
+    sh = me.ShiftSystem(32)
+    target = shift_benchmark_target(32)
+    rep = shift_reachable_defect(sh, t, target=target)
+    L = shift_control_map(sh, t)
+    f_hat = math.sqrt(sh.h) * target
+    v = rep.coefficients
+    assert v.shape == (L.shape[1],)
+    assert_allclose(v, np.linalg.pinv(L, rcond=1e-10) @ f_hat, rtol=1e-10, atol=1e-12)
+    assert np.linalg.norm(f_hat - L @ v) == pytest.approx(rep.defect, abs=1e-12)
 
 
 def test_shift_callable_target():
