@@ -11,6 +11,7 @@ aggregates all verdicts (nonzero iff anything failed or errored).
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -191,45 +192,259 @@ def _validate_scenario(raw):
         raise ScenarioError(f"scenario field '{path}': {e.message}")
 
 
+# ---------------------------------------------------------------------------
+# model kinds: what each task may ask of a model
+# ---------------------------------------------------------------------------
+
+
+_GRAMIAN_FORMULA = {
+    "block_exponential": "gramian-block-exponential",
+    "bartels_stewart": "gramian-infinite-lyapunov",
+    "closed_form": "gramian-commuting-closed-form",
+}
+
+
+def _range_entry(rep, t):
+    """Report entry of a range-inclusion null-controllability verdict."""
+    return {
+        "formula": "null-controllability-range",
+        "horizon": t,
+        "satisfied": rep.satisfied,
+        "constant": rep.constant,
+        "defect": rep.defect,
+    }
+
+
+class _LinearKind:
+    """A plain matrix system, and the interface every model kind offers.
+
+    ``dim`` is the length of a target vector and ``linear`` the matrix
+    system behind the model (``None`` when there is none, which the tasks
+    built on A and B refuse).  ``gramian_entry(t)`` and
+    ``null_controllability(t)`` return report entries; ``steer(t, x)`` gives
+    the class, defect and value of steering to x, and ``samples(t, x, grid)``
+    the least-norm control with the states it passes through (``None`` when
+    the model has no samples, or no states).  Gramians are kept per horizon;
+    ``cache`` also serves the matrix tasks of the same run.
+    """
+
+    name = "linear"
+
+    def __init__(self, model):
+        self.model = model
+        self.cache = GramianCache(DEFAULT_POLICY)
+        self._grams = {}
+
+    @property
+    def linear(self):
+        return self.model
+
+    @property
+    def dim(self):
+        return self.model.n
+
+    def echo(self):
+        return {"kind": self.name, **self.model.to_json_dict()}
+
+    def task_horizons(self, horizons):
+        """The horizons the gramian and min-energy tasks run at."""
+        return horizons
+
+    def _gramian(self, t):
+        return self.cache.get(self.model, t)
+
+    def gramian(self, t):
+        gram = self._grams.get(t)
+        if gram is None:
+            gram = self._grams[t] = self._gramian(t)
+        return gram
+
+    def gramian_formula(self, gram):
+        return _GRAMIAN_FORMULA[gram.method]
+
+    def gramian_entry(self, t):
+        gram = self.gramian(t)
+        return dict(gram.to_json_dict(), formula=self.gramian_formula(gram))
+
+    def null_controllability(self, t):
+        return _range_entry(null_controllability_test(self.model, t), t)
+
+    def default_targets(self):
+        return []
+
+    def steer(self, t, x):
+        """Class, defect and value of steering from 0 to x over t."""
+        gram = self.gramian(t)
+        cls = classify_target(gram, x)
+        return {
+            "formula": {
+                "value": "value-half-norm-sq",
+                "class": "reachable-range-classification",
+            },
+            "class": cls.category,
+            "defect": cls.defect,
+            "value": value_function(gram, x) if cls.reachable else None,
+        }
+
+    def samples(self, t, x, grid):
+        signal = optimal_control(self.linear, self.gramian(t), x, grid=grid)
+        traj = optimal_trajectory(self.linear, x, t, grid=grid, cache=self.cache)
+        return signal, traj.states
+
+
+class _SpectralKind(_LinearKind):
+    """Diagonal modes: closed-form Gramians and a per-mode null-controllability test."""
+
+    name = "spectral"
+
+    @functools.cached_property
+    def linear(self):
+        return self.model.to_linear_system()
+
+    def echo(self):
+        return {"kind": self.name, "lambdas": self.model.lambdas.tolist(),
+                "bs": self.model.bs.tolist()}
+
+    def _gramian(self, t):
+        return spectral_gramian(self.model, t)
+
+    def null_controllability(self, t):
+        mode_rep = spectral_null_controllability(self.model, t)
+        fin_rep = null_controllability_test(self.linear, t)
+        return {
+            "formula": "null-controllability-spectral",
+            "horizon": t,
+            "satisfied": mode_rep.satisfied,
+            "constant": mode_rep.constant,
+            "all_controlled": mode_rep.all_controlled,
+            "tail_nonincreasing": mode_rep.tail_nonincreasing,
+            "finite_dim_satisfied": fin_rep.satisfied,
+            "finite_dim_constant": fin_rep.constant,
+            "verdicts_agree": mode_rep.satisfied == fin_rep.satisfied,
+        }
+
+
+class _DelayKind(_LinearKind):
+    """The scalar delay equation on its mesh: exact mesh Gramians, no matrix system."""
+
+    name = "delay"
+    linear = None
+
+    @property
+    def dim(self):
+        return self.model.dim
+
+    def echo(self):
+        m = self.model
+        return {"kind": self.name, "a0": m.a0, "a1": m.a1, "b0": m.b0,
+                "delay": m.delay, "mesh": m.mesh}
+
+    def _gramian(self, t):
+        if math.isinf(t):
+            raise ScenarioError(
+                "the delay model has no infinite-horizon Gramian (no decay assumption)"
+            )
+        return delay_gramian(self.model, t)
+
+    def gramian_formula(self, gram):
+        return "delay-mesh-gramian"
+
+    def null_controllability(self, t):
+        return _range_entry(delay_null_controllability(self.model, t), t)
+
+    def samples(self, t, x, grid):
+        """The least-norm control, rebuilt from its mesh coordinates."""
+        m = self.model
+        z = self.gramian(t).Q.pinv() @ np.asarray(x, dtype=float)
+        kern = delay_kernels(m, t + m.h)
+        rs = np.linspace(-t, 0.0, grid)
+        s = t + rs  # control times measured from 0
+        vals = m.b0 * kern.g(t - s) * z[0]
+        weight = m.b0 / math.sqrt(m.h)
+        for j, cj in enumerate(kern.c):
+            vals = vals + weight * kern.W(t + cj - s) * z[1 + j]
+        return ControlSignal(rs, vals[:, None]), None
+
+
+class _ShiftKind(_LinearKind):
+    """The moving-window shift: overlap Gramians and SVD reachability defects."""
+
+    name = "shift"
+    linear = None
+
+    @property
+    def dim(self):
+        return self.model.m
+
+    def echo(self):
+        return {"kind": self.name, "m": self.model.m}
+
+    def task_horizons(self, horizons):
+        return [t for t in horizons if math.isfinite(t)]
+
+    def gramian_entry(self, t):
+        L = shift_control_map(self.model, t)
+        return {
+            "formula": "shift-overlap-gramian",
+            "horizon": t,
+            "Q": (L @ L.T).tolist(),
+            "method": "closed_form",
+            "system_fingerprint": self.model.fingerprint(),
+        }
+
+    def null_controllability(self, t):
+        raise ScenarioError("null-controllability is undefined for the shift model")
+
+    def default_targets(self):
+        return [shift_benchmark_target(self.model.m)]
+
+    def steer(self, t, x):
+        rep = shift_reachable_defect(self.model, t, target=x)
+        f_hat = math.sqrt(self.model.h) * np.asarray(x, dtype=float)
+        v = rep.coefficients
+        reachable = rep.defect <= DEFAULT_POLICY.rel_threshold * max(
+            np.linalg.norm(f_hat), 1e-300
+        )
+        return {
+            "formula": "shift-reachability-defect",
+            "value": 0.5 * self.model.h * float(v @ v) if reachable else None,
+            "defect": rep.defect,
+            "class": "in_range_Q" if reachable else "unreachable",
+            "rank": rep.rank,
+        }
+
+    def samples(self, t, x, grid):
+        return None
+
+
+_KINDS = {
+    LinearSystem: _LinearKind,
+    SpectralSystem: _SpectralKind,
+    DelaySystem: _DelayKind,
+    ShiftSystem: _ShiftKind,
+}
+
+
 def _load_model(value, mesh):
-    """The scenario's model; a model that cannot be built is a usage error."""
+    """The scenario's model, wrapped in its kind; a model that cannot be
+    built is a usage error."""
     try:
         if isinstance(value, dict):
-            return LinearSystem.from_json_dict(value)
-        text = value.strip()
-        if text.startswith("{"):
-            return LinearSystem.from_json_dict(json.loads(text))
-        if os.path.isfile(text):
-            with open(text) as f:
-                return LinearSystem.from_json_dict(json.load(f))
-        return parse_model(text, mesh=mesh)
+            model = LinearSystem.from_json_dict(value)
+        else:
+            text = value.strip()
+            if text.startswith("{"):
+                model = LinearSystem.from_json_dict(json.loads(text))
+            elif os.path.isfile(text):
+                with open(text) as f:
+                    model = LinearSystem.from_json_dict(json.load(f))
+            else:
+                model = parse_model(text, mesh=mesh)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"scenario field 'model': {exc}") from exc
-
-
-def _model_echo(model):
-    if isinstance(model, LinearSystem):
-        return {"kind": "linear", **model.to_json_dict()}
-    if isinstance(model, SpectralSystem):
-        return {
-            "kind": "spectral",
-            "lambdas": model.lambdas.tolist(),
-            "bs": model.bs.tolist(),
-        }
-    if isinstance(model, DelaySystem):
-        return {
-            "kind": "delay",
-            "a0": model.a0,
-            "a1": model.a1,
-            "b0": model.b0,
-            "delay": model.delay,
-            "mesh": model.mesh,
-        }
-    if isinstance(model, ShiftSystem):
-        return {"kind": "shift", "m": model.m}
-    raise TypeError(f"unknown model type {type(model)!r}")
+    return _KINDS[type(model)](model)
 
 
 class _Run:
@@ -240,8 +455,7 @@ class _Run:
         raw_model = scenario.get("model", scenario.get("system"))
         if raw_model is None:
             raise ScenarioError("scenario field 'model': a model or system is required")
-        self.mesh = scenario.get("mesh", 32)
-        self.model = _load_model(raw_model, self.mesh)
+        self.kind = _load_model(raw_model, scenario.get("mesh", 32))
         self.tasks = scenario.get("tasks", [])
         horizons = scenario.get("horizons")
         if horizons is None:
@@ -251,12 +465,11 @@ class _Run:
         if targets is None:
             targets = [scenario["target"]] if "target" in scenario else []
         self.targets = [np.asarray(x, dtype=float) for x in targets]
-        dim = self._state_dim()
         for i, x in enumerate(self.targets):
-            if x.ndim != 1 or (dim is not None and x.size != dim):
+            if x.ndim != 1 or x.size != self.kind.dim:
                 raise ScenarioError(
                     f"scenario field 'targets[{i}]': expected a vector of "
-                    f"length {dim}, got shape {x.shape}"
+                    f"length {self.kind.dim}, got shape {x.shape}"
                 )
         self.grid_points = scenario.get("grid_points", 129)
         self.seed = scenario.get("seed", 0)
@@ -271,26 +484,8 @@ class _Run:
         )
         self.sweep_kinds = scenario.get("sweep_kinds", ["value", "residual"])
         self.expect_nc = scenario.get("expect_null_controllable")
-        self.cache = GramianCache(DEFAULT_POLICY)
+        self.cache = self.kind.cache
         self.csv_files = {}
-
-    def _state_dim(self):
-        if isinstance(self.model, (LinearSystem, SpectralSystem)):
-            return self.model.n
-        if isinstance(self.model, DelaySystem):
-            return self.model.mesh + 1
-        if isinstance(self.model, ShiftSystem):
-            return self.model.m
-        return None
-
-    @property
-    def linear(self):
-        """The plain matrix system behind the model, when there is one."""
-        if isinstance(self.model, LinearSystem):
-            return self.model
-        if isinstance(self.model, SpectralSystem):
-            return self.model.to_linear_system()
-        return None
 
     def finite_horizons(self):
         return [t for t in self.horizons if math.isfinite(t)]
@@ -300,23 +495,11 @@ class _Run:
             raise ScenarioError(f"task '{task}' requires scenario field '{what}'")
         return value
 
-    def gramian_for(self, t):
-        if isinstance(self.model, SpectralSystem):
-            return spectral_gramian(self.model, t)
-        if isinstance(self.model, DelaySystem):
-            return delay_gramian(self.model, t)
-        return self.cache.get(self.model, t)
-
-
-_GRAMIAN_FORMULA = {
-    "block_exponential": "gramian-block-exponential",
-    "bartels_stewart": "gramian-infinite-lyapunov",
-    "closed_form": "gramian-commuting-closed-form",
-}
-
-
-def _gramian_formula(gram):
-    return _GRAMIAN_FORMULA[gram.method]
+    def matrix_system(self, task):
+        """The model's matrix system, for the tasks that need A and B."""
+        if self.kind.linear is None:
+            raise ScenarioError(f"{task} needs a matrix model (linear or spectral)")
+        return self.kind.linear
 
 
 # ---------------------------------------------------------------------------
@@ -325,137 +508,44 @@ def _gramian_formula(gram):
 
 
 def _task_gramian(run):
-    if isinstance(run.model, ShiftSystem):
-        results = []
-        for t in run.need("horizons", run.finite_horizons(), "gramian"):
-            L = shift_control_map(run.model, t)
-            results.append(
-                {
-                    "formula": "shift-overlap-gramian",
-                    "horizon": t,
-                    "Q": (L @ L.T).tolist(),
-                    "method": "closed_form",
-                    "system_fingerprint": run.model.fingerprint(),
-                }
-            )
-        return {"results": results}, None
-    results = []
-    for t in run.need("horizons", run.horizons, "gramian"):
-        if isinstance(run.model, DelaySystem) and math.isinf(t):
-            raise ScenarioError(
-                "the delay model has no infinite-horizon Gramian (no decay assumption)"
-            )
-        gram = run.gramian_for(t)
-        entry = gram.to_json_dict()
-        entry["formula"] = (
-            "delay-mesh-gramian"
-            if isinstance(run.model, DelaySystem)
-            else _gramian_formula(gram)
-        )
-        results.append(entry)
-    return {"results": results}, None
-
-
-def _delay_optimal_control_values(model, t, z, grid):
-    """Sample the least-norm control reconstructed from mesh coordinates."""
-    kern = delay_kernels(model, t + model.h)
-    rs = np.linspace(-t, 0.0, grid)
-    s = t + rs  # control times measured from 0
-    vals = model.b0 * kern.g(t - s) * z[0]
-    weight = model.b0 / math.sqrt(model.h)
-    for j, cj in enumerate(kern.c):
-        vals = vals + weight * kern.W(t + cj - s) * z[1 + j]
-    return rs, vals
+    horizons = run.need("horizons", run.kind.task_horizons(run.horizons), "gramian")
+    return {"results": [run.kind.gramian_entry(t) for t in horizons]}, None
 
 
 def _task_min_energy(run):
+    kind = run.kind
+    horizons = run.need("horizons", kind.task_horizons(run.horizons), "min-energy")
+    targets = run.need("targets", run.targets or kind.default_targets(), "min-energy")
     results = []
-    if isinstance(run.model, ShiftSystem):
-        for ti, t in enumerate(run.need("horizons", run.finite_horizons(), "min-energy")):
-            targets = run.targets or [shift_benchmark_target(run.model.m)]
-            for xi, x in enumerate(targets):
-                rep = shift_reachable_defect(run.model, t, target=x)
-                f_hat = math.sqrt(run.model.h) * np.asarray(x, dtype=float)
-                v = rep.coefficients
-                reachable = rep.defect <= DEFAULT_POLICY.rel_threshold * max(
-                    np.linalg.norm(f_hat), 1e-300
-                )
-                results.append(
-                    {
-                        "formula": "shift-reachability-defect",
-                        "horizon": t,
-                        "target_id": xi,
-                        "value": 0.5 * run.model.h * float(v @ v) if reachable else None,
-                        "energy_oracle": None,
-                        "defect": rep.defect,
-                        "class": "in_range_Q" if reachable else "unreachable",
-                        "rank": rep.rank,
-                    }
-                )
-        return {"results": results}, None
-
-    sys_lin = run.linear
-    for ti, t in enumerate(run.need("horizons", run.horizons, "min-energy")):
-        for xi, x in enumerate(run.need("targets", run.targets, "min-energy")):
-            gram = run.gramian_for(t)
-            cls = classify_target(gram, x)
-            entry = {
-                "formula": {
-                    "value": "value-half-norm-sq",
-                    "class": "reachable-range-classification",
-                },
-                "horizon": "inf" if math.isinf(t) else t,
-                "target_id": xi,
-                "class": cls.category,
-                "defect": cls.defect,
-                "value": None,
-                "energy_oracle": None,
-            }
-            if cls.reachable:
-                entry["value"] = value_function(gram, x)
-            if (
-                cls.category == "in_range_Q"
-                and math.isfinite(t)
-                and isinstance(run.model, DelaySystem)
-            ):
-                z = gram.Q.pinv() @ np.asarray(x, dtype=float)
-                rs, u = _delay_optimal_control_values(run.model, t, z, run.grid_points)
-                entry["energy_oracle"] = ControlSignal(rs, u[:, None]).energy()
-                entry["formula"]["control"] = "control-adjoint-flow"
-                entry["formula"]["energy_oracle"] = "control-energy-quadrature"
-                name = f"timeseries_h{ti}_x{xi}.csv"
-                rows = [(r, u_val) for r, u_val in zip(rs, u)]
-                run.csv_files[name] = _csv_text(["r", "u1"], rows)
-                entry["timeseries_csv"] = name
-            elif cls.category == "in_range_Q" and math.isfinite(t) and sys_lin is not None:
-                signal = optimal_control(sys_lin, gram, x, grid=run.grid_points)
-                traj = optimal_trajectory(
-                    sys_lin, x, t, grid=run.grid_points, cache=run.cache
-                )
+    for ti, t in enumerate(horizons):
+        for xi, x in enumerate(targets):
+            entry = {"horizon": t, "target_id": xi, "energy_oracle": None}
+            entry.update(kind.steer(t, x))
+            samples = (
+                kind.samples(t, x, run.grid_points)
+                if entry["class"] == "in_range_Q" and math.isfinite(t)
+                else None
+            )
+            if samples is not None:
+                signal, states = samples
                 entry["energy_oracle"] = signal.energy()
                 entry["formula"]["control"] = "control-adjoint-flow"
-                entry["formula"]["trajectory"] = "trajectory-gramian-flow"
                 entry["formula"]["energy_oracle"] = "control-energy-quadrature"
-                header = (
-                    ["r"]
-                    + [f"u{j + 1}" for j in range(sys_lin.m)]
-                    + [f"y{j + 1}" for j in range(sys_lin.n)]
-                )
-                rows = [
-                    tuple([r]) + tuple(signal.values[i]) + tuple(traj.states[i])
-                    for i, r in enumerate(signal.grid)
-                ]
+                header = ["r"] + [f"u{j + 1}" for j in range(signal.values.shape[1])]
+                columns = [signal.grid[:, None], signal.values]
+                if states is not None:
+                    entry["formula"]["trajectory"] = "trajectory-gramian-flow"
+                    header += [f"y{j + 1}" for j in range(states.shape[1])]
+                    columns.append(states)
                 name = f"timeseries_h{ti}_x{xi}.csv"
-                run.csv_files[name] = _csv_text(header, rows)
+                run.csv_files[name] = _csv_text(header, map(tuple, np.hstack(columns)))
                 entry["timeseries_csv"] = name
             results.append(entry)
     return {"results": results}, None
 
 
 def _task_verify_riccati(run):
-    sys_lin = run.linear
-    if sys_lin is None:
-        raise ScenarioError("verify-riccati needs a matrix model (linear or spectral)")
+    sys_lin = run.matrix_system("verify-riccati")
     times = run.need("horizons", run.finite_horizons(), "verify-riccati")
     families = []
     rows = []
@@ -494,9 +584,7 @@ def _task_verify_riccati(run):
 
 
 def _task_verify_lyapunov(run):
-    sys_lin = run.linear
-    if sys_lin is None:
-        raise ScenarioError("verify-lyapunov needs a matrix model (linear or spectral)")
+    sys_lin = run.matrix_system("verify-lyapunov")
     times = run.need("horizons", run.finite_horizons(), "verify-lyapunov")
     out = []
     rows = []
@@ -537,9 +625,7 @@ def _task_verify_lyapunov(run):
 
 
 def _commuting_cand(run, task):
-    sys_lin = run.linear
-    if sys_lin is None:
-        raise ScenarioError(f"{task} needs a matrix model (linear or spectral)")
+    sys_lin = run.matrix_system(task)
     K = run.need("K", run.K, task)
     return commuting_candidate(sys_lin, K, margin=run.margin)
 
@@ -625,80 +711,33 @@ def _task_project_check(run):
 
 
 def _task_null_controllability(run):
-    results = []
+    results = [
+        run.kind.null_controllability(t)
+        for t in run.need("horizons", run.finite_horizons(), "null-controllability")
+    ]
     passed = None
-    verdicts = []
-    for t in run.need("horizons", run.finite_horizons(), "null-controllability"):
-        if isinstance(run.model, SpectralSystem):
-            mode_rep = spectral_null_controllability(run.model, t)
-            fin_rep = null_controllability_test(run.model.to_linear_system(), t)
-            results.append(
-                {
-                    "formula": "null-controllability-spectral",
-                    "horizon": t,
-                    "satisfied": mode_rep.satisfied,
-                    "constant": mode_rep.constant,
-                    "all_controlled": mode_rep.all_controlled,
-                    "tail_nonincreasing": mode_rep.tail_nonincreasing,
-                    "finite_dim_satisfied": fin_rep.satisfied,
-                    "finite_dim_constant": fin_rep.constant,
-                    "verdicts_agree": mode_rep.satisfied == fin_rep.satisfied,
-                }
-            )
-            verdicts.append(mode_rep.satisfied)
-        elif isinstance(run.model, DelaySystem):
-            rep = delay_null_controllability(run.model, t)
-            results.append(
-                {
-                    "formula": "null-controllability-range",
-                    "horizon": t,
-                    "satisfied": rep.satisfied,
-                    "constant": rep.constant,
-                    "defect": rep.defect,
-                }
-            )
-            verdicts.append(rep.satisfied)
-        elif isinstance(run.model, LinearSystem):
-            rep = null_controllability_test(run.model, t)
-            results.append(
-                {
-                    "formula": "null-controllability-range",
-                    "horizon": t,
-                    "satisfied": rep.satisfied,
-                    "constant": rep.constant,
-                    "defect": rep.defect,
-                }
-            )
-            verdicts.append(rep.satisfied)
-        else:
-            raise ScenarioError("null-controllability is undefined for the shift model")
     if run.expect_nc is not None:
-        passed = all(v == run.expect_nc for v in verdicts)
+        passed = all(r["satisfied"] == run.expect_nc for r in results)
     return {"results": results}, passed
 
 
 def _value_sweep_rows(run):
-    sys_lin = run.linear
+    sys_lin = run.kind.linear
     rows = []
     for t in run.finite_horizons():
-        gram = run.gramian_for(t)
         gram_oracle = gramian_quadrature(sys_lin, t) if sys_lin is not None else None
         for xi, x in enumerate(run.targets):
-            cls = classify_target(gram, x)
-            if cls.reachable:
-                v = value_function(gram, x)
-                v_o = value_function(gram_oracle, x) if gram_oracle is not None else v
+            v = run.kind.steer(t, x)["value"]
+            if v is None:
+                v = v_o = math.nan
             else:
-                v = math.nan
-                v_o = math.nan
+                v_o = value_function(gram_oracle, x) if gram_oracle is not None else v
             rows.append((t, xi, v, v_o, abs(v - v_o)))
     return rows
 
 
 def _residual_sweep_rows(run):
-    sys_lin = run.linear
-    if sys_lin is None:
-        raise ScenarioError("the residual sweep needs a matrix model")
+    sys_lin = run.matrix_system("the residual sweep")
     cand = pv_candidate(sys_lin, cache=run.cache)
     rows = []
     for t in run.finite_horizons():
@@ -752,7 +791,7 @@ def run_scenario(scenario, out_dir):
     """Execute a validated scenario dict; write artifacts; return exit status."""
     run = _Run(scenario)
     report = {
-        "model": _model_echo(run.model),
+        "model": run.kind.echo(),
         "seed": run.seed,
         "tolerance": run.tol,
         "tasks": [],
