@@ -99,7 +99,9 @@ def classify_target(gram, x, policy=DEFAULT_POLICY):
     Under the relative rank policy the two ranges genuinely differ: an
     eigendirection survives in range(Q^{1/2}) when its eigenvalue clears the
     *squared* relative threshold, mirroring the fact that the square root
-    has the larger range.
+    has the larger range.  That threshold never drops below n * eps, the
+    roundoff of ``eigh`` relative to the largest eigenvalue, so a roundoff
+    eigenvalue of an unreachable direction never counts as reachable.
     """
     x = np.asarray(x, dtype=float)
     lam = gram.Q.eigenvalues
@@ -113,7 +115,7 @@ def classify_target(gram, x, policy=DEFAULT_POLICY):
         category = "in_range_Q" if norm_x == 0.0 else "unreachable"
         return ReachabilityClass(category, defect)
     in_q = lam > tau * lam_max
-    in_half = lam > tau * tau * lam_max
+    in_half = lam > max(tau * tau, lam.size * np.finfo(float).eps) * lam_max
     defect_q = float(np.linalg.norm(w[~in_q]))
     defect_half = float(np.linalg.norm(w[~in_half]))
     tol = tau * max(norm_x, 1e-300)

@@ -42,6 +42,17 @@ def test_classify_target_three_ways():
     assert me.classify_target(g, [1e-8, 0.0]).category == "in_range_Q"
 
 
+def test_classify_target_ignores_roundoff_eigenvalues():
+    # before half a delay the oldest history cells are untouched, so a target
+    # on them lies at its full norm from the reachable set, although one
+    # Gramian eigenvalue there is roundoff (about 1e-18 of the largest)
+    g = me.delay_gramian(me.DelaySystem(-0.5, 0.8, 1.0, 1.0, 8), 0.5)
+    x = np.array([0.0] + [0.1] * 4 + [0.0] * 4)
+    cls = me.classify_target(g, x)
+    assert cls.category == "unreachable"
+    assert cls.defect == pytest.approx(0.2, rel=1e-12)
+
+
 def test_optimal_control_endpoints_scalar(scalar_sys):
     g = me.compute_gramian(scalar_sys, 1.0)
     sig = me.optimal_control(scalar_sys, g, [1.0], grid=129)
