@@ -215,7 +215,10 @@ def _has_closed_form(sys):
 def gramian_commuting_closed_form(sys, t, policy=DEFAULT_POLICY):
     """Entrywise closed form for symmetric A commuting with B B^T.
 
-    Finite horizon:  Q_t = (1/2) A^{-1} (e^{2tA} - I) B B^T
+    Finite horizon:  Q_t = (1/2) A^{-1} (e^{2tA} - I) B B^T, evaluated in
+                     the eigenbasis A = V diag(lam) V^T as
+                     V diag(expm1(2 t lam) / (2 lam)) V^T B B^T, which keeps
+                     every digit as t |lam| -> 0
     Infinite:        Q_inf = -(1/2) A^{-1} B B^T   (stable A only)
 
     A must be invertible.  Raises PreconditionError off the commuting case.
@@ -230,8 +233,9 @@ def gramian_commuting_closed_form(sys, t, policy=DEFAULT_POLICY):
         Q = -0.5 * np.linalg.solve(sys.A, sys.BBt)
         return _wrap(sys, Q, np.inf, "closed_form", policy)
     t = _finite_horizon(t)
+    lam, V = np.linalg.eigh(sys.A)
     with np.errstate(over="ignore", invalid="ignore"):
-        Q = 0.5 * np.linalg.solve(sys.A, (expm(sys.A, 2.0 * t) - np.eye(sys.n)) @ sys.BBt)
+        Q = (V * (np.expm1(2.0 * t * lam) / (2.0 * lam))) @ V.T @ sys.BBt
     return _wrap(sys, Q, t, "closed_form", policy)
 
 

@@ -28,6 +28,11 @@ def test_diagonal_closed_form(diag_sys):
     g = me.compute_gramian(diag_sys, 2.0)
     expected = np.diag([(1 - np.exp(-4.0)) / 2.0, (1 - np.exp(-8.0)) / 4.0])
     assert_allclose(g.Q.matrix, expected, rtol=1e-12)
+    # short horizons: e^{2tA} - I would cancel, expm1 does not
+    for t in (1e-6, 1e-8):
+        g = me.compute_gramian(diag_sys, t)
+        expected = np.diag([-np.expm1(-2.0 * t) / 2.0, -np.expm1(-4.0 * t) / 4.0])
+        assert _rel(g.Q.matrix, expected) <= 1e-14
 
 
 @pytest.mark.parametrize("method", list(ROUTES))
