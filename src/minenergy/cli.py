@@ -229,6 +229,7 @@ class _LinearKind:
     """
 
     name = "linear"
+    no_infinite_horizon = None  # why the model has no Q_inf, if it has none
 
     def __init__(self, model):
         self.model = model
@@ -246,8 +247,14 @@ class _LinearKind:
     def echo(self):
         return {"kind": self.name, **self.model.to_json_dict()}
 
-    def task_horizons(self, horizons):
-        """The horizons the gramian and min-energy tasks run at."""
+    def horizons(self, horizons):
+        """The horizons of the gramian and min-energy tasks, which take inf
+        only from a model with an infinite-horizon Gramian."""
+        if self.no_infinite_horizon and math.inf in horizons:
+            raise ScenarioError(
+                f"the {self.name} model has no infinite-horizon Gramian "
+                f"({self.no_infinite_horizon})"
+            )
         return horizons
 
     def _gramian(self, t):
@@ -329,6 +336,7 @@ class _DelayKind(_LinearKind):
 
     name = "delay"
     linear = None
+    no_infinite_horizon = "no decay assumption"
 
     @property
     def dim(self):
@@ -340,10 +348,6 @@ class _DelayKind(_LinearKind):
                 "delay": m.delay, "mesh": m.mesh}
 
     def _gramian(self, t):
-        if math.isinf(t):
-            raise ScenarioError(
-                "the delay model has no infinite-horizon Gramian (no decay assumption)"
-            )
         return delay_gramian(self.model, t)
 
     def gramian_formula(self, gram):
@@ -371,6 +375,7 @@ class _ShiftKind(_LinearKind):
 
     name = "shift"
     linear = None
+    no_infinite_horizon = "its horizons are steps of the cell lattice"
 
     @property
     def dim(self):
@@ -378,9 +383,6 @@ class _ShiftKind(_LinearKind):
 
     def echo(self):
         return {"kind": self.name, "m": self.model.m}
-
-    def task_horizons(self, horizons):
-        return [t for t in horizons if math.isfinite(t)]
 
     def gramian_entry(self, t):
         L = shift_control_map(self.model, t)
@@ -508,13 +510,13 @@ class _Run:
 
 
 def _task_gramian(run):
-    horizons = run.need("horizons", run.kind.task_horizons(run.horizons), "gramian")
+    horizons = run.kind.horizons(run.need("horizons", run.horizons, "gramian"))
     return {"results": [run.kind.gramian_entry(t) for t in horizons]}, None
 
 
 def _task_min_energy(run):
     kind = run.kind
-    horizons = run.need("horizons", kind.task_horizons(run.horizons), "min-energy")
+    horizons = kind.horizons(run.need("horizons", run.horizons, "min-energy"))
     targets = run.need("targets", run.targets or kind.default_targets(), "min-energy")
     results = []
     for ti, t in enumerate(horizons):

@@ -447,3 +447,22 @@ def test_delay_run_builds_kernels_once_per_segment_count(tmp_path, monkeypatch):
     assert sorted(builds) == [1, 2, 3, 4]
     tasks = {t["task"]: t for t in read_report(out)["tasks"]}
     assert all("timeseries_csv" in r for r in tasks["min-energy"]["results"])
+
+
+def test_models_without_q_inf_refuse_infinite_horizon(tmp_path):
+    # one check for both models: an 'inf' horizon is a task error, not a
+    # horizon dropped without a word
+    cases = [
+        (["gramian", "--model", "shift(8)", "--horizons", "0.25,inf"], "shift"),
+        (["gramian", "--model", "shift(8)", "--horizons", "inf"], "shift"),
+        (["min-energy", "--model", "delay(-0.7,0.6,1,1)", "--mesh", "8",
+          "--horizons", "1,inf", "--target", ",".join(["0.5"] + ["0"] * 8)], "delay"),
+    ]
+    for i, (args, name) in enumerate(cases):
+        out = str(tmp_path / f"out{i}")
+        assert cli.main(args + ["--out", out]) == 1
+        rep = read_report(out)
+        assert rep["failures"] == [args[0]]
+        assert rep["tasks"][0]["error"].startswith(
+            f"ScenarioError: the {name} model has no infinite-horizon Gramian"
+        )
