@@ -15,7 +15,7 @@ bracket becomes invertible; this module detects that threshold, recovers K
 projection remain solutions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import math
 
@@ -209,18 +209,17 @@ class ResidualReport:
     consistency: float = np.nan  # commuting-vs-general right-hand-side agreement
 
 
-def _pairing_derivative(cand, t, X, Y, W, h):
-    """d/dt of the probe pairing matrix X^T W P(t) Y by Richardson-extrapolated
-    central differences (W is the metric of the pairing)."""
-
-    def pairing(tau):
-        # [i, j] = <P(tau) x_i, y_j>_W  =  y_j^T W P x_i
-        P = cand.evaluate(tau)
-        return (Y @ (W @ (P @ X.T))).T
-
-    d1 = (pairing(t + h) - pairing(t - h)) / (2.0 * h)
-    d2 = (pairing(t + 0.5 * h) - pairing(t - 0.5 * h)) / h
+def _richardson(f, t, h):
+    """Richardson-extrapolated central difference of f at t with step h."""
+    d1 = (f(t + h) - f(t - h)) / (2.0 * h)
+    d2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0
+
+
+def _pairing_derivative(cand, t, X, Y, W, h):
+    """d/dt of the probe pairing matrix X^T W P(t) Y (W is the metric of the
+    pairing): [i, j] = <P(tau) x_i, y_j>_W = y_j^T W P x_i."""
+    return _richardson(lambda tau: (Y @ (W @ (cand.evaluate(tau) @ X.T))).T, t, h)
 
 
 def _scale(cand, t, weighted):
@@ -257,6 +256,31 @@ def weighted_pairings(cand, t, probes=None, fd_step=None, seed=0):
     return X, lhs, rhs
 
 
+def _residual_report(kind, cand, t, sides, tol, fd_step, weighted=True):
+    """Max |lhs - rhs| per time over the probe pairings ``sides(tau)``
+    returns as ``(probes, lhs, rhs)``, against the scale-aware threshold."""
+    times = _as_times(t)
+    residuals = []
+    worst_scale = 0.0
+    n_probes = 0
+    for tau in times:
+        X, lhs, rhs = sides(tau)
+        n_probes = X.shape[0]
+        residuals.append(float(np.abs(lhs - rhs).max()))
+        worst_scale = max(worst_scale, _scale(cand, tau, weighted))
+    tol_scaled = tol * worst_scale
+    return ResidualReport(
+        kind=kind,
+        times=tuple(float(x) for x in times),
+        residuals=tuple(residuals),
+        tol=tol,
+        tol_scaled=float(tol_scaled),
+        fd_step=float(fd_step if fd_step is not None else FD_STEP_FACTOR),
+        n_probes=n_probes,
+        passed=bool(max(residuals) <= tol_scaled),
+    )
+
+
 def riccati_residual_H(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
     """Weak-form residual of the weighted-space equation with reversed linear sign:
 
@@ -267,25 +291,9 @@ def riccati_residual_H(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
     normalized in the weighted norm.  The pass threshold is
     ``tol * max(1, ||P||_H)^2 * max(1, ||A||)``.
     """
-    times = _as_times(t)
-    residuals = []
-    worst_scale = 0.0
-    n_probes = 0
-    for tau in times:
-        X, lhs, rhs = weighted_pairings(cand, tau, probes, fd_step, seed)
-        n_probes = X.shape[0]
-        residuals.append(float(np.abs(lhs - rhs).max()))
-        worst_scale = max(worst_scale, _scale(cand, tau, weighted=True))
-    tol_scaled = tol * worst_scale
-    return ResidualReport(
-        kind="weighted",
-        times=tuple(float(x) for x in times),
-        residuals=tuple(residuals),
-        tol=tol,
-        tol_scaled=float(tol_scaled),
-        fd_step=float(fd_step if fd_step is not None else FD_STEP_FACTOR),
-        n_probes=n_probes,
-        passed=bool(max(residuals) <= tol_scaled),
+    return _residual_report(
+        "weighted", cand, t,
+        lambda tau: weighted_pairings(cand, tau, probes, fd_step, seed), tol, fd_step,
     )
 
 
@@ -296,37 +304,19 @@ def riccati_residual_X(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
 
     (Euclidean pairings; probes Euclidean-normalized in range(Q_t)).
     """
-    times = _as_times(t)
     A = cand.sys.A
-    Bt = cand.sys.B.T
-    n = cand.sys.n
-    residuals = []
-    worst_scale = 0.0
-    n_probes = 0
-    for tau in times:
+
+    def sides(tau):
         X = (residual_probes(cand, tau, seed=seed, weighted=False)
              if probes is None else np.asarray(probes))
-        n_probes = X.shape[0]
         h = (fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, tau))
-        lhs = _pairing_derivative(cand, tau, X, X, np.eye(n), h)
-        R = cand.evaluate(tau)
-        RX = R @ X.T
+        lhs = _pairing_derivative(cand, tau, X, X, np.eye(cand.sys.n), h)
+        RX = cand.evaluate(tau) @ X.T
         AX = A @ X.T
-        BtR = Bt @ RX
-        rhs = -(AX.T @ RX) - (RX.T @ AX) - (BtR.T @ BtR)
-        residuals.append(float(np.abs(lhs - rhs).max()))
-        worst_scale = max(worst_scale, _scale(cand, tau, weighted=False))
-    tol_scaled = tol * worst_scale
-    return ResidualReport(
-        kind="plain",
-        times=tuple(float(x) for x in times),
-        residuals=tuple(residuals),
-        tol=tol,
-        tol_scaled=float(tol_scaled),
-        fd_step=float(fd_step if fd_step is not None else FD_STEP_FACTOR),
-        n_probes=n_probes,
-        passed=bool(max(residuals) <= tol_scaled),
-    )
+        BtR = cand.sys.B.T @ RX
+        return X, lhs, -(AX.T @ RX) - (RX.T @ AX) - (BtR.T @ BtR)
+
+    return _residual_report("plain", cand, t, sides, tol, fd_step, weighted=False)
 
 
 def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
@@ -340,36 +330,22 @@ def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, fd_step=None, see
     """
     if not cand.sys.is_commuting_selfadjoint():
         raise PreconditionError("commuting-case residual requires symmetric A commuting with B B^T")
-    times = _as_times(t)
     A = cand.sys.A
     W = cand.geometry.metric
-    residuals = []
-    consistency = 0.0
-    worst_scale = 0.0
-    n_probes = 0
-    for tau in times:
+    gaps = []
+
+    def sides(tau):
         # the general weighted right-hand side on the same probes comes along
         X, lhs, rhs_general = weighted_pairings(cand, tau, probes, fd_step, seed)
-        n_probes = X.shape[0]
         PX = cand.evaluate(tau) @ X.T
         AX = A @ X.T
         APX = A @ PX
         rhs = -(AX.T @ (W @ PX)) - (PX.T @ (W @ AX)) + 2.0 * (APX.T @ (W @ PX))
-        consistency = max(consistency, float(np.abs(rhs - rhs_general).max()))
-        residuals.append(float(np.abs(lhs - rhs).max()))
-        worst_scale = max(worst_scale, _scale(cand, tau, weighted=True))
-    tol_scaled = tol * worst_scale
-    return ResidualReport(
-        kind="commuting",
-        times=tuple(float(x) for x in times),
-        residuals=tuple(residuals),
-        tol=tol,
-        tol_scaled=float(tol_scaled),
-        fd_step=float(fd_step if fd_step is not None else FD_STEP_FACTOR),
-        n_probes=n_probes,
-        passed=bool(max(residuals) <= tol_scaled),
-        consistency=float(consistency),
-    )
+        gaps.append(float(np.abs(rhs - rhs_general).max()))
+        return X, lhs, rhs
+
+    report = _residual_report("commuting", cand, t, sides, tol, fd_step)
+    return replace(report, consistency=max(gaps))
 
 
 @dataclass(frozen=True)
@@ -746,9 +722,7 @@ def lyapunov_residual(sys, Q, mode, times=None, tol=1e-7, fd_step=None):
     residuals = []
     for t in _as_times(times):
         h = (fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, t))
-        d1 = (Q(t + h) - Q(t - h)) / (2.0 * h)
-        d2 = (Q(t + 0.5 * h) - Q(t - 0.5 * h)) / h
-        dQ = (4.0 * d2 - d1) / 3.0
+        dQ = _richardson(Q, t, h)
         Qt = Q(t)
         residuals.append(float(np.linalg.norm(dQ - (sys.A @ Qt + Qt @ sys.A.T + C), 2)))
     tol_scaled = tol * scale
