@@ -478,16 +478,21 @@ class _Run:
         self.tol = scenario.get("tolerance", 1e-6)
         self.margin = scenario.get("margin", 1e-6)
         self.t_star = scenario.get("t_star")
-        self.K = np.asarray(scenario["K"], dtype=float) if "K" in scenario else None
-        self.projector = (
-            np.asarray(scenario["projector"], dtype=float)
-            if "projector" in scenario
-            else None
-        )
+        self.K = self._square(scenario, "K")
+        self.projector = self._square(scenario, "projector")
         self.sweep_kinds = scenario.get("sweep_kinds", ["value", "residual"])
         self.expect_nc = scenario.get("expect_null_controllable")
         self.cache = self.kind.cache
         self.csv_files = {}
+
+    def _square(self, scenario, field):
+        if field not in scenario:
+            return None
+        rows = scenario[field]
+        n = self.kind.dim
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise ScenarioError(f"scenario field '{field}': expected a {n} x {n} matrix")
+        return np.asarray(rows, dtype=float)
 
     def finite_horizons(self):
         return [t for t in self.horizons if math.isfinite(t)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPSDError, NotSymmetricError, PreconditionError
+from .errors import NonFiniteError, NotPSDError, NotSymmetricError, PreconditionError
 
 __all__ = [
     "RankPolicy",
@@ -194,7 +194,8 @@ def expm(A, t=1.0):
     Diagonal matrices take an exact entrywise path; general matrices go
     through scaling-and-squaring (scipy).  Negative ``t`` is allowed: a
     square matrix always generates a group, so the backward flow is
-    well-defined here (unlike for genuinely unbounded generators).
+    well-defined here (unlike for genuinely unbounded generators).  An
+    exponential that overflows raises ``NonFiniteError``.
     """
     A = as_matrix(A, "A")
     n, m = A.shape
@@ -203,9 +204,14 @@ def expm(A, t=1.0):
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     d = np.diagonal(A)
-    if np.count_nonzero(A - np.diag(d)) == 0:
-        return np.diag(np.exp(t * d))
-    return scipy.linalg.expm(t * A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.count_nonzero(A - np.diag(d)) == 0:
+            E = np.diag(np.exp(t * d))
+        else:
+            E = scipy.linalg.expm(t * A)
+    if not np.all(np.isfinite(E)):
+        raise NonFiniteError(f"e^(tA) leaves double precision at t = {t:g}")
+    return E
 
 
 def pinv(M, policy=DEFAULT_POLICY):

@@ -182,6 +182,8 @@ def residual_probes(cand, t, n_random=10, seed=0, weighted=True):
     rng = np.random.default_rng(seed)
     gram_t = compute_gramian(cand.sys, t, policy=cand.geometry.policy)
     U = gram_t.Q.range_basis()
+    if U.shape[1] == 0:
+        raise PreconditionError(f"range(Q_t) is trivial at t = {t:g}: there is nothing to probe")
     cols = [U[:, j] for j in range(U.shape[1])]
     for _ in range(n_random):
         cols.append(U @ rng.standard_normal(U.shape[1]))
@@ -676,6 +678,8 @@ def projected_solution_check(sys, cand, P, times, tol=1e-6, range_tol=1e-8, seed
         v = P @ (U @ rng.standard_normal(U.shape[1]))
         if np.linalg.norm(v) > 1e-12:
             cols.append(geometry.normalize(v))
+    if not cols:
+        raise PreconditionError("P maps the weighted space to zero: there is nothing to probe")
     probes = np.array(cols)
     residual = riccati_residual_commuting(compressed, times, probes=probes, tol=tol)
     is_solution = residual.passed

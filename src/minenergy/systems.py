@@ -27,6 +27,10 @@ class LinearSystem:
             raise ValueError(
                 f"B must have one row per state: A is {A.shape}, B is {B.shape}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            BBt = B @ B.T
+        if not np.all(np.isfinite(BBt)):
+            raise ValueError("B B^T overflows double precision")
         self.A = A.copy()
         self.B = B.copy()
         self.A.setflags(write=False)
