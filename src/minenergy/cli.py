@@ -224,8 +224,8 @@ class _LinearKind:
     ``null_controllability(t)`` return report entries; ``steer(t, x)`` gives
     the class, defect and value of steering to x, and ``samples(t, x, grid)``
     the least-norm control with the states it passes through (``None`` when
-    the model has no samples, or no states).  Gramians are kept per horizon;
-    ``cache`` also serves the matrix tasks of the same run.
+    the model has no samples, or no states).  ``cache`` keeps the Gramians
+    of the matrix system for every task of the run.
     """
 
     name = "linear"
@@ -234,7 +234,6 @@ class _LinearKind:
     def __init__(self, model):
         self.model = model
         self.cache = GramianCache(DEFAULT_POLICY)
-        self._grams = {}
 
     @property
     def linear(self):
@@ -257,14 +256,8 @@ class _LinearKind:
             )
         return horizons
 
-    def _gramian(self, t):
-        return self.cache.get(self.model, t)
-
     def gramian(self, t):
-        gram = self._grams.get(t)
-        if gram is None:
-            gram = self._grams[t] = self._gramian(t)
-        return gram
+        return self.cache.get(self.model, t)
 
     def gramian_formula(self, gram):
         return _GRAMIAN_FORMULA[gram.method]
@@ -312,7 +305,7 @@ class _SpectralKind(_LinearKind):
         return {"kind": self.name, "lambdas": self.model.lambdas.tolist(),
                 "bs": self.model.bs.tolist()}
 
-    def _gramian(self, t):
+    def gramian(self, t):
         return spectral_gramian(self.model, t)
 
     def null_controllability(self, t):
@@ -347,7 +340,7 @@ class _DelayKind(_LinearKind):
         return {"kind": self.name, "a0": m.a0, "a1": m.a1, "b0": m.b0,
                 "delay": m.delay, "mesh": m.mesh}
 
-    def _gramian(self, t):
+    def gramian(self, t):
         return delay_gramian(self.model, t)
 
     def gramian_formula(self, gram):
@@ -482,7 +475,6 @@ class _Run:
         self.projector = self._square(scenario, "projector")
         self.sweep_kinds = scenario.get("sweep_kinds", ["value", "residual"])
         self.expect_nc = scenario.get("expect_null_controllable")
-        self.cache = self.kind.cache
         self.csv_files = {}
 
     def _square(self, scenario, field):
@@ -551,15 +543,21 @@ def _task_min_energy(run):
     return {"results": results}, None
 
 
+def _residual_entry(formula, rep, **extra):
+    """Report entry of a residual check over times."""
+    return {"formula": formula, "times": list(rep.times), "residuals": list(rep.residuals),
+            "tol_scaled": rep.tol_scaled, "passed": rep.passed, **extra}
+
+
 def _task_verify_riccati(run):
     sys_lin = run.matrix_system("verify-riccati")
     times = run.need("horizons", run.finite_horizons(), "verify-riccati")
     families = []
     rows = []
-    pv = pv_candidate(sys_lin, cache=run.cache)
+    pv = pv_candidate(sys_lin, cache=run.kind.cache)
     rep = riccati_residual_H(pv, times, tol=run.tol, seed=run.seed)
     families.append(("gramian-ratio", "riccati-residual-H", rep))
-    inv = inverse_candidate(sys_lin, cache=run.cache)
+    inv = inverse_candidate(sys_lin, cache=run.kind.cache)
     rep_x = riccati_residual_X(inv, times, tol=run.tol, seed=run.seed)
     families.append(("gramian-inverse", "riccati-residual-X", rep_x))
     if sys_lin.is_commuting_selfadjoint():
@@ -568,18 +566,8 @@ def _task_verify_riccati(run):
     out = []
     all_passed = True
     for family, formula, rep in families:
-        out.append(
-            {
-                "family": family,
-                "formula": formula,
-                "equation": rep.kind,
-                "times": list(rep.times),
-                "residuals": list(rep.residuals),
-                "tol_scaled": rep.tol_scaled,
-                "n_probes": rep.n_probes,
-                "passed": rep.passed,
-            }
-        )
+        out.append(_residual_entry(formula, rep, family=family, equation=rep.kind,
+                                   n_probes=rep.n_probes))
         all_passed = all_passed and rep.passed
         for t, r in zip(rep.times, rep.residuals):
             rows.append((rep.kind, t, r, rep.tol_scaled))
@@ -596,23 +584,14 @@ def _task_verify_lyapunov(run):
     out = []
     rows = []
     rep = lyapunov_residual(
-        sys_lin, lambda t: run.cache.get(sys_lin, t).matrix, "differential", times=times
+        sys_lin, lambda t: run.kind.cache.get(sys_lin, t).matrix, "differential", times=times
     )
-    out.append(
-        {
-            "formula": "lyapunov-differential",
-            "mode": rep.mode,
-            "times": list(rep.times),
-            "residuals": list(rep.residuals),
-            "tol_scaled": rep.tol_scaled,
-            "passed": rep.passed,
-        }
-    )
+    out.append(_residual_entry("lyapunov-differential", rep, mode=rep.mode))
     for t, r in zip(rep.times, rep.residuals):
         rows.append(("differential", t, r, rep.tol_scaled))
     all_passed = rep.passed
     if sys_lin.stable:
-        qinf = run.cache.get(sys_lin, math.inf).matrix
+        qinf = run.kind.cache.get(sys_lin, math.inf).matrix
         rep_a = lyapunov_residual(sys_lin, qinf, "algebraic", tol=1e-10)
         out.append(
             {
@@ -655,13 +634,7 @@ def _task_commuting_family(run):
                 {"t": t, "operator": S.tolist(), "norm": float(np.linalg.norm(S, 2))}
             )
         rep = riccati_residual_commuting(cand, times, tol=run.tol, seed=run.seed)
-        result["residual"] = {
-            "formula": "riccati-residual-commuting",
-            "times": list(rep.times),
-            "residuals": list(rep.residuals),
-            "tol_scaled": rep.tol_scaled,
-            "passed": rep.passed,
-        }
+        result["residual"] = _residual_entry("riccati-residual-commuting", rep)
         passed = rep.passed
     return result, passed
 
@@ -729,6 +702,7 @@ def _task_null_controllability(run):
 
 
 def _value_sweep_rows(run):
+    run.need("targets", run.targets, "sweep")
     sys_lin = run.kind.linear
     rows = []
     for t in run.finite_horizons():
@@ -745,7 +719,7 @@ def _value_sweep_rows(run):
 
 def _residual_sweep_rows(run):
     sys_lin = run.matrix_system("the residual sweep")
-    cand = pv_candidate(sys_lin, cache=run.cache)
+    cand = pv_candidate(sys_lin, cache=run.kind.cache)
     rows = []
     for t in run.finite_horizons():
         _, lhs, rhs = weighted_pairings(cand, t, seed=run.seed)
@@ -755,29 +729,20 @@ def _residual_sweep_rows(run):
     return rows
 
 
+_SWEEPS = {
+    "value": (_value_sweep_rows, ["t", "target_id", "value", "value_oracle", "abs_diff"]),
+    "residual": (_residual_sweep_rows, ["t", "probe_i", "probe_j", "lhs", "rhs", "residual"]),
+}
+
+
 def _task_sweep(run):
     result = {"kinds": list(run.sweep_kinds)}
-    if "value" in run.sweep_kinds:
-        run.need("targets", run.targets, "sweep")
-        rows = _value_sweep_rows(run)
-        run.csv_files["value_sweep.csv"] = emit_sweep(
-            rows, ["t", "target_id", "value", "value_oracle", "abs_diff"]
-        )
-        result["value_sweep"] = {
-            "formula": "value-sweep",
-            "rows": len(rows),
-            "csv": "value_sweep.csv",
-        }
-    if "residual" in run.sweep_kinds:
-        rows = _residual_sweep_rows(run)
-        run.csv_files["residual_sweep.csv"] = emit_sweep(
-            rows, ["t", "probe_i", "probe_j", "lhs", "rhs", "residual"]
-        )
-        result["residual_sweep"] = {
-            "formula": "residual-sweep",
-            "rows": len(rows),
-            "csv": "residual_sweep.csv",
-        }
+    for kind, (rows_of, header) in _SWEEPS.items():
+        if kind in run.sweep_kinds:
+            rows = rows_of(run)
+            name = f"{kind}_sweep.csv"
+            run.csv_files[name] = emit_sweep(rows, header)
+            result[f"{kind}_sweep"] = {"formula": f"{kind}-sweep", "rows": len(rows), "csv": name}
     return result, None
 
 
@@ -834,31 +799,12 @@ def run_scenario(scenario, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def _parse_horizons(text):
-    return [h.strip() for h in text.split(",") if h.strip()]
-
-
-def _horizon_values(items):
-    out = []
-    for h in items:
-        out.append("inf" if h == "inf" else float(h))
-    return out
-
-
 def _parse_matrix_arg(text):
     text = text.strip()
     if text.startswith("["):
         return json.loads(text)
     with open(text) as f:
         return json.load(f)
-
-
-def _add_common(p):
-    p.add_argument("--out", default="out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, default=0, help="seed for random probes")
-    p.add_argument("--tol", type=float, default=1e-6, help="base verification tolerance")
-    p.add_argument("--mesh", type=int, default=32, help="mesh cells for the delay model")
-    p.add_argument("--model", help="preset name, JSON file path, or inline JSON system")
 
 
 def _scenario_from_args(args, tasks):
@@ -869,26 +815,56 @@ def _scenario_from_args(args, tasks):
     model = args.model.strip()
     scenario["model"] = json.loads(model) if model.startswith("{") else model
     if getattr(args, "horizons", None):
-        scenario["horizons"] = _horizon_values(_parse_horizons(args.horizons))
-    if getattr(args, "target", None):
-        scenario["targets"] = [
-            [float(v) for v in t.split(",")] for t in args.target
+        scenario["horizons"] = [
+            "inf" if h.strip() == "inf" else float(h) for h in args.horizons.split(",") if h.strip()
         ]
-    if getattr(args, "grid_points", None):
-        scenario["grid_points"] = args.grid_points
-    if getattr(args, "K", None):
-        scenario["K"] = _parse_matrix_arg(args.K)
-    if getattr(args, "projector", None):
-        scenario["projector"] = _parse_matrix_arg(args.projector)
-    if getattr(args, "t_star", None):
-        scenario["t_star"] = args.t_star
-    if getattr(args, "margin", None):
-        scenario["margin"] = args.margin
-    if getattr(args, "kind", None):
-        scenario["sweep_kinds"] = args.kind
-    if getattr(args, "expect", None) is not None and args.expect != "none":
+    if getattr(args, "target", None):
+        scenario["targets"] = [[float(v) for v in t.split(",")] for t in args.target]
+    for attr, field in (("grid_points", "grid_points"), ("t_star", "t_star"),
+                        ("margin", "margin"), ("kind", "sweep_kinds")):
+        if getattr(args, attr, None):
+            scenario[field] = getattr(args, attr)
+    for field in ("K", "projector"):
+        if getattr(args, field, None):
+            scenario[field] = _parse_matrix_arg(getattr(args, field))
+    if getattr(args, "expect", "none") != "none":
         scenario["expect_null_controllable"] = args.expect == "yes"
     return scenario
+
+
+_HORIZONS = ("--horizons", {"required": True, "help": "comma list of horizons; 'inf' allowed"})
+_K = ("--K", {"required": True, "help": "JSON matrix (inline or file path)"})
+_MARGIN = ("--margin", {"type": float, "default": None})
+
+# subcommand: (help, its own options beyond --out/--seed/--tol/--mesh/--model)
+_SUBCOMMANDS = {
+    "gramian": ("compute reachability Gramians", [_HORIZONS]),
+    "min-energy": ("minimum-energy steering to targets", [
+        _HORIZONS,
+        ("--target", {"action": "append", "required": True,
+                      "help": "comma list of coordinates; repeatable"}),
+        ("--grid-points", {"dest": "grid_points", "type": int, "default": None}),
+    ]),
+    "verify-riccati": ("weak-form residuals of the Gramian families", [_HORIZONS]),
+    "verify-lyapunov": ("residuals of the Gramian's linear equation", [_HORIZONS]),
+    "commuting-family": ("closed-form exponential solution family", [_HORIZONS, _K, _MARGIN]),
+    "recover-L": ("recover the mixing operator from one snapshot", [
+        _K, ("--t-star", {"dest": "t_star", "type": float, "required": True}), _MARGIN,
+    ]),
+    "project-check": ("projection-compression biconditional", [
+        _HORIZONS, _K, ("--projector", {"required": True}), _MARGIN,
+    ]),
+    "null-controllability": ("does the flow land in the reachable range?", [
+        _HORIZONS,
+        ("--expect", {"choices": ["yes", "no", "none"], "default": "none",
+                      "help": "verify the verdict against an expectation"}),
+    ]),
+    "sweep": ("value and residual sweep CSVs", [
+        _HORIZONS,
+        ("--target", {"action": "append", "default": None}),
+        ("--kind", {"action": "append", "choices": ["value", "residual"], "default": None}),
+    ]),
+}
 
 
 def _build_parser():
@@ -904,56 +880,15 @@ def _build_parser():
     p.add_argument("--out", default=None, help="override the scenario output directory")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
-    p = sub.add_parser("gramian", help="compute reachability Gramians")
-    _add_common(p)
-    p.add_argument("--horizons", required=True, help="comma list of horizons; 'inf' allowed")
-
-    p = sub.add_parser("min-energy", help="minimum-energy steering to targets")
-    _add_common(p)
-    p.add_argument("--horizons", required=True)
-    p.add_argument("--target", action="append", required=True,
-                   help="comma list of coordinates; repeatable")
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-
-    p = sub.add_parser("verify-riccati", help="weak-form residuals of the Gramian families")
-    _add_common(p)
-    p.add_argument("--horizons", required=True)
-
-    p = sub.add_parser("verify-lyapunov", help="residuals of the Gramian's linear equation")
-    _add_common(p)
-    p.add_argument("--horizons", required=True)
-
-    p = sub.add_parser("commuting-family", help="closed-form exponential solution family")
-    _add_common(p)
-    p.add_argument("--horizons", required=True)
-    p.add_argument("--K", required=True, help="JSON matrix (inline or file path)")
-    p.add_argument("--margin", type=float, default=None)
-
-    p = sub.add_parser("recover-L", help="recover the mixing operator from one snapshot")
-    _add_common(p)
-    p.add_argument("--K", required=True)
-    p.add_argument("--t-star", dest="t_star", type=float, required=True)
-    p.add_argument("--margin", type=float, default=None)
-
-    p = sub.add_parser("project-check", help="projection-compression biconditional")
-    _add_common(p)
-    p.add_argument("--horizons", required=True)
-    p.add_argument("--K", required=True)
-    p.add_argument("--projector", required=True)
-    p.add_argument("--margin", type=float, default=None)
-
-    p = sub.add_parser("null-controllability", help="does the flow land in the reachable range?")
-    _add_common(p)
-    p.add_argument("--horizons", required=True)
-    p.add_argument("--expect", choices=["yes", "no", "none"], default="none",
-                   help="verify the verdict against an expectation")
-
-    p = sub.add_parser("sweep", help="value and residual sweep CSVs")
-    _add_common(p)
-    p.add_argument("--horizons", required=True)
-    p.add_argument("--target", action="append", default=None)
-    p.add_argument("--kind", action="append", choices=["value", "residual"],
-                   default=None)
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out", default="out", help="output directory (default: out)")
+        p.add_argument("--seed", type=int, default=0, help="seed for random probes")
+        p.add_argument("--tol", type=float, default=1e-6, help="base verification tolerance")
+        p.add_argument("--mesh", type=int, default=32, help="mesh cells for the delay model")
+        p.add_argument("--model", help="preset name, JSON file path, or inline JSON system")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -970,8 +905,10 @@ def main(argv=None):
                 scenario["seed"] = args.seed
             out_dir = args.out or scenario.get("output", "out")
             return run_scenario(scenario, out_dir)
-        tasks = [args.command]
-        scenario = _scenario_from_args(args, tasks)
+        try:
+            scenario = _scenario_from_args(args, [args.command])
+        except ValueError as exc:  # a flag value that does not parse
+            raise ScenarioError(str(exc)) from exc
         return run_scenario(scenario, args.out)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -385,6 +385,14 @@ def test_non_square_inline_model_is_usage_error(tmp_path):
     assert "Traceback" not in p.stderr
 
 
+def test_unparsable_flag_value_is_usage_error(tmp_path):
+    p = run_cli(["gramian", "--model", json.dumps(SCALAR_MODEL), "--horizons", "1,abc",
+                 "--out", str(tmp_path / "out")])
+    assert p.returncode == 2
+    assert "abc" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
 def test_coarse_delay_mesh_is_usage_error(tmp_path):
     p = run_cli(["gramian", "--model", "delay(-1,0.5,1,1)", "--mesh", "3",
                  "--horizons", "1", "--out", str(tmp_path / "out")])
