@@ -377,6 +377,25 @@ def test_shift_min_energy_unreachable_target_has_no_value(tmp_path):
     assert full["value"] == pytest.approx(0.5, rel=1e-9)
 
 
+def test_shift_value_sweep_matches_min_energy(tmp_path):
+    # the sweep reads the steering value the min-energy task reports
+    from minenergy.models import shift_benchmark_target
+
+    out = str(tmp_path / "out")
+    path = write_scenario(
+        tmp_path,
+        {"model": "shift(16)", "tasks": ["min-energy", "sweep"], "horizons": [0.25, 1.0],
+         "targets": [shift_benchmark_target(16).tolist()], "sweep_kinds": ["value"],
+         "output": out},
+    )
+    assert cli.main(["run", path]) == 0
+    values = [r["value"] for r in read_report(out)["tasks"][0]["results"]]
+    lines = open(os.path.join(out, "value_sweep.csv")).read().strip().splitlines()
+    swept = [float(line.split(",")[2]) for line in lines[1:]]
+    assert values[0] is None and swept[0] != swept[0]  # unreachable: nan
+    assert swept[1] == values[1]
+
+
 def test_non_square_inline_model_is_usage_error(tmp_path):
     p = run_cli(["gramian", "--model", '{"A": [[1.0, 2.0]], "B": [[1.0]]}',
                  "--horizons", "1", "--out", str(tmp_path / "out")])
