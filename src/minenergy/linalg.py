@@ -204,14 +204,15 @@ def expm(A, t=1.0):
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     d = np.diagonal(A)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.count_nonzero(A - np.diag(d)) == 0:
-            E = np.diag(np.exp(t * d))
-        else:
-            E = scipy.linalg.expm(t * A)
-    if not np.all(np.isfinite(E)):
-        raise NonFiniteError(f"e^(tA) leaves double precision at t = {t:g}")
-    return E
+    if np.count_nonzero(A - np.diag(d)) == 0:
+        e = np.exp(t * d)
+        if np.isfinite(e).all():
+            return np.diag(e)
+    else:
+        E = scipy.linalg.expm(t * A)
+        if np.isfinite(E).all():
+            return E
+    raise NonFiniteError(f"e^(tA) leaves double precision at t = {t:g}")
 
 
 def pinv(M, policy=DEFAULT_POLICY):
