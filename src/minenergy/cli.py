@@ -224,8 +224,10 @@ class _LinearKind:
     ``null_controllability(t)`` return report entries; ``steer(t, x)`` gives
     the class, defect and value of steering to x, and ``samples(t, x, grid)``
     the least-norm control with the states it passes through (``None`` when
-    the model has no samples, or no states).  ``cache`` keeps the Gramians
-    of the matrix system for every task of the run.
+    the model has no samples, or no states).  ``gramian(t)`` computes each
+    horizon once per run (a delay Gramian takes milliseconds, and steering
+    needs it for the value and again for the control); ``cache`` keeps the
+    matrix system's Gramians, at the trajectory's times too.
     """
 
     name = "linear"
@@ -234,6 +236,7 @@ class _LinearKind:
     def __init__(self, model):
         self.model = model
         self.cache = GramianCache(DEFAULT_POLICY)
+        self._grams = {}
 
     @property
     def linear(self):
@@ -257,6 +260,11 @@ class _LinearKind:
         return horizons
 
     def gramian(self, t):
+        if t not in self._grams:
+            self._grams[t] = self._gramian(t)
+        return self._grams[t]
+
+    def _gramian(self, t):
         return self.cache.get(self.model, t)
 
     def gramian_formula(self, gram):
@@ -305,7 +313,7 @@ class _SpectralKind(_LinearKind):
         return {"kind": self.name, "lambdas": self.model.lambdas.tolist(),
                 "bs": self.model.bs.tolist()}
 
-    def gramian(self, t):
+    def _gramian(self, t):
         return spectral_gramian(self.model, t)
 
     def null_controllability(self, t):
@@ -340,7 +348,7 @@ class _DelayKind(_LinearKind):
         return {"kind": self.name, "a0": m.a0, "a1": m.a1, "b0": m.b0,
                 "delay": m.delay, "mesh": m.mesh}
 
-    def gramian(self, t):
+    def _gramian(self, t):
         return delay_gramian(self.model, t)
 
     def gramian_formula(self, gram):
