@@ -2,8 +2,9 @@
 
 x'(t) = a0 x(t) + a1 x(t - d) + b0 u(t).  The state is the current value plus
 the profile on [-d, 0), discretized into mesh cells.  The fundamental solution
-is computed exactly by the method of steps in a polynomial-times-exponential
-algebra, so the mesh projection is the only approximation in the Gramian.
+is computed by the method of steps on the mesh cells, in time local to each
+cell, and the Gramian integrates its kernels cell by cell to roundoff, so the
+mesh projection is the only approximation in the Gramian.
 """
 
 import numpy as np

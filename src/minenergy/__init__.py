@@ -92,7 +92,6 @@ from .riccati import (
     uniqueness_reconstruction,
     weighted_pairings,
 )
-from .exppoly import ExpPoly, PiecewiseExpPoly
 from .models import (
     DelaySystem,
     ShiftDefectReport,

@@ -31,13 +31,13 @@ from .energy import (
 )
 from .errors import MinEnergyError, NonFiniteError, ScenarioError
 from .gramians import GramianCache, gramian_quadrature
-from .linalg import DEFAULT_POLICY, expm
+from .linalg import DEFAULT_POLICY, SymmetricPSD, expm
 from .models import (
     DelaySystem,
     ShiftSystem,
     SpectralSystem,
+    delay_fundamental_solution,
     delay_gramian,
-    delay_kernels,
     delay_null_controllability,
     parse_model,
     shift_benchmark_target,
@@ -224,7 +224,9 @@ class _LinearKind:
     ``null_controllability(t)`` return report entries; ``steer(t, x)`` gives
     the class, defect and value of steering to x, and ``samples(t, x, grid)``
     the least-norm control with the states it passes through (``None`` when
-    the model has no samples, or no states).  ``gramian(t)`` computes each
+    the model has no samples, or no states).  ``value_oracle(t)`` maps a
+    target to its value computed apart from ``steer`` (``None`` when the
+    model has no such oracle).  ``gramian(t)`` computes each
     horizon once per run (a delay Gramian takes milliseconds, and steering
     needs it for the value and again for the control); ``cache`` keeps the
     matrix system's Gramians, at the trajectory's times too.
@@ -279,6 +281,13 @@ class _LinearKind:
 
     def default_targets(self):
         return []
+
+    def value_oracle(self, t):
+        """The value on the quadrature Gramian."""
+        if self.linear is None:
+            return None
+        gram = gramian_quadrature(self.linear, t)
+        return lambda x: value_function(gram, x)
 
     def steer(self, t, x):
         """Class, defect and value of steering from 0 to x over t."""
@@ -361,13 +370,12 @@ class _DelayKind(_LinearKind):
         """The least-norm control, rebuilt from its mesh coordinates."""
         m = self.model
         z = self.gramian(t).Q.pinv() @ np.asarray(x, dtype=float)
-        kern = delay_kernels(m, t + m.h)
+        fund = delay_fundamental_solution(m, t)
         rs = np.linspace(-t, 0.0, grid)
-        s = t + rs  # control times measured from 0
-        vals = m.b0 * kern.g(t - s) * z[0]
-        weight = m.b0 / math.sqrt(m.h)
-        for j, cj in enumerate(kern.c):
-            vals = vals + weight * kern.W(t + cj - s) * z[1 + j]
+        tau = -rs  # time from the control to the horizon
+        u = tau[:, None] + m.offsets
+        cells = (fund.F(u) - fund.F(u - m.h)) @ z[1:]
+        vals = m.b0 * (fund(tau) * z[0] + cells / math.sqrt(m.h))
         return ControlSignal(rs, vals[:, None]), None
 
 
@@ -400,6 +408,14 @@ class _ShiftKind(_LinearKind):
 
     def default_targets(self):
         return [shift_benchmark_target(self.model.m)]
+
+    def value_oracle(self, t):
+        """½ h f̂ᵀ (L Lᵀ)⁺ f̂ with f̂ = √h x, through the Gramian L Lᵀ rather
+        than the singular vectors of L that ``steer`` uses."""
+        L = shift_control_map(self.model, t)
+        P = SymmetricPSD(L @ L.T).pinv()
+        h = self.model.h
+        return lambda x: 0.5 * h * h * float(np.asarray(x, dtype=float) @ P @ x)
 
     def steer(self, t, x):
         rep = shift_reachable_defect(self.model, t, target=x)
@@ -711,16 +727,15 @@ def _task_null_controllability(run):
 
 def _value_sweep_rows(run):
     run.need("targets", run.targets, "sweep")
-    sys_lin = run.kind.linear
     rows = []
     for t in run.finite_horizons():
-        gram_oracle = gramian_quadrature(sys_lin, t) if sys_lin is not None else None
+        oracle = run.kind.value_oracle(t)
         for xi, x in enumerate(run.targets):
             v = run.kind.steer(t, x)["value"]
             if v is None:
                 v = v_o = math.nan
             else:
-                v_o = value_function(gram_oracle, x) if gram_oracle is not None else v
+                v_o = oracle(x) if oracle is not None else v
             rows.append((t, xi, v, v_o, abs(v - v_o)))
     return rows
 

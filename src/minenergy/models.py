@@ -5,14 +5,14 @@ without discretization error in the dynamics:
 
 * diagonal ("spectral") systems — everything is per-mode and closed form;
 * a scalar delay equation — the fundamental solution is built by the method
-  of steps inside an exponential-polynomial algebra, so Gramian entries and
-  cell averages are exact integrals; the only approximation anywhere is the
-  projection of the history segment onto a uniform mesh;
+  of steps on the cells of the history mesh, in time local to each cell, and
+  its kernels are integrated cell by cell to roundoff; the only
+  approximation anywhere is the projection of the history segment onto a
+  uniform mesh;
 * a nilpotent shift with a short control window — reachability defects are
   computed from an exactly assembled cell/interval overlap matrix.
 """
 
-import functools
 import hashlib
 import math
 import re
@@ -20,11 +20,15 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
-from .errors import MeshResolutionError, PreconditionError, ScenarioError
-from .exppoly import ExpPoly, PiecewiseExpPoly
-from .gramians import Gramian
+from .errors import (
+    MeshResolutionError,
+    NonFiniteError,
+    PreconditionError,
+    ScenarioError,
+    StiffnessError,
+)
+from .gramians import Gramian, _wrap
 from .linalg import DEFAULT_POLICY, SymmetricPSD, range_inclusion
 from .energy import NullControllability
 from .systems import LinearSystem
@@ -40,8 +44,7 @@ __all__ = [
     "power_law",
     "thin_control_example",
     "DelaySystem",
-    "DelayKernels",
-    "delay_kernels",
+    "FundamentalSolution",
     "delay_fundamental_solution",
     "delay_gramian",
     "delay_semigroup_matrix",
@@ -89,6 +92,7 @@ class SpectralSystem:
         b.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "bs", b)
+        object.__setattr__(self, "_fingerprint", self.to_linear_system().fingerprint())
 
     @property
     def n(self):
@@ -98,7 +102,7 @@ class SpectralSystem:
         return LinearSystem(np.diag(-self.lambdas), np.diag(np.sqrt(self.bs)))
 
     def fingerprint(self):
-        return self.to_linear_system().fingerprint()
+        return self._fingerprint
 
 
 def spectral_gramian(ssys, t, policy=DEFAULT_POLICY):
@@ -313,6 +317,11 @@ class DelaySystem:
         """Mesh-level state dimension: scalar head plus one average per cell."""
         return self.mesh + 1
 
+    @property
+    def offsets(self):
+        """Cell offsets c_j = (j + 1) h - delay used throughout the mesh formulas."""
+        return np.arange(1, self.mesh + 1, dtype=float) * self.h - self.delay
+
     def fingerprint(self):
         payload = struct.pack(
             "<dddd q", self.a0, self.a1, self.b0, self.delay, self.mesh
@@ -327,138 +336,180 @@ def _require_mesh(sys_, horizon):
         )
 
 
-# Kernel sets of the systems used most recently; a scenario needs one per
-# distinct segment count (a handful), so a small bound keeps every repeat
-# horizon a hit while memory stays flat across many systems.
-KERNEL_CACHE_SIZE = 8
+# Gauss-Legendre rule of a Gramian panel: over one unit of (|a0| + |a1|) time
+# 12 nodes integrate the product of two kernels to roundoff.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _method_of_steps(sys_, n_seg):
-    """The fundamental solution on n_seg delay intervals (see
-    ``delay_fundamental_solution``)."""
-    d, a0, a1 = sys_.delay, sys_.a0, sys_.a1
-    c_step = a1 * math.exp(-a0 * d)
-    P = Polynomial([1.0])
-    polys = [P]
-    for k in range(1, n_seg):
-        shifted = P(Polynomial([-d, 1.0]))
-        Q = shifted.integ()
-        P = Polynomial([polys[-1](k * d)]) + (Q - Polynomial([Q(k * d)])) * c_step
-        polys.append(P)
-    breaks = np.arange(n_seg + 1, dtype=float) * d
-    pieces = [ExpPoly(a0, {1: p}) for p in polys]
-    return PiecewiseExpPoly(breaks, pieces, rate=a0)
+def _moments(a0, sigma, kmax):
+    """mu[p, k] = integral over [0, sigma_p] of e^{a0 u} u^k du, k = 0..kmax.
+
+    While |a0 sigma| <= 1, the series sigma^{k+1} sum_n (a0 sigma)^n /
+    (n! (n + k + 1)), exact at a0 = 0, reaches roundoff in 20 terms (1/20! <
+    2^-53); beyond, where it would cancel, mu_k = (sigma^k e^{a0 sigma} -
+    k mu_{k-1}) / a0."""
+    sigma = np.asarray(sigma, dtype=float)
+    x = a0 * sigma
+    k = np.arange(kmax + 1)
+    mu = np.empty((sigma.size, kmax + 1))
+    small = np.abs(x) <= 1.0
+    if small.any():
+        term, series = np.ones((np.count_nonzero(small), 1)), 0.0
+        for n in range(20):  # term = (a0 sigma)^n / n!
+            series = series + term / (n + k + 1)
+            term = term * x[small, None] / (n + 1)
+        mu[small] = series * sigma[small, None] ** (k + 1)
+    if not small.all():
+        s, xb = sigma[~small], x[~small]
+        e = np.exp(xb)
+        mu[~small, 0] = col = np.expm1(xb) / a0
+        for j in range(1, kmax + 1):
+            mu[~small, j] = col = (s**j * e - j * col) / a0
+    return mu
 
 
-class DelayKernels:
-    """Horizon-independent exponential polynomials of one delay system.
+class FundamentalSolution:
+    """The fundamental solution g of a delay system and its antiderivatives.
 
-    Built on ``n_seg`` delay intervals.  ``g`` is the fundamental solution,
-    ``F`` its antiderivative and ``W(u) = F(u) - F(u - h)`` the cell kernel;
-    the Gramian needs the antiderivatives of g², of g·W(· + c_j) for each
-    cell offset c_j (``heads``) and of W·W(· + m h) for each lag m
-    (``lags``); the semigroup needs ``F2``, the antiderivative of F.  Every
-    kernel beyond g is built on first use, so a segment count used only by
-    the semigroup never builds the Gramian kernels.
+    g solves the uncontrolled equation with g(0) = 1 and zero history.  On
+    cell j of the lattice of step h = delay/mesh, in local time
+    sigma in [0, h], the pieces y_j(sigma) = g(jh + sigma) solve
+    y_j' = a0 y_j + a1 y_{j-M}: a chain whose coupling is nilpotent, so the
+    method of steps gives the finite sum
+
+        g(jh + sigma) = e^{a0 sigma} sum_k a1^k s[j - kM] sigma^k / k!,
+
+    with the samples s[i] = g(ih) (zero for i < 0) from the same sum at
+    sigma = h.  Every term is small on a cell, so nothing cancels however
+    long the horizon.  F (the integral of g from 0) and F2 (that of F) add
+    ``_moments`` to their values at the cell starts.  Built on whole delay
+    intervals covering ``t_max``: all three are zero below 0, evaluation
+    beyond the built range raises, and overflow is a ``NonFiniteError``.
     """
 
-    def __init__(self, sys_, n_seg):
-        self.system = sys_
-        self.g = _method_of_steps(sys_, n_seg)
-        # cell offsets c_j = (j+1) h - delay used throughout the mesh formulas
-        self.c = np.arange(1, sys_.mesh + 1, dtype=float) * sys_.h - sys_.delay
+    def __init__(self, sys_, t_max):
+        a0, a1, M, h = sys_.a0, sys_.a1, sys_.mesh, sys_.h
+        K = max(1, int(math.ceil(float(t_max) / sys_.delay - 1e-12)))
+        self.a0, self.h, self.M, self.cells, self.end = a0, h, M, K * M, K * sys_.delay
+        self.c = np.cumprod(np.concatenate(([1.0], a1 / np.arange(1.0, K))))  # a1^k / k!
+        step = self.c * h ** np.arange(K)
+        self.s = np.concatenate(([1.0], np.zeros(self.cells)))
+        cells = np.arange(self.cells)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+            E = np.exp(a0 * h)
+            for j in cells:
+                lags = self.s[j::-M]  # s[j], s[j - M], ... down to the first delay interval
+                self.s[j + 1] = E * (step[:lags.size] @ lags)
+            mu = _moments(a0, [h], K)[0]
+            self.F0 = np.concatenate(([0.0], np.cumsum(self._lagged(cells, mu[:-1]))))
+            inner = self.F0[:-1] * h + self._lagged(cells, h * mu[:-1] - mu[1:])
+            self.F20 = np.concatenate(([0.0], np.cumsum(inner)))
+        if not np.all(np.isfinite([self.s[-1], self.F0[-1], self.F20[-1]])):
+            raise NonFiniteError(
+                f"the fundamental solution or its integrals overflow before t = {self.end:g}")
 
-    @functools.cached_property
-    def F(self):
-        return self.g.antiderivative()
+    def _lagged(self, j, terms):
+        """sum over k of a1^k / k! * s[j - kM] * terms[..., k], s zero before 0."""
+        out = np.zeros(np.broadcast_shapes(np.shape(j), terms.shape[:-1]))
+        for k in range(self.c.size):
+            i = j - k * self.M
+            out += self.c[k] * np.where(i >= 0, self.s[np.maximum(i, 0)], 0.0) * terms[..., k]
+        return out
 
-    @functools.cached_property
-    def F2(self):
-        return self.F.antiderivative()
+    def _at(self, t, order):
+        """g (order 0), F (1) or F2 (2) elementwise; a float at a scalar t."""
+        flat = np.asarray(t, dtype=float).ravel()
+        beyond = flat > self.end + 1e-12 * max(1.0, self.end)
+        if beyond.any():
+            raise ValueError(f"evaluation at {flat[np.argmax(beyond)]:g} beyond the "
+                             f"built range [0, {self.end:g}]")
+        j = np.clip(np.floor(flat / self.h), 0, self.cells - 1).astype(int)
+        sigma = np.maximum(flat, 0.0) - j * self.h  # points below 0 are zeroed below
+        if order == 0:
+            powers = sigma[:, None] ** np.arange(self.c.size)
+            vals = np.exp(self.a0 * sigma) * self._lagged(j, powers)
+        elif order == 1:
+            vals = self.F0[j] + self._lagged(j, _moments(self.a0, sigma, self.c.size - 1))
+        else:
+            mu = _moments(self.a0, sigma, self.c.size)
+            inner = sigma[:, None] * mu[:, :-1] - mu[:, 1:]
+            vals = self.F20[j] + self.F0[j] * sigma + self._lagged(j, inner)
+        vals = np.where(flat < 0.0, 0.0, vals)
+        return float(vals[0]) if np.ndim(t) == 0 else vals.reshape(np.shape(t))
 
-    @functools.cached_property
-    def W(self):
-        return self.F - self.F.shift(-self.system.h)
+    def __call__(self, t):
+        return self._at(t, 0)
 
-    @functools.cached_property
-    def g_sq(self):
-        return (self.g * self.g).antiderivative()
+    def F(self, t):
+        return self._at(t, 1)
 
-    @functools.cached_property
-    def heads(self):
-        return [(self.g * self.W.shift(cj)).antiderivative() for cj in self.c]
+    def F2(self, t):
+        return self._at(t, 2)
 
-    @functools.cached_property
-    def lags(self):
-        h = self.system.h
-        return [(self.W * self.W.shift(m * h)).antiderivative()
-                for m in range(self.system.mesh)]
-
-
-@functools.lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _cached_kernels(sys_, n_seg):
-    return DelayKernels(sys_, n_seg)
-
-
-def delay_kernels(sys_, t_max):
-    """The system's kernels on enough delay intervals to cover [0, t_max].
-
-    Kept in a least-recently-used cache of ``KERNEL_CACHE_SIZE`` entries,
-    keyed by the system (its fields, which also make its fingerprint) and
-    the segment count, so every horizon in the same delay interval shares
-    one set.
-    """
-    n_seg = max(1, int(math.ceil(float(t_max) / sys_.delay - 1e-12)))
-    return _cached_kernels(sys_, n_seg)
+    def on_cells(self, sigma):
+        """g and F at local time sigma on every cell: two (cells, len(sigma)) arrays."""
+        sigma = np.asarray(sigma, dtype=float)
+        j = np.arange(self.cells)[:, None]
+        g = self._lagged(j, sigma[:, None] ** np.arange(self.c.size)) * np.exp(self.a0 * sigma)
+        F = self.F0[:-1, None] + self._lagged(j, _moments(self.a0, sigma, self.c.size - 1))
+        return g, F
 
 
 def delay_fundamental_solution(sys_, t_max):
-    """Fundamental solution g on [0, K*delay] covering t_max, exactly.
+    """The fundamental solution covering [0, t_max] (see ``FundamentalSolution``);
+    a build takes well under a millisecond at benchmark sizes, so nothing is cached."""
+    return FundamentalSolution(sys_, t_max)
 
-    g solves the uncontrolled equation with g(0) = 1 and zero history.
-    On the k-th delay interval g(t) = e^{a0 t} P_k(t) with a polynomial
-    P_k obtained by integrating the shifted previous segment:
-    P_k' (t) = a1 e^{-a0 d} P_{k-1}(t - d),  P_k(k d) = P_{k-1}(k d).
+
+def _panel_gram(sys_, fund, lo, hi, first, stop):
+    """Gauss-Legendre sum, over local times [lo, hi] of lattice cells
+    first..stop-1, of the outer products of the control-to-mesh kernels.
+
+    At elapsed time tau = ih + sigma the head kernel is b0 g(tau) and the
+    kernel of mesh cell j is (b0/sqrt(h)) (F(tau + c_j) - F(tau + c_j - h))
+    with c_j = (j + 1) h - delay: both F values sit at the same local time,
+    on cells i + j + 1 - M and i + j - M.
     """
-    return delay_kernels(sys_, t_max).g
+    M, h, b0 = sys_.mesh, sys_.h, sys_.b0
+    half = 0.5 * (hi - lo)
+    sigma = lo + half * (1.0 + _GL_NODES)
+    g, F = fund.on_cells(sigma)
+    dF = np.diff(np.concatenate((np.zeros((M, sigma.size)), F)), axis=0)
+    W = (b0 / math.sqrt(h)) * np.lib.stride_tricks.sliding_window_view(dF, M, axis=0)[first:stop]
+    K = np.concatenate((b0 * g[first:stop, :, None], W), axis=2).reshape(-1, M + 1)
+    return (K * np.tile(half * _GL_WEIGHTS, stop - first)[:, None]).T @ K
 
 
 def delay_gramian(sys_, t, policy=DEFAULT_POLICY):
-    """Reachability Gramian over [0, t] on the mesh, with exact entries.
+    """Reachability Gramian over [0, t] on the mesh.
 
     Writing F for the antiderivative of g and W(u) = F(u) - F(u - h), the
     control-to-state kernels are b0 g(t - s) for the head component and
-    (b0/sqrt(h)) W(t + c_j - s) for cell j.  All pairwise L^2 products are
-    integrals of exponential polynomials and are evaluated in closed form:
-    entries at lag m are differences of one antiderivative, so the whole
-    matrix takes ``mesh`` array evaluations plus the head row.
+    (b0/sqrt(h)) W(t + c_j - s) for cell j.  Every kernel is smooth between
+    lattice points, so Gauss-Legendre panels on each lattice cell (the last
+    one ending at t) integrate their products to roundoff; a cell gets one
+    panel per unit of (|a0| + |a1|) h.
     """
     t = float(t)
     if t <= 0:
         raise ValueError("horizon must be positive")
     _require_mesh(sys_, t)
-    M, h, b0 = sys_.mesh, sys_.h, sys_.b0
-    kern = delay_kernels(sys_, t + h)
-    c = kern.c
-
+    M, h = sys_.mesh, sys_.h
+    panels = max(1, math.ceil((abs(sys_.a0) + abs(sys_.a1)) * h))
+    if panels > 2**14:
+        raise StiffnessError(f"the delay Gramian would need {panels:.3g} panels per mesh cell")
+    fund = delay_fundamental_solution(sys_, t)
+    full = int(t // h)
+    spans = [(h, 0, full)]
+    if t - full * h > 1e-12 * max(1.0, t):
+        spans.append((t - full * h, full, full + 1))
     Q = np.zeros((M + 1, M + 1))
-    Q[0, 0] = b0**2 * (kern.g_sq(t) - kern.g_sq(0.0))
-    head = np.array([H(t) - H(0.0) for H in kern.heads])
-    Q[0, 1:] = (b0**2 / math.sqrt(h)) * head
-    Q[1:, 0] = Q[0, 1:]
-    for m, Pi in enumerate(kern.lags):
-        cj = c[: M - m]
-        vals = Pi(np.concatenate([t + cj, cj]))
-        rows = np.arange(1, M - m + 1)
-        Q[rows, rows + m] = (b0**2 / h) * (vals[: M - m] - vals[M - m:])
-        Q[rows + m, rows] = Q[rows, rows + m]
-    Q = 0.5 * (Q + Q.T)
-    return Gramian(
-        Q=SymmetricPSD(Q, policy=policy),
-        horizon=t,
-        method="closed_form",
-        system_fingerprint=sys_.fingerprint(),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # _wrap rejects what overflows
+        for width, first, stop in spans:
+            edges = np.linspace(0.0, width, panels + 1)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                Q += _panel_gram(sys_, fund, lo, hi, first, stop)
+    return _wrap(sys_, Q, t, "quadrature", policy)
 
 
 def delay_semigroup_matrix(sys_, T0):
@@ -474,13 +525,14 @@ def delay_semigroup_matrix(sys_, T0):
     if T0 < 0:
         raise ValueError("flow time must be nonnegative")
     M, h, d, a1 = sys_.mesh, sys_.h, sys_.delay, sys_.a1
-    kern = delay_kernels(sys_, T0 + h + d)
-    F, F2, c = kern.F, kern.F2, kern.c
+    fund = delay_fundamental_solution(sys_, T0)
+    F, F2 = fund.F, fund.F2
+    c = sys_.offsets
     rt_h = math.sqrt(h)
     cells = np.arange(M)
 
     S = np.zeros((M + 1, M + 1))
-    S[0, 0] = kern.g(T0)
+    S[0, 0] = fund(T0)
     S[1:, 0] = (F(T0 + c) - F(T0 + c - h)) / rt_h
     S[0, 1:] = (a1 / rt_h) * (F(T0 - cells * h) - F(T0 - (cells + 1) * h))
     # the Duhamel term of cell j in cell k depends on k - j only
@@ -524,16 +576,11 @@ def delay_domain_residual(sys_, t, policy=DEFAULT_POLICY):
     an average, so the mismatch |average of last cell - head| decays like
     O(h) under refinement instead of vanishing exactly.
     """
-    gram = delay_gramian(sys_, t, policy=policy)
-    Q = gram.matrix
-    rt_h = math.sqrt(sys_.h)
-    worst = 0.0
-    for col in Q.T:
-        scale = float(np.linalg.norm(col))
-        if scale <= 1e-300:
-            continue
-        worst = max(worst, abs(col[0] - col[-1] / rt_h) / scale)
-    return worst
+    Q = delay_gramian(sys_, t, policy=policy).matrix
+    scale = np.linalg.norm(Q, axis=0)
+    live = scale > 1e-300
+    gaps = np.abs(Q[0] - Q[-1] / math.sqrt(sys_.h))[live] / scale[live]
+    return float(gaps.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import MarginError, PreconditionError, UnstableSystemError
 from .gramians import GramianCache, compute_gramian
@@ -481,6 +480,7 @@ def detect_t1(sys, K, margin=1e-6, n_scan=512):
         return 0.0
     if commutes(sys.A, K, tol=1e-12):
         return _commuting_t1(sys, K, margin)
+    from scipy.optimize import minimize_scalar  # costs a tenth of a second to import
 
     def sigma_min(t):
         E = expm(sys.A, t)

@@ -377,23 +377,40 @@ def test_shift_min_energy_unreachable_target_has_no_value(tmp_path):
     assert full["value"] == pytest.approx(0.5, rel=1e-9)
 
 
-def test_shift_value_sweep_matches_min_energy(tmp_path):
-    # the sweep reads the steering value the min-energy task reports
+def test_shift_value_sweep_matches_min_energy(tmp_path, monkeypatch):
+    # the sweep reads the steering value the min-energy task reports and
+    # checks it against the Gramian L L^T, apart from the SVD behind the value
     from minenergy.models import shift_benchmark_target
 
+    def sweep(out, tasks):
+        path = write_scenario(
+            tmp_path,
+            {"model": "shift(16)", "tasks": tasks, "horizons": [0.25, 1.0],
+             "targets": [shift_benchmark_target(16).tolist()], "sweep_kinds": ["value"],
+             "output": out},
+        )
+        assert cli.main(["run", path]) == 0
+        lines = open(os.path.join(out, "value_sweep.csv")).read().strip().splitlines()
+        return [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+
     out = str(tmp_path / "out")
-    path = write_scenario(
-        tmp_path,
-        {"model": "shift(16)", "tasks": ["min-energy", "sweep"], "horizons": [0.25, 1.0],
-         "targets": [shift_benchmark_target(16).tolist()], "sweep_kinds": ["value"],
-         "output": out},
-    )
-    assert cli.main(["run", path]) == 0
+    rows = sweep(out, ["min-energy", "sweep"])
     values = [r["value"] for r in read_report(out)["tasks"][0]["results"]]
-    lines = open(os.path.join(out, "value_sweep.csv")).read().strip().splitlines()
-    swept = [float(line.split(",")[2]) for line in lines[1:]]
-    assert values[0] is None and swept[0] != swept[0]  # unreachable: nan
-    assert swept[1] == values[1]
+    assert values[0] is None and rows[0][2] != rows[0][2]  # unreachable: nan
+    value, abs_diff = rows[1][2], rows[1][4]
+    assert value == values[1]
+    assert 0.0 < abs_diff <= 1e-12 * value
+
+    steer = cli._ShiftKind.steer
+
+    def perturbed(self, t, x):
+        entry = steer(self, t, x)
+        if entry["value"] is not None:
+            entry["value"] *= 1.0 + 1e-6
+        return entry
+
+    monkeypatch.setattr(cli._ShiftKind, "steer", perturbed)
+    assert sweep(str(tmp_path / "perturbed"), ["sweep"])[1][4] > 0.5e-6 * value
 
 
 def test_non_square_inline_model_is_usage_error(tmp_path):
@@ -441,39 +458,24 @@ def test_recover_l_nonfinite_roundtrip_reports_typed_error(tmp_path):
     assert rep["tasks"][0]["error"].startswith("NonFiniteError:")
 
 
-def test_delay_run_builds_kernels_once_per_segment_count(tmp_path, monkeypatch):
-    from minenergy import models
+def test_delay_overflow_reports_typed_error(tmp_path):
+    # g grows like e^{50 t}: the Gramian overflows near t = 7, g itself near
+    # t = 14, and both are typed task errors
+    for horizon in ("8", "20"):
+        out = str(tmp_path / horizon)
+        rc = cli.main(["gramian", "--model", "delay(50,1,1,1)", "--horizons", horizon,
+                       "--out", out])
+        assert rc == 1
+        rep = read_report(out)
+        assert rep["failures"] == ["gramian"]
+        assert rep["tasks"][0]["error"].startswith("NonFiniteError:")
 
-    builds = []
 
-    class CountingKernels(models.DelayKernels):
-        def __init__(self, sys_, n_seg):
-            builds.append(n_seg)
-            super().__init__(sys_, n_seg)
-
-    models._cached_kernels.cache_clear()
-    monkeypatch.setattr(models, "DelayKernels", CountingKernels)
-    out = str(tmp_path / "out")
-    path = write_scenario(
-        tmp_path,
-        {
-            "model": "delay(-0.7,0.6,1.0,1.0)",
-            "mesh": 8,
-            "tasks": ["gramian", "min-energy", "null-controllability"],
-            "horizons": [0.5, 0.75, 1.5, 2.5],
-            "targets": [[0.5] + [0.0] * 8, [0.3] + [0.0] * 4 + [0.1] * 4],
-            "output": out,
-        },
-    )
-    try:
-        assert cli.main(["run", path]) == 0
-    finally:
-        models._cached_kernels.cache_clear()
-    # Gramians and controls need ceil(t + h) delay intervals (1, 1, 2, 3), the
-    # flow ceil(t + h + d) (2, 2, 3, 4): each count is built exactly once
-    assert sorted(builds) == [1, 2, 3, 4]
-    tasks = {t["task"]: t for t in read_report(out)["tasks"]}
-    assert all("timeseries_csv" in r for r in tasks["min-energy"]["results"])
+def test_importing_the_cli_leaves_scipy_optimize_out():
+    code = "import sys, minenergy.cli; print('scipy.optimize' in sys.modules)"
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+    assert p.stdout.strip() == "False"
 
 
 def test_models_without_q_inf_refuse_infinite_horizon(tmp_path):

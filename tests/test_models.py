@@ -1,16 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
+from scipy.special import gamma, gammainc, hyp1f1
 
 import minenergy as me
 from minenergy.models import (
     delay_domain_residual,
     delay_fundamental_solution,
     delay_gramian,
-    delay_kernels,
     delay_null_controllability,
     delay_semigroup_matrix,
     landau_ginzburg,
@@ -33,6 +36,22 @@ def test_spectral_gramian_closed_form():
     g = spectral_gramian(ssys, 1.0)
     expected = np.diag([(1 - np.exp(-2 * l)) / (2 * l) for l in (1.0, 4.0, 9.0)])
     assert_allclose(g.Q.matrix, expected, rtol=1e-14)
+
+
+def test_spectral_fingerprint_is_computed_once(monkeypatch):
+    built = []
+    init = me.LinearSystem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(me.LinearSystem, "__init__", counting)
+    ssys = landau_ginzburg(n_modes=6)
+    fps = [spectral_gramian(ssys, t).system_fingerprint for t in (0.25, 0.5, 1.0, 2.0, math.inf)]
+    assert len(built) <= 1
+    monkeypatch.undo()
+    assert fps == [ssys.to_linear_system().fingerprint()] * 5
 
 
 def test_spectral_matches_linear_route():
@@ -174,6 +193,146 @@ def test_fundamental_solution_satisfies_dde(dsys):
         assert dg == pytest.approx(dsys.a0 * g(t) + dsys.a1 * delayed, abs=1e-7)
 
 
+def test_fundamental_solution_zero_below_start(dsys):
+    g = delay_fundamental_solution(dsys, 3.0)
+    for f in (g, g.F, g.F2):
+        assert f(-0.3) == 0.0
+    assert g(0.0) == 1.0 and g.F(0.0) == 0.0
+
+
+def test_fundamental_solution_beyond_built_range_raises(dsys):
+    g = delay_fundamental_solution(dsys, 2.5)  # built on whole delay intervals
+    assert g.end == 3.0
+    assert g(3.0) == pytest.approx(g(3.0 - 1e-13), rel=1e-10)  # the end belongs to the last cell
+    for f in (g, g.F, g.F2):
+        with pytest.raises(ValueError, match="beyond the built range"):
+            f(np.array([0.5, 3.0 + 1e-6, 1.0]))
+
+
+def test_fundamental_solution_array_matches_pointwise(dsys):
+    g = delay_fundamental_solution(dsys, 3.0)
+    h = dsys.h
+    pts = np.array([-1.0, -1e-14, 0.0, 0.3, h - 1e-15, h, h + 1e-15, 1.7,
+                    3.0 - 1e-13, 3.0, 0.3, -0.2])
+    for f in (g, g.F, g.F2):
+        vals = f(pts)
+        assert_array_equal(vals, [f(float(x)) for x in pts])
+        assert vals[0] == 0.0 and vals[-1] == 0.0  # zero below the start
+        assert_array_equal(f(pts.reshape(3, 4)), vals.reshape(3, 4))
+        assert isinstance(f(0.3), float)
+        assert f(np.array([])).shape == (0,)
+
+
+def test_fundamental_solution_antiderivatives_continuous_across_cells(dsys):
+    g = delay_fundamental_solution(dsys, 3.0)
+    for lattice in (dsys.h, 1.0, 2.0 + 3 * dsys.h):
+        for f in (g, g.F, g.F2):
+            assert f(lattice - 1e-12) == pytest.approx(f(lattice + 1e-12), abs=1e-10)
+
+
+def _mp_moment(a, u, k):
+    """The integral over [0, u] of e^{a s} s^k in 50-digit arithmetic."""
+    return u ** (k + 1) / (k + 1) * mpmath.hyp1f1(k + 1, k + 2, a * u)
+
+
+def _closed_form(a0, a1, d, ts):
+    """g(t) = sum over k <= t/d of a1^k (t - kd)^k e^{a0 (t - kd)} / k!, and
+    its integral F from 0, term by term in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a0, a1, d = mpmath.mpf(a0), mpmath.mpf(a1), mpmath.mpf(d)
+        out = []
+        for t in ts:
+            t = mpmath.mpf(float(t))
+            g = F = mpmath.mpf(0)
+            k = 0
+            while k * d <= t:
+                u = t - k * d
+                c = a1**k / mpmath.factorial(k)
+                g += c * u**k * mpmath.exp(a0 * u)
+                F += c * _mp_moment(a0, u, k)
+                k += 1
+            out.append((float(g), float(F)))
+    return np.array(out).T
+
+
+@pytest.mark.parametrize("a0,a1,d,mesh,t_max", [
+    (-2.0, 1.5, 0.5, 32, 15.0),
+    (0.0, -0.555, 1.0, 32, 60.0),
+    (-1e-3, -0.555, 1.0, 32, 60.0),
+    (1e-3, -0.555, 1.0, 32, 60.0),
+    (-100.0, 1.5, 1.0, 8, 5.0),
+    (1.0, -3.0, 1.0, 32, 30.0),
+])
+def test_fundamental_solution_matches_closed_form(a0, a1, d, mesh, t_max):
+    sys_ = me.DelaySystem(a0=a0, a1=a1, b0=1.0, delay=d, mesh=mesh)
+    fund = delay_fundamental_solution(sys_, t_max)
+    ts = np.linspace(0.0, t_max, 97)  # on and off the lattice
+    g_ref, F_ref = _closed_form(a0, a1, d, ts)
+    assert np.abs(fund(ts) - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    assert np.abs(fund.F(ts) - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
+
+
+def _moment(a, u, k):
+    if a < 0 and -a * u > 1:
+        return gamma(k + 1) / (-a) ** (k + 1) * gammainc(k + 1, -a * u)
+    return u ** (k + 1) / (k + 1) * hyp1f1(k + 1, k + 2, a * u)
+
+
+def _closed_form_kernel(sys_, i, tau):
+    """Row i of the control-to-mesh kernel at elapsed time tau, from the
+    closed forms of g and F."""
+    a0, a1, d, h = sys_.a0, sys_.a1, sys_.delay, sys_.h
+
+    def g_F(u):
+        g = F = 0.0
+        k = 0
+        while u >= 0 and k * d <= u:
+            c = a1**k / math.factorial(k)
+            g += c * (u - k * d) ** k * math.exp(a0 * (u - k * d))
+            F += c * _moment(a0, u - k * d, k)
+            k += 1
+        return g, F
+
+    if i == 0:
+        return sys_.b0 * g_F(tau)[0]
+    c = i * h - d
+    return sys_.b0 * (g_F(tau + c)[1] - g_F(tau + c - h)[1]) / math.sqrt(h)
+
+
+@pytest.mark.parametrize("a0,a1,t", [
+    (-1e-3, -0.555, 2.3), (0.0, -0.555, 2.3), (1e-3, -0.555, 2.3), (-100.0, 1.5, 1.3),
+])
+def test_delay_gramian_matches_quad_of_closed_form(a0, a1, t):
+    # t is off the lattice, so the last panel is a partial cell
+    sys_ = me.DelaySystem(a0=a0, a1=a1, b0=1.0, delay=1.0, mesh=8)
+    G = delay_gramian(sys_, t).Q.matrix
+    pts = list(np.arange(sys_.h, t, sys_.h))
+    for i, j in [(0, 0), (0, 3), (2, 5), (8, 8), (0, 8)]:
+        ref, _ = quad(lambda tau: _closed_form_kernel(sys_, i, tau)
+                      * _closed_form_kernel(sys_, j, tau), 0.0, t, points=pts, limit=400)
+        assert G[i, j] == pytest.approx(ref, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    a0=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    a1=st.floats(-3.0, 3.0).filter(lambda a: abs(a) > 1e-3),
+    delay=st.floats(0.5, 2.0),
+    mesh=st.sampled_from([2, 4, 8]),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+)
+def test_delay_gramian_grows_with_the_horizon(a0, a1, delay, mesh, u, v):
+    sys_ = me.DelaySystem(a0=a0, a1=a1, b0=1.0, delay=delay, mesh=mesh)
+    lo, hi = 2 * sys_.h, 10 * delay  # from the coarsest horizon to ten delays
+    t1, t2 = sorted((lo + u * (hi - lo), lo + v * (hi - lo)))
+    if t2 - t1 < 1e-6:
+        t2 = t1 + sys_.h
+    Q2 = delay_gramian(sys_, t2).Q.matrix
+    gap = Q2 - delay_gramian(sys_, t1).Q.matrix
+    assert np.linalg.eigvalsh(0.5 * (gap + gap.T)).min() >= -1e-12 * np.linalg.norm(Q2, 2)
+
+
 def test_delay_gramian_symmetric_psd(dsys):
     for t in (0.75, 1.5, 2.25):
         g = delay_gramian(dsys, t)
@@ -184,15 +343,12 @@ def test_delay_gramian_symmetric_psd(dsys):
 
 def test_delay_gramian_entries_vs_quad(dsys):
     t = 1.5
-    g = delay_fundamental_solution(dsys, t + dsys.h + dsys.delay)
+    g = delay_fundamental_solution(dsys, t)
     G = delay_gramian(dsys, t).Q.matrix
     h, d, b0 = dsys.h, dsys.delay, dsys.b0
-    F = g.antiderivative()
 
     def W(u):
-        hi = F(u) if u >= 0 else 0.0
-        lo = F(u - h) if u - h >= 0 else 0.0
-        return hi - lo
+        return g.F(u) - g.F(u - h)
 
     def k(i, s):
         if i == 0:
@@ -250,9 +406,8 @@ def test_delay_semigroup_vs_dde_integration(dsys, T0):
 def _semigroup_scalar_loop(sys_, T0):
     """The mesh semigroup entry by entry, one scalar evaluation at a time."""
     M, h, d, a1 = sys_.mesh, sys_.h, sys_.delay, sys_.a1
-    g = delay_fundamental_solution(sys_, T0 + h + d)
-    F = g.antiderivative()
-    F2 = F.antiderivative()
+    g = delay_fundamental_solution(sys_, T0)
+    F, F2 = g.F, g.F2
     c = np.arange(1, M + 1, dtype=float) * h - d
     rt_h = math.sqrt(h)
     S = np.zeros((M + 1, M + 1))
@@ -275,26 +430,6 @@ def _semigroup_scalar_loop(sys_, T0):
 def test_delay_semigroup_matches_scalar_loop(dsys, T0):
     assert_allclose(delay_semigroup_matrix(dsys, T0), _semigroup_scalar_loop(dsys, T0),
                     rtol=0, atol=1e-14)
-
-
-def test_delay_kernel_cache_is_bounded():
-    from minenergy import models
-
-    models._cached_kernels.cache_clear()
-    systems = [me.DelaySystem(a0=-0.5, a1=0.1 * (i + 1), b0=1.0, delay=1.0, mesh=8)
-               for i in range(models.KERNEL_CACHE_SIZE + 5)]
-    kernels = [delay_kernels(s, 1.5) for s in systems]
-    assert models._cached_kernels.cache_info().currsize == models.KERNEL_CACHE_SIZE
-    assert delay_kernels(systems[-1], 1.5) is kernels[-1]  # recent: kept
-    assert delay_kernels(systems[0], 1.5) is not kernels[0]  # oldest: evicted
-    assert models._cached_kernels.cache_info().currsize == models.KERNEL_CACHE_SIZE
-
-
-def test_delay_kernels_shared_within_a_delay_interval(dsys):
-    # horizons in one delay interval share a kernel set and its g
-    assert delay_kernels(dsys, 1.2) is delay_kernels(dsys, 1.9)
-    assert delay_fundamental_solution(dsys, 1.2) is delay_kernels(dsys, 2.0).g
-    assert delay_kernels(dsys, 2.1) is not delay_kernels(dsys, 1.9)
 
 
 def test_delay_domain_residual_vanishes(dsys):
