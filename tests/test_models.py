@@ -203,10 +203,22 @@ def test_fundamental_solution_zero_below_start(dsys):
 def test_fundamental_solution_beyond_built_range_raises(dsys):
     g = delay_fundamental_solution(dsys, 2.5)  # built on whole delay intervals
     assert g.end == 3.0
-    assert g(3.0) == pytest.approx(g(3.0 - 1e-13), rel=1e-10)  # the end belongs to the last cell
     for f in (g, g.F, g.F2):
         with pytest.raises(ValueError, match="beyond the built range"):
-            f(np.array([0.5, 3.0 + 1e-6, 1.0]))
+            f(3.0 + 1e-6)
+
+
+def test_fundamental_solution_array_beyond_built_range_raises(dsys):
+    g = delay_fundamental_solution(dsys, 2.5)
+    for f in (g, g.F, g.F2):
+        with pytest.raises(ValueError, match="beyond the built range"):
+            f(np.array([0.5, g.end + 1e-6, 1.0]))
+
+
+def test_fundamental_solution_end_belongs_to_last_cell(dsys):
+    g = delay_fundamental_solution(dsys, 2.5)
+    for f in (g, g.F, g.F2):
+        assert f(g.end) == pytest.approx(f(g.end - 1e-13), rel=1e-10)
 
 
 def test_fundamental_solution_array_matches_pointwise(dsys):
