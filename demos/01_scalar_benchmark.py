@@ -27,7 +27,7 @@ print(f"  u(-1) = {control.values[0, 0]:.12f}   (closed form {2 * np.exp(-1) / (
 print(f"  u(0)  = {control.values[-1, 0]:.12f}   (closed form {2 / (1 - np.exp(-2)):.12f})")
 print(f"  energy of the profile = {control.energy():.12f}  (equals the value above)")
 
-traj = me.optimal_trajectory(sys_, x, t, grid=513)
+traj = me.optimal_trajectory(sys_, gram, x, grid=513)
 print(f"\noptimal trajectory: starts at {traj.states[0, 0]:.2e}, ends at {traj.states[-1, 0]:.12f}")
 
 sim = me.simulate_control(sys_, control, substeps=8)

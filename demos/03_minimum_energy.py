@@ -34,7 +34,7 @@ for target in ([1.0, 0.0], [0.0, 1.0]):
 # the optimal control in feedback form: u(r) = F(t + r) y(r)
 cache = me.GramianCache()
 sig = me.optimal_control(sys_, gram, x, grid=9)
-traj = me.optimal_trajectory(sys_, x, t, grid=9, cache=cache)
+traj = me.optimal_trajectory(sys_, gram, x, grid=9)
 print("\nfeedback representation check along the optimal pair:")
 for i in (2, 4, 6):
     r = sig.grid[i]

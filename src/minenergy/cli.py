@@ -226,10 +226,12 @@ class _LinearKind:
     the least-norm control with the states it passes through (``None`` when
     the model has no samples, or no states).  ``value_oracle(t)`` maps a
     target to its value computed apart from ``steer`` (``None`` when the
-    model has no such oracle).  ``gramian(t)`` computes each
-    horizon once per run (a delay Gramian takes milliseconds, and steering
-    needs it for the value and again for the control); ``cache`` keeps the
-    matrix system's Gramians, at the trajectory's times too.
+    model has no such oracle, and the value sweep writes nan beside it).
+    ``gramian(t)`` computes each horizon once per run (a delay Gramian takes
+    milliseconds, and steering needs it for the value, the control and the
+    trajectory); ``cache`` keeps the matrix system's Gramians for the tasks
+    that scan many times (the Riccati and Lyapunov checks, the residual
+    sweep).
     """
 
     name = "linear"
@@ -304,8 +306,9 @@ class _LinearKind:
         }
 
     def samples(self, t, x, grid):
-        signal = optimal_control(self.linear, self.gramian(t), x, grid=grid)
-        traj = optimal_trajectory(self.linear, x, t, grid=grid, cache=self.cache)
+        gram = self.gramian(t)
+        signal = optimal_control(self.linear, gram, x, grid=grid)
+        traj = optimal_trajectory(self.linear, gram, x, grid=grid)
         return signal, traj.states
 
 
@@ -490,7 +493,7 @@ class _Run:
                     f"scenario field 'targets[{i}]': expected a vector of "
                     f"length {self.kind.dim}, got shape {x.shape}"
                 )
-        self.grid_points = scenario.get("grid_points", 129)
+        self.grid_points = int(scenario.get("grid_points", 129))
         self.seed = scenario.get("seed", 0)
         self.tol = scenario.get("tolerance", 1e-6)
         self.margin = scenario.get("margin", 1e-6)
@@ -732,10 +735,9 @@ def _value_sweep_rows(run):
         oracle = run.kind.value_oracle(t)
         for xi, x in enumerate(run.targets):
             v = run.kind.steer(t, x)["value"]
+            v_o = math.nan if v is None or oracle is None else oracle(x)
             if v is None:
-                v = v_o = math.nan
-            else:
-                v_o = oracle(x) if oracle is not None else v
+                v = math.nan
             rows.append((t, xi, v, v_o, abs(v - v_o)))
     return rows
 

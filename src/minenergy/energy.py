@@ -8,12 +8,13 @@ optimizer flows the Gramian inverse of the target through the adjoint
 dynamics.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInSpaceError, ReachabilityError
-from .gramians import GramianCache, compute_gramian
+from .errors import NonFiniteError, NotInSpaceError, ReachabilityError
+from .gramians import GramianCache, _van_loan_step, compute_gramian
 from .linalg import DEFAULT_POLICY, expm, pinv, range_inclusion
 
 __all__ = [
@@ -143,42 +144,54 @@ def value_function(gram, x, policy=DEFAULT_POLICY):
     return 0.5 * float(y @ y)
 
 
-def _control_grid(t, grid):
-    if np.isscalar(grid):
-        k = int(grid)
-        if k < 2:
-            raise ValueError(f"need at least 2 grid nodes, got {k}")
-        return np.linspace(-t, 0.0, k)
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
-        raise ValueError("grid must be strictly ascending with >= 2 nodes")
-    span = max(t, 1.0)
-    if g[0] < -t - 1e-12 * span or g[-1] > 1e-12 * span:
-        raise ValueError(f"grid must lie inside [{-t:g}, 0]")
-    return g
+def _adjoint_flow(sys, gram, x, grid, what, policy):
+    """The node grid r_i on [-t, 0], the adjoint samples
+    w_i = e^{-r_i A^T} Q_t^+ x, and the one-step pair (e^{hA}, Q_h).
+
+    ``grid`` is the node count k >= 2, so h = t / (k - 1).  The samples step
+    backward from w = Q_t^+ x at r = 0 by the exact recurrence
+    w_{i-1} = e^{hA^T} w_i: one exponential for the whole grid.
+    """
+    x = np.asarray(x, dtype=float)
+    k = operator.index(grid)
+    if k < 2:
+        raise ValueError(f"need at least 2 grid nodes, got {k}")
+    cls = classify_target(gram, x, policy)
+    if cls.category != "in_range_Q":
+        raise ReachabilityError(
+            f"optimal {what} requires a target in range(Q_t); "
+            f"classification was {cls.category!r} with defect {cls.defect:.3e}",
+            defect=cls.defect,
+        )
+    t = gram.horizon
+    if not np.isfinite(t):
+        raise ValueError(f"optimal {what} needs a finite horizon, got {t}")
+    E, Qh = _van_loan_step(sys, t / (k - 1))
+    w = np.empty((k, sys.n))
+    w[-1] = gram.Q.pinv() @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k - 1, 0, -1):
+            w[i - 1] = w[i] @ E
+    _require_finite(w, what, t)
+    return np.linspace(-t, 0.0, k), w, E, Qh
+
+
+def _require_finite(samples, what, t):
+    """An overflow in e^{hA} or Q_h reaches the samples as inf or nan."""
+    if not np.all(np.isfinite(samples)):
+        raise NonFiniteError(
+            f"the optimal {what} at horizon {t:g} overflows double precision"
+        )
 
 
 def optimal_control(sys, gram, x, grid=129, policy=DEFAULT_POLICY):
     """The minimum-energy control u(r) = B^T e^{-r A^T} Q_t^+ x on [-t, 0].
 
-    Requires the target to be in range(Q_t); sampling happens on ``grid``
-    (an int node count or an explicit ascending array in [-t, 0]).
+    Requires the target to be in range(Q_t); sampled at ``grid`` (an int
+    node count) equally spaced nodes.
     """
-    x = np.asarray(x, dtype=float)
-    cls = classify_target(gram, x, policy)
-    if cls.category != "in_range_Q":
-        raise ReachabilityError(
-            f"optimal control requires a target in range(Q_t); "
-            f"classification was {cls.category!r} with defect {cls.defect:.3e}",
-            defect=cls.defect,
-        )
-    t = gram.horizon
-    g = _control_grid(t, grid)
-    z = gram.Q.pinv() @ x
-    values = np.empty((g.size, sys.m))
-    for i, r in enumerate(g):
-        values[i] = sys.B.T @ (expm(sys.A.T, -r) @ z)
-    return ControlSignal(g, values)
+    g, w, _, _ = _adjoint_flow(sys, gram, x, grid, "control", policy)
+    return ControlSignal(g, w @ sys.B)
 
 
 @dataclass(frozen=True)
@@ -195,34 +208,22 @@ class Trajectory:
         return np.stack(cols, axis=-1)
 
 
-def optimal_trajectory(sys, x, t, grid=129, cache=None, policy=DEFAULT_POLICY):
+def optimal_trajectory(sys, gram, x, grid=129, policy=DEFAULT_POLICY):
     """The optimally steered state y(r) = Q_{t+r} e^{-r A^T} Q_t^+ x on [-t, 0].
 
-    Endpoints are exact by construction: Q_0 = 0 gives y(-t) = 0, and at
-    r = 0 the Gramian cancels its pseudoinverse on range(Q_t), giving x.
-    Intermediate Gramians come from ``cache`` (one solve per time).
+    Sampled like ``optimal_control``.  The Gramians step forward from
+    Q_0 = 0 by the exact recurrence Q_{s+h} = Q_h + e^{hA} Q_s e^{hA^T}, so
+    y(-t) = 0 exactly, and at r = 0 the Gramian cancels the pseudoinverse
+    on range(Q_t), giving x.
     """
-    x = np.asarray(x, dtype=float)
-    if cache is None:
-        cache = GramianCache(policy)
-    gram_t = cache.get(sys, t)
-    cls = classify_target(gram_t, x, policy)
-    if cls.category != "in_range_Q":
-        raise ReachabilityError(
-            f"optimal trajectory requires a target in range(Q_t); "
-            f"classification was {cls.category!r} with defect {cls.defect:.3e}",
-            defect=cls.defect,
-        )
-    g = _control_grid(t, grid)
-    z = gram_t.Q.pinv() @ x
-    states = np.empty((g.size, sys.n))
-    for i, r in enumerate(g):
-        s = t + r
-        if s <= 0.0 or np.isclose(s, 0.0, atol=1e-14 * max(t, 1.0)):
-            states[i] = 0.0
-            continue
-        Qs = cache.get(sys, s).matrix
-        states[i] = Qs @ (expm(sys.A.T, -r) @ z)
+    g, w, E, Qh = _adjoint_flow(sys, gram, x, grid, "trajectory", policy)
+    states = np.zeros_like(w)
+    Qs = np.zeros_like(Qh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, g.size):
+            Qs = Qh + E @ Qs @ E.T
+            states[i] = Qs @ w[i]
+    _require_finite(states, "trajectory", gram.horizon)
     return Trajectory(g, states)
 
 

@@ -239,29 +239,36 @@ def gramian_commuting_closed_form(sys, t, policy=DEFAULT_POLICY):
     return _wrap(sys, Q, t, "closed_form", policy)
 
 
-def gramian_block_exponential(sys, t, policy=DEFAULT_POLICY):
-    """Finite-horizon Gramian by Van Loan's block exponential at a short step,
-    then exact doublings.
+def _van_loan_step(sys, h):
+    """e^{hA} and Q_h by Van Loan's block exponential at a short step, then
+    exact doublings.
 
-    One exponential of [[-A, BB^T], [0, A^T]] at h = t / 2^k with
-    ||A||_1 h <= 1 gives e^{hA} and Q_h; each doubling
+    One exponential of [[-A, BB^T], [0, A^T]] at h / 2^k with
+    ||A||_1 h / 2^k <= 1 gives e^{hA / 2^k} and Q_{h / 2^k}; each doubling
     Q_2s = Q_s + e^{sA} Q_s e^{sA^T} adds a PSD term, so neither a stiff
-    stable A (whose -A block would overflow at the full horizon) nor an
-    unstable one loses accuracy.
+    stable A (whose -A block would overflow at the full step) nor an
+    unstable one loses accuracy.  Overflow in a doubling is left to the
+    caller's finiteness check.
     """
-    t = _finite_horizon(t)
     n = sys.n
-    reach = np.abs(sys.A).sum(axis=0).max() * t
+    reach = np.abs(sys.A).sum(axis=0).max() * h
     k = math.ceil(math.log2(reach)) if reach > 1.0 else 0
     M = np.block([[-sys.A, sys.BBt], [np.zeros((n, n)), sys.A.T]])
-    F = expm(M, t / 2.0 ** k)
+    F = expm(M, h / 2.0 ** k)
     E = F[n:, n:].T
     Q = E @ F[:n, n:]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
             Q = Q + E @ Q @ E.T
             E = E @ E
-    return _wrap(sys, Q, t, "block_exponential", policy)
+    return E, Q
+
+
+def gramian_block_exponential(sys, t, policy=DEFAULT_POLICY):
+    """Finite-horizon Gramian by the scaled Van Loan step (``_van_loan_step``)
+    taken at the whole horizon."""
+    t = _finite_horizon(t)
+    return _wrap(sys, _van_loan_step(sys, t)[1], t, "block_exponential", policy)
 
 
 def compute_gramian(sys, t, policy=DEFAULT_POLICY):
@@ -281,7 +288,7 @@ def compute_gramian(sys, t, policy=DEFAULT_POLICY):
 class GramianCache:
     """Write-once cache keyed by (system fingerprint, horizon).
 
-    Trajectory and residual scans evaluate Gramians on dense time grids;
+    Residual scans and operator families evaluate Gramians at many times;
     caching keeps each (system, time) pair computed exactly once, Q_inf
     included.
     """

@@ -178,15 +178,6 @@ class SymmetricPSD:
         S = (self._V * root) @ self._V.T
         return SymmetricPSD(0.5 * (S + S.T), self._policy)
 
-    def apply(self, x):
-        return self._M @ x
-
-    def range_defect(self, x):
-        """Euclidean distance from x to the range (policy rank)."""
-        x = np.asarray(x, dtype=float)
-        U = self.range_basis()
-        return float(np.linalg.norm(x - U @ (U.T @ x)))
-
 
 def expm(A, t=1.0):
     """Matrix exponential ``e^{tA}``.

@@ -368,6 +368,12 @@ def _moments(a0, sigma, kmax):
     return mu
 
 
+# Work of a fundamental solution, (cells) x (delay intervals).  At 2^24 (mesh
+# 32, 724 delays) building it and the Gramian took 2.6 s on a 2-CPU VM; that is
+# 145 times the 60 delays at mesh 32 that the tests reach.
+_LATTICE_WORK_CAP = 2**24
+
+
 class FundamentalSolution:
     """The fundamental solution g of a delay system and its antiderivatives.
 
@@ -384,12 +390,18 @@ class FundamentalSolution:
     long the horizon.  F (the integral of g from 0) and F2 (that of F) add
     ``_moments`` to their values at the cell starts.  Built on whole delay
     intervals covering ``t_max``: all three are zero below 0, evaluation
-    beyond the built range raises, and overflow is a ``NonFiniteError``.
+    beyond the built range raises, and overflow is a ``NonFiniteError``.  A
+    lattice whose work exceeds ``_LATTICE_WORK_CAP`` is a ``StiffnessError``.
     """
 
     def __init__(self, sys_, t_max):
         a0, a1, M, h = sys_.a0, sys_.a1, sys_.mesh, sys_.h
-        K = max(1, int(math.ceil(float(t_max) / sys_.delay - 1e-12)))
+        K = max(1.0, float(np.ceil(float(t_max) / sys_.delay - 1e-12)))  # delay intervals
+        if M * K * K > _LATTICE_WORK_CAP:  # in floats, so an infinite count is caught too
+            raise StiffnessError(
+                f"the delay lattice of {M * K:.3g} cells over {K:.3g} delay intervals "
+                f"exceeds the work cap {_LATTICE_WORK_CAP:.3g}")
+        K = int(K)
         self.a0, self.h, self.M, self.cells, self.end = a0, h, M, K * M, K * sys_.delay
         self.c = np.cumprod(np.concatenate(([1.0], a1 / np.arange(1.0, K))))  # a1^k / k!
         step = self.c * h ** np.arange(K)

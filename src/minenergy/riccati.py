@@ -84,20 +84,6 @@ class RiccatiCandidate:
         g = self.geometry
         return float(np.linalg.norm(g.pinv_sqrt @ self.evaluate(t) @ g.sqrt_matrix, 2))
 
-    def validate(self, times, rng=None):
-        """Max weighted-symmetry defect and min weighted quadratic form over times."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        worst_sym = 0.0
-        min_form = np.inf
-        for t in np.atleast_1d(times):
-            M = self.evaluate(t)
-            worst_sym = max(worst_sym, self.geometry.symmetry_defect(M, rng))
-            U = self.geometry.gram.Q.range_basis()
-            for _ in range(8):
-                x = self.geometry.normalize(U @ rng.standard_normal(U.shape[1]))
-                min_form = min(min_form, self.geometry.inner(M @ x, x))
-        return worst_sym, min_form
-
 
 def _default_geometry(sys, policy):
     return HGeometry(compute_gramian(sys, np.inf, policy=policy), policy)

@@ -1,7 +1,6 @@
 """Finite-dimensional linear control systems x' = Ax + Bu."""
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -75,10 +74,6 @@ class LinearSystem:
         if not isinstance(data, dict) or "A" not in data or "B" not in data:
             raise ValueError("system description must be an object with 'A' and 'B'")
         return cls(np.asarray(data["A"], dtype=float), np.asarray(data["B"], dtype=float))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self):
         return f"LinearSystem(n={self.n}, m={self.m}, omega={self.omega:.4g})"

@@ -458,6 +458,34 @@ def test_recover_l_nonfinite_roundtrip_reports_typed_error(tmp_path):
     assert rep["tasks"][0]["error"].startswith("NonFiniteError:")
 
 
+def test_delay_value_sweep_has_no_oracle_columns(tmp_path):
+    # with no oracle built apart from the value, the sweep compares nothing
+    out = str(tmp_path / "out")
+    path = write_scenario(
+        tmp_path,
+        {"model": "delay(-0.5,0.8,1,1)", "mesh": 8, "tasks": ["sweep"], "horizons": [1.5],
+         "targets": [[1.0] + [0.0] * 8], "sweep_kinds": ["value"], "output": out},
+    )
+    assert cli.main(["run", path]) == 0
+    lines = open(os.path.join(out, "value_sweep.csv")).read().strip().splitlines()
+    t, _, value, oracle, abs_diff = (float(cell) for cell in lines[1].split(","))
+    assert value > 0.0 and oracle != oracle and abs_diff != abs_diff
+
+
+def test_integral_float_grid_points_is_a_node_count(tmp_path):
+    # JSON Schema counts 5.0 as an integer; every model kind samples 5 nodes
+    for model, target in (("delay(-0.5,0.5,1,1)", [1.0] + [0.0] * 8), (SCALAR_MODEL, [1.0])):
+        out = str(tmp_path / str(len(target)))
+        path = write_scenario(
+            tmp_path,
+            {"model": model, "mesh": 8, "tasks": ["min-energy"], "horizons": [1.0],
+             "targets": [target], "grid_points": 5.0, "output": out},
+        )
+        assert cli.main(["run", path]) == 0
+        lines = open(os.path.join(out, "timeseries_h0_x0.csv")).read().strip().splitlines()
+        assert len(lines) == 6
+
+
 def test_delay_overflow_reports_typed_error(tmp_path):
     # g grows like e^{50 t}: the Gramian overflows near t = 7, g itself near
     # t = 14, and both are typed task errors

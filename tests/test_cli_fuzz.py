@@ -48,7 +48,7 @@ PRESET = st.one_of(
     st.builds("spectral:thin-control({})".format, st.integers(1, 4)),
     st.builds("delay({},{},{},{})".format,
               st.sampled_from([-1.0, -0.3, 0.0, 0.5]), st.sampled_from([-0.6, 0.0, 0.8]),
-              st.sampled_from([0.0, 1.0]), st.sampled_from([-1.0, 0.5, 1.0])),
+              st.sampled_from([0.0, 1.0]), st.sampled_from([-1.0, 0.5, 1.0, 1e-300])),
     st.builds("shift({})".format, st.sampled_from([3, 4, 8])),
     st.sampled_from(["spectral:power-law", "spectral:nope", "delay(1,2)", "linear"]),
 )
@@ -103,6 +103,10 @@ FOUND = [
     ({"model": "spectral:landau-ginzburg(1)", "tasks": ["project-check"],
       "horizons": [0.25], "K": [[0.0]], "projector": [[0.0]]},
      1, "PreconditionError: P maps the weighted space to zero"),
+    ({"model": "delay(1,1e300,1,1e-300)", "tasks": ["gramian"], "horizons": [2.0]},
+     1, "StiffnessError"),
+    ({"model": "delay(-0.5,0.5,1,0.001)", "tasks": ["gramian"], "horizons": [20.0]},
+     1, "StiffnessError"),
 ]
 
 

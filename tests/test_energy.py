@@ -75,17 +75,90 @@ def test_control_energy_equals_value(rng):
 
 
 def test_trajectory_endpoints(scalar_sys):
-    traj = me.optimal_trajectory(scalar_sys, [1.0], 1.0, grid=65)
+    g = me.compute_gramian(scalar_sys, 1.0)
+    traj = me.optimal_trajectory(scalar_sys, g, [1.0], grid=65)
     assert traj.grid[0] == pytest.approx(-1.0)
     assert traj.states[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert traj.states[-1, 0] == pytest.approx(1.0, rel=1e-12)
+
+
+def _stiff_non_normal():
+    # eigenvectors V = I + strictly upper Gaussian, cond(V) = 24.  Against a
+    # 40-digit eigen closed form, both the per-node formulas and the
+    # propagator drift to ~1e-11 of a small column's max once cond(V) nears
+    # 100, so this V keeps the reference itself inside the bound.
+    rng = np.random.default_rng(0)
+    V = np.eye(8) + np.triu(rng.standard_normal((8, 8)), 1)
+    A = V @ np.diag(-np.geomspace(1.0, 3000.0, 8)) @ np.linalg.inv(V)
+    return me.LinearSystem(A, rng.standard_normal((8, 3)))
+
+
+PROPAGATOR_SYSTEMS = {
+    "stable-16": lambda: me.random_stable_system(np.random.default_rng(1), 16),
+    "unstable-16": lambda: me.random_stable_system(np.random.default_rng(2), 16, margin=-0.25),
+    "stiff-non-normal-8": _stiff_non_normal,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATOR_SYSTEMS))
+def test_propagated_samples_match_per_node_formulas(name):
+    # u(r) = B^T e^{-r A^T} Q_t^+ x and y(r) = Q_{t+r} e^{-r A^T} Q_t^+ x, each
+    # node from its own exponential and Gramian
+    sys = PROPAGATOR_SYSTEMS[name]()
+    t, k = 2.0, 129
+    g = me.compute_gramian(sys, t)
+    x = g.matrix @ np.random.default_rng(4).standard_normal(sys.n)
+    z = g.Q.pinv() @ x
+    rs = np.linspace(-t, 0.0, k)
+    w = np.array([me.expm(sys.A.T, -r) @ z for r in rs])
+    y_ref = np.zeros((k, sys.n))
+    for i in range(1, k):
+        y_ref[i] = me.compute_gramian(sys, t + rs[i]).matrix @ w[i]
+    sig = me.optimal_control(sys, g, x, grid=k)
+    traj = me.optimal_trajectory(sys, g, x, grid=k)
+    for got, ref in ((sig.values, w @ sys.B), (traj.states, y_ref)):
+        scale = np.abs(ref).max(axis=0)
+        assert np.all(np.abs(got - ref).max(axis=0) <= 1e-11 * scale)
+    assert np.all(traj.states[0] == 0.0)
+    assert_allclose(sig.grid, rs, rtol=0, atol=0)
+
+
+def test_steering_makes_one_exponential_and_no_gramian(monkeypatch, rng):
+    sys = me.random_stable_system(rng, 4)
+    g = me.compute_gramian(sys, 1.5)
+    x = g.matrix @ rng.standard_normal(4)
+    calls = {"expm": 0, "compute_gramian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    expm = counted("expm", me.linalg.expm)
+    compute_gramian = counted("compute_gramian", me.gramians.compute_gramian)
+    for module in (me.linalg, me.gramians, me.energy):
+        monkeypatch.setattr(module, "expm", expm)
+    for module in (me.gramians, me.energy):
+        monkeypatch.setattr(module, "compute_gramian", compute_gramian)
+    for steer in (me.optimal_control, me.optimal_trajectory):
+        calls.update(expm=0, compute_gramian=0)
+        steer(sys, g, x, grid=129)
+        assert calls == {"expm": 1, "compute_gramian": 0}
+
+
+@pytest.mark.parametrize("grid", [1, 2.0, np.linspace(-1.0, 0.0, 5)])
+def test_grid_is_a_node_count_of_at_least_two(scalar_sys, grid):
+    g = me.compute_gramian(scalar_sys, 1.0)
+    with pytest.raises((TypeError, ValueError)):
+        me.optimal_control(scalar_sys, g, [1.0], grid=grid)
 
 
 def test_trajectory_matches_simulation(scalar_sys):
     g = me.compute_gramian(scalar_sys, 1.0)
     sig = me.optimal_control(scalar_sys, g, [1.0], grid=513)
     sim = me.simulate_control(scalar_sys, sig, substeps=8)
-    traj = me.optimal_trajectory(scalar_sys, [1.0], 1.0, grid=513)
+    traj = me.optimal_trajectory(scalar_sys, g, [1.0], grid=513)
     assert sim.states[-1, 0] == pytest.approx(1.0, abs=1e-6)
     assert np.max(np.abs(sim.states - traj.states)) < 1e-6
 
@@ -129,7 +202,7 @@ def test_feedback_consistency_along_trajectory(rng):
     x = g.Q.matrix @ rng.standard_normal(3)
     cache = me.GramianCache()
     sig = me.optimal_control(sys, g, x, grid=33)
-    traj = me.optimal_trajectory(sys, x, t, grid=33, cache=cache)
+    traj = me.optimal_trajectory(sys, g, x, grid=33)
     for i, r in enumerate(sig.grid[1:-1], start=1):
         F = me.feedback_gain(sys, t + r, cache=cache)
         assert_allclose(sig.values[i], F @ traj.states[i], atol=1e-8 * max(1, np.abs(sig.values).max()))
