@@ -32,7 +32,7 @@ print(f"commuting-form residuals: max {max(rep_c.residuals):.2e} "
       f"-> passed = {rep_c.passed} (rhs consistency {rep_c.consistency:.2e})")
 
 # a shifted family is rejected, loudly
-shifted = me.callable_candidate(
+shifted = me.RiccatiCandidate(
     sys_, cand.geometry, lambda t: cand.evaluate(t) + np.eye(1), kind="shifted"
 )
 rep_bad = me.riccati_residual_H(shifted, times)

@@ -23,9 +23,8 @@ from .errors import (
     UnstableSystemError,
 )
 from .linalg import (
-    DEFAULT_POLICY,
+    REL_THRESHOLD,
     RangeInclusion,
-    RankPolicy,
     SymmetricPSD,
     commutes,
     commuting_pinv_compose,
@@ -38,7 +37,6 @@ from .linalg import (
 from .systems import LinearSystem, random_stable_system
 from .gramians import (
     Gramian,
-    GramianCache,
     KernelChainReport,
     RangeEqualityReport,
     compute_gramian,
@@ -76,7 +74,6 @@ from .riccati import (
     RiccatiCandidate,
     UniquenessReport,
     build_pv,
-    callable_candidate,
     commuting_candidate,
     commuting_family,
     detect_t1,

@@ -30,8 +30,8 @@ from .energy import (
     value_function,
 )
 from .errors import MinEnergyError, NonFiniteError, ScenarioError
-from .gramians import GramianCache, gramian_quadrature
-from .linalg import DEFAULT_POLICY, SymmetricPSD, expm
+from .gramians import compute_gramian, gramian_quadrature
+from .linalg import REL_THRESHOLD, SymmetricPSD, expm
 from .models import (
     DelaySystem,
     ShiftSystem,
@@ -227,11 +227,9 @@ class _LinearKind:
     the model has no samples, or no states).  ``value_oracle(t)`` maps a
     target to its value computed apart from ``steer`` (``None`` when the
     model has no such oracle, and the value sweep writes nan beside it).
-    ``gramian(t)`` computes each horizon once per run (a delay Gramian takes
-    milliseconds, and steering needs it for the value, the control and the
-    trajectory); ``cache`` keeps the matrix system's Gramians for the tasks
-    that scan many times (the Riccati and Lyapunov checks, the residual
-    sweep).
+    ``gramian(t)`` calls the model's Gramian route; the matrix and delay
+    routes memoise each horizon on the model, so every task of a run shares
+    one Gramian per horizon.
     """
 
     name = "linear"
@@ -239,8 +237,6 @@ class _LinearKind:
 
     def __init__(self, model):
         self.model = model
-        self.cache = GramianCache(DEFAULT_POLICY)
-        self._grams = {}
 
     @property
     def linear(self):
@@ -264,12 +260,7 @@ class _LinearKind:
         return horizons
 
     def gramian(self, t):
-        if t not in self._grams:
-            self._grams[t] = self._gramian(t)
-        return self._grams[t]
-
-    def _gramian(self, t):
-        return self.cache.get(self.model, t)
+        return compute_gramian(self.model, t)
 
     def gramian_formula(self, gram):
         return _GRAMIAN_FORMULA[gram.method]
@@ -325,7 +316,7 @@ class _SpectralKind(_LinearKind):
         return {"kind": self.name, "lambdas": self.model.lambdas.tolist(),
                 "bs": self.model.bs.tolist()}
 
-    def _gramian(self, t):
+    def gramian(self, t):
         return spectral_gramian(self.model, t)
 
     def null_controllability(self, t):
@@ -360,7 +351,7 @@ class _DelayKind(_LinearKind):
         return {"kind": self.name, "a0": m.a0, "a1": m.a1, "b0": m.b0,
                 "delay": m.delay, "mesh": m.mesh}
 
-    def _gramian(self, t):
+    def gramian(self, t):
         return delay_gramian(self.model, t)
 
     def gramian_formula(self, gram):
@@ -424,7 +415,7 @@ class _ShiftKind(_LinearKind):
         rep = shift_reachable_defect(self.model, t, target=x)
         f_hat = math.sqrt(self.model.h) * np.asarray(x, dtype=float)
         v = rep.coefficients
-        reachable = rep.defect <= DEFAULT_POLICY.rel_threshold * max(
+        reachable = rep.defect <= REL_THRESHOLD * max(
             np.linalg.norm(f_hat), 1e-300
         )
         return {
@@ -581,10 +572,10 @@ def _task_verify_riccati(run):
     times = run.need("horizons", run.finite_horizons(), "verify-riccati")
     families = []
     rows = []
-    pv = pv_candidate(sys_lin, cache=run.kind.cache)
+    pv = pv_candidate(sys_lin)
     rep = riccati_residual_H(pv, times, tol=run.tol, seed=run.seed)
     families.append(("gramian-ratio", "riccati-residual-H", rep))
-    inv = inverse_candidate(sys_lin, cache=run.kind.cache)
+    inv = inverse_candidate(sys_lin)
     rep_x = riccati_residual_X(inv, times, tol=run.tol, seed=run.seed)
     families.append(("gramian-inverse", "riccati-residual-X", rep_x))
     if sys_lin.is_commuting_selfadjoint():
@@ -611,14 +602,14 @@ def _task_verify_lyapunov(run):
     out = []
     rows = []
     rep = lyapunov_residual(
-        sys_lin, lambda t: run.kind.cache.get(sys_lin, t).matrix, "differential", times=times
+        sys_lin, lambda t: compute_gramian(sys_lin, t).matrix, "differential", times=times
     )
     out.append(_residual_entry("lyapunov-differential", rep, mode=rep.mode))
     for t, r in zip(rep.times, rep.residuals):
         rows.append(("differential", t, r, rep.tol_scaled))
     all_passed = rep.passed
     if sys_lin.stable:
-        qinf = run.kind.cache.get(sys_lin, math.inf).matrix
+        qinf = compute_gramian(sys_lin, math.inf).matrix
         rep_a = lyapunov_residual(sys_lin, qinf, "algebraic", tol=1e-10)
         out.append(
             {
@@ -744,7 +735,7 @@ def _value_sweep_rows(run):
 
 def _residual_sweep_rows(run):
     sys_lin = run.matrix_system("the residual sweep")
-    cand = pv_candidate(sys_lin, cache=run.kind.cache)
+    cand = pv_candidate(sys_lin)
     rows = []
     for t in run.finite_horizons():
         _, lhs, rhs = weighted_pairings(cand, t, seed=run.seed)

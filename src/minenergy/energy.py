@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, NotInSpaceError, ReachabilityError
-from .gramians import GramianCache, _van_loan_step, compute_gramian
-from .linalg import DEFAULT_POLICY, expm, pinv, range_inclusion
+from .gramians import _van_loan_step, compute_gramian
+from .linalg import REL_THRESHOLD, expm, pinv, range_inclusion
 
 __all__ = [
     "ControlSignal",
@@ -94,10 +94,10 @@ class ReachabilityClass:
         return self.category != "unreachable"
 
 
-def classify_target(gram, x, policy=DEFAULT_POLICY):
+def classify_target(gram, x):
     """Classify a target against the ranges of Q_t and Q_t^{1/2}.
 
-    Under the relative rank policy the two ranges genuinely differ: an
+    Under the relative rank threshold the two ranges genuinely differ: an
     eigendirection survives in range(Q^{1/2}) when its eigenvalue clears the
     *squared* relative threshold, mirroring the fact that the square root
     has the larger range.  That threshold never drops below n * eps, the
@@ -108,7 +108,7 @@ def classify_target(gram, x, policy=DEFAULT_POLICY):
     lam = gram.Q.eigenvalues
     V = gram.Q.eigenvectors
     lam_max = lam[-1] if lam.size else 0.0
-    tau = policy.rel_threshold
+    tau = REL_THRESHOLD
     w = V.T @ x
     norm_x = np.linalg.norm(x)
     if lam_max <= 0.0:
@@ -127,14 +127,14 @@ def classify_target(gram, x, policy=DEFAULT_POLICY):
     return ReachabilityClass("unreachable", defect_half)
 
 
-def value_function(gram, x, policy=DEFAULT_POLICY):
+def value_function(gram, x):
     """Minimum steering energy (1/2) ||Q_t^{-1/2} x||^2 for a reachable target.
 
     Raises ReachabilityError (carrying the defect) when x is outside
-    range(Q_t^{1/2}) under the rank policy.
+    range(Q_t^{1/2}) under the relative rank threshold.
     """
     x = np.asarray(x, dtype=float)
-    cls = classify_target(gram, x, policy)
+    cls = classify_target(gram, x)
     if not cls.reachable:
         raise ReachabilityError(
             f"target at distance {cls.defect:.3e} from the reachable subspace",
@@ -144,7 +144,7 @@ def value_function(gram, x, policy=DEFAULT_POLICY):
     return 0.5 * float(y @ y)
 
 
-def _adjoint_flow(sys, gram, x, grid, what, policy):
+def _adjoint_flow(sys, gram, x, grid, what):
     """The node grid r_i on [-t, 0], the adjoint samples
     w_i = e^{-r_i A^T} Q_t^+ x, and the one-step pair (e^{hA}, Q_h).
 
@@ -156,7 +156,7 @@ def _adjoint_flow(sys, gram, x, grid, what, policy):
     k = operator.index(grid)
     if k < 2:
         raise ValueError(f"need at least 2 grid nodes, got {k}")
-    cls = classify_target(gram, x, policy)
+    cls = classify_target(gram, x)
     if cls.category != "in_range_Q":
         raise ReachabilityError(
             f"optimal {what} requires a target in range(Q_t); "
@@ -184,13 +184,13 @@ def _require_finite(samples, what, t):
         )
 
 
-def optimal_control(sys, gram, x, grid=129, policy=DEFAULT_POLICY):
+def optimal_control(sys, gram, x, grid=129):
     """The minimum-energy control u(r) = B^T e^{-r A^T} Q_t^+ x on [-t, 0].
 
     Requires the target to be in range(Q_t); sampled at ``grid`` (an int
     node count) equally spaced nodes.
     """
-    g, w, _, _ = _adjoint_flow(sys, gram, x, grid, "control", policy)
+    g, w, _, _ = _adjoint_flow(sys, gram, x, grid, "control")
     return ControlSignal(g, w @ sys.B)
 
 
@@ -208,7 +208,7 @@ class Trajectory:
         return np.stack(cols, axis=-1)
 
 
-def optimal_trajectory(sys, gram, x, grid=129, policy=DEFAULT_POLICY):
+def optimal_trajectory(sys, gram, x, grid=129):
     """The optimally steered state y(r) = Q_{t+r} e^{-r A^T} Q_t^+ x on [-t, 0].
 
     Sampled like ``optimal_control``.  The Gramians step forward from
@@ -216,7 +216,7 @@ def optimal_trajectory(sys, gram, x, grid=129, policy=DEFAULT_POLICY):
     y(-t) = 0 exactly, and at r = 0 the Gramian cancels the pseudoinverse
     on range(Q_t), giving x.
     """
-    g, w, E, Qh = _adjoint_flow(sys, gram, x, grid, "trajectory", policy)
+    g, w, E, Qh = _adjoint_flow(sys, gram, x, grid, "trajectory")
     states = np.zeros_like(w)
     Qs = np.zeros_like(Qh)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,7 +255,7 @@ def simulate_control(sys, signal, y_start=None, substeps=8):
     return Trajectory(signal.grid.copy(), states)
 
 
-def feedback_gain(sys, s, cache=None, policy=DEFAULT_POLICY):
+def feedback_gain(sys, s):
     """Feedback form of the optimizer: gain F(s) = B^T Q_s^+ at time-to-go s.
 
     Along an optimal pair, u(r) = F(t + r) y(r).  As s grows in the
@@ -264,9 +264,7 @@ def feedback_gain(sys, s, cache=None, policy=DEFAULT_POLICY):
     """
     if s <= 0.0:
         raise ValueError(f"time-to-go must be positive, got {s}")
-    if cache is None:
-        cache = GramianCache(policy)
-    return sys.B.T @ cache.get(sys, s).Q.pinv()
+    return sys.B.T @ compute_gramian(sys, s).Q.pinv()
 
 
 @dataclass(frozen=True)
@@ -342,13 +340,13 @@ class NullControllability:
     defect: float
 
 
-def null_controllability_test(sys, T0, policy=DEFAULT_POLICY):
+def null_controllability_test(sys, T0):
     """Test range(e^{T0 A}) ⊆ range(Q_{T0}^{1/2}) and compute its constant."""
     T0 = float(T0)
     if T0 <= 0.0 or not np.isfinite(T0):
         raise ValueError(f"T0 must be positive and finite, got {T0}")
-    S = compute_gramian(sys, T0, policy=policy).Q.sqrt().matrix
-    incl = range_inclusion(expm(sys.A, T0), S, policy)
+    S = compute_gramian(sys, T0).Q.sqrt().matrix
+    incl = range_inclusion(expm(sys.A, T0), S)
     constant = incl.constant ** 2 if incl.included else np.inf
     return NullControllability(incl.included, float(constant), incl.defect)
 
@@ -361,11 +359,10 @@ class HGeometry:
     satisfy M = Q_inf M^T Q_inf^{-1} on H.
     """
 
-    def __init__(self, gram, policy=DEFAULT_POLICY):
+    def __init__(self, gram):
         if not np.isinf(gram.horizon):
             raise ValueError("HGeometry needs an infinite-horizon Gramian")
         self.gram = gram
-        self.policy = policy
         root = gram.Q.sqrt()
         self.sqrt_matrix = root.matrix
         self.pinv_sqrt = root.pinv()
@@ -383,7 +380,7 @@ class HGeometry:
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return self.defect(x) <= self.policy.rel_threshold * max(np.linalg.norm(x), 1e-300)
+        return self.defect(x) <= REL_THRESHOLD * max(np.linalg.norm(x), 1e-300)
 
     def inner(self, x, y):
         return float(np.asarray(x, dtype=float) @ (self.metric @ np.asarray(y, dtype=float)))
@@ -419,7 +416,7 @@ def h_norm(geom, x):
     """Norm of x in the Gramian-weighted geometry; error if x is outside it."""
     x = np.asarray(x, dtype=float)
     d = geom.defect(x)
-    if d > geom.policy.rel_threshold * max(np.linalg.norm(x), 1e-300):
+    if d > REL_THRESHOLD * max(np.linalg.norm(x), 1e-300):
         raise NotInSpaceError(
             f"vector is outside the weighted space: defect {d:.3e}", defect=d
         )

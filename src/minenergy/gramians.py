@@ -12,8 +12,11 @@
 * symmetric, invertible A commuting with B B^T: the entrywise closed form
   (``gramian_commuting_closed_form``).
 
-Two oracles stay beside it, independent of the engine and of each other,
-and are only ever called by name:
+Its Gramians are memoised on the system, one per horizon: a system is
+immutable, so Q_t depends on it and t alone.
+
+Two oracles stay beside it, independent of the engine and of each other;
+they are only ever called by name and compute afresh on every call:
 
 * ``gramian_quadrature``   -- composite Gauss-Legendre on the defining integral
 * ``gramian_lyapunov_ode`` -- RK4 on the differential Lyapunov equation
@@ -26,11 +29,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonFiniteError, PreconditionError, StiffnessError, UnstableSystemError
-from .linalg import DEFAULT_POLICY, SymmetricPSD, expm, range_inclusion
+from .linalg import REL_THRESHOLD, SymmetricPSD, expm, range_inclusion
 
 __all__ = [
     "Gramian",
-    "GramianCache",
     "gramian_quadrature",
     "gramian_lyapunov_ode",
     "gramian_infinite",
@@ -74,13 +76,13 @@ def _finite_horizon(t):
     return t
 
 
-def _wrap(sys, Q, t, method, policy):
+def _wrap(sys, Q, t, method):
     if not np.all(np.isfinite(Q)):
         raise NonFiniteError(
             f"{method} Gramian at horizon {t:g} overflows double precision"
         )
     Q = 0.5 * (Q + Q.T)
-    return Gramian(SymmetricPSD(Q, policy), float(t), method, sys.fingerprint())
+    return Gramian(SymmetricPSD(Q), float(t), method, sys.fingerprint())
 
 
 def _quadrature_fixed(sys, t, n_nodes, panels):
@@ -96,8 +98,7 @@ def _quadrature_fixed(sys, t, n_nodes, panels):
     return Q
 
 
-def gramian_quadrature(sys, t, n_nodes=8, rtol=1e-10, max_panels=2 ** 14,
-                       policy=DEFAULT_POLICY):
+def gramian_quadrature(sys, t, n_nodes=8, rtol=1e-10, max_panels=2 ** 14):
     """Finite-horizon Gramian by composite Gauss-Legendre quadrature.
 
     Starts from a single ``n_nodes``-point panel and doubles the panel count
@@ -122,7 +123,7 @@ def gramian_quadrature(sys, t, n_nodes=8, rtol=1e-10, max_panels=2 ** 14,
         Q = _quadrature_fixed(sys, t, n_nodes, panels)
         scale = max(np.abs(Q).max(), np.finfo(float).tiny)
         if np.abs(Q - Q_prev).max() <= rtol * scale:
-            return _wrap(sys, Q, t, "quadrature", policy)
+            return _wrap(sys, Q, t, "quadrature")
         Q_prev = Q
     raise StiffnessError(
         f"quadrature did not converge to rtol={rtol:g} within {max_panels} panels "
@@ -154,8 +155,7 @@ def _rk4_lyapunov(sys, t, n_steps):
     return Q
 
 
-def gramian_lyapunov_ode(sys, t, rtol=1e-8, n_steps0=64, max_doublings=14,
-                         policy=DEFAULT_POLICY):
+def gramian_lyapunov_ode(sys, t, rtol=1e-8, n_steps0=64, max_doublings=14):
     """Finite-horizon Gramian by integrating Q' = AQ + QA^T + BB^T, Q(0) = 0.
 
     Classical RK4 with the iterate symmetrized after every step; the whole
@@ -172,7 +172,7 @@ def gramian_lyapunov_ode(sys, t, rtol=1e-8, n_steps0=64, max_doublings=14,
             continue
         scale = max(np.abs(Q).max(), np.finfo(float).tiny)
         if np.abs(Q - Q_prev).max() <= rtol * scale:
-            return _wrap(sys, Q, t, "lyapunov_ode", policy)
+            return _wrap(sys, Q, t, "lyapunov_ode")
         Q_prev = Q
     re = np.linalg.eigvals(sys.A).real
     raise StiffnessError(
@@ -181,7 +181,7 @@ def gramian_lyapunov_ode(sys, t, rtol=1e-8, n_steps0=64, max_doublings=14,
     )
 
 
-def gramian_infinite(sys, policy=DEFAULT_POLICY, residual_rtol=1e-10):
+def gramian_infinite(sys, residual_rtol=1e-10):
     """Infinite-horizon Gramian of a stable system: Bartels-Stewart on the
     algebraic Lyapunov equation A Q + Q A^T + BB^T = 0.
 
@@ -202,7 +202,7 @@ def gramian_infinite(sys, policy=DEFAULT_POLICY, residual_rtol=1e-10):
             f"algebraic solve residual {resid:.3e} exceeds {residual_rtol:g} * ||BB^T||; "
             "eigenvalue pair sums are nearly singular"
         )
-    return _wrap(sys, Q, np.inf, "bartels_stewart", policy)
+    return _wrap(sys, Q, np.inf, "bartels_stewart")
 
 
 def _has_closed_form(sys):
@@ -212,7 +212,7 @@ def _has_closed_form(sys):
     return bool(np.abs(eigs).min() > 1e-12 * max(np.abs(eigs).max(), 1.0))
 
 
-def gramian_commuting_closed_form(sys, t, policy=DEFAULT_POLICY):
+def gramian_commuting_closed_form(sys, t):
     """Entrywise closed form for symmetric A commuting with B B^T.
 
     Finite horizon:  Q_t = (1/2) A^{-1} (e^{2tA} - I) B B^T, evaluated in
@@ -231,12 +231,12 @@ def gramian_commuting_closed_form(sys, t, policy=DEFAULT_POLICY):
         if not sys.stable:
             raise UnstableSystemError("infinite-horizon closed form needs a stable system")
         Q = -0.5 * np.linalg.solve(sys.A, sys.BBt)
-        return _wrap(sys, Q, np.inf, "closed_form", policy)
+        return _wrap(sys, Q, np.inf, "closed_form")
     t = _finite_horizon(t)
     lam, V = np.linalg.eigh(sys.A)
     with np.errstate(over="ignore", invalid="ignore"):
         Q = (V * (np.expm1(2.0 * t * lam) / (2.0 * lam))) @ V.T @ sys.BBt
-    return _wrap(sys, Q, t, "closed_form", policy)
+    return _wrap(sys, Q, t, "closed_form")
 
 
 def _van_loan_step(sys, h):
@@ -264,49 +264,32 @@ def _van_loan_step(sys, h):
     return E, Q
 
 
-def gramian_block_exponential(sys, t, policy=DEFAULT_POLICY):
+def gramian_block_exponential(sys, t):
     """Finite-horizon Gramian by the scaled Van Loan step (``_van_loan_step``)
     taken at the whole horizon."""
     t = _finite_horizon(t)
-    return _wrap(sys, _van_loan_step(sys, t)[1], t, "block_exponential", policy)
+    return _wrap(sys, _van_loan_step(sys, t)[1], t, "block_exponential")
 
 
-def compute_gramian(sys, t, policy=DEFAULT_POLICY):
-    """The reachability Gramian Q_t for t in (0, inf].
+def compute_gramian(sys, t):
+    """The reachability Gramian Q_t for t in (0, inf], computed once per
+    system and horizon.
 
     The commuting closed form when A is symmetric, invertible and commutes
     with BB^T; otherwise Bartels-Stewart for t = inf and the scaled block
     exponential for finite t (stable or not).
     """
-    if _has_closed_form(sys):
-        return gramian_commuting_closed_form(sys, t, policy)
-    if np.isinf(t):
-        return gramian_infinite(sys, policy)
-    return gramian_block_exponential(sys, t, policy)
-
-
-class GramianCache:
-    """Write-once cache keyed by (system fingerprint, horizon).
-
-    Residual scans and operator families evaluate Gramians at many times;
-    caching keeps each (system, time) pair computed exactly once, Q_inf
-    included.
-    """
-
-    def __init__(self, policy=DEFAULT_POLICY):
-        self._store = {}
-        self.policy = policy
-
-    def get(self, sys, t):
-        key = (sys.fingerprint(), float(t))
-        hit = self._store.get(key)
-        if hit is None:
-            hit = compute_gramian(sys, t, self.policy)
-            self._store[key] = hit
-        return hit
-
-    def __len__(self):
-        return len(self._store)
+    key = float(t)
+    gram = sys._gramians.get(key)
+    if gram is None:
+        if _has_closed_form(sys):
+            gram = gramian_commuting_closed_form(sys, t)
+        elif np.isinf(t):
+            gram = gramian_infinite(sys)
+        else:
+            gram = gramian_block_exponential(sys, t)
+        sys._gramians[key] = gram
+    return gram
 
 
 @dataclass(frozen=True)
@@ -334,7 +317,7 @@ def _subspace_defect(vectors, basis):
     return float(np.linalg.norm(resid, axis=0).max())
 
 
-def kernel_chain_check(sys, times, policy=DEFAULT_POLICY, tol=1e-6):
+def kernel_chain_check(sys, times, tol=1e-6):
     """Check the kernel chain over ascending horizons, including ker B^T at the end.
 
     Larger horizons can only shrink the kernel, and every Gramian kernel
@@ -344,11 +327,11 @@ def kernel_chain_check(sys, times, policy=DEFAULT_POLICY, tol=1e-6):
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0.0:
         raise ValueError("times must be positive")
-    grams = [compute_gramian(sys, t, policy=policy) for t in times]
+    grams = [compute_gramian(sys, t) for t in times]
     kernels = [g.Q.kernel_basis() for g in grams]
     # ker B^T = orthogonal complement of range(B)
     U, s, _ = np.linalg.svd(sys.B, full_matrices=True)
-    rank_b = int(np.count_nonzero(s > policy.cutoff(s[0]))) if s.size and s[0] > 0 else 0
+    rank_b = int(np.count_nonzero(s > REL_THRESHOLD * s[0])) if s.size and s[0] > 0 else 0
     ker_bt = U[:, rank_b:]
 
     inclusions = []
@@ -400,17 +383,17 @@ class RangeEqualityReport:
         return self.included_forward and self.included_backward
 
 
-def range_equality_check(sys, t, T0=None, policy=DEFAULT_POLICY):
+def range_equality_check(sys, t, T0=None):
     """Compare range(Q_t^{1/2}) with range(Q_inf^{1/2}) in both directions.
 
     For stable systems the ranges agree from the null-controllability time
     onward; in the commuting selfadjoint case they agree for every t > 0.
     ``T0`` is carried into the report for the caller's bookkeeping.
     """
-    S_t = compute_gramian(sys, t, policy=policy).Q.sqrt().matrix
-    S_inf = compute_gramian(sys, np.inf, policy=policy).Q.sqrt().matrix
-    fw = range_inclusion(S_t, S_inf, policy)
-    bw = range_inclusion(S_inf, S_t, policy)
+    S_t = compute_gramian(sys, t).Q.sqrt().matrix
+    S_inf = compute_gramian(sys, np.inf).Q.sqrt().matrix
+    fw = range_inclusion(S_t, S_inf)
+    bw = range_inclusion(S_inf, S_t)
     return RangeEqualityReport(
         t=float(t),
         reference_time=float(T0) if T0 is not None else np.nan,

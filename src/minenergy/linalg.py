@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels: exponentials, rank-aware pseudoinverses,
 PSD square roots, commutation and range-inclusion tests.
 
-All range/kernel decisions in the package go through one relative rank
-policy so that "numerically zero" means the same thing everywhere: a
-singular value (or eigenvalue) is treated as zero when it is at most
-``rel_threshold`` times the largest one.
+All range/kernel decisions in the package use one relative threshold so
+that "numerically zero" means the same thing everywhere: a singular value
+(or eigenvalue) is treated as zero when it is at most ``REL_THRESHOLD``
+times the largest one.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,7 @@ import scipy.linalg
 from .errors import NonFiniteError, NotPSDError, NotSymmetricError, PreconditionError
 
 __all__ = [
-    "RankPolicy",
-    "DEFAULT_POLICY",
+    "REL_THRESHOLD",
     "SymmetricPSD",
     "RangeInclusion",
     "as_matrix",
@@ -30,25 +29,7 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RankPolicy:
-    """Relative cutoff deciding which singular values count as zero."""
-
-    rel_threshold: float = 1e-10
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_threshold < 1.0):
-            raise ValueError(
-                f"rel_threshold must lie strictly between 0 and 1, got {self.rel_threshold}"
-            )
-
-    def cutoff(self, largest):
-        return self.rel_threshold * largest
-
-
-DEFAULT_POLICY = RankPolicy()
+REL_THRESHOLD = 1e-10
 
 
 def as_matrix(M, name="matrix"):
@@ -73,19 +54,12 @@ class SymmetricPSD:
 
     Construction validates symmetry (relative deviation at most 1e-12) and
     clips slightly negative eigenvalues to zero: an eigenvalue in
-    ``[-rank_tol * lam_max, 0)`` is attributed to roundoff, anything more
-    negative raises ``NotPSDError``.
-
-    Parameters
-    ----------
-    entries : (n, n) array_like
-        Symmetric matrix.
-    policy : RankPolicy, optional
-        Relative threshold used both for the clip above and for all
-        rank/range decisions made through this object.
+    ``[-REL_THRESHOLD * lam_max, 0)`` is attributed to roundoff, anything
+    more negative raises ``NotPSDError``.  The same threshold decides rank
+    and range for every method.
     """
 
-    def __init__(self, entries, policy=DEFAULT_POLICY):
+    def __init__(self, entries):
         M = as_matrix(entries, "SymmetricPSD entries")
         n, m = M.shape
         if n != m:
@@ -98,7 +72,7 @@ class SymmetricPSD:
         M = 0.5 * (M + M.T)
         lam, V = np.linalg.eigh(M)
         lam_max = max(lam[-1], 0.0)
-        floor = -policy.cutoff(lam_max) if lam_max > 0 else 0.0
+        floor = -REL_THRESHOLD * lam_max if lam_max > 0 else 0.0
         if np.any(lam < floor):
             worst = lam.min()
             raise NotPSDError(
@@ -106,7 +80,6 @@ class SymmetricPSD:
                 f"{floor:.6e}; not positive semidefinite"
             )
         lam = np.where(lam < 0.0, 0.0, lam)
-        self._policy = policy
         self._lam = lam
         self._V = V
         self._M = (V * lam) @ V.T
@@ -117,10 +90,6 @@ class SymmetricPSD:
     @property
     def matrix(self):
         return self._M
-
-    @property
-    def policy(self):
-        return self._policy
 
     @property
     def eigenvalues(self):
@@ -140,15 +109,15 @@ class SymmetricPSD:
         lam_max = self._lam[-1] if self._lam.size else 0.0
         if lam_max <= 0.0:
             return np.zeros_like(self._lam, dtype=bool)
-        return self._lam > self._policy.cutoff(lam_max)
+        return self._lam > REL_THRESHOLD * lam_max
 
     @property
     def rank(self):
-        """Rank under the policy threshold."""
+        """Rank under the relative threshold."""
         return int(np.count_nonzero(self._keep()))
 
     def range_basis(self):
-        """Orthonormal basis of the range (columns), per the rank policy."""
+        """Orthonormal basis of the range (columns), under the relative threshold."""
         return self._V[:, self._keep()]
 
     def kernel_basis(self):
@@ -159,7 +128,7 @@ class SymmetricPSD:
         return U @ U.T
 
     def pinv(self):
-        """Moore-Penrose pseudoinverse under the rank policy."""
+        """Moore-Penrose pseudoinverse under the relative threshold."""
         keep = self._keep()
         inv = np.zeros_like(self._lam)
         inv[keep] = 1.0 / self._lam[keep]
@@ -170,13 +139,13 @@ class SymmetricPSD:
         """The PSD square root, with sub-threshold eigenvalues zeroed.
 
         Zeroing keeps the root's kernel equal to the matrix kernel under the
-        rank policy (a raw sqrt would promote noise eigenvalues across the
+        relative threshold (a raw sqrt would promote noise eigenvalues across the
         threshold).
         """
         keep = self._keep()
         root = np.where(keep, np.sqrt(self._lam), 0.0)
         S = (self._V * root) @ self._V.T
-        return SymmetricPSD(0.5 * (S + S.T), self._policy)
+        return SymmetricPSD(0.5 * (S + S.T))
 
 
 def expm(A, t=1.0):
@@ -206,10 +175,10 @@ def expm(A, t=1.0):
     raise NonFiniteError(f"e^(tA) leaves double precision at t = {t:g}")
 
 
-def pinv(M, policy=DEFAULT_POLICY):
-    """Moore-Penrose pseudoinverse with the relative rank cutoff of ``policy``.
+def pinv(M):
+    """Moore-Penrose pseudoinverse with the relative rank cutoff.
 
-    Singular values at or below ``rel_threshold * sigma_max`` are treated as
+    Singular values at or below ``REL_THRESHOLD * sigma_max`` are treated as
     zero.  The all-zero matrix maps to the all-zero matrix of transposed
     shape.
     """
@@ -217,20 +186,20 @@ def pinv(M, policy=DEFAULT_POLICY):
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[1], M.shape[0]))
-    keep = s > policy.cutoff(s[0])
+    keep = s > REL_THRESHOLD * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (Vt.T * inv) @ U.T
 
 
-def psd_sqrt(M, policy=DEFAULT_POLICY):
+def psd_sqrt(M):
     """Symmetric PSD square root of a symmetric PSD matrix (ndarray in, ndarray out).
 
     Accepts either a SymmetricPSD or raw entries; sub-threshold eigenvalues
-    are zeroed so that kernel(S) = kernel(M) under the rank policy.
+    are zeroed so that kernel(S) = kernel(M) under the relative threshold.
     """
     if not isinstance(M, SymmetricPSD):
-        M = SymmetricPSD(M, policy)
+        M = SymmetricPSD(M)
     return M.sqrt().matrix
 
 
@@ -266,14 +235,14 @@ class RangeInclusion:
     defect: float
 
 
-def range_inclusion(A1, A2, policy=DEFAULT_POLICY):
+def range_inclusion(A1, A2):
     """Test ``range(A1) ⊆ range(A2)`` and compute the smallest norm-domination constant.
 
     The inclusion holds exactly when there is a finite k with
     ``||A1^T x|| <= k ||A2^T x||`` for every x; the returned ``constant`` is
     the smallest such k, computed as ``||A1^T U (A2^T U)^+||`` with U an
     orthonormal basis of range(A2).  Decision rule: the projection defect
-    ``||(I - P_range(A2)) A1||`` must be at most ``rel_threshold * ||A1||``.
+    ``||(I - P_range(A2)) A1||`` must be at most ``REL_THRESHOLD * ||A1||``.
     """
     A1 = as_matrix(A1, "A1")
     A2 = as_matrix(A2, "A2")
@@ -287,19 +256,19 @@ def range_inclusion(A1, A2, policy=DEFAULT_POLICY):
         # range(A2) = {0}: included iff A1 = 0
         included = norm1 == 0.0
         return RangeInclusion(included, 0.0 if included else np.inf, float(norm1))
-    U = U2[:, s2 > policy.cutoff(s2[0])]
+    U = U2[:, s2 > REL_THRESHOLD * s2[0]]
     resid = A1 - U @ (U.T @ A1)
     defect = float(np.linalg.norm(resid, 2))
-    included = defect <= policy.rel_threshold * max(norm1, s2[0])
+    included = defect <= REL_THRESHOLD * max(norm1, s2[0])
     if not included:
         return RangeInclusion(False, np.inf, defect)
     M1 = A1.T @ U
     M2 = A2.T @ U
-    k = float(np.linalg.norm(M1 @ pinv(M2, policy), 2))
+    k = float(np.linalg.norm(M1 @ pinv(M2), 2))
     return RangeInclusion(True, k, defect)
 
 
-def commuting_pinv_compose(A1, A2, policy=DEFAULT_POLICY):
+def commuting_pinv_compose(A1, A2):
     """Return ``A2^+ A1`` for commuting A1, A2 with ``range(A1) ⊆ range(A2)``.
 
     Under those preconditions the pseudoinverse slides past A1, so the
@@ -308,10 +277,10 @@ def commuting_pinv_compose(A1, A2, policy=DEFAULT_POLICY):
     """
     A1 = as_matrix(A1, "A1")
     if not isinstance(A2, SymmetricPSD):
-        A2 = SymmetricPSD(A2, policy)
+        A2 = SymmetricPSD(A2)
     if not commutes(A1, A2.matrix):
         raise PreconditionError("A1 and A2 do not commute")
-    incl = range_inclusion(A1, A2.matrix, policy)
+    incl = range_inclusion(A1, A2.matrix)
     if not incl.included:
         raise PreconditionError(
             f"range(A1) is not contained in range(A2): defect {incl.defect:.3e}"

@@ -29,7 +29,7 @@ from .errors import (
     StiffnessError,
 )
 from .gramians import Gramian, _wrap
-from .linalg import DEFAULT_POLICY, SymmetricPSD, range_inclusion
+from .linalg import REL_THRESHOLD, SymmetricPSD, range_inclusion
 from .energy import NullControllability
 from .systems import LinearSystem
 
@@ -105,7 +105,7 @@ class SpectralSystem:
         return self._fingerprint
 
 
-def spectral_gramian(ssys, t, policy=DEFAULT_POLICY):
+def spectral_gramian(ssys, t):
     """Reachability Gramian of a diagonal system, in closed form.
 
     Finite horizon: q_n = b_n (1 - e^{-2 lambda_n t}) / (2 lambda_n);
@@ -120,7 +120,7 @@ def spectral_gramian(ssys, t, policy=DEFAULT_POLICY):
             raise ValueError("horizon must be positive")
         q = b * (-np.expm1(-2.0 * lam * t)) / (2.0 * lam)
     return Gramian(
-        Q=SymmetricPSD(np.diag(q), policy=policy),
+        Q=SymmetricPSD(np.diag(q)),
         horizon=t,
         method="closed_form",
         system_fingerprint=ssys.fingerprint(),
@@ -290,6 +290,8 @@ class DelaySystem:
     The state is the pair (x(t), x(t + .) on [-delay, 0]).  The history
     segment is represented by cell averages on a uniform mesh of ``mesh``
     cells; that projection is the single approximation in the pipeline.
+    ``delay_gramian`` keeps each mesh Gramian it computes in ``_gramians``,
+    keyed by horizon.
     """
 
     a0: float
@@ -297,6 +299,7 @@ class DelaySystem:
     b0: float
     delay: float
     mesh: int
+    _gramians: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a1 == 0.0:
@@ -492,7 +495,7 @@ def _panel_gram(sys_, fund, lo, hi, first, stop):
     return (K * np.tile(half * _GL_WEIGHTS, stop - first)[:, None]).T @ K
 
 
-def delay_gramian(sys_, t, policy=DEFAULT_POLICY):
+def delay_gramian(sys_, t):
     """Reachability Gramian over [0, t] on the mesh.
 
     Writing F for the antiderivative of g and W(u) = F(u) - F(u - h), the
@@ -500,9 +503,11 @@ def delay_gramian(sys_, t, policy=DEFAULT_POLICY):
     (b0/sqrt(h)) W(t + c_j - s) for cell j.  Every kernel is smooth between
     lattice points, so Gauss-Legendre panels on each lattice cell (the last
     one ending at t) integrate their products to roundoff; a cell gets one
-    panel per unit of (|a0| + |a1|) h.
+    panel per unit of (|a0| + |a1|) h.  Computed once per system and horizon.
     """
     t = float(t)
+    if t in sys_._gramians:
+        return sys_._gramians[t]
     if t <= 0:
         raise ValueError("horizon must be positive")
     _require_mesh(sys_, t)
@@ -521,7 +526,8 @@ def delay_gramian(sys_, t, policy=DEFAULT_POLICY):
             edges = np.linspace(0.0, width, panels + 1)
             for lo, hi in zip(edges[:-1], edges[1:]):
                 Q += _panel_gram(sys_, fund, lo, hi, first, stop)
-    return _wrap(sys_, Q, t, "quadrature", policy)
+    gram = sys_._gramians[t] = _wrap(sys_, Q, t, "quadrature")
+    return gram
 
 
 def delay_semigroup_matrix(sys_, T0):
@@ -559,7 +565,7 @@ def delay_semigroup_matrix(sys_, T0):
     return S
 
 
-def delay_null_controllability(sys_, T0, policy=DEFAULT_POLICY):
+def delay_null_controllability(sys_, T0):
     """Does the flow over [0, T0] land inside the reachable range?
 
     Satisfied once T0 exceeds the delay (every part of the state has been
@@ -573,14 +579,14 @@ def delay_null_controllability(sys_, T0, policy=DEFAULT_POLICY):
         raise ValueError("horizon must be positive")
     _require_mesh(sys_, T0)
     S = delay_semigroup_matrix(sys_, T0)
-    gram = delay_gramian(sys_, T0, policy=policy)
-    inc = range_inclusion(S, gram.Q.sqrt().matrix, policy=policy)
+    gram = delay_gramian(sys_, T0)
+    inc = range_inclusion(S, gram.Q.sqrt().matrix)
     return NullControllability(
         satisfied=inc.included, constant=inc.constant**2, defect=inc.defect
     )
 
 
-def delay_domain_residual(sys_, t, policy=DEFAULT_POLICY):
+def delay_domain_residual(sys_, t):
     """Mesh-level check that reachable states satisfy x1(0-) = x0.
 
     Every column of the Gramian is a reachable state, whose history tail
@@ -588,7 +594,7 @@ def delay_domain_residual(sys_, t, policy=DEFAULT_POLICY):
     an average, so the mismatch |average of last cell - head| decays like
     O(h) under refinement instead of vanishing exactly.
     """
-    Q = delay_gramian(sys_, t, policy=policy).matrix
+    Q = delay_gramian(sys_, t).matrix
     scale = np.linalg.norm(Q, axis=0)
     live = scale > 1e-300
     gaps = np.abs(Q[0] - Q[-1] / math.sqrt(sys_.h))[live] / scale[live]
@@ -675,7 +681,7 @@ class ShiftDefectReport:
 
     ``coefficients`` is the least-norm control (lattice coefficients v with
     L v the projection of the scaled target onto the kept range of L), cut
-    at the same ``RankPolicy`` threshold as ``rank``.
+    at the same relative threshold (``REL_THRESHOLD``) as ``rank``.
     """
 
     defect: float
@@ -685,7 +691,7 @@ class ShiftDefectReport:
     coefficients: np.ndarray = field(repr=False, compare=False)
 
 
-def shift_reachable_defect(sys_, t, target=None, policy=DEFAULT_POLICY):
+def shift_reachable_defect(sys_, t, target=None):
     """Distance from the target to the reachable set at horizon t.
 
     The defect is the L^2 norm of the component of the target outside
@@ -705,7 +711,7 @@ def shift_reachable_defect(sys_, t, target=None, policy=DEFAULT_POLICY):
     f_hat = math.sqrt(sys_.h) * f
     L = shift_control_map(sys_, t)
     U, s, Vt = np.linalg.svd(L, full_matrices=False)
-    keep = s > policy.cutoff(s[0]) if s.size else np.zeros(0, dtype=bool)
+    keep = s > REL_THRESHOLD * s[0] if s.size else np.zeros(0, dtype=bool)
     Ur = U[:, keep]
     proj = Ur.T @ f_hat
     resid = f_hat - Ur @ proj

@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .errors import MarginError, PreconditionError, UnstableSystemError
-from .gramians import GramianCache, compute_gramian
-from .linalg import DEFAULT_POLICY, commutes, expm
+from .gramians import compute_gramian
+from .linalg import commutes, expm
 from .energy import HGeometry, null_controllability_test
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "pv_candidate",
     "inverse_candidate",
     "commuting_candidate",
-    "callable_candidate",
     "residual_probes",
     "riccati_residual_H",
     "weighted_pairings",
@@ -85,11 +84,11 @@ class RiccatiCandidate:
         return float(np.linalg.norm(g.pinv_sqrt @ self.evaluate(t) @ g.sqrt_matrix, 2))
 
 
-def _default_geometry(sys, policy):
-    return HGeometry(compute_gramian(sys, np.inf, policy=policy), policy)
+def _default_geometry(sys):
+    return HGeometry(compute_gramian(sys, np.inf))
 
 
-def build_pv(sys, t, policy=DEFAULT_POLICY, cache=None, _nc_checked=False):
+def build_pv(sys, t):
     """The Gramian-ratio operator Q_inf Q_t^+ at a single time.
 
     Defined for stable systems; outside the commuting selfadjoint case the
@@ -102,59 +101,30 @@ def build_pv(sys, t, policy=DEFAULT_POLICY, cache=None, _nc_checked=False):
     t = float(t)
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    if cache is None:
-        cache = GramianCache(policy)
-    if not _nc_checked and not sys.is_commuting_selfadjoint():
-        nc = null_controllability_test(sys, t, policy)
+    if not sys.is_commuting_selfadjoint():
+        nc = null_controllability_test(sys, t)
         if not nc.satisfied:
             raise PreconditionError(
                 f"system is not null controllable at horizon {t:g} "
                 f"(range defect {nc.defect:.3e}); the ratio family is unbounded there"
             )
-    Q_inf = cache.get(sys, np.inf).matrix
-    Q_t = cache.get(sys, t).Q
-    return Q_inf @ Q_t.pinv()
+    Q_inf = compute_gramian(sys, np.inf).matrix
+    return Q_inf @ compute_gramian(sys, t).Q.pinv()
 
 
-def pv_candidate(sys, policy=DEFAULT_POLICY, cache=None, verified_from=None):
-    """Candidate wrapping the Gramian-ratio family.
-
-    ``verified_from``: a time at which the null-controllability range test
-    is run once; later evaluations reuse that verdict (Gramian ranges only
-    grow with the horizon, so the check is monotone).
-    """
-    if cache is None:
-        cache = GramianCache(policy)
-    geometry = HGeometry(cache.get(sys, np.inf), policy)
-    checked = sys.is_commuting_selfadjoint()
-    if not checked and verified_from is not None:
-        nc = null_controllability_test(sys, verified_from, policy)
-        if not nc.satisfied:
-            raise PreconditionError(
-                f"not null controllable at horizon {verified_from:g}"
-            )
-        checked = True
-
-    def fn(t, _checked=checked):
-        return build_pv(sys, t, policy, cache, _nc_checked=_checked)
-
-    return RiccatiCandidate(sys, geometry, fn, kind="gramian_ratio")
+def pv_candidate(sys):
+    """Candidate wrapping the Gramian-ratio family (``build_pv``), measured in
+    the geometry of Q_inf.  Its Gramians are the system's memoised ones."""
+    return RiccatiCandidate(sys, _default_geometry(sys), lambda t: build_pv(sys, t),
+                            kind="gramian_ratio")
 
 
-def inverse_candidate(sys, policy=DEFAULT_POLICY, cache=None):
-    """Candidate wrapping the inverse-Gramian family R(t) = Q_t^+ (plain geometry)."""
-    if cache is None:
-        cache = GramianCache(policy)
-    geometry = HGeometry(cache.get(sys, np.inf), policy)
-
-    def fn(t):
-        return cache.get(sys, t).Q.pinv()
-
-    return RiccatiCandidate(sys, geometry, fn, kind="gramian_inverse")
-
-
-def callable_candidate(sys, geometry, fn, kind="custom"):
-    return RiccatiCandidate(sys, geometry, fn, kind=kind)
+def inverse_candidate(sys):
+    """Candidate wrapping the inverse-Gramian family R(t) = Q_t^+ (plain geometry),
+    on the system's memoised Gramians."""
+    return RiccatiCandidate(sys, _default_geometry(sys),
+                            lambda t: compute_gramian(sys, t).Q.pinv(),
+                            kind="gramian_inverse")
 
 
 def residual_probes(cand, t, n_random=10, seed=0, weighted=True):
@@ -165,7 +135,7 @@ def residual_probes(cand, t, n_random=10, seed=0, weighted=True):
     in the Euclidean norm otherwise.
     """
     rng = np.random.default_rng(seed)
-    gram_t = compute_gramian(cand.sys, t, policy=cand.geometry.policy)
+    gram_t = compute_gramian(cand.sys, t)
     U = gram_t.Q.range_basis()
     if U.shape[1] == 0:
         raise PreconditionError(f"range(Q_t) is trivial at t = {t:g}: there is nothing to probe")
@@ -190,7 +160,7 @@ class ResidualReport:
     residuals: tuple           # max |lhs - rhs| over probe pairs, per time
     tol: float                 # requested base tolerance
     tol_scaled: float          # tol * max(1,||P||)^2 * max(1,||A||), worst over times
-    fd_step: float
+    fd_step: float             # relative step factor: the step is fd_step * max(1, t)
     n_probes: int
     passed: bool
     consistency: float = np.nan  # commuting-vs-general right-hand-side agreement
@@ -225,17 +195,17 @@ def _as_times(t):
     return ts
 
 
-def weighted_pairings(cand, t, probes=None, fd_step=None, seed=0):
+def weighted_pairings(cand, t, probes=None, seed=0):
     """Both sides of the weighted-space equation, paired against probes at time t.
 
     Returns ``(X, lhs, rhs)``: the probes (rows) and the matrices
-    ``lhs[i, j] = d/dt <P x_i, x_j>_H`` (Richardson finite differences) and
+    ``lhs[i, j] = d/dt <P x_i, x_j>_H`` (Richardson finite differences with
+    step ``FD_STEP_FACTOR * max(1, t)``) and
     ``rhs[i, j] = - <A x_i, W P x_j> - <W P x_i, A x_j> - <B^T W P x_i, B^T W P x_j>``.
     """
     X = residual_probes(cand, t, seed=seed) if probes is None else np.asarray(probes)
     W = cand.geometry.metric
-    h = fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, t)
-    lhs = _pairing_derivative(cand, t, X, X, W, h)
+    lhs = _pairing_derivative(cand, t, X, X, W, FD_STEP_FACTOR * max(1.0, t))
     WP_X = W @ (cand.evaluate(t) @ X.T)          # columns: W P x_i
     AX = cand.sys.A @ X.T
     BtWP = cand.sys.B.T @ WP_X
@@ -243,7 +213,7 @@ def weighted_pairings(cand, t, probes=None, fd_step=None, seed=0):
     return X, lhs, rhs
 
 
-def _residual_report(kind, cand, t, sides, tol, fd_step, weighted=True):
+def _residual_report(kind, cand, t, sides, tol, weighted=True):
     """Max |lhs - rhs| per time over the probe pairings ``sides(tau)``
     returns as ``(probes, lhs, rhs)``, against the scale-aware threshold."""
     times = _as_times(t)
@@ -262,13 +232,13 @@ def _residual_report(kind, cand, t, sides, tol, fd_step, weighted=True):
         residuals=tuple(residuals),
         tol=tol,
         tol_scaled=float(tol_scaled),
-        fd_step=float(fd_step if fd_step is not None else FD_STEP_FACTOR),
+        fd_step=FD_STEP_FACTOR,
         n_probes=n_probes,
         passed=bool(max(residuals) <= tol_scaled),
     )
 
 
-def riccati_residual_H(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
+def riccati_residual_H(cand, t, probes=None, tol=1e-6, seed=0):
     """Weak-form residual of the weighted-space equation with reversed linear sign:
 
         d/dt <P x, y>_H  =  - <A x, W P y>  -  <W P x, A y>  -  <B^T W P x, B^T W P y>
@@ -280,11 +250,11 @@ def riccati_residual_H(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
     """
     return _residual_report(
         "weighted", cand, t,
-        lambda tau: weighted_pairings(cand, tau, probes, fd_step, seed), tol, fd_step,
+        lambda tau: weighted_pairings(cand, tau, probes, seed), tol,
     )
 
 
-def riccati_residual_X(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
+def riccati_residual_X(cand, t, probes=None, tol=1e-6, seed=0):
     """Weak-form residual of the plain-space equation
 
         d/dt <R x, y>  =  - <A x, R y>  -  <R x, A y>  -  <B^T R x, B^T R y>
@@ -296,17 +266,17 @@ def riccati_residual_X(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
     def sides(tau):
         X = (residual_probes(cand, tau, seed=seed, weighted=False)
              if probes is None else np.asarray(probes))
-        h = (fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, tau))
-        lhs = _pairing_derivative(cand, tau, X, X, np.eye(cand.sys.n), h)
+        lhs = _pairing_derivative(cand, tau, X, X, np.eye(cand.sys.n),
+                                  FD_STEP_FACTOR * max(1.0, tau))
         RX = cand.evaluate(tau) @ X.T
         AX = A @ X.T
         BtR = cand.sys.B.T @ RX
         return X, lhs, -(AX.T @ RX) - (RX.T @ AX) - (BtR.T @ BtR)
 
-    return _residual_report("plain", cand, t, sides, tol, fd_step, weighted=False)
+    return _residual_report("plain", cand, t, sides, tol, weighted=False)
 
 
-def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, fd_step=None, seed=0):
+def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, seed=0):
     """Weak-form residual of the commuting-case equation (all pairings weighted):
 
         d/dt <P x, y>_H = - <A x, P y>_H - <P x, A y>_H + 2 <A P x, P y>_H
@@ -323,7 +293,7 @@ def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, fd_step=None, see
 
     def sides(tau):
         # the general weighted right-hand side on the same probes comes along
-        X, lhs, rhs_general = weighted_pairings(cand, tau, probes, fd_step, seed)
+        X, lhs, rhs_general = weighted_pairings(cand, tau, probes, seed)
         PX = cand.evaluate(tau) @ X.T
         AX = A @ X.T
         APX = A @ PX
@@ -331,7 +301,7 @@ def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, fd_step=None, see
         gaps.append(float(np.abs(rhs - rhs_general).max()))
         return X, lhs, rhs
 
-    report = _residual_report("commuting", cand, t, sides, tol, fd_step)
+    report = _residual_report("commuting", cand, t, sides, tol)
     return replace(report, consistency=max(gaps))
 
 
@@ -352,8 +322,7 @@ class UniquenessReport:
         return max(self.reconstruction_errors) if self.reconstruction_errors else np.nan
 
 
-def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6, policy=DEFAULT_POLICY,
-                              cache=None):
+def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6):
     """Partial-uniqueness check for invertible solution families.
 
     Preconditions verified numerically: the family matches the Gramian
@@ -362,14 +331,12 @@ def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6, policy=DEFAULT_POLICY
     ``rtol`` at every grid time — i.e. a single correct snapshot pins the
     family to the Gramian ratio.
     """
-    if cache is None:
-        cache = GramianCache(policy)
     sys = cand.sys
     geometry = cand.geometry
     Q_inf = geometry.Q_inf
     U = geometry.gram.Q.range_basis()
 
-    Pv0 = build_pv(sys, t0, policy, cache)
+    Pv0 = build_pv(sys, t0)
     S0 = cand.evaluate(t0)
     scale0 = max(np.linalg.norm(Pv0, 2), 1e-300)
     match = float(np.linalg.norm(
@@ -392,7 +359,7 @@ def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6, policy=DEFAULT_POLICY
             continue
         S_inv = U @ np.linalg.inv(M) @ U.T
         Q_rec = S_inv @ Q_inf
-        Q_t = cache.get(sys, t).matrix
+        Q_t = compute_gramian(sys, t).matrix
         Pr = U @ U.T
         err = np.linalg.norm(Pr @ (Q_rec - Q_t) @ Pr, 2) / max(np.linalg.norm(Q_t, 2), 1e-300)
         times.append(float(t))
@@ -538,9 +505,10 @@ def commuting_family(sys, K, t, margin=1e-6, t1=None):
     return CommutingSolution(operator=np.linalg.inv(G), t=t, t1=float(t1), margin=smin)
 
 
-def commuting_candidate(sys, K, policy=DEFAULT_POLICY, margin=1e-6):
-    """Candidate wrapping the exponential family for a fixed K."""
-    geometry = _default_geometry(sys, policy)
+def commuting_candidate(sys, K, margin=1e-6):
+    """Candidate wrapping the exponential family for a fixed K, measured in
+    the geometry of the system's memoised Q_inf."""
+    geometry = _default_geometry(sys)
     t1 = detect_t1(sys, K, margin)
 
     def fn(t):
@@ -690,11 +658,12 @@ class LyapunovReport:
     passed: bool
 
 
-def lyapunov_residual(sys, Q, mode, times=None, tol=1e-7, fd_step=None):
+def lyapunov_residual(sys, Q, mode, times=None, tol=1e-7):
     """Residual of the Gramian's own linear equation.
 
     mode 'differential': Q is a callable family; checks
-    d/dt Q(t) = A Q + Q A^T + B B^T by Richardson central differences.
+    d/dt Q(t) = A Q + Q A^T + B B^T by Richardson central differences
+    with step ``FD_STEP_FACTOR * max(1, t)``.
     mode 'algebraic': Q is a matrix; checks A Q + Q A^T + B B^T = 0.
     Thresholds scale with ||B B^T||.
     """
@@ -711,8 +680,7 @@ def lyapunov_residual(sys, Q, mode, times=None, tol=1e-7, fd_step=None):
         raise ValueError("differential mode needs times")
     residuals = []
     for t in _as_times(times):
-        h = (fd_step if fd_step is not None else FD_STEP_FACTOR * max(1.0, t))
-        dQ = _richardson(Q, t, h)
+        dQ = _richardson(Q, t, FD_STEP_FACTOR * max(1.0, t))
         Qt = Q(t)
         residuals.append(float(np.linalg.norm(dQ - (sys.A @ Qt + Qt @ sys.A.T + C), 2)))
     tol_scaled = tol * scale

@@ -14,7 +14,9 @@ class LinearSystem:
 
     The decay margin ``omega = max(0, -max Re lambda(A))`` is computed once;
     ``omega > 0`` means the flow is uniformly exponentially stable, which is
-    what infinite-horizon computations require.
+    what infinite-horizon computations require.  A and B are read-only, so
+    ``compute_gramian`` keeps each Gramian it computes in ``_gramians``,
+    keyed by horizon.
     """
 
     def __init__(self, A, B):
@@ -37,6 +39,7 @@ class LinearSystem:
         self.n = A.shape[0]
         self.m = B.shape[1]
         self.omega = float(max(0.0, -np.max(np.linalg.eigvals(self.A).real)))
+        self._gramians = {}
 
     @property
     def BBt(self):

@@ -141,7 +141,7 @@ def test_c04_riccati_verification_and_discrimination():
     for sys_ in [me.LinearSystem([[-1.0]], [[1.0]]),
                  me.random_stable_system(rng2, 4)]:
         base = me.pv_candidate(sys_)
-        shifted = me.callable_candidate(
+        shifted = me.RiccatiCandidate(
             sys_, base.geometry, lambda t, b=base: b.evaluate(t) + np.eye(sys_.n),
             kind="shifted",
         )
@@ -155,8 +155,7 @@ def test_c04_riccati_verification_and_discrimination():
 def test_c05_lyapunov_verification_and_uniqueness():
     systems, rng = seeded_systems(20)
     for sys_ in systems:
-        cache = me.GramianCache()
-        family = lambda s, sys=sys_, c=cache: c.get(sys, s).Q.matrix
+        family = lambda s, sys=sys_: me.compute_gramian(sys, s).Q.matrix
         times = np.linspace(0.4, 2.0, 4)
         rep_d = me.lyapunov_residual(sys_, family, "differential", times, tol=1e-7)
         assert rep_d.passed, f"differential residual {max(rep_d.residuals):.3e}"
@@ -165,8 +164,7 @@ def test_c05_lyapunov_verification_and_uniqueness():
         assert rep_a.passed, f"algebraic residual {rep_a.residuals[0]:.3e}"
     # uniqueness / discrimination on the scalar benchmark
     sys_ = me.LinearSystem([[-1.0]], [[1.0]])
-    cache = me.GramianCache()
-    bad_family = lambda s: 1.1 * cache.get(sys_, s).Q.matrix
+    bad_family = lambda s: 1.1 * me.compute_gramian(sys_, s).Q.matrix
     rep_bad = me.lyapunov_residual(sys_, bad_family, "differential", [0.5, 1.0], tol=1e-7)
     assert not rep_bad.passed
     q_bad = me.gramian_infinite(sys_).Q.matrix + 0.05 * np.eye(1)

@@ -523,3 +523,39 @@ def test_models_without_q_inf_refuse_infinite_horizon(tmp_path):
         assert rep["tasks"][0]["error"].startswith(
             f"ScenarioError: the {name} model has no infinite-horizon Gramian"
         )
+
+
+def test_run_computes_each_dense_gramian_once(tmp_path, monkeypatch):
+    # the Riccati and Lyapunov checks and the residual sweep evaluate the same
+    # horizons (and Richardson offsets around them); each is one Van Loan solve
+    import numpy as np
+
+    from minenergy import gramians
+    from minenergy.systems import random_stable_system
+
+    times = []
+    block = gramians.gramian_block_exponential
+    monkeypatch.setattr(gramians, "gramian_block_exponential",
+                        lambda sys_, t: times.append(float(t)) or block(sys_, t))
+    model = random_stable_system(np.random.default_rng(4), 4).to_json_dict()
+    scenario = {"model": model, "horizons": [0.5, 1.0], "sweep_kinds": ["residual"],
+                "tasks": ["verify-riccati", "verify-lyapunov", "sweep"]}
+    assert cli.run_scenario(scenario, str(tmp_path)) == 0
+    assert {0.5, 1.0} <= set(times)
+    assert len(times) == len(set(times))
+
+
+def test_run_builds_one_delay_gramian_per_horizon(tmp_path, monkeypatch):
+    from minenergy import models
+
+    built = []
+    wrap = models._wrap
+    monkeypatch.setattr(models, "_wrap",
+                        lambda sys_, Q, t, method: built.append(t) or wrap(sys_, Q, t, method))
+    scenario = {"model": "delay(-0.5,0.5,1,1)", "mesh": 8, "horizons": [1.5, 2.0],
+                "targets": [[1.0] + [0.0] * 8],
+                "tasks": ["gramian", "min-energy", "null-controllability"]}
+    cli.run_scenario(scenario, str(tmp_path))
+    assert [t["task"] for t in read_report(str(tmp_path))["tasks"]
+            if "error" in t] == []
+    assert sorted(built) == [1.5, 2.0]

@@ -200,11 +200,10 @@ def test_feedback_consistency_along_trajectory(rng):
     t = 1.2
     g = me.compute_gramian(sys, t)
     x = g.Q.matrix @ rng.standard_normal(3)
-    cache = me.GramianCache()
     sig = me.optimal_control(sys, g, x, grid=33)
     traj = me.optimal_trajectory(sys, g, x, grid=33)
     for i, r in enumerate(sig.grid[1:-1], start=1):
-        F = me.feedback_gain(sys, t + r, cache=cache)
+        F = me.feedback_gain(sys, t + r)
         assert_allclose(sig.values[i], F @ traj.states[i], atol=1e-8 * max(1, np.abs(sig.values).max()))
 
 

@@ -182,11 +182,12 @@ def test_range_equality_check_commuting(scalar_sys):
 
 
 def test_gramian_cache_hits(scalar_sys):
-    cache = me.GramianCache()
-    g1 = cache.get(scalar_sys, 1.0)
-    g2 = cache.get(scalar_sys, 1.0)
+    g1 = me.compute_gramian(scalar_sys, 1.0)
+    g2 = me.compute_gramian(scalar_sys, 1.0)
     assert g1 is g2
-    assert len(cache) == 1
+    assert scalar_sys._gramians == {1.0: g1}
+    # the memo lives on the instance: an equal system computes its own
+    assert me.compute_gramian(me.LinearSystem([[-1.0]], [[1.0]]), 1.0) is not g1
 
 
 def test_cache_solves_infinite_gramian_once(coupled_sys, monkeypatch):
@@ -196,12 +197,11 @@ def test_cache_solves_infinite_gramian_once(coupled_sys, monkeypatch):
     solve = gramians.scipy.linalg.solve_continuous_lyapunov
     monkeypatch.setattr(gramians.scipy.linalg, "solve_continuous_lyapunov",
                         lambda *a: calls.append(1) or solve(*a))
-    cache = me.GramianCache()
     for t in (0.5, 1.0, 2.0, np.inf, 4.0):
-        cache.get(coupled_sys, t)
-        cache.get(coupled_sys, np.inf)
-    cand = me.pv_candidate(coupled_sys, cache=cache)
-    me.inverse_candidate(coupled_sys, cache=cache)
+        me.compute_gramian(coupled_sys, t)
+        me.compute_gramian(coupled_sys, np.inf)
+    cand = me.pv_candidate(coupled_sys)
+    me.inverse_candidate(coupled_sys)
     me.riccati_residual_H(cand, [1.0, 2.0])
     assert len(calls) == 1
 

@@ -95,7 +95,7 @@ def test_perturbed_candidate_fails(scalar_sys):
     def shifted(t):
         return base.evaluate(t) + np.eye(1)
 
-    bad = me.callable_candidate(scalar_sys, base.geometry, shifted, kind="shifted")
+    bad = me.RiccatiCandidate(scalar_sys, base.geometry, shifted, kind="shifted")
     rep = me.riccati_residual_H(bad, [0.5, 1.0])
     assert not rep.passed
     # failure must be decisive, not marginal
@@ -104,7 +104,7 @@ def test_perturbed_candidate_fails(scalar_sys):
 
 def test_zero_candidate_solves_X_trivially(scalar_sys):
     geom = me.pv_candidate(scalar_sys).geometry
-    zero = me.callable_candidate(scalar_sys, geom, lambda t: np.zeros((1, 1)), kind="zero")
+    zero = me.RiccatiCandidate(scalar_sys, geom, lambda t: np.zeros((1, 1)), kind="zero")
     rep = me.riccati_residual_X(zero, [0.5, 1.0])
     assert rep.passed  # R = 0 kills every term of the inverse-form equation
 
@@ -137,7 +137,7 @@ def test_uniqueness_reconstruction_scalar(scalar_sys):
 
 def test_uniqueness_rejects_scaled_family(scalar_sys):
     base = me.pv_candidate(scalar_sys)
-    doubled = me.callable_candidate(
+    doubled = me.RiccatiCandidate(
         scalar_sys, base.geometry, lambda t: 2.0 * base.evaluate(t), kind="doubled"
     )
     rep = me.uniqueness_reconstruction(doubled, 1.0, np.linspace(0.5, 2.0, 4))
