@@ -554,8 +554,11 @@ def _task_min_energy(run):
                     entry["formula"]["trajectory"] = "trajectory-gramian-flow"
                     header += [f"y{j + 1}" for j in range(states.shape[1])]
                     columns.append(states)
+                block = np.hstack(columns)
+                row = ",".join(["%.17g"] * block.shape[1])
                 name = f"timeseries_h{ti}_x{xi}.csv"
-                run.csv_files[name] = _csv_text(header, map(tuple, np.hstack(columns)))
+                run.csv_files[name] = "\n".join(
+                    [",".join(header)] + [row % tuple(r) for r in block.tolist()]) + "\n"
                 entry["timeseries_csv"] = name
             results.append(entry)
     return {"results": results}, None

@@ -101,13 +101,16 @@ def build_pv(sys, t):
     t = float(t)
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    if not sys.is_commuting_selfadjoint():
+    # null controllability at s holds at every t >= s (Q_t >= e^{(t-s)A} Q_s
+    # e^{(t-s)A^T}), so the test runs only below the least horizon it passed at
+    if not sys.is_commuting_selfadjoint() and t < sys._null_controllable_from:
         nc = null_controllability_test(sys, t)
         if not nc.satisfied:
             raise PreconditionError(
                 f"system is not null controllable at horizon {t:g} "
                 f"(range defect {nc.defect:.3e}); the ratio family is unbounded there"
             )
+        sys._null_controllable_from = t
     Q_inf = compute_gramian(sys, np.inf).matrix
     return Q_inf @ compute_gramian(sys, t).Q.pinv()
 

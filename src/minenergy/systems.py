@@ -16,7 +16,9 @@ class LinearSystem:
     ``omega > 0`` means the flow is uniformly exponentially stable, which is
     what infinite-horizon computations require.  A and B are read-only, so
     ``compute_gramian`` keeps each Gramian it computes in ``_gramians``,
-    keyed by horizon.
+    keyed by horizon, and ``riccati.build_pv`` keeps in
+    ``_null_controllable_from`` the least horizon at which the null
+    controllability test passed (inf until one has).
     """
 
     def __init__(self, A, B):
@@ -40,6 +42,7 @@ class LinearSystem:
         self.m = B.shape[1]
         self.omega = float(max(0.0, -np.max(np.linalg.eigvals(self.A).real)))
         self._gramians = {}
+        self._null_controllable_from = np.inf
 
     @property
     def BBt(self):

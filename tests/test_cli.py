@@ -545,6 +545,26 @@ def test_run_computes_each_dense_gramian_once(tmp_path, monkeypatch):
     assert len(times) == len(set(times))
 
 
+def test_run_tests_null_controllability_once_per_range_of_times(tmp_path, monkeypatch):
+    # the ratio family P(t) = Q_inf Q_t^+ needs null controllability at t,
+    # which holds at every later time once it holds: of the 15 finite-difference
+    # times of three horizons, only those below every earlier one are tested
+    import numpy as np
+
+    from minenergy import riccati
+    from minenergy.systems import random_stable_system
+
+    times = []
+    test = riccati.null_controllability_test
+    monkeypatch.setattr(riccati, "null_controllability_test",
+                        lambda sys_, t: times.append(float(t)) or test(sys_, t))
+    model = random_stable_system(np.random.default_rng(4), 4).to_json_dict()
+    scenario = {"model": model, "horizons": [0.5, 1.0, 2.0], "tasks": ["verify-riccati"]}
+    assert cli.run_scenario(scenario, str(tmp_path)) == 0
+    assert times == sorted(set(times), reverse=True)
+    assert len(times) < 15
+
+
 def test_run_builds_one_delay_gramian_per_horizon(tmp_path, monkeypatch):
     from minenergy import models
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import minenergy as me
@@ -144,15 +146,55 @@ def test_monotone_in_horizon(rng):
 def test_quadrature_panel_order(coupled_sys):
     # composite Gauss with k nodes is order 2k: doubling panels should cut the
     # 2-node error by about 2^4
-    from minenergy.gramians import _quadrature_fixed
+    from minenergy.gramians import _gauss_panel
+
+    rule = np.polynomial.legendre.leggauss(2)
+
+    def uniform(panels):
+        edges = np.linspace(0.0, 1.5, panels + 1)
+        return sum(_gauss_panel(coupled_sys, a, b, *rule) for a, b in zip(edges[:-1], edges[1:]))
 
     ref = me.gramian_quadrature(coupled_sys, 1.5, n_nodes=24).Q.matrix
-    errs = [
-        np.linalg.norm(_quadrature_fixed(coupled_sys, 1.5, 2, panels) - ref, 2)
-        for panels in (2, 4, 8)
-    ]
+    errs = [np.linalg.norm(uniform(panels) - ref, 2) for panels in (2, 4, 8)]
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 3.5
+
+
+@pytest.mark.parametrize("lam", [-1e4, -1e6])
+def test_quadrature_resolves_stiff_boundary_layer(lam):
+    # the fast mode's integrand decays within 1/|lam| of r = 0: a rule with no
+    # node there agrees with its own refinement on a value 1e-4 off
+    sys = me.LinearSystem(np.diag([lam, -1.0]), np.eye(2))
+    ref = me.gramian_commuting_closed_form(sys, 2.0).Q.matrix
+    assert _rel(me.gramian_quadrature(sys, 2.0).Q.matrix, ref) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-2.0, 6.0), min_size=1, max_size=4), st.floats(0.1, 5.0))
+def test_quadrature_matches_closed_form_on_diagonal_spectra(log_rates, t):
+    sys = me.LinearSystem(np.diag(-(10.0 ** np.array(log_rates))), np.eye(len(log_rates)))
+    ref = me.gramian_commuting_closed_form(sys, t).Q.matrix
+    q = me.gramian_quadrature(sys, t).Q.matrix
+    assert np.abs(q - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_quadrature_cost_on_stiff_spectrum(monkeypatch):
+    # landau-ginzburg(24) has rates up to 576: uniform panels fine enough for
+    # its boundary layer at r = 0 take thousands of exponentials at t = 2,
+    # panels graded toward r = 0 a few hundred
+    from minenergy import gramians
+
+    calls = []
+    expm = gramians.expm
+    monkeypatch.setattr(gramians, "expm", lambda A, t: calls.append(t) or expm(A, t))
+    sys = me.parse_model("spectral:landau-ginzburg(24)").to_linear_system()
+    me.gramian_quadrature(sys, 2.0)
+    assert len(calls) <= 1000
+
+
+def test_quadrature_gives_up_past_max_panels(coupled_sys):
+    with pytest.raises(me.StiffnessError):
+        me.gramian_quadrature(coupled_sys, 1.5, n_nodes=2, rtol=1e-15, max_panels=8)
 
 
 def test_kernel_chain_rank_deficient():
