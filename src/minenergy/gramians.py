@@ -7,17 +7,22 @@
   followed by k exact doublings (``gramian_block_exponential``; C. Van Loan,
   "Computing integrals involving the matrix exponential", IEEE TAC 23(3),
   1978);
-* the infinite horizon of a stable system: Bartels-Stewart on the algebraic
-  Lyapunov equation (``gramian_infinite``);
+* the infinite horizon of a stable system: the same step at h = 1 / ||A||_1,
+  doubled until e^{sA} falls below roundoff, Q_2s = Q_s + e^{sA} Q_s e^{sA^T}
+  (the squared Smith iteration; R. A. Smith, "Matrix equation XA + BX = C",
+  SIAM J. Appl. Math. 16(1), 1968), with the algebraic Lyapunov residual
+  checked at the end;
 * symmetric, invertible A commuting with B B^T: the entrywise closed form
   (``gramian_commuting_closed_form``).
 
 Its Gramians are memoised on the system, one per horizon: a system is
 immutable, so Q_t depends on it and t alone.
 
-Two oracles stay beside it, independent of the engine and of each other;
+Three oracles stay beside it, independent of the engine and of each other;
 they are only ever called by name and compute afresh on every call:
 
+* ``gramian_infinite``     -- Bartels-Stewart on the algebraic Lyapunov
+  equation (scipy, imported on the first call)
 * ``gramian_quadrature``   -- composite Gauss-Legendre on the defining integral,
   one exponential per node, on panels graded toward r = 0 (the first no
   wider than 1 / ||A||_1) and bisected locally until the panels' estimated
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFiniteError, PreconditionError, StiffnessError, UnstableSystemError
 from .linalg import REL_THRESHOLD, SymmetricPSD, expm, range_inclusion
@@ -90,8 +94,8 @@ def _wrap(sys, Q, t, method):
 
 
 def _halvings(A, h):
-    """The k with ||A||_1 h / 2^k <= 1: how many halvings bring a step of
-    length h within one unit of A's reach (0 when ||A||_1 h <= 1)."""
+    """The least k >= 0 with ||A||_1 h / 2^k <= 1: how many halvings bring a
+    step of length h within one unit of A's reach."""
     reach = np.abs(A).sum(axis=0).max() * h
     return math.ceil(math.log2(reach)) if reach > 1.0 else 0
 
@@ -215,28 +219,80 @@ def gramian_lyapunov_ode(sys, t, rtol=1e-8, n_steps0=64, max_doublings=14):
     )
 
 
-def gramian_infinite(sys, residual_rtol=1e-10):
-    """Infinite-horizon Gramian of a stable system: Bartels-Stewart on the
-    algebraic Lyapunov equation A Q + Q A^T + BB^T = 0.
-
-    Raises UnstableSystemError when the decay margin is zero, and
-    StiffnessError when the solve cannot meet the residual bound
-    ``||A Q + Q A^T + BB^T|| <= residual_rtol * ||BB^T||``.
-    """
+def _require_stable(sys):
     if not sys.stable:
         raise UnstableSystemError(
             f"infinite-horizon Gramian needs a strictly stable system; decay margin is {sys.omega}"
         )
+
+
+def _check_lyapunov_residual(sys, Q, residual_rtol, method):
+    """Raise StiffnessError unless ||A Q + Q A^T + BB^T|| <= residual_rtol * ||BB^T||
+    (entrywise maxima)."""
     C = sys.BBt
-    Q = scipy.linalg.solve_continuous_lyapunov(sys.A, -C)
     scale = max(np.abs(C).max(), np.finfo(float).tiny)
     resid = np.abs(sys.A @ Q + Q @ sys.A.T + C).max()
     if resid > residual_rtol * scale:
         raise StiffnessError(
-            f"algebraic solve residual {resid:.3e} exceeds {residual_rtol:g} * ||BB^T||; "
+            f"{method} residual {resid:.3e} exceeds {residual_rtol:g} * ||BB^T||; "
             "eigenvalue pair sums are nearly singular"
         )
+
+
+def gramian_infinite(sys, residual_rtol=1e-10):
+    """Infinite-horizon Gramian of a stable system: Bartels-Stewart on the
+    algebraic Lyapunov equation A Q + Q A^T + BB^T = 0.
+
+    An oracle beside the engine's doubling (``compute_gramian``), called by
+    name; it imports scipy on its first call.  Raises UnstableSystemError
+    when the decay margin is zero, and StiffnessError when the solve cannot
+    meet the residual bound ``||A Q + Q A^T + BB^T|| <= residual_rtol * ||BB^T||``.
+    """
+    import scipy.linalg  # the oracle's own dependency: the engine never loads scipy
+
+    _require_stable(sys)
+    Q = scipy.linalg.solve_continuous_lyapunov(sys.A, -sys.BBt)
+    _check_lyapunov_residual(sys, Q, residual_rtol, "algebraic solve")
     return _wrap(sys, Q, np.inf, "bartels_stewart")
+
+
+# doublings of h = 1 / ||A||_1 reach s = 2^64 h: far past the 36 ||A||_1 / omega
+# that takes e^{sA} below roundoff for any margin omega above eps * ||A||_1
+_MAX_SMITH_DOUBLINGS = 64
+
+
+def _gramian_infinite_doubling(sys):
+    """Infinite-horizon Gramian of a stable system by the squared Smith
+    iteration on Van Loan's step.
+
+    ``_van_loan_step`` at h = 1 / ||A||_1 gives e^{hA} and Q_h; each
+    doubling Q_2s = Q_s + e^{sA} Q_s e^{sA^T}, e^{2sA} = (e^{sA})^2 adds a
+    PSD term, and the iteration stops once ||e^{sA}||_1 <= eps, when the
+    tail Q_inf - Q_s = e^{sA} Q_inf e^{sA^T} is below roundoff.  Raises
+    UnstableSystemError when the decay margin is zero, StiffnessError when
+    ``_MAX_SMITH_DOUBLINGS`` doublings leave e^{sA} above roundoff or the
+    result misses ``gramian_infinite``'s default residual bound, and
+    NonFiniteError when a transient overflows.
+    """
+    _require_stable(sys)
+    E, Q = _van_loan_step(sys, 1.0 / np.abs(sys.A).sum(axis=0).max())
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_SMITH_DOUBLINGS):
+            if not np.abs(E).sum(axis=0).max() > eps:
+                break
+            Q = Q + E @ Q @ E.T
+            E = E @ E
+    size = np.abs(E).sum(axis=0).max()
+    if not np.isfinite(size) or not np.all(np.isfinite(Q)):
+        raise NonFiniteError("doubling toward the infinite-horizon Gramian overflows double precision")
+    if size > eps:
+        raise StiffnessError(
+            f"||e^(sA)||_1 = {size:.3e} is still above roundoff after {_MAX_SMITH_DOUBLINGS} "
+            f"doublings toward the infinite-horizon Gramian; decay margin {sys.omega:.3g}"
+        )
+    _check_lyapunov_residual(sys, Q, 1e-10, "doubling")
+    return _wrap(sys, Q, np.inf, "smith_doubling")
 
 
 def _has_closed_form(sys):
@@ -281,20 +337,29 @@ def _van_loan_step(sys, h):
     ||A||_1 h / 2^k <= 1 gives e^{hA / 2^k} and Q_{h / 2^k}; each doubling
     Q_2s = Q_s + e^{sA} Q_s e^{sA^T} adds a PSD term, so neither a stiff
     stable A (whose -A block would overflow at the full step) nor an
-    unstable one loses accuracy.  Overflow in a doubling is left to the
-    caller's finiteness check.
+    unstable one loses accuracy.  Q_h is linear in BB^T, so the block
+    carries BB^T / 2^j, with j the halvings that bring its reach within 1
+    too, and Q_h is scaled back at the end; powers of two scale exactly, and
+    a large B cannot make the exponential overscale its A blocks.  Overflow
+    in a doubling is left to the caller's finiteness check.
     """
     n = sys.n
     k = _halvings(sys.A, h)
-    M = np.block([[-sys.A, sys.BBt], [np.zeros((n, n)), sys.A.T]])
-    F = expm(M, h / 2.0 ** k)
+    step = h / 2.0 ** k
+    C = sys.BBt
+    gain = 2.0 ** _halvings(C, step)
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = -sys.A
+    M[:n, n:] = C / gain
+    M[n:, n:] = sys.A.T
+    F = expm(M, step)
     E = F[n:, n:].T
     Q = E @ F[:n, n:]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(k):
             Q = Q + E @ Q @ E.T
             E = E @ E
-    return E, Q
+        return E, gain * Q
 
 
 def gramian_block_exponential(sys, t):
@@ -309,8 +374,9 @@ def compute_gramian(sys, t):
     system and horizon.
 
     The commuting closed form when A is symmetric, invertible and commutes
-    with BB^T; otherwise Bartels-Stewart for t = inf and the scaled block
-    exponential for finite t (stable or not).
+    with BB^T; otherwise the scaled block exponential, taken at the horizon
+    for finite t (stable or not) and doubled until e^{sA} falls below
+    roundoff for t = inf.
     """
     key = float(t)
     gram = sys._gramians.get(key)
@@ -318,7 +384,7 @@ def compute_gramian(sys, t):
         if _has_closed_form(sys):
             gram = gramian_commuting_closed_form(sys, t)
         elif np.isinf(t):
-            gram = gramian_infinite(sys)
+            gram = _gramian_infinite_doubling(sys)
         else:
             gram = gramian_block_exponential(sys, t)
         sys._gramians[key] = gram

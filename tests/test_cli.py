@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import jsonschema
+import numpy as np
 import pytest
 
 import minenergy.cli as cli
@@ -68,6 +70,55 @@ def test_scenario_schema_rejects_unknown_task(tmp_path):
     p = run_cli(["run", path])
     assert p.returncode == 2
     assert "tasks" in p.stderr
+
+
+def _schema_message(scenario):
+    """The message of the first error plain jsonschema finds, as the CLI words it."""
+    validator = jsonschema.Draft202012Validator(cli._SCENARIO_SCHEMA)
+    errors = sorted(validator.iter_errors(scenario), key=lambda e: list(e.absolute_path))
+    if not errors:
+        return None
+    path = ".".join(str(p) for p in errors[0].absolute_path) or "(root)"
+    return f"scenario field '{path}': {errors[0].message}"
+
+
+def test_scenario_validation_matches_plain_jsonschema():
+    # valid matrices reach jsonschema as small stand-ins; no error may change
+    big = [[0.5 * i - j for j in range(6)] for i in range(6)]
+    base = {"model": {"A": big, "B": big}, "tasks": ["gramian"], "K": big, "projector": big,
+            "targets": big}
+    variants = [
+        {},
+        {"model": {"A": big, "B": big, "C": 1}},
+        {"model": {"A": big, "B": [[1.0, True]]}},
+        {"system": {"A": big, "B": [[]]}},
+        {"K": big + [[1.0, "x"]]},
+        {"projector": []},
+        {"targets": [[1.0], [], [2.0]]},
+        {"K": big, "tasks": ["frobnicate"]},
+        {"horizons": [0.0], "targets": big},
+    ]
+    for change in variants:
+        scenario = dict(base, **change)
+        expected = _schema_message(scenario)
+        if expected is None:
+            cli._validate_scenario(scenario)
+        else:
+            with pytest.raises(cli.ScenarioError) as err:
+                cli._validate_scenario(scenario)
+            assert str(err.value) == expected
+
+
+def test_csv_cells_match_per_cell_formatting():
+    rows = [[0.1, 3, "plain", np.float64(1 / 3), np.int64(7), True, None],
+            [float("inf"), -0, "x", np.float32(0.1), np.int32(-2), False, float("nan")],
+            [2.5, 1.0, "y", 1e-300, 4, np.bool_(True), "z"]]
+
+    def cell(x):
+        return "%.17g" % float(x) if isinstance(x, (float, np.floating)) else str(x)
+
+    expected = "\n".join(["a,b,c,d,e,f,g"] + [",".join(cell(x) for x in row) for row in rows])
+    assert cli._csv_text(list("abcdefg"), rows) == expected + "\n"
 
 
 def test_singular_key_aliases(tmp_path):
@@ -323,7 +374,7 @@ def test_gramian_route_labels(tmp_path):
     res = read_report(out)["tasks"][0]["results"]
     assert [(r["method"], r["formula"]) for r in res] == [
         ("block_exponential", "gramian-block-exponential"),
-        ("bartels_stewart", "gramian-infinite-lyapunov"),
+        ("smith_doubling", "gramian-infinite-lyapunov"),
     ]
     # a commuting system takes the closed form at every horizon, inf included
     out = str(tmp_path / "out_commuting")
@@ -499,11 +550,26 @@ def test_delay_overflow_reports_typed_error(tmp_path):
         assert rep["tasks"][0]["error"].startswith("NonFiniteError:")
 
 
-def test_importing_the_cli_leaves_scipy_optimize_out():
-    code = "import sys, minenergy.cli; print('scipy.optimize' in sys.modules)"
-    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def test_importing_the_cli_leaves_scipy_optimize_out(tmp_path):
+    # no scipy module at all, neither after the import nor after running the
+    # benchmark and dense3 golden scenarios: otherwise the import cost would
+    # only move from set-up into the run
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    scenarios = [os.path.join(root, "scenarios", "benchmark.json"),
+                 os.path.join(root, "tests", "golden", "dense3", "scenario.json")]
+    code = (
+        "import sys, minenergy.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        "for i, path in enumerate(sys.argv[2:]):\n"
+        "    assert cli.main(['run', path, '--out', sys.argv[1] + str(i)]) == 0\n"
+        "print(scipy_modules())\n"
+    )
+    p = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")] + scenarios,
+                       capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.strip() == "False"
+    assert p.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_models_without_q_inf_refuse_infinite_horizon(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import minenergy as me
-from conftest import SCALAR_Q1, SCALAR_QINF
+from conftest import SCALAR_Q1, SCALAR_QINF, stiff_non_normal_system
 
 ROUTES = {
     "quadrature": me.gramian_quadrature,
@@ -84,6 +84,33 @@ def test_infinite_gramian_residual(rng):
         assert np.linalg.norm(resid, 2) < 1e-10 * np.linalg.norm(C, 2)
 
 
+INFINITE_SYSTEMS = {
+    f"n{n}-margin{margin:g}": (lambda n=n, margin=margin: me.random_stable_system(
+        np.random.default_rng(n), n, margin=margin))
+    for n in (16, 64) for margin in (1e-2, 1e-4)
+}
+INFINITE_SYSTEMS["stiff-non-normal-8"] = stiff_non_normal_system
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_SYSTEMS))
+def test_infinite_gramian_engine_matches_bartels_stewart(name):
+    sys = INFINITE_SYSTEMS[name]()
+    g = me.compute_gramian(sys, np.inf)
+    assert g.method == "smith_doubling"
+    assert g.horizon == np.inf
+    assert _rel(g.Q.matrix, me.gramian_infinite(sys).Q.matrix) <= 1e-11
+
+
+def test_infinite_gramian_doubling_cap():
+    # decay rates of 1e-20 and 2e-20 beside a unit coupling: ||e^{sA}||_1
+    # still grows like s after every doubling the cap allows, so the engine
+    # gives up instead of returning a partial sum
+    sys = me.LinearSystem([[-1e-20, 0.0], [1.0, -2e-20]], [[1.0], [0.0]])
+    assert sys.stable
+    with pytest.raises(me.StiffnessError, match="doublings"):
+        me.compute_gramian(sys, np.inf)
+
+
 @pytest.mark.parametrize("omega", [1e-3, 1e-5])
 def test_block_exponential_rotation_without_cancellation(omega):
     # Q_inf - e^{tA} Q_inf e^{tA^T} cancels for a weakly damped rotation at
@@ -103,6 +130,17 @@ def test_block_exponential_stiff_stable_matches_infinite():
     q_t = me.compute_gramian(sys, 2.0).Q.matrix
     assert np.all(np.isfinite(q_t))
     assert _rel(q_t, me.gramian_infinite(sys).Q.matrix) <= 1e-12
+
+
+@pytest.mark.parametrize("gain", [1e4, 1e8])
+def test_block_exponential_scales_with_input_gain(gain):
+    # Q_t is linear in BB^T; a large B must not overscale the exponential of
+    # the A blocks, which would cost digits in e^{tA} and so in Q_t
+    base = me.random_stable_system(np.random.default_rng(1), 6)
+    loud = me.LinearSystem(base.A, gain * base.B)
+    for t in (0.5, 2.0):
+        expected = gain ** 2 * me.compute_gramian(base, t).Q.matrix
+        assert _rel(me.compute_gramian(loud, t).Q.matrix, expected) <= 1e-14
 
 
 def test_overflowing_gramian_is_typed_error():
@@ -236,8 +274,8 @@ def test_cache_solves_infinite_gramian_once(coupled_sys, monkeypatch):
     from minenergy import gramians
 
     calls = []
-    solve = gramians.scipy.linalg.solve_continuous_lyapunov
-    monkeypatch.setattr(gramians.scipy.linalg, "solve_continuous_lyapunov",
+    solve = gramians._gramian_infinite_doubling
+    monkeypatch.setattr(gramians, "_gramian_infinite_doubling",
                         lambda *a: calls.append(1) or solve(*a))
     for t in (0.5, 1.0, 2.0, np.inf, 4.0):
         me.compute_gramian(coupled_sys, t)

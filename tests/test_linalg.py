@@ -1,8 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import minenergy as me
+from conftest import stiff_non_normal_system
 from minenergy.linalg import as_matrix
 
 
@@ -20,6 +23,68 @@ def test_expm_rotation_closed_form():
 def test_expm_nilpotent():
     N = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert_allclose(me.expm(N, 3.0), [[1.0, 3.0], [0.0, 1.0]], atol=1e-14)
+
+
+def _expm_40_digits(X):
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(X.tolist())).tolist(), dtype=float)
+
+
+def _rel_1(E, ref):
+    return np.linalg.norm(E - ref, 1) / np.linalg.norm(ref, 1)
+
+
+# each Pade degree's theta (3, 5, 7, 9 and 13), from 10% below to 10% above,
+# then norms that take 2 and 4 squarings
+PADE_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+               2.097847961257068, 5.371920351148152)
+EXPM_NORMS = [f * theta for theta in PADE_THETAS for f in (0.9, 1.1)] + [20.0, 50.0]
+
+
+@pytest.mark.parametrize("n", [2, 6, 16, 48, 64])
+def test_expm_matches_scipy_across_pade_degrees(n):
+    # scipy is the oracle; where the two differ by more than 1e-13, the
+    # 40-digit exponential decides: ours must be within 1e-13 of it and
+    # closer than scipy (whose 2 x 2 closed form misses it by up to 8e-13 here)
+    rng = np.random.default_rng(n)
+    t = 0.5
+    for norm in EXPM_NORMS:
+        A = rng.standard_normal((n, n))
+        A *= norm / (t * np.abs(A).sum(axis=0).max())
+        E = me.expm(A, t)
+        ref = scipy.linalg.expm(t * A)
+        if _rel_1(E, ref) > 1e-13:
+            exact = _expm_40_digits(t * A)
+            assert _rel_1(E, exact) <= min(1e-13, _rel_1(ref, exact)), (n, norm)
+
+
+def test_expm_stiff_non_normal_within_its_conditioning():
+    # the relative condition number of e^{tA} is at least ||tA||; the error
+    # against a 40-digit exponential stays within it from ||tA||_1 = 1 to 2e4
+    A = stiff_non_normal_system().A
+    eps = np.finfo(float).eps
+    for t in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 2.0):
+        X = t * A
+        bound = eps * max(4.0, np.abs(X).sum(axis=0).max())
+        assert _rel_1(me.expm(A, t), _expm_40_digits(X)) <= bound, t
+
+
+def test_expm_negative_time(rng):
+    for n in (3, 8):
+        A = rng.standard_normal((n, n))
+        for t in (0.3, 2.0, 9.0):
+            back, fwd = me.expm(A, -t), me.expm(A, t)
+            assert _rel_1(back, _expm_40_digits(-t * A)) <= 1e-14
+            resid = np.linalg.norm(back @ fwd - np.eye(n), 1)
+            assert resid <= 1e-14 * np.linalg.norm(back, 1) * np.linalg.norm(fwd, 1)
+
+
+def test_expm_refuses_scaling_beyond_double_precision():
+    # ||tA||_1 = 2.5e299 would take 993 squarings; the true (0, 0) entry is
+    # 1, where a plain scaling and squaring returns 0.  No finite matrix may
+    # come back
+    with pytest.raises(me.NonFiniteError, match=r"e\^\(tA\) leaves double precision"):
+        me.expm([[0.0, 0.0], [1.0, -1e300]], 0.25)
 
 
 def test_pinv_penrose_identities(rng):
