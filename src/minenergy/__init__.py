@@ -5,7 +5,10 @@ controls and their value function, the weighted state space induced by the
 infinite-horizon Gramian, and the quadratic (Riccati-type) differential
 identities satisfied by Gramian ratios — together with a zoo of benchmark
 models (diagonal/spectral, scalar delay, nilpotent shift) on which all of
-it can be cross-validated.
+it can be cross-validated.  Independent Gramian oracles stand beside the
+engine; the quadrature one, ``gramian_quadrature_sweep``, serves many
+horizons with one graded sweep, since Q_t is a prefix of the integral for
+any longer horizon.
 """
 
 from .errors import (
@@ -45,6 +48,7 @@ from .gramians import (
     gramian_infinite,
     gramian_lyapunov_ode,
     gramian_quadrature,
+    gramian_quadrature_sweep,
     kernel_chain_check,
     range_equality_check,
 )

@@ -30,7 +30,7 @@ from .energy import (
     value_function,
 )
 from .errors import MinEnergyError, NonFiniteError, ScenarioError
-from .gramians import compute_gramian, gramian_quadrature
+from .gramians import compute_gramian, gramian_quadrature_sweep
 from .linalg import REL_THRESHOLD, SymmetricPSD, expm
 from .models import (
     DelaySystem,
@@ -253,9 +253,10 @@ class _LinearKind:
     ``null_controllability(t)`` return report entries; ``steer(t, x)`` gives
     the class, defect and value of steering to x, and ``samples(t, x, grid)``
     the least-norm control with the states it passes through (``None`` when
-    the model has no samples, or no states).  ``value_oracle(t)`` maps a
-    target to its value computed apart from ``steer`` (``None`` when the
-    model has no such oracle, and the value sweep writes nan beside it).
+    the model has no samples, or no states).  ``value_oracles(times)``
+    gives, per horizon, a map from a target to its value computed apart from
+    ``steer`` (``None`` when the model has no such oracle, and the value
+    sweep writes nan beside it).
     ``gramian(t)`` calls the model's Gramian route; the matrix and delay
     routes memoise each horizon on the model, so every task of a run shares
     one Gramian per horizon.
@@ -304,12 +305,12 @@ class _LinearKind:
     def default_targets(self):
         return []
 
-    def value_oracle(self, t):
-        """The value on the quadrature Gramian."""
+    def value_oracles(self, times):
+        """The value on the quadrature Gramians, all from one sweep."""
         if self.linear is None:
-            return None
-        gram = gramian_quadrature(self.linear, t)
-        return lambda x: value_function(gram, x)
+            return [None] * len(times)
+        grams = gramian_quadrature_sweep(self.linear, times)
+        return [functools.partial(value_function, gram) for gram in grams]
 
     def steer(self, t, x):
         """Class, defect and value of steering from 0 to x over t."""
@@ -432,13 +433,17 @@ class _ShiftKind(_LinearKind):
     def default_targets(self):
         return [shift_benchmark_target(self.model.m)]
 
-    def value_oracle(self, t):
+    def value_oracles(self, times):
         """½ h f̂ᵀ (L Lᵀ)⁺ f̂ with f̂ = √h x, through the Gramian L Lᵀ rather
         than the singular vectors of L that ``steer`` uses."""
-        L = shift_control_map(self.model, t)
-        P = SymmetricPSD(L @ L.T).pinv()
         h = self.model.h
-        return lambda x: 0.5 * h * h * float(np.asarray(x, dtype=float) @ P @ x)
+
+        def oracle(t):
+            L = shift_control_map(self.model, t)
+            P = SymmetricPSD(L @ L.T).pinv()
+            return lambda x: 0.5 * h * h * float(np.asarray(x, dtype=float) @ P @ x)
+
+        return [oracle(t) for t in times]
 
     def steer(self, t, x):
         rep = shift_reachable_defect(self.model, t, target=x)
@@ -754,8 +759,8 @@ def _task_null_controllability(run):
 def _value_sweep_rows(run):
     run.need("targets", run.targets, "sweep")
     rows = []
-    for t in run.finite_horizons():
-        oracle = run.kind.value_oracle(t)
+    times = run.finite_horizons()
+    for t, oracle in zip(times, run.kind.value_oracles(times)):
         for xi, x in enumerate(run.targets):
             v = run.kind.steer(t, x)["value"]
             v_o = math.nan if v is None or oracle is None else oracle(x)
@@ -915,20 +920,27 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """The argument parser; only ``command``'s subparser when it names one,
+    since building all ten costs milliseconds a run has no use for, and
+    every subparser otherwise (for ``--help``, no command or a wrong one)."""
     parser = argparse.ArgumentParser(
         prog="minenergy",
         description="Minimum-energy steering: Gramians, optimal controls, and "
         "verification of the quadratic differential identities they satisfy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    known = command == "run" or command in _SUBCOMMANDS
 
-    p = sub.add_parser("run", help="execute a JSON scenario file")
-    p.add_argument("scenario", help="path to the scenario JSON")
-    p.add_argument("--out", default=None, help="override the scenario output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    if not known or command == "run":
+        p = sub.add_parser("run", help="execute a JSON scenario file")
+        p.add_argument("scenario", help="path to the scenario JSON")
+        p.add_argument("--out", default=None, help="override the scenario output directory")
+        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
     for name, (help_text, options) in _SUBCOMMANDS.items():
+        if known and name != command:
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=0, help="seed for random probes")
@@ -941,8 +953,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "run":
             with open(args.scenario) as f:

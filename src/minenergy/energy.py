@@ -9,13 +9,14 @@ dynamics.
 """
 
 import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, NotInSpaceError, ReachabilityError
 from .gramians import _van_loan_step, compute_gramian
-from .linalg import REL_THRESHOLD, expm, pinv, range_inclusion
+from .linalg import REL_THRESHOLD, _gaussian_combination, expm, pinv, range_inclusion
 
 __all__ = [
     "ControlSignal",
@@ -398,14 +399,14 @@ class HGeometry:
         """Adjoint of M in this geometry: Q_inf M^T Q_inf^+ (acting on the space)."""
         return self.Q_inf @ np.asarray(M, dtype=float).T @ self.gram.Q.pinv()
 
-    def symmetry_defect(self, M, rng=None, n_probes=8):
-        """Max |<Mx,y>_H - <x,My>_H| over probe pairs, scaled by probe norms."""
-        rng = np.random.default_rng(0) if rng is None else rng
+    def symmetry_defect(self, M, seed=0, n_probes=8):
+        """Max |<Mx,y>_H - <x,My>_H| over seeded probe pairs, scaled by probe norms."""
+        rng = random.Random(seed)
         U = self.gram.Q.range_basis()
         worst = 0.0
         for _ in range(n_probes):
-            x = U @ rng.standard_normal(U.shape[1])
-            y = U @ rng.standard_normal(U.shape[1])
+            x = _gaussian_combination(U, rng)
+            y = _gaussian_combination(U, rng)
             x = self.normalize(x)
             y = self.normalize(y)
             worst = max(worst, abs(self.inner(M @ x, y) - self.inner(x, M @ y)))

@@ -23,14 +23,19 @@ they are only ever called by name and compute afresh on every call:
 
 * ``gramian_infinite``     -- Bartels-Stewart on the algebraic Lyapunov
   equation (scipy, imported on the first call)
-* ``gramian_quadrature``   -- composite Gauss-Legendre on the defining integral,
-  one exponential per node, on panels graded toward r = 0 (the first no
-  wider than 1 / ||A||_1) and bisected locally until the panels' estimated
-  errors add up to at most ``rtol`` times the largest entry (R. Piessens et
-  al., QUADPACK, 1983)
+* ``gramian_quadrature_sweep`` -- composite Gauss-Legendre on the defining
+  integral, one exponential per node, on panels graded toward r = 0 (the
+  first no wider than 1 / ||A||_1) and bisected locally until, for every
+  horizon asked for, the estimated errors of the panels inside it add up to
+  at most ``rtol`` times its largest entry (R. Piessens et al., QUADPACK,
+  1983); one sweep to the longest horizon serves the shorter ones, whose
+  Gramians are prefixes of its integral, and ``gramian_quadrature`` is the
+  sweep at one horizon
 * ``gramian_lyapunov_ode`` -- RK4 on the differential Lyapunov equation
 """
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +47,7 @@ from .linalg import REL_THRESHOLD, SymmetricPSD, expm, range_inclusion
 __all__ = [
     "Gramian",
     "gramian_quadrature",
+    "gramian_quadrature_sweep",
     "gramian_lyapunov_ode",
     "gramian_infinite",
     "gramian_commuting_closed_form",
@@ -111,62 +117,94 @@ def _gauss_panel(sys, a, b, nodes, weights):
     return Q
 
 
-def gramian_quadrature(sys, t, n_nodes=8, rtol=1e-10, max_panels=2 ** 14):
-    """Finite-horizon Gramian by graded, locally refined composite
-    Gauss-Legendre quadrature.
+def gramian_quadrature_sweep(sys, times, n_nodes=8, rtol=1e-10, max_panels=2 ** 14):
+    """Finite-horizon Gramians at every horizon of ``times`` by one graded,
+    locally refined composite Gauss-Legendre sweep over [0, max(times)].
 
-    The starting panels have edges 0, t 2^-k, ..., t/2, t, with k the
-    halvings that bring ||A||_1 t within 1, so the panel next to r = 0, where
-    a stiff stable mode's integrand decays, is no wider than 1 / ||A||_1.
-    Each live panel's ``n_nodes``-point estimate is compared with the sum of
-    its two halves; a panel whose disagreement exceeds its length share,
-    ``rtol * max|Q| * (b - a) / t``, is bisected, and the others are folded
-    into a running sum.  The result is the sum of the halves, returned once
-    the disagreements of all panels together are at most ``rtol * max|Q|``:
-    ``rtol`` bounds the estimated entrywise error relative to the largest
-    entry.  Raises StiffnessError once more than ``max_panels`` panels exist.
+    Q_t is a prefix of the integral for any longer horizon, so one set of
+    panels serves them all.  The starting panels have edges 0, T 2^-k, ...,
+    T/2, T, with T the largest horizon and k the halvings that bring
+    ||A||_1 T within 1, so the panel next to r = 0, where a stiff stable
+    mode's integrand decays, is no wider than 1 / ||A||_1; every horizon is
+    an edge as well.  Each live panel's ``n_nodes``-point estimate is
+    compared with the sum of its two halves; a panel [a, b] whose
+    disagreement exceeds its length share of every horizon t >= b,
+    ``rtol * max|Q_t| * (b - a) / t``, is bisected, and the others are
+    folded into a running sum per stretch between consecutive horizons.
+    The results, sums of the halves, are returned once for every horizon t
+    the disagreements of the panels inside [0, t] add up to at most
+    ``rtol * max|Q_t|``: ``rtol`` bounds each Q_t's estimated entrywise
+    error relative to its largest entry.  Raises StiffnessError once more
+    than ``max_panels`` panels exist.
 
     Parameters
     ----------
     sys : LinearSystem
-    t : float
-        Horizon, finite and positive.
+    times : iterable of float
+        Horizons, finite and positive, in any order and with repeats.
     n_nodes : int
         Gauss-Legendre nodes per panel (>= 2).
+
+    Returns
+    -------
+    list of Gramian, one per entry of ``times``, in its order.
     """
-    t = _finite_horizon(t)
+    times = [_finite_horizon(t) for t in times]
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be at least 2, got {n_nodes}")
+    if not times:
+        return []
     rule = np.polynomial.legendre.leggauss(n_nodes)
-    edges = [0.0] + [t / 2.0 ** j for j in range(_halvings(sys.A, t), -1, -1)]
-    live = [(a, b, _gauss_panel(sys, a, b, *rule)) for a, b in zip(edges[:-1], edges[1:])]
+    hs = sorted(set(times))
+    T = hs[-1]
+    edges = sorted({0.0, *hs, *(T / 2.0 ** j for j in range(_halvings(sys.A, T) + 1))})
+    # a live panel carries the index of the stretch (hs[s - 1], hs[s]] it lies in
+    live = [(a, b, bisect.bisect_left(hs, b), _gauss_panel(sys, a, b, *rule))
+            for a, b in zip(edges[:-1], edges[1:])]
     n_panels = len(live)
-    done = np.zeros((sys.n, sys.n))
-    done_err = 0.0
+    done = [np.zeros((sys.n, sys.n)) for _ in hs]
+    done_err = [0.0] * len(hs)
     while live:
         if n_panels > max_panels:
             raise StiffnessError(
                 f"quadrature did not converge to rtol={rtol:g} within {max_panels} panels "
-                f"(horizon {t:g}, ||A|| ~ {np.abs(sys.A).max():.3g})"
+                f"(horizon {T:g}, ||A|| ~ {np.abs(sys.A).max():.3g})"
             )
         split = []
-        for a, b, coarse in live:
+        fresh, fresh_err = [0.0] * len(hs), [0.0] * len(hs)
+        for a, b, s, coarse in live:
             m = 0.5 * (a + b)
             left, right = _gauss_panel(sys, a, m, *rule), _gauss_panel(sys, m, b, *rule)
-            split.append((a, m, b, left, right, np.abs(left + right - coarse).max()))
-        Q = done + sum(left + right for _, _, _, left, right, _ in split)
-        tol = rtol * max(np.abs(Q).max(), np.finfo(float).tiny)
-        if done_err + sum(err for *_, err in split) <= tol:
-            return _wrap(sys, Q, t, "quadrature")
+            err = np.abs(left + right - coarse).max()
+            split.append((a, m, b, s, left, right, err))
+            fresh[s] = fresh[s] + (left + right)
+            fresh_err[s] += err
+        Qs = list(itertools.accumulate(d + f for d, f in zip(done, fresh)))
+        errs = itertools.accumulate(d + f for d, f in zip(done_err, fresh_err))
+        tols = [rtol * max(np.abs(Q).max(), np.finfo(float).tiny) for Q in Qs]
+        if all(err <= tol for err, tol in zip(errs, tols)):
+            return _sweep_result(sys, times, hs, Qs)
         live = []
-        for a, m, b, left, right, err in split:
-            if err <= tol * (b - a) / t:
-                done += left + right
-                done_err += err
+        for a, m, b, s, left, right, err in split:
+            if err <= min(tol * (b - a) / t for tol, t in zip(tols[s:], hs[s:])):
+                done[s] += left + right
+                done_err[s] += err
             else:
-                live += [(a, m, left), (m, b, right)]
+                live += [(a, m, s, left), (m, b, s, right)]
                 n_panels += 1
-    return _wrap(sys, done, t, "quadrature")
+    return _sweep_result(sys, times, hs, list(itertools.accumulate(done)))
+
+
+def _sweep_result(sys, times, hs, Qs):
+    grams = {t: _wrap(sys, Q, t, "quadrature") for t, Q in zip(hs, Qs)}
+    return [grams[t] for t in times]
+
+
+def gramian_quadrature(sys, t, n_nodes=8, rtol=1e-10, max_panels=2 ** 14):
+    """Finite-horizon Gramian by graded, locally refined composite
+    Gauss-Legendre quadrature: ``gramian_quadrature_sweep`` at the one
+    horizon t."""
+    return gramian_quadrature_sweep(sys, (t,), n_nodes, rtol, max_panels)[0]
 
 
 def _rk4_lyapunov(sys, t, n_steps):

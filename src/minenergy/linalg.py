@@ -374,3 +374,10 @@ def negative_type_bound(A, omega=None, t_max=1.0, n_samples=201):
     ts = np.linspace(0.0, t_max, n_samples)
     M = max(np.linalg.norm(expm(A, t), 2) * np.exp(omega * t) for t in ts)
     return float(M), float(omega)
+
+
+def _gaussian_combination(U, rng):
+    """U g with g a vector of independent standard normal draws from ``rng``,
+    a ``random.Random``: the stdlib generator keeps ``numpy.random`` (some
+    milliseconds to import) out of a run."""
+    return U @ np.array([rng.gauss(0.0, 1.0) for _ in range(U.shape[1])])

@@ -18,12 +18,13 @@ projection remain solutions.
 from dataclasses import dataclass, replace
 
 import math
+import random
 
 import numpy as np
 
 from .errors import MarginError, PreconditionError, UnstableSystemError
 from .gramians import compute_gramian
-from .linalg import commutes, expm
+from .linalg import _gaussian_combination, commutes, expm
 from .energy import HGeometry, null_controllability_test
 
 __all__ = [
@@ -137,14 +138,14 @@ def residual_probes(cand, t, n_random=10, seed=0, weighted=True):
     vectors inside it; normalized in the weighted norm when ``weighted``,
     in the Euclidean norm otherwise.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     gram_t = compute_gramian(cand.sys, t)
     U = gram_t.Q.range_basis()
     if U.shape[1] == 0:
         raise PreconditionError(f"range(Q_t) is trivial at t = {t:g}: there is nothing to probe")
     cols = [U[:, j] for j in range(U.shape[1])]
     for _ in range(n_random):
-        cols.append(U @ rng.standard_normal(U.shape[1]))
+        cols.append(_gaussian_combination(U, rng))
     probes = []
     for v in cols:
         if weighted:
@@ -624,7 +625,7 @@ def projected_solution_check(sys, cand, P, times, tol=1e-6, range_tol=1e-8, seed
         sys, geometry, lambda t: P @ cand.evaluate(t) @ P, kind="compressed"
     )
     # probes restricted to ran(P) (and to the weighted space)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     U = geometry.gram.Q.range_basis()
     cols = []
     for j in range(U.shape[1]):
@@ -632,7 +633,7 @@ def projected_solution_check(sys, cand, P, times, tol=1e-6, range_tol=1e-8, seed
         if np.linalg.norm(v) > 1e-12:
             cols.append(geometry.normalize(v))
     for _ in range(10):
-        v = P @ (U @ rng.standard_normal(U.shape[1]))
+        v = P @ _gaussian_combination(U, rng)
         if np.linalg.norm(v) > 1e-12:
             cols.append(geometry.normalize(v))
     if not cols:

@@ -357,6 +357,25 @@ def test_seed_override_changes_nothing_structural(tmp_path):
     assert rep["tasks"][0]["results"][0]["passed"] is True
 
 
+def test_help_lists_every_subcommand():
+    p = run_cli(["--help"])
+    assert p.returncode == 0
+    for name in ["run", *cli._SUBCOMMANDS]:
+        assert name in p.stdout
+    assert len(cli._SUBCOMMANDS) == 9
+
+
+@pytest.mark.parametrize("args", [["run", "scenario.json", "--bogus"],
+                                  ["gramian", "--horizons", "1", "--bogus"],
+                                  ["sweep", "--kind", "bogus"]])
+def test_bad_flag_is_a_usage_error(args, capsys):
+    # the parser holds only the named subcommand, and still refuses its bad flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+
+
 def test_missing_scenario_file_is_usage_error():
     p = run_cli(["run", "/nonexistent/scenario.json"])
     assert p.returncode == 2
@@ -551,20 +570,22 @@ def test_delay_overflow_reports_typed_error(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out(tmp_path):
-    # no scipy module at all, neither after the import nor after running the
-    # benchmark and dense3 golden scenarios: otherwise the import cost would
-    # only move from set-up into the run
+    # no scipy module at all and no numpy.random, neither after the import
+    # nor after running the benchmark and dense3 golden scenarios (whose
+    # Riccati checks draw seeded probes): otherwise the import cost would only
+    # move from set-up into the run
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     scenarios = [os.path.join(root, "scenarios", "benchmark.json"),
                  os.path.join(root, "tests", "golden", "dense3", "scenario.json")]
     code = (
         "import sys, minenergy.cli as cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy_modules())\n"
+        "def heavy_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+        "print(heavy_modules())\n"
         "for i, path in enumerate(sys.argv[2:]):\n"
         "    assert cli.main(['run', path, '--out', sys.argv[1] + str(i)]) == 0\n"
-        "print(scipy_modules())\n"
+        "print(heavy_modules())\n"
     )
     p = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")] + scenarios,
                        capture_output=True, text=True)
@@ -609,6 +630,23 @@ def test_run_computes_each_dense_gramian_once(tmp_path, monkeypatch):
     assert cli.run_scenario(scenario, str(tmp_path)) == 0
     assert {0.5, 1.0} <= set(times)
     assert len(times) == len(set(times))
+
+
+def test_value_sweep_makes_one_quadrature_sweep(tmp_path, monkeypatch):
+    # Q_t of a shorter horizon is a prefix of the integral for a longer one:
+    # the oracle covers every horizon of the run in one sweep
+    calls = []
+    sweep = cli.gramian_quadrature_sweep
+    monkeypatch.setattr(cli, "gramian_quadrature_sweep",
+                        lambda sys_, times: calls.append(list(times)) or sweep(sys_, times))
+    scenario = {"model": COUPLED_MODEL, "horizons": [0.5, 1.0, 2.0, "inf"],
+                "targets": [[1.0, 0.0]], "sweep_kinds": ["value"], "tasks": ["sweep"]}
+    assert cli.run_scenario(scenario, str(tmp_path)) == 0
+    assert calls == [[0.5, 1.0, 2.0]]
+    lines = open(os.path.join(tmp_path, "value_sweep.csv")).read().strip().splitlines()
+    for line in lines[1:]:
+        value, oracle = map(float, line.split(",")[2:4])
+        assert oracle == pytest.approx(value, rel=1e-9)
 
 
 def test_run_tests_null_controllability_once_per_range_of_times(tmp_path, monkeypatch):

@@ -235,6 +235,56 @@ def test_quadrature_gives_up_past_max_panels(coupled_sys):
         me.gramian_quadrature(coupled_sys, 1.5, n_nodes=2, rtol=1e-15, max_panels=8)
 
 
+SWEEP_SYSTEMS = {
+    "dense": lambda: me.random_stable_system(np.random.default_rng(1), 6),
+    "unstable": lambda: me.random_stable_system(np.random.default_rng(2), 6, margin=-0.5),
+    "stiff": lambda: me.parse_model("spectral:landau-ginzburg(24)").to_linear_system(),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_SYSTEMS))
+def test_quadrature_sweep_matches_each_horizon_alone(name):
+    # Q_t is a prefix of the integral for every longer horizon: one sweep
+    # holds each horizon to the bound its own quadrature meets
+    sys = SWEEP_SYSTEMS[name]()
+    times = [0.25, 0.5, 1.0, 2.0]
+    for t, g in zip(times, me.gramian_quadrature_sweep(sys, times)):
+        ref = me.gramian_quadrature(sys, t).Q.matrix
+        assert (g.horizon, g.method) == (t, "quadrature")
+        assert np.abs(g.Q.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_quadrature_sweep_keeps_input_order(coupled_sys):
+    times = [4.0, 0.3, 1.7, 0.3]
+    grams = me.gramian_quadrature_sweep(coupled_sys, times)
+    assert [g.horizon for g in grams] == times
+    for t, g in zip(times, grams):
+        ref = me.compute_gramian(coupled_sys, t).Q.matrix
+        assert np.abs(g.Q.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert me.gramian_quadrature_sweep(coupled_sys, []) == []
+
+
+def test_quadrature_sweep_costs_its_longest_horizon(monkeypatch):
+    # the shorter horizons are edges of the longest one's graded panels
+    from minenergy import gramians
+
+    calls = []
+    expm = gramians.expm
+    monkeypatch.setattr(gramians, "expm", lambda A, t: calls.append(t) or expm(A, t))
+    sys = me.parse_model("spectral:landau-ginzburg(24)").to_linear_system()
+    me.gramian_quadrature(sys, 2.0)
+    alone = len(calls)
+    calls.clear()
+    me.gramian_quadrature_sweep(sys, [0.25, 0.5, 1.0, 2.0])
+    assert len(calls) <= alone
+
+
+def test_quadrature_sweep_gives_up_past_max_panels(coupled_sys):
+    with pytest.raises(me.StiffnessError):
+        me.gramian_quadrature_sweep(coupled_sys, [0.5, 1.5], n_nodes=2, rtol=1e-15,
+                                    max_panels=8)
+
+
 def test_kernel_chain_rank_deficient():
     # B touches only the first coordinate and A is diagonal: the second
     # coordinate is never reachable, at any horizon
