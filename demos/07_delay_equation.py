@@ -15,6 +15,7 @@ from minenergy.models import (
     delay_fundamental_solution,
     delay_gramian,
     delay_null_controllability,
+    delay_optimal_control,
     delay_semigroup_matrix,
 )
 
@@ -36,6 +37,12 @@ print(f"symmetry defect {np.abs(gram.Q.matrix - gram.Q.matrix.T).max():.1e}")
 res = delay_domain_residual(sys_, 1.5)
 print(f"compatibility residual of the Gramian columns (head vs profile end): "
       f"{res:.3e} — shrinks with the mesh")
+
+x = np.r_[1.0, np.zeros(sys_.mesh)]  # head 1 over a zero history
+print(f"\nsteering to head 1 over a zero history: value V = {me.value_function(gram, x):.6f}")
+for grid in (129, 1025):
+    u = delay_optimal_control(sys_, gram, x, grid=grid)
+    print(f"  integrated energy of the least-norm control on {grid} nodes: {u.energy():.6f}")
 
 S = delay_semigroup_matrix(sys_, 1.25)
 print(f"\nsemigroup matrix at T0 = 1.25: shape {S.shape}, "

@@ -14,6 +14,7 @@ from minenergy.models import (
     shift_benchmark_target,
     shift_control_map,
     shift_reachable_defect,
+    shift_value_oracle,
 )
 
 print("defect of the ramp target vs lattice resolution:")
@@ -32,6 +33,12 @@ L = shift_control_map(sh, 0.25)
 rank = np.linalg.matrix_rank(L, tol=1e-10)
 print(f"\ncontrol map at t = 1/4: shape {L.shape}, rank {rank} "
       f"of {sh.m} cells — the reachable set is a proper subspace")
+
+small, ramp = me.ShiftSystem(16), shift_benchmark_target(16)
+rep = shift_reachable_defect(small, 1.0, ramp)
+oracle = shift_value_oracle(small, 1.0)(ramp)
+print(f"\nramp on 16 cells at t = 1: reachable = {rep.reachable}, value = {rep.value:.15f} "
+      f"(Gramian oracle {oracle:.15f})")
 
 rep = shift_reachable_defect(sh, 1.0, lambda x: np.ones_like(x))
 print(f"\nconstant target at t = 1: defect {rep.defect:.2e} (exactly reachable)")

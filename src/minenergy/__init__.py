@@ -104,6 +104,7 @@ from .models import (
     delay_fundamental_solution,
     delay_gramian,
     delay_null_controllability,
+    delay_optimal_control,
     delay_semigroup_matrix,
     landau_ginzburg,
     parse_model,
@@ -111,6 +112,7 @@ from .models import (
     shift_benchmark_target,
     shift_control_map,
     shift_reachable_defect,
+    shift_value_oracle,
     spectral_gramian,
     spectral_null_controllability,
     spectral_space_h_classification,

@@ -22,27 +22,26 @@ import jsonschema
 import numpy as np
 
 from .energy import (
-    ControlSignal,
     classify_target,
     null_controllability_test,
     optimal_control,
     optimal_trajectory,
     value_function,
 )
-from .errors import MinEnergyError, NonFiniteError, ScenarioError
+from .errors import MinEnergyError, ScenarioError
 from .gramians import compute_gramian, gramian_quadrature_sweep
-from .linalg import REL_THRESHOLD, SymmetricPSD, expm
 from .models import (
     DelaySystem,
     ShiftSystem,
     SpectralSystem,
-    delay_fundamental_solution,
     delay_gramian,
     delay_null_controllability,
+    delay_optimal_control,
     parse_model,
     shift_benchmark_target,
     shift_control_map,
     shift_reachable_defect,
+    shift_value_oracle,
     spectral_gramian,
     spectral_null_controllability,
 )
@@ -152,17 +151,6 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def emit_sweep(rows, header):
-    """Render homogeneous sweep rows to CSV text.
-
-    Rows are sorted by their leading columns (time first, then target or
-    probe indices), and floats carry 17 significant digits so a rerun
-    regenerates the file byte for byte.
-    """
-    ordered = sorted(rows, key=lambda r: tuple(r[: len(header) - 1]))
-    return _csv_text(header, ordered)
-
-
 def _json_ready(obj):
     if type(obj) is float and math.isfinite(obj):
         return obj
@@ -172,12 +160,8 @@ def _json_ready(obj):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _json_ready(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):  # a numpy float, int or bool
+        return obj.item()
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
     if isinstance(obj, float) and math.isnan(obj):
@@ -247,6 +231,8 @@ def _range_entry(rep, t):
 class _LinearKind:
     """A plain matrix system, and the interface every model kind offers.
 
+    A kind only formats library results: it echoes the model, labels each
+    formula, refuses what the model lacks and shapes the report entries.
     ``dim`` is the length of a target vector and ``linear`` the matrix
     system behind the model (``None`` when there is none, which the tasks
     built on A and B refuse).  ``gramian_entry(t)`` and
@@ -256,10 +242,8 @@ class _LinearKind:
     the model has no samples, or no states).  ``value_oracles(times)``
     gives, per horizon, a map from a target to its value computed apart from
     ``steer`` (``None`` when the model has no such oracle, and the value
-    sweep writes nan beside it).
-    ``gramian(t)`` calls the model's Gramian route; the matrix and delay
-    routes memoise each horizon on the model, so every task of a run shares
-    one Gramian per horizon.
+    sweep writes nan beside it).  ``gramian(t)`` calls the model's Gramian
+    route, which the matrix and delay models memoise per horizon.
     """
 
     name = "linear"
@@ -391,16 +375,7 @@ class _DelayKind(_LinearKind):
         return _range_entry(delay_null_controllability(self.model, t), t)
 
     def samples(self, t, x, grid):
-        """The least-norm control, rebuilt from its mesh coordinates."""
-        m = self.model
-        z = self.gramian(t).Q.pinv() @ np.asarray(x, dtype=float)
-        fund = delay_fundamental_solution(m, t)
-        rs = np.linspace(-t, 0.0, grid)
-        tau = -rs  # time from the control to the horizon
-        u = tau[:, None] + m.offsets
-        cells = (fund.F(u) - fund.F(u - m.h)) @ z[1:]
-        vals = m.b0 * (fund(tau) * z[0] + cells / math.sqrt(m.h))
-        return ControlSignal(rs, vals[:, None]), None
+        return delay_optimal_control(self.model, self.gramian(t), x, grid=grid), None
 
 
 class _ShiftKind(_LinearKind):
@@ -434,29 +409,15 @@ class _ShiftKind(_LinearKind):
         return [shift_benchmark_target(self.model.m)]
 
     def value_oracles(self, times):
-        """½ h f̂ᵀ (L Lᵀ)⁺ f̂ with f̂ = √h x, through the Gramian L Lᵀ rather
-        than the singular vectors of L that ``steer`` uses."""
-        h = self.model.h
-
-        def oracle(t):
-            L = shift_control_map(self.model, t)
-            P = SymmetricPSD(L @ L.T).pinv()
-            return lambda x: 0.5 * h * h * float(np.asarray(x, dtype=float) @ P @ x)
-
-        return [oracle(t) for t in times]
+        return [shift_value_oracle(self.model, t) for t in times]
 
     def steer(self, t, x):
         rep = shift_reachable_defect(self.model, t, target=x)
-        f_hat = math.sqrt(self.model.h) * np.asarray(x, dtype=float)
-        v = rep.coefficients
-        reachable = rep.defect <= REL_THRESHOLD * max(
-            np.linalg.norm(f_hat), 1e-300
-        )
         return {
             "formula": "shift-reachability-defect",
-            "value": 0.5 * self.model.h * float(v @ v) if reachable else None,
+            "value": rep.value,
             "defect": rep.defect,
-            "class": "in_range_Q" if reachable else "unreachable",
+            "class": "in_range_Q" if rep.reachable else "unreachable",
             "rank": rep.rank,
         }
 
@@ -588,11 +549,8 @@ def _task_min_energy(run):
                     entry["formula"]["trajectory"] = "trajectory-gramian-flow"
                     header += [f"y{j + 1}" for j in range(states.shape[1])]
                     columns.append(states)
-                block = np.hstack(columns)
-                row = ",".join(["%.17g"] * block.shape[1])
                 name = f"timeseries_h{ti}_x{xi}.csv"
-                run.csv_files[name] = "\n".join(
-                    [",".join(header)] + [row % tuple(r) for r in block.tolist()]) + "\n"
+                run.csv_files[name] = _csv_text(header, np.hstack(columns).tolist())
                 entry["timeseries_csv"] = name
             results.append(entry)
     return {"results": results}, None
@@ -696,27 +654,15 @@ def _task_commuting_family(run):
 
 def _task_recover_l(run):
     cand = _commuting_cand(run, "recover-L")
-    if run.t_star is None:
-        raise ScenarioError("task 'recover-L' requires scenario field 't_star'")
-    rep = recover_L(cand.sys, cand, run.t_star)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = expm(cand.sys.A, -rep.t_star)
-        K_round = E @ rep.L @ E
-    if not np.all(np.isfinite(K_round)):
-        raise NonFiniteError(
-            f"round trip e^(-t* A) L e^(-t* A) overflows double precision at t* = {rep.t_star:g}"
-        )
-    roundtrip = float(
-        np.linalg.norm(K_round - run.K, 2) / max(np.linalg.norm(run.K, 2), 1e-300)
-    )
+    rep = recover_L(cand.sys, cand, run.need("t_star", run.t_star, "recover-L"))
     result = {
         "formula": "recover-mixing-operator",
         "t_star": rep.t_star,
         "L": rep.L.tolist(),
         "forward_times": list(rep.times),
         "forward_errors": list(rep.errors),
-        "k_roundtrip_error": roundtrip,
-        "passed": bool(rep.passed and roundtrip <= 1e-6),
+        "k_roundtrip_error": rep.k_roundtrip_error,
+        "passed": bool(rep.passed and rep.k_roundtrip_error <= 1e-6),
     }
     return result, result["passed"]
 
@@ -792,9 +738,10 @@ def _task_sweep(run):
     result = {"kinds": list(run.sweep_kinds)}
     for kind, (rows_of, header) in _SWEEPS.items():
         if kind in run.sweep_kinds:
-            rows = rows_of(run)
+            # sorted by the leading columns: time, then target or probe indices
+            rows = sorted(rows_of(run), key=lambda r: tuple(r[: len(header) - 1]))
             name = f"{kind}_sweep.csv"
-            run.csv_files[name] = emit_sweep(rows, header)
+            run.csv_files[name] = _csv_text(header, rows)
             result[f"{kind}_sweep"] = {"formula": f"{kind}-sweep", "rows": len(rows), "csv": name}
     return result, None
 

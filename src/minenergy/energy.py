@@ -145,6 +145,24 @@ def value_function(gram, x):
     return 0.5 * float(y @ y)
 
 
+def _steering_coefficients(gram, x, grid, what):
+    """z = Q_t^+ x for the optimal ``what`` on ``grid`` nodes: ReachabilityError
+    unless x is in range(Q_t), ValueError for grid < 2 or an infinite horizon."""
+    x = np.asarray(x, dtype=float)
+    if operator.index(grid) < 2:
+        raise ValueError(f"need at least 2 grid nodes, got {grid}")
+    cls = classify_target(gram, x)
+    if cls.category != "in_range_Q":
+        raise ReachabilityError(
+            f"optimal {what} requires a target in range(Q_t); "
+            f"classification was {cls.category!r} with defect {cls.defect:.3e}",
+            defect=cls.defect,
+        )
+    if not np.isfinite(gram.horizon):
+        raise ValueError(f"optimal {what} needs a finite horizon, got {gram.horizon}")
+    return gram.Q.pinv() @ x
+
+
 def _adjoint_flow(sys, gram, x, grid, what):
     """The node grid r_i on [-t, 0], the adjoint samples
     w_i = e^{-r_i A^T} Q_t^+ x, and the one-step pair (e^{hA}, Q_h).
@@ -153,28 +171,16 @@ def _adjoint_flow(sys, gram, x, grid, what):
     backward from w = Q_t^+ x at r = 0 by the exact recurrence
     w_{i-1} = e^{hA^T} w_i: one exponential for the whole grid.
     """
-    x = np.asarray(x, dtype=float)
-    k = operator.index(grid)
-    if k < 2:
-        raise ValueError(f"need at least 2 grid nodes, got {k}")
-    cls = classify_target(gram, x)
-    if cls.category != "in_range_Q":
-        raise ReachabilityError(
-            f"optimal {what} requires a target in range(Q_t); "
-            f"classification was {cls.category!r} with defect {cls.defect:.3e}",
-            defect=cls.defect,
-        )
+    z = _steering_coefficients(gram, x, grid, what)
     t = gram.horizon
-    if not np.isfinite(t):
-        raise ValueError(f"optimal {what} needs a finite horizon, got {t}")
-    E, Qh = _van_loan_step(sys, t / (k - 1))
-    w = np.empty((k, sys.n))
-    w[-1] = gram.Q.pinv() @ x
+    E, Qh = _van_loan_step(sys, t / (grid - 1))
+    w = np.empty((grid, sys.n))
+    w[-1] = z
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(k - 1, 0, -1):
+        for i in range(grid - 1, 0, -1):
             w[i - 1] = w[i] @ E
     _require_finite(w, what, t)
-    return np.linspace(-t, 0.0, k), w, E, Qh
+    return np.linspace(-t, 0.0, grid), w, E, Qh
 
 
 def _require_finite(samples, what, t):

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .gramians import Gramian, _wrap
 from .linalg import REL_THRESHOLD, SymmetricPSD, range_inclusion
-from .energy import NullControllability
+from .energy import ControlSignal, NullControllability, _steering_coefficients
 from .systems import LinearSystem
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "FundamentalSolution",
     "delay_fundamental_solution",
     "delay_gramian",
+    "delay_optimal_control",
     "delay_semigroup_matrix",
     "delay_null_controllability",
     "delay_domain_residual",
@@ -55,6 +56,7 @@ __all__ = [
     "shift_control_map",
     "shift_benchmark_target",
     "shift_reachable_defect",
+    "shift_value_oracle",
     "parse_model",
 ]
 
@@ -530,6 +532,20 @@ def delay_gramian(sys_, t):
     return gram
 
 
+def delay_optimal_control(sys_, gram, x, grid=129):
+    """The least-norm control u(r) = b0 (g(-r) z_0 + sum_j W(c_j - r) z_j /
+    sqrt(h)) on [-t, 0], z = Q_t^+ x: the kernels of ``delay_gramian`` at
+    time -r applied to z.  Same contract as ``energy.optimal_control``."""
+    z = _steering_coefficients(gram, x, grid, "control")
+    t = gram.horizon
+    fund = delay_fundamental_solution(sys_, t)
+    rs = np.linspace(-t, 0.0, grid)
+    u = -rs[:, None] + sys_.offsets
+    cells = (fund.F(u) - fund.F(u - sys_.h)) @ z[1:]
+    vals = sys_.b0 * (fund(-rs) * z[0] + cells / math.sqrt(sys_.h))
+    return ControlSignal(rs, vals[:, None])
+
+
 def delay_semigroup_matrix(sys_, T0):
     """Mesh compression of the uncontrolled flow over time T0.
 
@@ -688,6 +704,8 @@ class ShiftDefectReport:
     horizon: float
     m: int
     rank: int
+    reachable: bool            # defect within REL_THRESHOLD of the target's norm
+    value: float | None        # the energy ½ h ‖v‖² when reachable
     coefficients: np.ndarray = field(repr=False, compare=False)
 
 
@@ -714,14 +732,26 @@ def shift_reachable_defect(sys_, t, target=None):
     keep = s > REL_THRESHOLD * s[0] if s.size else np.zeros(0, dtype=bool)
     Ur = U[:, keep]
     proj = Ur.T @ f_hat
-    resid = f_hat - Ur @ proj
+    defect = float(np.linalg.norm(f_hat - Ur @ proj))
+    v = Vt[keep].T @ (proj / s[keep])
+    reachable = defect <= REL_THRESHOLD * max(np.linalg.norm(f_hat), 1e-300)
     return ShiftDefectReport(
-        defect=float(np.linalg.norm(resid)),
+        defect=defect,
         horizon=float(t),
         m=sys_.m,
         rank=int(np.count_nonzero(keep)),
-        coefficients=Vt[keep].T @ (proj / s[keep]),
+        reachable=bool(reachable),
+        value=0.5 * sys_.h * float(v @ v) if reachable else None,
+        coefficients=v,
     )
+
+
+def shift_value_oracle(sys_, t):
+    """The value x -> ½ h f̂ᵀ (L Lᵀ)⁺ f̂ with f̂ = √h x, through the Gramian
+    L Lᵀ rather than the singular vectors of L that ``shift_reachable_defect`` uses."""
+    L, h = shift_control_map(sys_, t), sys_.h
+    P = SymmetricPSD(L @ L.T).pinv()
+    return lambda x: 0.5 * h * h * float(np.asarray(x, dtype=float) @ P @ x)
 
 
 # ---------------------------------------------------------------------------

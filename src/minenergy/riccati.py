@@ -22,7 +22,7 @@ import random
 
 import numpy as np
 
-from .errors import MarginError, PreconditionError, UnstableSystemError
+from .errors import MarginError, NonFiniteError, PreconditionError, UnstableSystemError
 from .gramians import compute_gramian
 from .linalg import _gaussian_combination, commutes, expm
 from .energy import HGeometry, null_controllability_test
@@ -511,7 +511,7 @@ def commuting_family(sys, K, t, margin=1e-6, t1=None):
 
 def commuting_candidate(sys, K, margin=1e-6):
     """Candidate wrapping the exponential family for a fixed K, measured in
-    the geometry of the system's memoised Q_inf."""
+    the geometry of the system's memoised Q_inf, and carries K and t1."""
     geometry = _default_geometry(sys)
     t1 = detect_t1(sys, K, margin)
 
@@ -519,27 +519,33 @@ def commuting_candidate(sys, K, margin=1e-6):
         return commuting_family(sys, K, t, margin, t1=t1).operator
 
     cand = RiccatiCandidate(sys, geometry, fn, kind="commuting_exponential")
-    cand.t1 = t1
+    cand.K, cand.t1 = np.asarray(K, dtype=float), t1
     return cand
 
 
 @dataclass(frozen=True)
 class RecoverLReport:
-    """Snapshot inversion of the exponential family: L = I - S(T*)^{-1}."""
+    """Snapshot inversion of the exponential family: L = I - S(T*)^{-1}.
+
+    ``passed`` judges the forward predictions alone; ``k_roundtrip_error`` is
+    the relative 2-norm distance of e^{-T* A} L e^{-T* A} from the family's K.
+    """
 
     L: np.ndarray
     t_star: float
     times: tuple
     errors: tuple              # relative forward-prediction errors
     passed: bool
+    k_roundtrip_error: float
 
 
 def recover_L(sys, cand, t_star, t_grid=None, rtol=1e-6):
     """Recover the family's mixing operator from one snapshot and verify forward.
 
-    Given S from the exponential family, L = I - S(T*)^{-1} regenerates the
-    family as (I - e^{(t-T*)A} L e^{(t-T*)A})^{-1}; agreement on a forward
-    grid certifies the snapshot characterizes the family.
+    Given S from the exponential family of ``commuting_candidate``, L = I -
+    S(T*)^{-1} regenerates the family as (I - e^{(t-T*)A} L e^{(t-T*)A})^{-1};
+    agreement on a forward grid certifies the snapshot characterizes the
+    family.  A round trip to K that overflows raises NonFiniteError.
     """
     S_star = cand.evaluate(t_star)
     sigma = np.linalg.svd(S_star, compute_uv=False)
@@ -566,8 +572,16 @@ def recover_L(sys, cand, t_star, t_grid=None, rtol=1e-6):
         errors.append(float(err))
         if err > rtol:
             ok = False
-    return RecoverLReport(L=L, t_star=float(t_star), times=tuple(times),
-                          errors=tuple(errors), passed=bool(ok))
+    t_star = float(t_star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = expm(sys.A, -t_star)
+        K_round = E @ L @ E
+    if not np.all(np.isfinite(K_round)):
+        raise NonFiniteError(
+            f"round trip e^(-t* A) L e^(-t* A) overflows double precision at t* = {t_star:g}")
+    roundtrip = float(np.linalg.norm(K_round - cand.K, 2) / max(np.linalg.norm(cand.K, 2), 1e-300))
+    return RecoverLReport(L=L, t_star=t_star, times=tuple(times), errors=tuple(errors),
+                          passed=bool(ok), k_roundtrip_error=roundtrip)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -567,6 +568,22 @@ def test_delay_overflow_reports_typed_error(tmp_path):
         rep = read_report(out)
         assert rep["failures"] == ["gramian"]
         assert rep["tasks"][0]["error"].startswith("NonFiniteError:")
+
+
+def test_cli_leaves_the_numerics_to_the_library():
+    # the model kinds only read and write: no linear algebra of their own, and
+    # no formula that belongs to a model
+    tree = ast.parse(open(cli.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("linalg", "minenergy.linalg"), ast.unparse(node)
+        if isinstance(node, ast.Import):
+            assert all(a.name != "minenergy.linalg" for a in node.names), ast.unparse(node)
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    forbidden = {"expm", "pinv", "SymmetricPSD", "REL_THRESHOLD", "delay_fundamental_solution"}
+    assert not names & forbidden
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out(tmp_path):

@@ -152,6 +152,10 @@ def test_grid_is_a_node_count_of_at_least_two(scalar_sys, grid):
     g = me.compute_gramian(scalar_sys, 1.0)
     with pytest.raises((TypeError, ValueError)):
         me.optimal_control(scalar_sys, g, [1.0], grid=grid)
+    delay = me.DelaySystem(a0=-0.5, a1=0.8, b0=1.0, delay=1.0, mesh=8)
+    with pytest.raises(ValueError if isinstance(grid, int) else TypeError):
+        me.delay_optimal_control(delay, me.delay_gramian(delay, 1.5), np.r_[1.0, np.zeros(8)],
+                                 grid=grid)
 
 
 def test_trajectory_matches_simulation(scalar_sys):

@@ -15,6 +15,7 @@ from minenergy.models import (
     delay_fundamental_solution,
     delay_gramian,
     delay_null_controllability,
+    delay_optimal_control,
     delay_semigroup_matrix,
     landau_ginzburg,
     parse_model,
@@ -22,6 +23,7 @@ from minenergy.models import (
     shift_benchmark_target,
     shift_control_map,
     shift_reachable_defect,
+    shift_value_oracle,
     spectral_gramian,
     spectral_null_controllability,
     spectral_space_h_classification,
@@ -460,6 +462,23 @@ def test_delay_domain_residual_shrinks_with_mesh():
     assert all(b <= a * 1.05 for a, b in zip(vals, vals[1:]))
 
 
+def test_delay_control_energy_converges_to_value():
+    # head 1 over a zero history: the least-norm control's trapezoid energy
+    # tends to the value on the same mesh Gramian as the grid refines
+    sys_ = me.DelaySystem(a0=-0.5, a1=0.8, b0=1.0, delay=1.0, mesh=8)
+    gram = delay_gramian(sys_, 1.5)
+    x = np.r_[1.0, np.zeros(8)]
+    value = me.value_function(gram, x)
+    gaps = []
+    for grid in (129, 1025):
+        signal = delay_optimal_control(sys_, gram, x, grid=grid)
+        assert signal.values.shape == (grid, 1)
+        assert_array_equal(signal.grid, np.linspace(-1.5, 0.0, grid))
+        gaps.append(abs(signal.energy() - value) / value)
+    assert gaps[1] <= 1e-4
+    assert gaps[1] <= gaps[0] / 30
+
+
 def test_delay_null_controllability_past_one_delay():
     sys_ = me.DelaySystem(a0=-0.3, a1=0.6, b0=1.0, delay=1.0, mesh=16)
     rep = delay_null_controllability(sys_, 2.0)
@@ -528,6 +547,20 @@ def test_shift_defect_report_carries_least_norm_control(t):
     assert v.shape == (L.shape[1],)
     assert_allclose(v, np.linalg.pinv(L, rcond=1e-10) @ f_hat, rtol=1e-10, atol=1e-12)
     assert np.linalg.norm(f_hat - L @ v) == pytest.approx(rep.defect, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+def test_shift_report_value_matches_gramian_oracle(t):
+    # the oracle goes through (L L^T)^+, which squares the condition number
+    # of L: at m = 16 it still meets the SVD value to 1e-12
+    sh = me.ShiftSystem(16)
+    target = shift_benchmark_target(16)
+    rep = shift_reachable_defect(sh, t, target=target)
+    assert rep.reachable == (t == 1.0)
+    if rep.reachable:
+        assert rep.value == pytest.approx(shift_value_oracle(sh, t)(target), rel=1e-12)
+    else:
+        assert rep.value is None
 
 
 def test_shift_callable_target():

@@ -212,6 +212,7 @@ def test_recover_L_roundtrip(scalar_sys):
     t_star = 1.0
     rep = me.recover_L(scalar_sys, cand, t_star)
     assert rep.passed
+    assert rep.k_roundtrip_error <= 1e-6
     # L = e^{T* A} K e^{T* A}; undo the conjugation to recover K
     E_inv = me.expm(scalar_sys.A, -t_star)
     K_back = E_inv @ rep.L @ E_inv
@@ -227,6 +228,7 @@ def test_recover_L_random_diagonal(rng):
         t_star = cand.t1 + 0.5
         rep = me.recover_L(sys, cand, t_star)
         assert rep.passed
+        assert rep.k_roundtrip_error <= 1e-6
         E_inv = me.expm(sys.A, -t_star)
         assert_allclose(E_inv @ rep.L @ E_inv, K, atol=1e-8)
 
