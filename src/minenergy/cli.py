@@ -13,12 +13,12 @@ aggregates all verdicts (nonzero iff anything failed or errored).
 import argparse
 import functools
 import json
+import locale  # noqa: F401  argparse messages need it: load it with the CLI, not in a run
 import math
 import os
 import sys
 import tempfile
 
-import jsonschema
 import numpy as np
 
 from .energy import (
@@ -70,50 +70,6 @@ _TASKS = (
     "null-controllability",
     "sweep",
 )
-
-_NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_MATRIX = {"type": "array", "items": {"type": "array", "items": _NUMBER, "minItems": 1}, "minItems": 1}
-_HORIZON = {"anyOf": [_POSITIVE, {"const": "inf"}]}
-
-_SCENARIO_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "model": {
-            "anyOf": [
-                {"type": "string", "minLength": 1},
-                {
-                    "type": "object",
-                    "required": ["A", "B"],
-                    "additionalProperties": False,
-                    "properties": {"A": _MATRIX, "B": _MATRIX},
-                },
-            ]
-        },
-        "system": {"$ref": "#/properties/model"},
-        "tasks": {"type": "array", "items": {"enum": list(_TASKS)}},
-        "horizon": _HORIZON,
-        "horizons": {"type": "array", "items": _HORIZON, "minItems": 1},
-        "target": {"type": "array", "items": _NUMBER, "minItems": 1},
-        "targets": {
-            "type": "array",
-            "items": {"type": "array", "items": _NUMBER, "minItems": 1},
-            "minItems": 1,
-        },
-        "grid_points": {"type": "integer", "minimum": 2},
-        "seed": {"type": "integer", "minimum": 0},
-        "mesh": {"type": "integer", "minimum": 2},
-        "tolerance": _POSITIVE,
-        "margin": _POSITIVE,
-        "t_star": _POSITIVE,
-        "K": _MATRIX,
-        "projector": _MATRIX,
-        "sweep_kinds": {"type": "array", "items": {"enum": ["value", "residual"]}},
-        "expect_null_controllable": {"type": "boolean"},
-        "output": {"type": "string", "minLength": 1},
-    },
-}
 
 
 # ---------------------------------------------------------------------------
@@ -174,35 +130,80 @@ def _json_ready(obj):
 # ---------------------------------------------------------------------------
 
 
-def _is_matrix(value):
-    """Whether ``value`` certainly meets ``_MATRIX``: a non-empty list of
-    non-empty lists of ints and floats (False may still be valid)."""
-    return (type(value) is list and len(value) > 0 and all(
-        type(row) is list and len(row) > 0 and all(type(x) in (int, float) for x in row)
-        for row in value))
+def _number(x):
+    """A JSON number that is a finite double."""
+    return type(x) in (int, float) and -sys.float_info.max <= x <= sys.float_info.max
 
 
-def _validate_scenario(raw):
-    # jsonschema descends into every number of a matrix, milliseconds for a
-    # 24 x 24 one; a field that certainly meets its schema is handed over as
-    # a minimal valid stand-in, which leaves every reported error unchanged
-    light = raw
-    if isinstance(raw, dict):
-        light = dict(raw)
-        for key in ("targets", "K", "projector"):
-            if _is_matrix(raw.get(key)):
-                light[key] = [[0]]
-        for key in ("model", "system"):
-            model = raw.get(key)
-            if (type(model) is dict and model.keys() == {"A", "B"}
-                    and _is_matrix(model["A"]) and _is_matrix(model["B"])):
-                light[key] = {"A": [[0]], "B": [[0]]}
-    validator = jsonschema.Draft202012Validator(_SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(light), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        path = ".".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ScenarioError(f"scenario field '{path}': {e.message}")
+def _list_of(item, min_size=0):
+    return lambda v: type(v) is list and len(v) >= min_size and all(map(item, v))
+
+
+def _integer(least):
+    return lambda x: _number(x) and x % 1 == 0 and x >= least
+
+
+def _positive(x):
+    return _number(x) and x > 0
+
+
+def _horizon(x):
+    return _positive(x) or x in ("inf", math.inf)
+
+
+def _text(x):
+    return type(x) is str and x != ""
+
+
+_VECTOR = _list_of(_number, 1)
+_MATRIX = _list_of(_VECTOR, 1)
+
+
+def _model(x):
+    if type(x) is dict:
+        return x.keys() == {"A", "B"} and _MATRIX(x["A"]) and _MATRIX(x["B"])
+    return _text(x)
+
+
+_MODEL = (_model, "a preset or file path, or an object holding just the matrices A and B")
+_MATRIX_FIELD = (_MATRIX, "a non-empty list of non-empty lists of finite numbers")
+_POSITIVE_FIELD = (_positive, "a finite positive number")
+
+# every scenario field: what a value must satisfy, and that said in words
+_FIELDS = {
+    "model": _MODEL,
+    "system": _MODEL,
+    "tasks": (_list_of(lambda t: t in _TASKS), "a list of tasks from " + ", ".join(_TASKS)),
+    "horizon": (_horizon, 'a positive number or "inf"'),
+    "horizons": (_list_of(_horizon, 1), 'a non-empty list of positive numbers or "inf"'),
+    "target": (_VECTOR, "a non-empty list of finite numbers"),
+    "targets": _MATRIX_FIELD,
+    "grid_points": (_integer(2), "an integer of at least 2"),
+    "seed": (_integer(0), "a non-negative integer"),
+    "mesh": (_integer(2), "an integer of at least 2"),
+    "tolerance": _POSITIVE_FIELD,
+    "margin": _POSITIVE_FIELD,
+    "t_star": _POSITIVE_FIELD,
+    "K": _MATRIX_FIELD,
+    "projector": _MATRIX_FIELD,
+    "sweep_kinds": (_list_of(lambda k: k in ("value", "residual")),
+                    'a list of "value" and "residual"'),
+    "expect_null_controllable": (lambda x: type(x) is bool, "true or false"),
+    "output": (_text, "a non-empty string"),
+}
+
+
+def _validate_scenario(scenario):
+    """Raise ScenarioError naming the first field ``_FIELDS`` refuses."""
+    if not isinstance(scenario, dict):
+        raise ScenarioError("scenario field '(root)': must be a JSON object")
+    for key, value in scenario.items():
+        if key not in _FIELDS:
+            raise ScenarioError(f"scenario field '{key}': must be one of the known fields "
+                                + ", ".join(_FIELDS))
+        valid, phrase = _FIELDS[key]
+        if not valid(value):
+            raise ScenarioError(f"scenario field '{key}': must be {phrase}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +460,10 @@ class _Run:
     """Mutable state threaded through the tasks of one scenario."""
 
     def __init__(self, scenario):
-        _validate_scenario(scenario)
         raw_model = scenario.get("model", scenario.get("system"))
         if raw_model is None:
             raise ScenarioError("scenario field 'model': a model or system is required")
-        self.kind = _load_model(raw_model, scenario.get("mesh", 32))
+        self.kind = _load_model(raw_model, int(scenario.get("mesh", 32)))
         self.tasks = scenario.get("tasks", [])
         horizons = scenario.get("horizons")
         if horizons is None:
@@ -760,7 +760,8 @@ _TASK_FN = {
 
 
 def run_scenario(scenario, out_dir):
-    """Execute a validated scenario dict; write artifacts; return exit status."""
+    """Execute a scenario dict that passed ``_validate_scenario``; write artifacts;
+    return the exit status."""
     run = _Run(scenario)
     report = {
         "model": run.kind.echo(),
@@ -906,17 +907,15 @@ def main(argv=None):
         if args.command == "run":
             with open(args.scenario) as f:
                 scenario = json.load(f)
-            if not isinstance(scenario, dict):
-                raise ScenarioError("scenario field '(root)': must be a JSON object")
-            if args.seed is not None:
+            if args.seed is not None and isinstance(scenario, dict):
                 scenario["seed"] = args.seed
-            out_dir = args.out or scenario.get("output", "out")
-            return run_scenario(scenario, out_dir)
-        try:
-            scenario = _scenario_from_args(args, [args.command])
-        except ValueError as exc:  # a flag value that does not parse
-            raise ScenarioError(str(exc)) from exc
-        return run_scenario(scenario, args.out)
+        else:
+            try:
+                scenario = _scenario_from_args(args, [args.command])
+            except ValueError as exc:  # a flag value that does not parse
+                raise ScenarioError(str(exc)) from exc
+        _validate_scenario(scenario)
+        return run_scenario(scenario, args.out or scenario.get("output", "out"))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,4 +73,5 @@ class MeshResolutionError(MinEnergyError, ValueError):
 
 
 class ScenarioError(MinEnergyError, ValueError):
-    """Scenario file failed schema validation; message names the offending field path."""
+    """A scenario the CLI cannot run: a field missing, unknown, or of the wrong
+    type, range or shape; the message names the field."""

@@ -231,16 +231,17 @@ def _rk4_lyapunov(sys, t, n_steps):
     return Q
 
 
-def gramian_lyapunov_ode(sys, t, rtol=1e-8, n_steps0=64, max_doublings=14):
+def gramian_lyapunov_ode(sys, t, rtol=1e-8):
     """Finite-horizon Gramian by integrating Q' = AQ + QA^T + BB^T, Q(0) = 0.
 
     Classical RK4 with the iterate symmetrized after every step; the whole
-    run is repeated with the step halved until two runs agree to ``rtol``.
+    run, from 64 steps, is repeated with the step halved (at most 14 times)
+    until two runs agree to ``rtol``.
     """
     t = _finite_horizon(t)
-    n = n_steps0
+    n = 64
     Q_prev = _rk4_lyapunov(sys, t, n)
-    for _ in range(max_doublings):
+    for _ in range(14):
         n *= 2
         Q = _rk4_lyapunov(sys, t, n)
         if not np.all(np.isfinite(Q)) or not np.all(np.isfinite(Q_prev)):
@@ -264,33 +265,33 @@ def _require_stable(sys):
         )
 
 
-def _check_lyapunov_residual(sys, Q, residual_rtol, method):
-    """Raise StiffnessError unless ||A Q + Q A^T + BB^T|| <= residual_rtol * ||BB^T||
+def _check_lyapunov_residual(sys, Q, method):
+    """Raise StiffnessError unless ||A Q + Q A^T + BB^T|| <= 1e-10 * ||BB^T||
     (entrywise maxima)."""
     C = sys.BBt
     scale = max(np.abs(C).max(), np.finfo(float).tiny)
     resid = np.abs(sys.A @ Q + Q @ sys.A.T + C).max()
-    if resid > residual_rtol * scale:
+    if resid > 1e-10 * scale:
         raise StiffnessError(
-            f"{method} residual {resid:.3e} exceeds {residual_rtol:g} * ||BB^T||; "
+            f"{method} residual {resid:.3e} exceeds 1e-10 * ||BB^T||; "
             "eigenvalue pair sums are nearly singular"
         )
 
 
-def gramian_infinite(sys, residual_rtol=1e-10):
+def gramian_infinite(sys):
     """Infinite-horizon Gramian of a stable system: Bartels-Stewart on the
     algebraic Lyapunov equation A Q + Q A^T + BB^T = 0.
 
     An oracle beside the engine's doubling (``compute_gramian``), called by
     name; it imports scipy on its first call.  Raises UnstableSystemError
     when the decay margin is zero, and StiffnessError when the solve cannot
-    meet the residual bound ``||A Q + Q A^T + BB^T|| <= residual_rtol * ||BB^T||``.
+    meet the residual bound ``||A Q + Q A^T + BB^T|| <= 1e-10 * ||BB^T||``.
     """
     import scipy.linalg  # the oracle's own dependency: the engine never loads scipy
 
     _require_stable(sys)
     Q = scipy.linalg.solve_continuous_lyapunov(sys.A, -sys.BBt)
-    _check_lyapunov_residual(sys, Q, residual_rtol, "algebraic solve")
+    _check_lyapunov_residual(sys, Q, "algebraic solve")
     return _wrap(sys, Q, np.inf, "bartels_stewart")
 
 
@@ -309,7 +310,7 @@ def _gramian_infinite_doubling(sys):
     tail Q_inf - Q_s = e^{sA} Q_inf e^{sA^T} is below roundoff.  Raises
     UnstableSystemError when the decay margin is zero, StiffnessError when
     ``_MAX_SMITH_DOUBLINGS`` doublings leave e^{sA} above roundoff or the
-    result misses ``gramian_infinite``'s default residual bound, and
+    result misses the algebraic residual bound of ``gramian_infinite``, and
     NonFiniteError when a transient overflows.
     """
     _require_stable(sys)
@@ -329,7 +330,7 @@ def _gramian_infinite_doubling(sys):
             f"||e^(sA)||_1 = {size:.3e} is still above roundoff after {_MAX_SMITH_DOUBLINGS} "
             f"doublings toward the infinite-horizon Gramian; decay margin {sys.omega:.3g}"
         )
-    _check_lyapunov_residual(sys, Q, 1e-10, "doubling")
+    _check_lyapunov_residual(sys, Q, "doubling")
     return _wrap(sys, Q, np.inf, "smith_doubling")
 
 
@@ -508,7 +509,6 @@ class RangeEqualityReport:
     """Two-sided range comparison of Q_t^{1/2} against Q_inf^{1/2}."""
 
     t: float
-    reference_time: float
     included_forward: bool     # range(Q_t^{1/2}) ⊆ range(Q_inf^{1/2})
     included_backward: bool
     constant_forward: float
@@ -520,12 +520,11 @@ class RangeEqualityReport:
         return self.included_forward and self.included_backward
 
 
-def range_equality_check(sys, t, T0=None):
+def range_equality_check(sys, t):
     """Compare range(Q_t^{1/2}) with range(Q_inf^{1/2}) in both directions.
 
     For stable systems the ranges agree from the null-controllability time
     onward; in the commuting selfadjoint case they agree for every t > 0.
-    ``T0`` is carried into the report for the caller's bookkeeping.
     """
     S_t = compute_gramian(sys, t).Q.sqrt().matrix
     S_inf = compute_gramian(sys, np.inf).Q.sqrt().matrix
@@ -533,7 +532,6 @@ def range_equality_check(sys, t, T0=None):
     bw = range_inclusion(S_inf, S_t)
     return RangeEqualityReport(
         t=float(t),
-        reference_time=float(T0) if T0 is not None else np.nan,
         included_forward=fw.included,
         included_backward=bw.included,
         constant_forward=fw.constant,

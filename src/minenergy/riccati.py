@@ -416,13 +416,13 @@ def _commuting_t1(sys, K, margin):
     return float(t1)
 
 
-def detect_t1(sys, K, margin=1e-6, n_scan=512):
+def detect_t1(sys, K, margin=1e-6):
     """First time after which I - e^{tA} K e^{tA} stays invertible with margin.
 
     When K commutes with A the threshold is computed exactly from the
     simultaneous eigenpairs.  Otherwise the smallest singular value is
-    scanned on [0, t_hi] (t_hi chosen so the decay makes the bracket
-    uniformly safe), every scan-grid local minimum is polished with a
+    scanned at 512 points of [0, t_hi] (t_hi chosen so the decay makes the
+    bracket uniformly safe), every scan-grid local minimum is polished with a
     bounded scalar minimizer — near-singular dips are far narrower than
     any practical grid — and the last margin crossing is bisected.
     Returns 0.0 when the bracket is safe from the start.
@@ -445,10 +445,10 @@ def detect_t1(sys, K, margin=1e-6, n_scan=512):
 
     # past t_hi:  ||e^{tA} K e^{tA}|| <= ||K|| e^{-2 omega t} <= 1/2
     t_hi = max(np.log(max(2.0 * normK, 2.0)) / (2.0 * sys.omega), 1.0 / sys.omega)
-    ts = np.linspace(0.0, t_hi, n_scan)
+    ts = np.linspace(0.0, t_hi, 512)
     vals = np.array([sigma_min(t) for t in ts])
     unsafe = [float(t) for t, v in zip(ts, vals) if v <= margin]
-    for i in range(1, n_scan - 1):
+    for i in range(1, ts.size - 1):
         if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
             res = minimize_scalar(
                 sigma_min, bounds=(ts[i - 1], ts[i + 1]), method="bounded",
@@ -598,13 +598,14 @@ class ProjectionReport:
     witness_vector: np.ndarray
 
 
-def projected_solution_check(sys, cand, P, times, tol=1e-6, range_tol=1e-8, seed=0):
+def projected_solution_check(sys, cand, P, times, tol=1e-6, seed=0):
     """Check the compression biconditional for a projection P.
 
     P must be an orthogonal projection in the weighted geometry commuting
     with A.  The range condition is measured as the weighted operator-norm
-    defect of (I - P) S(t) P; the compressed family P S(t) P is then run
-    through the commuting-case residual on probes from ran(P).
+    defect of (I - P) S(t) P, and holds when that defect over max(1, the
+    family's weighted norm) is at most 1e-8; the compressed family P S(t) P
+    is then run through the commuting-case residual on probes from ran(P).
     """
     P = np.asarray(P, dtype=float)
     geometry = cand.geometry
@@ -633,7 +634,7 @@ def projected_solution_check(sys, cand, P, times, tol=1e-6, range_tol=1e-8, seed
             Mw = pinv_sqrt @ M @ sqrt_m
             _, _, Vt = np.linalg.svd(Mw)
             worst = (d_rel, float(t), sqrt_m @ Vt[0])
-    range_ok = max(defects) <= range_tol
+    range_ok = max(defects) <= 1e-8
 
     compressed = RiccatiCandidate(
         sys, geometry, lambda t: P @ cand.evaluate(t) @ P, kind="compressed"

@@ -85,7 +85,7 @@ class LinearSystem:
         return f"LinearSystem(n={self.n}, m={self.m}, omega={self.omega:.4g})"
 
 
-def random_stable_system(rng, n, m=None, margin=0.5, coupling=1.0):
+def random_stable_system(rng, n, m=None, margin=0.5):
     """Draw a random exponentially stable, almost-surely controllable system.
 
     A dense Gaussian matrix is shifted left so its spectral abscissa sits at
@@ -94,7 +94,7 @@ def random_stable_system(rng, n, m=None, margin=0.5, coupling=1.0):
     """
     if m is None:
         m = max(1, n // 2)
-    G = rng.standard_normal((n, n)) * (coupling / np.sqrt(n))
+    G = rng.standard_normal((n, n)) / np.sqrt(n)
     abscissa = np.max(np.linalg.eigvals(G).real)
     A = G - (abscissa + margin) * np.eye(n)
     B = rng.standard_normal((n, m)) / np.sqrt(n)

@@ -1,10 +1,10 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
 
-import jsonschema
 import numpy as np
 import pytest
 
@@ -73,41 +73,42 @@ def test_scenario_schema_rejects_unknown_task(tmp_path):
     assert "tasks" in p.stderr
 
 
-def _schema_message(scenario):
-    """The message of the first error plain jsonschema finds, as the CLI words it."""
-    validator = jsonschema.Draft202012Validator(cli._SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(scenario), key=lambda e: list(e.absolute_path))
-    if not errors:
-        return None
-    path = ".".join(str(p) for p in errors[0].absolute_path) or "(root)"
-    return f"scenario field '{path}': {errors[0].message}"
+# per scenario field: values it takes, and values it refuses
+FIELD_CASES = {
+    "model": (["shift(4)", SCALAR_MODEL], [42, "", {"A": [[-1.0]], "B": [[math.nan]]},
+                                          {"A": [[-1.0]], "B": [[1.0]], "C": 1}]),
+    "system": ([SCALAR_MODEL], [{"A": [[-1.0]], "B": [[]]}]),
+    "tasks": ([[], ["gramian", "sweep"]], [["frobnicate"], "gramian"]),
+    "horizon": ([1.0, "inf", math.inf], [0.0, math.nan, "Infinity"]),
+    "horizons": ([[0.5, 3, "inf"]], [[], [math.nan], [-1.0]]),
+    "target": ([[1.0, -2]], [[], [True], [math.inf]]),
+    "targets": ([[[1.0], [0.5, 2.0]]], [[[]], [[math.nan]], [1.0]]),
+    "grid_points": ([2, 5.0], [1, 2.5, True]),
+    "seed": ([0, 7], [-1, 0.5, 10**400]),
+    "mesh": ([8], [1, "8"]),
+    "tolerance": ([1e-6], [0, math.inf]),
+    "margin": ([1e-6], [-1e-6, math.nan]),
+    "t_star": ([1.0], [math.nan, None]),
+    "K": ([[[1.0, 0.0], [0.0, 0.5]]], [[[1.0, "x"]], [[-math.inf]]]),
+    "projector": ([[[0.0]]], [[], [[math.nan]]]),
+    "sweep_kinds": ([["value", "residual"]], [["both"]]),
+    "expect_null_controllable": ([False], [1, "yes"]),
+    "output": (["out"], ["", None]),
+}
 
 
-def test_scenario_validation_matches_plain_jsonschema():
-    # valid matrices reach jsonschema as small stand-ins; no error may change
-    big = [[0.5 * i - j for j in range(6)] for i in range(6)]
-    base = {"model": {"A": big, "B": big}, "tasks": ["gramian"], "K": big, "projector": big,
-            "targets": big}
-    variants = [
-        {},
-        {"model": {"A": big, "B": big, "C": 1}},
-        {"model": {"A": big, "B": [[1.0, True]]}},
-        {"system": {"A": big, "B": [[]]}},
-        {"K": big + [[1.0, "x"]]},
-        {"projector": []},
-        {"targets": [[1.0], [], [2.0]]},
-        {"K": big, "tasks": ["frobnicate"]},
-        {"horizons": [0.0], "targets": big},
-    ]
-    for change in variants:
-        scenario = dict(base, **change)
-        expected = _schema_message(scenario)
-        if expected is None:
-            cli._validate_scenario(scenario)
-        else:
-            with pytest.raises(cli.ScenarioError) as err:
-                cli._validate_scenario(scenario)
-            assert str(err.value) == expected
+def test_scenario_fields_accept_and_refuse():
+    assert FIELD_CASES.keys() == cli._FIELDS.keys()
+    for field, (accepted, refused) in FIELD_CASES.items():
+        for value in accepted:
+            cli._validate_scenario({field: value})
+        for value in refused:
+            with pytest.raises(cli.ScenarioError, match=f"^scenario field '{field}': must be "):
+                cli._validate_scenario({"model": "shift(4)", field: value})
+    with pytest.raises(cli.ScenarioError, match="^scenario field '\\(root\\)'"):
+        cli._validate_scenario([SCALAR_MODEL])
+    with pytest.raises(cli.ScenarioError, match="^scenario field 'frob': must be one of"):
+        cli._validate_scenario({"model": "shift(4)", "frob": 1})
 
 
 def test_csv_cells_match_per_cell_formatting():
@@ -544,12 +545,13 @@ def test_delay_value_sweep_has_no_oracle_columns(tmp_path):
 
 
 def test_integral_float_grid_points_is_a_node_count(tmp_path):
-    # JSON Schema counts 5.0 as an integer; every model kind samples 5 nodes
+    # an integral float counts as an integer: every model kind samples 5
+    # nodes at grid_points 5.0, and the delay model has 8 cells at mesh 8.0
     for model, target in (("delay(-0.5,0.5,1,1)", [1.0] + [0.0] * 8), (SCALAR_MODEL, [1.0])):
         out = str(tmp_path / str(len(target)))
         path = write_scenario(
             tmp_path,
-            {"model": model, "mesh": 8, "tasks": ["min-energy"], "horizons": [1.0],
+            {"model": model, "mesh": 8.0, "tasks": ["min-energy"], "horizons": [1.0],
              "targets": [target], "grid_points": 5.0, "output": out},
         )
         assert cli.main(["run", path]) == 0
@@ -587,10 +589,11 @@ def test_cli_leaves_the_numerics_to_the_library():
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out(tmp_path):
-    # no scipy module at all and no numpy.random, neither after the import
-    # nor after running the benchmark and dense3 golden scenarios (whose
-    # Riccati checks draw seeded probes): otherwise the import cost would only
-    # move from set-up into the run
+    # no scipy module at all, no numpy.random and no schema library, neither
+    # after the import nor after running the benchmark and dense3 golden
+    # scenarios (whose Riccati checks draw seeded probes); and the runs load
+    # no module the import did not: otherwise import cost would only move
+    # from set-up into the run
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     scenarios = [os.path.join(root, "scenarios", "benchmark.json"),
                  os.path.join(root, "tests", "golden", "dense3", "scenario.json")]
@@ -598,16 +601,19 @@ def test_importing_the_cli_leaves_scipy_optimize_out(tmp_path):
         "import sys, minenergy.cli as cli\n"
         "def heavy_modules():\n"
         "    return sorted(m for m in sys.modules\n"
-        "                  if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+        "                  if m.split('.')[0] in ('scipy', 'jsonschema', 'referencing', 'attr',\n"
+        "                                         'attrs') or m.startswith('numpy.random'))\n"
         "print(heavy_modules())\n"
+        "imported = set(sys.modules)\n"
         "for i, path in enumerate(sys.argv[2:]):\n"
         "    assert cli.main(['run', path, '--out', sys.argv[1] + str(i)]) == 0\n"
         "print(heavy_modules())\n"
+        "print(sorted(set(sys.modules) - imported))\n"
     )
     p = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")] + scenarios,
                        capture_output=True, text=True)
     assert p.returncode == 0, p.stderr
-    assert p.stdout.split("\n")[:2] == ["[]", "[]"]
+    assert p.stdout.split("\n")[:3] == ["[]", "[]", "[]"]
 
 
 def test_models_without_q_inf_refuse_infinite_horizon(tmp_path):

@@ -10,6 +10,7 @@ The draws are derandomized so the suite stays reproducible; raise
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -107,6 +108,23 @@ FOUND = [
      1, "StiffnessError"),
     ({"model": "delay(-0.5,0.5,1,0.001)", "tasks": ["gramian"], "horizons": [20.0]},
      1, "StiffnessError"),
+    # NaN inputs, which passed validation and then failed deep in the numerics
+    ({"model": {"A": [[-1]], "B": [[1]]}, "tasks": ["gramian"], "horizons": [math.nan]},
+     2, "scenario field 'horizons'"),
+    ({"model": "delay(-0.5,0.5,1,1)", "tasks": ["gramian"], "horizons": [math.nan]},
+     2, "scenario field 'horizons'"),
+    ({"model": "spectral:landau-ginzburg(2)", "tasks": ["commuting-family"],
+      "horizons": [1.0], "K": [[math.nan, 0.0], [0.0, 0.5]]}, 2, "scenario field 'K'"),
+    ({"model": "spectral:landau-ginzburg(2)", "tasks": ["project-check"], "horizons": [1.0],
+      "K": [[0.5, 0.0], [0.0, 0.5]], "projector": [[math.nan, 0.0], [0.0, 0.0]]},
+     2, "scenario field 'projector'"),
+    ({"model": "spectral:landau-ginzburg(2)", "tasks": ["recover-L"],
+      "K": [[0.5, 0.0], [0.0, 0.5]], "t_star": math.nan}, 2, "scenario field 't_star'"),
+    ({"model": {"A": [[-1.0]], "B": [[1.0]]}, "tasks": ["min-energy"], "horizons": [1.0],
+      "targets": [[math.nan]]}, 2, "scenario field 'targets'"),
+    # an integer no double holds, which escaped as an OverflowError
+    ({"model": {"A": [[-1.0]], "B": [[1.0]]}, "tasks": ["min-energy"], "horizons": [1.0],
+      "targets": [[10**400]]}, 2, "scenario field 'targets'"),
 ]
 
 
@@ -118,6 +136,15 @@ def test_found_inputs_get_typed_errors(scenario, code, message, tmp_path, capsys
     assert cli.main(["run", str(path), "--out", out]) == code
     if code == 2:
         assert message in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "report.json"))
     else:
         with open(os.path.join(out, "report.json")) as f:
             assert json.load(f)["tasks"][0]["error"].startswith(message)
+
+
+def test_nan_horizon_flag_is_refused_like_the_scenario_field(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert cli.main(["gramian", "--model", '{"A": [[-1]], "B": [[1]]}', "--horizons", "nan",
+                     "--out", out]) == 2
+    assert "scenario field 'horizons'" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))

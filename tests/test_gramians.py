@@ -306,7 +306,7 @@ def test_kernel_chain_strictness_under_coupling(coupled_sys):
 
 
 def test_range_equality_check_commuting(scalar_sys):
-    rep = me.range_equality_check(scalar_sys, 0.5, T0=2.0)
+    rep = me.range_equality_check(scalar_sys, 0.5)
     assert rep.included_forward and rep.included_backward
     assert rep.commuting
 
