@@ -37,7 +37,7 @@ from .linalg import (
     psd_sqrt,
     range_inclusion,
 )
-from .systems import LinearSystem, random_stable_system
+from .systems import LinearSystem, Model, random_stable_system
 from .gramians import (
     Gramian,
     KernelChainReport,
@@ -58,6 +58,7 @@ from .energy import (
     LeastNormControl,
     NullControllability,
     ReachabilityClass,
+    Steering,
     Trajectory,
     brute_force_min_energy,
     classify_target,
@@ -67,6 +68,7 @@ from .energy import (
     optimal_control,
     optimal_trajectory,
     simulate_control,
+    steer,
     value_function,
 )
 from .riccati import (
@@ -111,6 +113,7 @@ from .models import (
     power_law,
     shift_benchmark_target,
     shift_control_map,
+    shift_gramian,
     shift_reachable_defect,
     shift_value_oracle,
     spectral_gramian,

@@ -8,10 +8,16 @@ byte: floats are printed with 17 significant digits, dictionary keys are
 sorted, no timestamps are recorded, and files are written atomically.
 Failing verification tasks do not abort the run; the exit status
 aggregates all verdicts (nonzero iff anything failed or errored).
+
+The model answers every task through the calls of ``systems.Model``: its
+Gramian, steering verdict, least-norm control, null-controllability report
+and value oracles.  The tasks built on A and B use its matrix system
+(``linear``) with the library's matrix-system calls.  The CLI adds only the
+formula labels, keyed by model kind and Gramian method, and the report's
+layout.
 """
 
 import argparse
-import functools
 import json
 import locale  # noqa: F401  argparse messages need it: load it with the CLI, not in a run
 import math
@@ -21,30 +27,9 @@ import tempfile
 
 import numpy as np
 
-from .energy import (
-    classify_target,
-    null_controllability_test,
-    optimal_control,
-    optimal_trajectory,
-    value_function,
-)
 from .errors import MinEnergyError, ScenarioError
-from .gramians import compute_gramian, gramian_quadrature_sweep
-from .models import (
-    DelaySystem,
-    ShiftSystem,
-    SpectralSystem,
-    delay_gramian,
-    delay_null_controllability,
-    delay_optimal_control,
-    parse_model,
-    shift_benchmark_target,
-    shift_control_map,
-    shift_reachable_defect,
-    shift_value_oracle,
-    spectral_gramian,
-    spectral_null_controllability,
-)
+from .gramians import compute_gramian
+from .models import parse_model
 from .riccati import (
     commuting_candidate,
     inverse_candidate,
@@ -207,236 +192,29 @@ def _validate_scenario(scenario):
 
 
 # ---------------------------------------------------------------------------
-# model kinds: what each task may ask of a model
+# formula labels, by model kind and Gramian method
 # ---------------------------------------------------------------------------
 
 
 _GRAMIAN_FORMULA = {
-    "block_exponential": "gramian-block-exponential",
-    "smith_doubling": "gramian-infinite-lyapunov",
-    "closed_form": "gramian-commuting-closed-form",
+    ("linear", "block_exponential"): "gramian-block-exponential",
+    ("linear", "smith_doubling"): "gramian-infinite-lyapunov",
+    ("linear", "closed_form"): "gramian-commuting-closed-form",
+    ("spectral", "closed_form"): "gramian-commuting-closed-form",
+    ("delay", "quadrature"): "delay-mesh-gramian",
+    ("shift", "closed_form"): "shift-overlap-gramian",
 }
 
+# a shift model steers by one SVD of its control map, every other model by
+# the class and value on its Gramian
+_STEER_FORMULA = {"shift": "shift-reachability-defect"}
+_GRAMIAN_STEER_FORMULA = {"value": "value-half-norm-sq", "class": "reachable-range-classification"}
 
-def _range_entry(rep, t):
-    """Report entry of a range-inclusion null-controllability verdict."""
-    return {
-        "formula": "null-controllability-range",
-        "horizon": t,
-        "satisfied": rep.satisfied,
-        "constant": rep.constant,
-        "defect": rep.defect,
-    }
-
-
-class _LinearKind:
-    """A plain matrix system, and the interface every model kind offers.
-
-    A kind only formats library results: it echoes the model, labels each
-    formula, refuses what the model lacks and shapes the report entries.
-    ``dim`` is the length of a target vector and ``linear`` the matrix
-    system behind the model (``None`` when there is none, which the tasks
-    built on A and B refuse).  ``gramian_entry(t)`` and
-    ``null_controllability(t)`` return report entries; ``steer(t, x)`` gives
-    the class, defect and value of steering to x, and ``samples(t, x, grid)``
-    the least-norm control with the states it passes through (``None`` when
-    the model has no samples, or no states).  ``value_oracles(times)``
-    gives, per horizon, a map from a target to its value computed apart from
-    ``steer`` (``None`` when the model has no such oracle, and the value
-    sweep writes nan beside it).  ``gramian(t)`` calls the model's Gramian
-    route, which the matrix and delay models memoise per horizon.
-    """
-
-    name = "linear"
-    no_infinite_horizon = None  # why the model has no Q_inf, if it has none
-
-    def __init__(self, model):
-        self.model = model
-
-    @property
-    def linear(self):
-        return self.model
-
-    @property
-    def dim(self):
-        return self.model.n
-
-    def echo(self):
-        return {"kind": self.name, **self.model.to_json_dict()}
-
-    def horizons(self, horizons):
-        """The horizons of the gramian and min-energy tasks, which take inf
-        only from a model with an infinite-horizon Gramian."""
-        if self.no_infinite_horizon and math.inf in horizons:
-            raise ScenarioError(
-                f"the {self.name} model has no infinite-horizon Gramian "
-                f"({self.no_infinite_horizon})"
-            )
-        return horizons
-
-    def gramian(self, t):
-        return compute_gramian(self.model, t)
-
-    def gramian_formula(self, gram):
-        return _GRAMIAN_FORMULA[gram.method]
-
-    def gramian_entry(self, t):
-        gram = self.gramian(t)
-        return dict(gram.to_json_dict(), formula=self.gramian_formula(gram))
-
-    def null_controllability(self, t):
-        return _range_entry(null_controllability_test(self.model, t), t)
-
-    def default_targets(self):
-        return []
-
-    def value_oracles(self, times):
-        """The value on the quadrature Gramians, all from one sweep."""
-        if self.linear is None:
-            return [None] * len(times)
-        grams = gramian_quadrature_sweep(self.linear, times)
-        return [functools.partial(value_function, gram) for gram in grams]
-
-    def steer(self, t, x):
-        """Class, defect and value of steering from 0 to x over t."""
-        gram = self.gramian(t)
-        cls = classify_target(gram, x)
-        return {
-            "formula": {
-                "value": "value-half-norm-sq",
-                "class": "reachable-range-classification",
-            },
-            "class": cls.category,
-            "defect": cls.defect,
-            "value": value_function(gram, x) if cls.reachable else None,
-        }
-
-    def samples(self, t, x, grid):
-        gram = self.gramian(t)
-        signal = optimal_control(self.linear, gram, x, grid=grid)
-        traj = optimal_trajectory(self.linear, gram, x, grid=grid)
-        return signal, traj.states
-
-
-class _SpectralKind(_LinearKind):
-    """Diagonal modes: closed-form Gramians and a per-mode null-controllability test."""
-
-    name = "spectral"
-
-    @functools.cached_property
-    def linear(self):
-        return self.model.to_linear_system()
-
-    def echo(self):
-        return {"kind": self.name, "lambdas": self.model.lambdas.tolist(),
-                "bs": self.model.bs.tolist()}
-
-    def gramian(self, t):
-        return spectral_gramian(self.model, t)
-
-    def null_controllability(self, t):
-        mode_rep = spectral_null_controllability(self.model, t)
-        fin_rep = null_controllability_test(self.linear, t)
-        return {
-            "formula": "null-controllability-spectral",
-            "horizon": t,
-            "satisfied": mode_rep.satisfied,
-            "constant": mode_rep.constant,
-            "all_controlled": mode_rep.all_controlled,
-            "tail_nonincreasing": mode_rep.tail_nonincreasing,
-            "finite_dim_satisfied": fin_rep.satisfied,
-            "finite_dim_constant": fin_rep.constant,
-            "verdicts_agree": mode_rep.satisfied == fin_rep.satisfied,
-        }
-
-
-class _DelayKind(_LinearKind):
-    """The scalar delay equation on its mesh: exact mesh Gramians, no matrix system."""
-
-    name = "delay"
-    linear = None
-    no_infinite_horizon = "no decay assumption"
-
-    @property
-    def dim(self):
-        return self.model.dim
-
-    def echo(self):
-        m = self.model
-        return {"kind": self.name, "a0": m.a0, "a1": m.a1, "b0": m.b0,
-                "delay": m.delay, "mesh": m.mesh}
-
-    def gramian(self, t):
-        return delay_gramian(self.model, t)
-
-    def gramian_formula(self, gram):
-        return "delay-mesh-gramian"
-
-    def null_controllability(self, t):
-        return _range_entry(delay_null_controllability(self.model, t), t)
-
-    def samples(self, t, x, grid):
-        return delay_optimal_control(self.model, self.gramian(t), x, grid=grid), None
-
-
-class _ShiftKind(_LinearKind):
-    """The moving-window shift: overlap Gramians and SVD reachability defects."""
-
-    name = "shift"
-    linear = None
-    no_infinite_horizon = "its horizons are steps of the cell lattice"
-
-    @property
-    def dim(self):
-        return self.model.m
-
-    def echo(self):
-        return {"kind": self.name, "m": self.model.m}
-
-    def gramian_entry(self, t):
-        L = shift_control_map(self.model, t)
-        return {
-            "formula": "shift-overlap-gramian",
-            "horizon": t,
-            "Q": (L @ L.T).tolist(),
-            "method": "closed_form",
-            "system_fingerprint": self.model.fingerprint(),
-        }
-
-    def null_controllability(self, t):
-        raise ScenarioError("null-controllability is undefined for the shift model")
-
-    def default_targets(self):
-        return [shift_benchmark_target(self.model.m)]
-
-    def value_oracles(self, times):
-        return [shift_value_oracle(self.model, t) for t in times]
-
-    def steer(self, t, x):
-        rep = shift_reachable_defect(self.model, t, target=x)
-        return {
-            "formula": "shift-reachability-defect",
-            "value": rep.value,
-            "defect": rep.defect,
-            "class": "in_range_Q" if rep.reachable else "unreachable",
-            "rank": rep.rank,
-        }
-
-    def samples(self, t, x, grid):
-        return None
-
-
-_KINDS = {
-    LinearSystem: _LinearKind,
-    SpectralSystem: _SpectralKind,
-    DelaySystem: _DelayKind,
-    ShiftSystem: _ShiftKind,
-}
+_NULL_CONTROLLABILITY_FORMULA = {"spectral": "null-controllability-spectral"}
 
 
 def _load_model(value, mesh):
-    """The scenario's model, wrapped in its kind; a model that cannot be
-    built is a usage error."""
+    """The scenario's model; a model that cannot be built is a usage error."""
     try:
         if isinstance(value, dict):
             model = LinearSystem.from_json_dict(value)
@@ -453,7 +231,7 @@ def _load_model(value, mesh):
         raise
     except ValueError as exc:
         raise ScenarioError(f"scenario field 'model': {exc}") from exc
-    return _KINDS[type(model)](model)
+    return model
 
 
 class _Run:
@@ -463,7 +241,7 @@ class _Run:
         raw_model = scenario.get("model", scenario.get("system"))
         if raw_model is None:
             raise ScenarioError("scenario field 'model': a model or system is required")
-        self.kind = _load_model(raw_model, int(scenario.get("mesh", 32)))
+        self.model = _load_model(raw_model, int(scenario.get("mesh", 32)))
         self.tasks = scenario.get("tasks", [])
         horizons = scenario.get("horizons")
         if horizons is None:
@@ -474,10 +252,10 @@ class _Run:
             targets = [scenario["target"]] if "target" in scenario else []
         self.targets = [np.asarray(x, dtype=float) for x in targets]
         for i, x in enumerate(self.targets):
-            if x.ndim != 1 or x.size != self.kind.dim:
+            if x.ndim != 1 or x.size != self.model.dim:
                 raise ScenarioError(
                     f"scenario field 'targets[{i}]': expected a vector of "
-                    f"length {self.kind.dim}, got shape {x.shape}"
+                    f"length {self.model.dim}, got shape {x.shape}"
                 )
         self.grid_points = int(scenario.get("grid_points", 129))
         self.seed = scenario.get("seed", 0)
@@ -494,7 +272,7 @@ class _Run:
         if field not in scenario:
             return None
         rows = scenario[field]
-        n = self.kind.dim
+        n = self.model.dim
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ScenarioError(f"scenario field '{field}': expected a {n} x {n} matrix")
         return np.asarray(rows, dtype=float)
@@ -507,11 +285,21 @@ class _Run:
             raise ScenarioError(f"task '{task}' requires scenario field '{what}'")
         return value
 
+    def gramian_horizons(self, task):
+        """The horizons of the gramian and min-energy tasks, which take inf
+        only from a model with an infinite-horizon Gramian."""
+        horizons = self.need("horizons", self.horizons, task)
+        why = self.model.no_infinite_horizon
+        if why and math.inf in horizons:
+            raise ScenarioError(
+                f"the {self.model.kind} model has no infinite-horizon Gramian ({why})")
+        return horizons
+
     def matrix_system(self, task):
         """The model's matrix system, for the tasks that need A and B."""
-        if self.kind.linear is None:
+        if self.model.linear is None:
             raise ScenarioError(f"{task} needs a matrix model (linear or spectral)")
-        return self.kind.linear
+        return self.model.linear
 
 
 # ---------------------------------------------------------------------------
@@ -520,22 +308,28 @@ class _Run:
 
 
 def _task_gramian(run):
-    horizons = run.kind.horizons(run.need("horizons", run.horizons, "gramian"))
-    return {"results": [run.kind.gramian_entry(t) for t in horizons]}, None
+    results = []
+    for t in run.gramian_horizons("gramian"):
+        gram = run.model.gramian(t)
+        formula = _GRAMIAN_FORMULA[run.model.kind, gram.method]
+        results.append(dict(gram.to_json_dict(), formula=formula))
+    return {"results": results}, None
 
 
 def _task_min_energy(run):
-    kind = run.kind
-    horizons = kind.horizons(run.need("horizons", run.horizons, "min-energy"))
-    targets = run.need("targets", run.targets or kind.default_targets(), "min-energy")
+    model = run.model
+    horizons = run.gramian_horizons("min-energy")
+    targets = run.need("targets", run.targets or model.default_targets(), "min-energy")
     results = []
     for ti, t in enumerate(horizons):
         for xi, x in enumerate(targets):
-            entry = {"horizon": t, "target_id": xi, "energy_oracle": None}
-            entry.update(kind.steer(t, x))
+            steering = model.steer(t, x)
+            entry = {"horizon": t, "target_id": xi, "energy_oracle": None,
+                     "formula": _STEER_FORMULA.get(model.kind) or dict(_GRAMIAN_STEER_FORMULA),
+                     **steering.to_json_dict()}
             samples = (
-                kind.samples(t, x, run.grid_points)
-                if entry["class"] == "in_range_Q" and math.isfinite(t)
+                model.least_norm_control(t, x, run.grid_points)
+                if steering.category == "in_range_Q" and math.isfinite(t)
                 else None
             )
             if samples is not None:
@@ -662,9 +456,9 @@ def _task_recover_l(run):
         "forward_times": list(rep.times),
         "forward_errors": list(rep.errors),
         "k_roundtrip_error": rep.k_roundtrip_error,
-        "passed": bool(rep.passed and rep.k_roundtrip_error <= 1e-6),
+        "passed": rep.passed,
     }
-    return result, result["passed"]
+    return result, rep.passed
 
 
 def _task_project_check(run):
@@ -692,8 +486,9 @@ def _task_project_check(run):
 
 
 def _task_null_controllability(run):
+    formula = _NULL_CONTROLLABILITY_FORMULA.get(run.model.kind, "null-controllability-range")
     results = [
-        run.kind.null_controllability(t)
+        {"formula": formula, "horizon": t, **run.model.null_controllability(t).to_json_dict()}
         for t in run.need("horizons", run.finite_horizons(), "null-controllability")
     ]
     passed = None
@@ -706,9 +501,9 @@ def _value_sweep_rows(run):
     run.need("targets", run.targets, "sweep")
     rows = []
     times = run.finite_horizons()
-    for t, oracle in zip(times, run.kind.value_oracles(times)):
+    for t, oracle in zip(times, run.model.value_oracles(times)):
         for xi, x in enumerate(run.targets):
-            v = run.kind.steer(t, x)["value"]
+            v = run.model.steer(t, x).value
             v_o = math.nan if v is None or oracle is None else oracle(x)
             if v is None:
                 v = math.nan
@@ -764,7 +559,7 @@ def run_scenario(scenario, out_dir):
     return the exit status."""
     run = _Run(scenario)
     report = {
-        "model": run.kind.echo(),
+        "model": {"kind": run.model.kind, **run.model.to_json_dict()},
         "seed": run.seed,
         "tolerance": run.tol,
         "tasks": [],

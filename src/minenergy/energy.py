@@ -24,6 +24,8 @@ __all__ = [
     "HGeometry",
     "classify_target",
     "value_function",
+    "Steering",
+    "steer",
     "optimal_control",
     "optimal_trajectory",
     "Trajectory",
@@ -143,6 +145,28 @@ def value_function(gram, x):
         )
     y = gram.Q.sqrt().pinv() @ x
     return 0.5 * float(y @ y)
+
+
+@dataclass(frozen=True)
+class Steering:
+    """Class, defect and value of steering from 0 to a target over one horizon.
+
+    ``category`` and ``defect`` are those of ``classify_target``; ``value`` is
+    ``value_function`` for a reachable target and None otherwise.
+    """
+
+    category: str
+    defect: float
+    value: float | None
+
+    def to_json_dict(self):
+        return {"class": self.category, "defect": self.defect, "value": self.value}
+
+
+def steer(gram, x):
+    """The class, defect and value of steering to x on the Gramian ``gram``."""
+    cls = classify_target(gram, x)
+    return Steering(cls.category, cls.defect, value_function(gram, x) if cls.reachable else None)
 
 
 def _steering_coefficients(gram, x, grid, what):
@@ -346,6 +370,9 @@ class NullControllability:
     satisfied: bool
     constant: float
     defect: float
+
+    def to_json_dict(self):
+        return {"satisfied": self.satisfied, "constant": self.constant, "defect": self.defect}
 
 
 def null_controllability_test(sys, T0):

@@ -30,8 +30,13 @@ from .errors import (
 )
 from .gramians import Gramian, _wrap
 from .linalg import REL_THRESHOLD, SymmetricPSD, range_inclusion
-from .energy import ControlSignal, NullControllability, _steering_coefficients
-from .systems import LinearSystem
+from .energy import (
+    ControlSignal,
+    NullControllability,
+    _steering_coefficients,
+    null_controllability_test,
+)
+from .systems import LinearSystem, Model
 
 __all__ = [
     "SpectralSystem",
@@ -54,6 +59,7 @@ __all__ = [
     "ShiftSystem",
     "ShiftDefectReport",
     "shift_control_map",
+    "shift_gramian",
     "shift_benchmark_target",
     "shift_reachable_defect",
     "shift_value_oracle",
@@ -67,14 +73,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SpectralSystem:
+class SpectralSystem(Model):
     """Diagonal dynamics: mode n decays at rate lambda_n, control weight b_n.
 
     Models the stable self-adjoint case where A = -diag(lambda) and
     B B^* = diag(b) in the eigenbasis.  All Gramian quantities reduce to
     scalar formulas per mode, which makes this family the reference point
-    for validating the generic matrix pipelines.
+    for validating the generic matrix pipelines.  The matrix system is built
+    once, as ``linear``.
     """
+
+    kind = "spectral"
 
     lambdas: np.ndarray
     bs: np.ndarray
@@ -84,6 +93,8 @@ class SpectralSystem:
         b = np.atleast_1d(np.asarray(self.bs, dtype=float))
         if lam.ndim != 1 or b.shape != lam.shape:
             raise ValueError("lambdas and bs must be 1-d arrays of equal length")
+        if lam.size == 0:
+            raise ValueError("the spectrum is empty: a spectral model needs at least one mode")
         if np.any(lam <= 0):
             raise ValueError("decay rates must be strictly positive")
         if np.any(np.diff(lam) <= 0):
@@ -94,17 +105,29 @@ class SpectralSystem:
         b.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "bs", b)
-        object.__setattr__(self, "_fingerprint", self.to_linear_system().fingerprint())
+        object.__setattr__(self, "linear", self.to_linear_system())
+        object.__setattr__(self, "_fingerprint", self.linear.fingerprint())
 
     @property
     def n(self):
         return self.lambdas.size
+
+    dim = n
 
     def to_linear_system(self):
         return LinearSystem(np.diag(-self.lambdas), np.diag(np.sqrt(self.bs)))
 
     def fingerprint(self):
         return self._fingerprint
+
+    def to_json_dict(self):
+        return {"lambdas": self.lambdas.tolist(), "bs": self.bs.tolist()}
+
+    def gramian(self, t):
+        return spectral_gramian(self, t)
+
+    def null_controllability(self, t):
+        return spectral_null_controllability(self, t)
 
 
 def spectral_gramian(ssys, t):
@@ -138,7 +161,8 @@ class SpectralNCReport:
     n-th eigendirection back to zero over [0, T0].  The flow lands inside
     the reachable range with a uniform constant exactly when these ratios
     stay bounded along the tail; on a truncation we certify that by every
-    mode being controlled and the tail being non-increasing.
+    mode being controlled and the tail being non-increasing.  ``finite_dim``
+    is the range test of the matrix system on the same modes.
     """
 
     satisfied: bool
@@ -146,9 +170,26 @@ class SpectralNCReport:
     log_ratios: np.ndarray
     all_controlled: bool
     tail_nonincreasing: bool
+    finite_dim: NullControllability
+
+    @property
+    def verdicts_agree(self):
+        return self.satisfied == self.finite_dim.satisfied
+
+    def to_json_dict(self):
+        return {
+            "satisfied": self.satisfied,
+            "constant": self.constant,
+            "all_controlled": self.all_controlled,
+            "tail_nonincreasing": self.tail_nonincreasing,
+            "finite_dim_satisfied": self.finite_dim.satisfied,
+            "finite_dim_constant": self.finite_dim.constant,
+            "verdicts_agree": self.verdicts_agree,
+        }
 
 
 def spectral_null_controllability(ssys, T0):
+    """The per-mode ratio test at T0, beside the range test of ``ssys.linear``."""
     lam, b = ssys.lambdas, ssys.bs
     T0 = float(T0)
     if T0 <= 0:
@@ -178,6 +219,7 @@ def spectral_null_controllability(ssys, T0):
         log_ratios=log_ratios,
         all_controlled=all_controlled,
         tail_nonincreasing=tail_nonincreasing,
+        finite_dim=null_controllability_test(ssys.linear, T0),
     )
 
 
@@ -286,15 +328,19 @@ def thin_control_example(n_modes=16):
 
 
 @dataclass(frozen=True)
-class DelaySystem:
+class DelaySystem(Model):
     """x'(t) = a0 x(t) + a1 x(t - delay) + b0 u(t).
 
     The state is the pair (x(t), x(t + .) on [-delay, 0]).  The history
     segment is represented by cell averages on a uniform mesh of ``mesh``
     cells; that projection is the single approximation in the pipeline.
     ``delay_gramian`` keeps each mesh Gramian it computes in ``_gramians``,
-    keyed by horizon.
+    keyed by horizon.  There is no matrix system, and no value oracle apart
+    from the fundamental solution yet.
     """
+
+    kind = "delay"
+    no_infinite_horizon = "no decay assumption"
 
     a0: float
     a1: float
@@ -304,6 +350,8 @@ class DelaySystem:
     _gramians: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a0, self.a1, self.b0, self.delay))):
+            raise ValueError("a0, a1, b0 and delay must be finite numbers")
         if self.a1 == 0.0:
             raise ValueError("a1 = 0 removes the delayed term; use a plain ODE model")
         if self.b0 == 0.0:
@@ -332,6 +380,22 @@ class DelaySystem:
             "<dddd q", self.a0, self.a1, self.b0, self.delay, self.mesh
         )
         return hashlib.sha256(payload).hexdigest()[:16]
+
+    def to_json_dict(self):
+        return {"a0": self.a0, "a1": self.a1, "b0": self.b0, "delay": self.delay,
+                "mesh": self.mesh}
+
+    def gramian(self, t):
+        return delay_gramian(self, t)
+
+    def null_controllability(self, t):
+        return delay_null_controllability(self, t)
+
+    def least_norm_control(self, t, x, grid):
+        return delay_optimal_control(self, self.gramian(t), x, grid=grid), None
+
+    def value_oracles(self, times):
+        return [None] * len(times)
 
 
 def _require_mesh(sys_, horizon):
@@ -623,7 +687,7 @@ def delay_domain_residual(sys_, t):
 
 
 @dataclass(frozen=True)
-class ShiftSystem:
+class ShiftSystem(Model):
     """Right shift on the unit interval, control acting on [0, 1/4].
 
     The semigroup transports mass to the right and annihilates it at 1, so
@@ -631,8 +695,12 @@ class ShiftSystem:
     in an essential way.  ``m`` cells discretize the interval; m must be a
     multiple of 4 so the control window edge is lattice-aligned, which makes
     the overlap integrals below exact (the integrand is piecewise linear
-    between lattice points).
+    between lattice points).  Steering is judged by one SVD of the control
+    map, which yields no sampled control.
     """
+
+    kind = "shift"
+    no_infinite_horizon = "its horizons are steps of the cell lattice"
 
     m: int
 
@@ -644,8 +712,33 @@ class ShiftSystem:
     def h(self):
         return 1.0 / self.m
 
+    @property
+    def dim(self):
+        return self.m
+
     def fingerprint(self):
         return hashlib.sha256(struct.pack("<q", self.m)).hexdigest()[:16]
+
+    def to_json_dict(self):
+        return {"m": self.m}
+
+    def gramian(self, t):
+        return shift_gramian(self, t)
+
+    def null_controllability(self, t):
+        raise ScenarioError("null-controllability is undefined for the shift model")
+
+    def default_targets(self):
+        return [shift_benchmark_target(self.m)]
+
+    def steer(self, t, x):
+        return shift_reachable_defect(self, t, target=x)
+
+    def least_norm_control(self, t, x, grid):
+        return None
+
+    def value_oracles(self, times):
+        return [shift_value_oracle(self, t) for t in times]
 
 
 def _lattice_steps(sys_, t):
@@ -685,6 +778,12 @@ def shift_control_map(sys_, t):
     return L
 
 
+def shift_gramian(sys_, t):
+    """The overlap Gramian L Lᵀ of the control map at horizon t."""
+    L = shift_control_map(sys_, t)
+    return _wrap(sys_, L @ L.T, t, "closed_form")
+
+
 def shift_benchmark_target(m):
     """Cell-center samples of f(s) = min(s, 1/4): a ramp that saturates."""
     centers = (np.arange(m, dtype=float) + 0.5) / m
@@ -707,6 +806,16 @@ class ShiftDefectReport:
     reachable: bool            # defect within REL_THRESHOLD of the target's norm
     value: float | None        # the energy ½ h ‖v‖² when reachable
     coefficients: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def category(self):
+        """The class of ``energy.classify_target``: in_range_Q or unreachable."""
+        return "in_range_Q" if self.reachable else "unreachable"
+
+    def to_json_dict(self):
+        """The steering verdict, as ``energy.Steering`` gives it, and the rank."""
+        return {"class": self.category, "defect": self.defect, "value": self.value,
+                "rank": self.rank}
 
 
 def shift_reachable_defect(sys_, t, target=None):
@@ -748,9 +857,9 @@ def shift_reachable_defect(sys_, t, target=None):
 
 def shift_value_oracle(sys_, t):
     """The value x -> ½ h f̂ᵀ (L Lᵀ)⁺ f̂ with f̂ = √h x, through the Gramian
-    L Lᵀ rather than the singular vectors of L that ``shift_reachable_defect`` uses."""
-    L, h = shift_control_map(sys_, t), sys_.h
-    P = SymmetricPSD(L @ L.T).pinv()
+    L Lᵀ (``shift_gramian``) rather than the singular vectors of L that
+    ``shift_reachable_defect`` uses."""
+    P, h = shift_gramian(sys_, t).Q.pinv(), sys_.h
     return lambda x: 0.5 * h * h * float(np.asarray(x, dtype=float) @ P @ x)
 
 

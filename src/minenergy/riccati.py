@@ -527,8 +527,9 @@ def commuting_candidate(sys, K, margin=1e-6):
 class RecoverLReport:
     """Snapshot inversion of the exponential family: L = I - S(T*)^{-1}.
 
-    ``passed`` judges the forward predictions alone; ``k_roundtrip_error`` is
-    the relative 2-norm distance of e^{-T* A} L e^{-T* A} from the family's K.
+    ``k_roundtrip_error`` is the relative 2-norm distance of
+    e^{-T* A} L e^{-T* A} from the family's K; ``passed`` holds when every
+    forward prediction and that round trip are within ``rtol``.
     """
 
     L: np.ndarray
@@ -545,7 +546,8 @@ def recover_L(sys, cand, t_star, t_grid=None, rtol=1e-6):
     Given S from the exponential family of ``commuting_candidate``, L = I -
     S(T*)^{-1} regenerates the family as (I - e^{(t-T*)A} L e^{(t-T*)A})^{-1};
     agreement on a forward grid certifies the snapshot characterizes the
-    family.  A round trip to K that overflows raises NonFiniteError.
+    family, and the round trip back to K that it recovers the operator.  A
+    round trip that overflows raises NonFiniteError.
     """
     S_star = cand.evaluate(t_star)
     sigma = np.linalg.svd(S_star, compute_uv=False)
@@ -581,7 +583,7 @@ def recover_L(sys, cand, t_star, t_grid=None, rtol=1e-6):
             f"round trip e^(-t* A) L e^(-t* A) overflows double precision at t* = {t_star:g}")
     roundtrip = float(np.linalg.norm(K_round - cand.K, 2) / max(np.linalg.norm(cand.K, 2), 1e-300))
     return RecoverLReport(L=L, t_star=t_star, times=tuple(times), errors=tuple(errors),
-                          passed=bool(ok), k_roundtrip_error=roundtrip)
+                          passed=bool(ok and roundtrip <= rtol), k_roundtrip_error=roundtrip)
 
 
 @dataclass(frozen=True)

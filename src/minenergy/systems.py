@@ -1,15 +1,62 @@
-"""Finite-dimensional linear control systems x' = Ax + Bu."""
+"""Finite-dimensional linear control systems x' = Ax + Bu, and the calls
+every model answers."""
 
+import functools
 import hashlib
 
 import numpy as np
 
+from .energy import (
+    null_controllability_test,
+    optimal_control,
+    optimal_trajectory,
+    steer,
+    value_function,
+)
+from .gramians import compute_gramian, gramian_quadrature_sweep
 from .linalg import as_matrix, commutes
 
-__all__ = ["LinearSystem", "random_stable_system"]
+__all__ = ["Model", "LinearSystem", "random_stable_system"]
 
 
-class LinearSystem:
+class Model:
+    """The calls every model answers, with the defaults that need only its Gramian.
+
+    A model names its ``kind``, the length ``dim`` of a target vector and
+    its matrix system ``linear`` (None when there is none, and the tasks
+    built on A and B refuse it); ``no_infinite_horizon`` says why it has no
+    Q_inf, if it has none.  ``to_json_dict()`` describes it, ``gramian(t)``
+    is its Gramian and ``null_controllability(t)`` its null-controllability
+    report, which has a ``to_json_dict()`` too.  ``steer(t, x)`` gives the
+    class, defect and value of steering to x; ``least_norm_control(t, x,
+    grid)`` the least-norm control with the states it passes through (None
+    when the model has no samples, or no states); ``default_targets()`` the
+    targets of a steering task that names none; ``value_oracles(times)``
+    per horizon a map from a target to its value computed apart from
+    ``steer`` (None when the model has no such oracle).
+    """
+
+    linear = None
+    no_infinite_horizon = None
+
+    def default_targets(self):
+        return []
+
+    def steer(self, t, x):
+        return steer(self.gramian(t), x)
+
+    def least_norm_control(self, t, x, grid):
+        gram = self.gramian(t)
+        signal = optimal_control(self.linear, gram, x, grid=grid)
+        return signal, optimal_trajectory(self.linear, gram, x, grid=grid).states
+
+    def value_oracles(self, times):
+        """The value on the quadrature Gramians of ``linear``, all from one sweep."""
+        grams = gramian_quadrature_sweep(self.linear, times)
+        return [functools.partial(value_function, gram) for gram in grams]
+
+
+class LinearSystem(Model):
     """State matrix A (n x n) and input matrix B (n x m).
 
     The decay margin ``omega = max(0, -max Re lambda(A))`` is computed once;
@@ -20,6 +67,8 @@ class LinearSystem:
     ``_null_controllable_from`` the least horizon at which the null
     controllability test passed (inf until one has).
     """
+
+    kind = "linear"
 
     def __init__(self, A, B):
         A = as_matrix(A, "A")
@@ -43,6 +92,20 @@ class LinearSystem:
         self.omega = float(max(0.0, -np.max(np.linalg.eigvals(self.A).real)))
         self._gramians = {}
         self._null_controllable_from = np.inf
+
+    @property
+    def linear(self):
+        return self
+
+    @property
+    def dim(self):
+        return self.n
+
+    def gramian(self, t):
+        return compute_gramian(self, t)
+
+    def null_controllability(self, t):
+        return null_controllability_test(self, t)
 
     @property
     def BBt(self):

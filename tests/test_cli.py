@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -452,7 +453,7 @@ def test_shift_min_energy_unreachable_target_has_no_value(tmp_path):
 def test_shift_value_sweep_matches_min_energy(tmp_path, monkeypatch):
     # the sweep reads the steering value the min-energy task reports and
     # checks it against the Gramian L L^T, apart from the SVD behind the value
-    from minenergy.models import shift_benchmark_target
+    from minenergy.models import ShiftSystem, shift_benchmark_target
 
     def sweep(out, tasks):
         path = write_scenario(
@@ -473,15 +474,13 @@ def test_shift_value_sweep_matches_min_energy(tmp_path, monkeypatch):
     assert value == values[1]
     assert 0.0 < abs_diff <= 1e-12 * value
 
-    steer = cli._ShiftKind.steer
+    steer = ShiftSystem.steer
 
     def perturbed(self, t, x):
-        entry = steer(self, t, x)
-        if entry["value"] is not None:
-            entry["value"] *= 1.0 + 1e-6
-        return entry
+        rep = steer(self, t, x)
+        return rep if rep.value is None else dataclasses.replace(rep, value=rep.value * (1 + 1e-6))
 
-    monkeypatch.setattr(cli._ShiftKind, "steer", perturbed)
+    monkeypatch.setattr(ShiftSystem, "steer", perturbed)
     assert sweep(str(tmp_path / "perturbed"), ["sweep"])[1][4] > 0.5e-6 * value
 
 
@@ -573,8 +572,9 @@ def test_delay_overflow_reports_typed_error(tmp_path):
 
 
 def test_cli_leaves_the_numerics_to_the_library():
-    # the model kinds only read and write: no linear algebra of their own, and
-    # no formula that belongs to a model
+    # the CLI only reads and writes: no linear algebra of its own, no model
+    # type, and no formula that belongs to a model, which the model's own
+    # calls answer
     tree = ast.parse(open(cli.__file__).read())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -584,8 +584,48 @@ def test_cli_leaves_the_numerics_to_the_library():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    forbidden = {"expm", "pinv", "SymmetricPSD", "REL_THRESHOLD", "delay_fundamental_solution"}
+    forbidden = {"expm", "pinv", "SymmetricPSD", "REL_THRESHOLD", "SpectralSystem",
+                 "DelaySystem", "ShiftSystem", "null_controllability_test", "optimal_control",
+                 "optimal_trajectory", "classify_target", "value_function"}
     assert not names & forbidden
+    import minenergy
+
+    model_functions = {n for n in dir(minenergy) if n.startswith(("spectral_", "delay_", "shift_"))}
+    assert model_functions and not names & model_functions
+
+
+def test_recover_l_verdict_is_the_library_s(tmp_path):
+    # the fast modes of landau-ginzburg(16) cancel in S(t*) = I + e^(-2 lambda t*) K:
+    # the forward predictions hold, the round trip back to K does not, and the
+    # library and the CLI both fail the case
+    import minenergy as me
+
+    K = np.diag(np.linspace(0.5, 3.0, 16))
+    ssys = me.landau_ginzburg(16)
+    rep = me.recover_L(ssys.linear, me.commuting_candidate(ssys.linear, K), 1.0)
+    assert max(rep.errors) <= 1e-6 and rep.k_roundtrip_error > 1e-6
+    assert rep.passed is False
+    out = str(tmp_path / "out")
+    assert cli.main(["recover-L", "--model", "spectral:landau-ginzburg(16)", "--K",
+                     json.dumps(K.tolist()), "--t-star", "1", "--out", out]) == 1
+    result = read_report(out)["tasks"][0]
+    assert result["passed"] is rep.passed
+    assert result["k_roundtrip_error"] == rep.k_roundtrip_error
+
+
+def test_non_finite_model_presets_are_usage_errors(tmp_path):
+    # preset strings do not pass through the scenario field table: the model
+    # refuses them, which exits 2 naming the model field
+    for i, model in enumerate(["delay(nan,0.5,1,1)", "delay(inf,0.5,1,1)",
+                               "delay(-0.7,nan,1,1)", "delay(-0.7,0.5,1,nan)",
+                               "spectral:landau-ginzburg(0)"]):
+        out = str(tmp_path / f"out{i}")
+        p = run_cli(["gramian", "--model", model, "--horizons", "1", "--out", out])
+        assert p.returncode == 2, (model, p.stderr)
+        assert "scenario field 'model'" in p.stderr
+        assert "Traceback" not in p.stderr
+        assert not os.path.exists(os.path.join(out, "report.json"))
+    assert "spectrum is empty" in p.stderr
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out(tmp_path):
@@ -658,9 +698,11 @@ def test_run_computes_each_dense_gramian_once(tmp_path, monkeypatch):
 def test_value_sweep_makes_one_quadrature_sweep(tmp_path, monkeypatch):
     # Q_t of a shorter horizon is a prefix of the integral for a longer one:
     # the oracle covers every horizon of the run in one sweep
+    from minenergy import systems
+
     calls = []
-    sweep = cli.gramian_quadrature_sweep
-    monkeypatch.setattr(cli, "gramian_quadrature_sweep",
+    sweep = systems.gramian_quadrature_sweep
+    monkeypatch.setattr(systems, "gramian_quadrature_sweep",
                         lambda sys_, times: calls.append(list(times)) or sweep(sys_, times))
     scenario = {"model": COUPLED_MODEL, "horizons": [0.5, 1.0, 2.0, "inf"],
                 "targets": [[1.0, 0.0]], "sweep_kinds": ["value"], "tasks": ["sweep"]}

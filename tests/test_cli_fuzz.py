@@ -48,8 +48,10 @@ PRESET = st.one_of(
               st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.integers(1, 4)),
     st.builds("spectral:thin-control({})".format, st.integers(1, 4)),
     st.builds("delay({},{},{},{})".format,
-              st.sampled_from([-1.0, -0.3, 0.0, 0.5]), st.sampled_from([-0.6, 0.0, 0.8]),
-              st.sampled_from([0.0, 1.0]), st.sampled_from([-1.0, 0.5, 1.0, 1e-300])),
+              st.sampled_from([-1.0, -0.3, 0.0, 0.5, math.nan]),
+              st.sampled_from([-0.6, 0.0, 0.8, math.inf]),
+              st.sampled_from([0.0, 1.0, math.nan]),
+              st.sampled_from([-1.0, 0.5, 1.0, 1e-300, math.inf])),
     st.builds("shift({})".format, st.sampled_from([3, 4, 8])),
     st.sampled_from(["spectral:power-law", "spectral:nope", "delay(1,2)", "linear"]),
 )

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -10,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammainc, hyp1f1
 
 import minenergy as me
+import minenergy.cli as cli
 from minenergy.models import (
     delay_domain_residual,
     delay_fundamental_solution,
@@ -22,6 +25,7 @@ from minenergy.models import (
     power_law,
     shift_benchmark_target,
     shift_control_map,
+    shift_gramian,
     shift_reachable_defect,
     shift_value_oracle,
     spectral_gramian,
@@ -40,7 +44,7 @@ def test_spectral_gramian_closed_form():
     assert_allclose(g.Q.matrix, expected, rtol=1e-14)
 
 
-def test_spectral_fingerprint_is_computed_once(monkeypatch):
+def test_spectral_fingerprint_is_computed_once(monkeypatch, tmp_path):
     built = []
     init = me.LinearSystem.__init__
 
@@ -51,6 +55,16 @@ def test_spectral_fingerprint_is_computed_once(monkeypatch):
     monkeypatch.setattr(me.LinearSystem, "__init__", counting)
     ssys = landau_ginzburg(n_modes=6)
     fps = [spectral_gramian(ssys, t).system_fingerprint for t in (0.25, 0.5, 1.0, 2.0, math.inf)]
+    assert ssys.linear.fingerprint() == fps[0]
+    assert len(built) <= 1
+    # every task on a spectral model works on that one matrix system
+    scenario = {"model": "spectral:landau-ginzburg(6)", "tasks": list(cli._TASKS),
+                "horizons": [0.5, 1.0], "targets": [[1.0] * 6], "K": np.diag([0.5] * 6).tolist(),
+                "projector": np.diag([1.0] * 3 + [0.0] * 3).tolist(), "t_star": 1.0}
+    built.clear()
+    cli.run_scenario(scenario, str(tmp_path))
+    with open(tmp_path / "report.json") as f:
+        assert not [t for t in json.load(f)["tasks"] if "error" in t]
     assert len(built) <= 1
     monkeypatch.undo()
     assert fps == [ssys.to_linear_system().fingerprint()] * 5
@@ -507,6 +521,12 @@ def test_delay_validation():
         me.DelaySystem(a0=0.0, a1=0.0, b0=1.0, delay=1.0, mesh=8)  # a1 = 0
     with pytest.raises(ValueError):
         me.DelaySystem(a0=0.0, a1=1.0, b0=1.0, delay=-1.0, mesh=8)
+    for bad in (math.nan, math.inf):
+        for name in ("a0", "a1", "b0", "delay"):
+            args = dict(a0=-0.7, a1=0.5, b0=1.0, delay=1.0, mesh=8)
+            args[name] = bad
+            with pytest.raises(ValueError, match="finite"):
+                me.DelaySystem(**args)
 
 
 # ---------------------------------------------------------------- shift
@@ -549,6 +569,18 @@ def test_shift_defect_report_carries_least_norm_control(t):
     assert np.linalg.norm(f_hat - L @ v) == pytest.approx(rep.defect, abs=1e-12)
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
+def test_shift_gramian_is_the_overlap_gramian(t):
+    sh = me.ShiftSystem(16)
+    L = shift_control_map(sh, t)
+    gram = shift_gramian(sh, t)
+    assert (gram.horizon, gram.method, gram.system_fingerprint) == (t, "closed_form",
+                                                                    sh.fingerprint())
+    # SymmetricPSD rebuilds the matrix from its eigendecomposition: within
+    # roundoff of the largest eigenvalue
+    assert np.abs(gram.matrix - L @ L.T).max() <= 1e-15 * gram.Q.eigenvalues[-1]
+
+
 @pytest.mark.parametrize("t", [0.25, 1.0])
 def test_shift_report_value_matches_gramian_oracle(t):
     # the oracle goes through (L L^T)^+, which squares the condition number
@@ -578,6 +610,63 @@ def test_shift_lattice_alignment_guard():
 def test_shift_mesh_multiple_of_four():
     with pytest.raises(me.MeshResolutionError):
         me.ShiftSystem(10)
+
+
+# ---------------------------------------------------------------- the model calls
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _golden_nc_keys(case):
+    """The keys of a golden null-controllability entry, less the CLI's labels."""
+    with open(os.path.join(GOLDEN, case, "expected", "report.json")) as f:
+        tasks = json.load(f)["tasks"]
+    entry = next(t for t in tasks if t["task"] == "null-controllability")["results"][0]
+    return set(entry) - {"formula", "horizon"}
+
+
+MODELS = {
+    "linear": lambda: me.LinearSystem([[-1.0, 0.5], [0.0, -2.0]], [[0.0], [1.0]]),
+    "spectral": lambda: landau_ginzburg(n_modes=4),
+    "delay": lambda: me.DelaySystem(a0=-0.7, a1=0.6, b0=1.0, delay=1.0, mesh=4),
+    "shift": lambda: me.ShiftSystem(8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_every_model_answers_the_cli_calls(kind):
+    model = MODELS[kind]()
+    t = 1.0
+    assert model.kind == kind
+    assert (model.linear is not None) == (kind in ("linear", "spectral"))
+    assert (model.no_infinite_horizon is None) == (kind in ("linear", "spectral"))
+    assert isinstance(model.to_json_dict(), dict)
+    gram = model.gramian(t)
+    assert isinstance(gram, me.Gramian)
+    assert gram.horizon == t and gram.system_fingerprint == model.fingerprint()
+    assert gram.matrix.shape == (model.dim, model.dim)
+    targets = model.default_targets() or [np.linspace(1.0, 2.0, model.dim)]
+    for x in targets:
+        steering = model.steer(t, x)
+        if kind != "shift":  # the shift model steers by the SVD of its control map
+            cls = me.classify_target(gram, x)
+            assert (steering.category, steering.defect) == (cls.category, cls.defect)
+            assert steering.value == me.value_function(gram, x)
+        signal = model.least_norm_control(t, x, 9)
+        assert (signal is None) == (kind == "shift")
+        if signal is not None:
+            assert signal[0].values.shape[0] == 9
+            assert (signal[1] is None) == (kind == "delay")
+        oracle, = model.value_oracles([t])
+        if oracle is not None:
+            assert oracle(x) == pytest.approx(steering.value, rel=1e-9)
+    if kind == "shift":
+        with pytest.raises(me.ScenarioError):
+            model.null_controllability(t)
+    else:
+        golden = {"linear": "dense3", "spectral": "spectral", "delay": "delay"}[kind]
+        assert set(model.null_controllability(t).to_json_dict()) == _golden_nc_keys(golden)
 
 
 # ---------------------------------------------------------------- parsing
