@@ -38,5 +38,5 @@ print("\nhorizon sweep:")
 for horizon in (0.5, 1.0, 2.0, 4.0, 8.0):
     v = me.value_function(me.compute_gramian(sys_, horizon), x)
     print(f"  t = {horizon:4g}   V = {v:.10f}")
-q_inf = me.gramian_infinite(sys_)
+q_inf = me.compute_gramian(sys_, np.inf)
 print(f"  t = inf    V = {me.value_function(q_inf, x):.10f}")

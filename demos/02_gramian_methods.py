@@ -43,7 +43,7 @@ split_err = np.linalg.norm(q_tau - (q_t + E @ q_gap @ E.T), 2)
 print(f"splitting Q_tau = Q_t + e^(tA) Q_(tau-t) e^(tA)^T: error {split_err:.2e}")
 
 # exponential tail: the finite-horizon Gramian closes in on the limit
-q_inf = me.gramian_infinite(sys_).Q.matrix
+q_inf = me.compute_gramian(sys_, np.inf).Q.matrix
 M, omega = me.negative_type_bound(sys_.A, t_max=4.0)
 print(f"\ndecay envelope ||e^(tA)|| <= {M:.3f} e^(-{omega:.3f} t)")
 print("horizon   ||Q_inf - Q_T||      tail bound")

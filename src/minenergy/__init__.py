@@ -45,7 +45,6 @@ from .gramians import (
     compute_gramian,
     gramian_block_exponential,
     gramian_commuting_closed_form,
-    gramian_infinite,
     gramian_lyapunov_ode,
     gramian_quadrature,
     gramian_quadrature_sweep,

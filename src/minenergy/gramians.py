@@ -18,11 +18,11 @@
 Its Gramians are memoised on the system, one per horizon: a system is
 immutable, so Q_t depends on it and t alone.
 
-Three oracles stay beside it, independent of the engine and of each other;
-they are only ever called by name and compute afresh on every call:
+Two oracles stay beside it, independent of the engine and of each other;
+they are only ever called by name and compute afresh on every call (a third,
+Bartels-Stewart on the algebraic Lyapunov equation, lives with the tests in
+``tests/oracles.py``):
 
-* ``gramian_infinite``     -- Bartels-Stewart on the algebraic Lyapunov
-  equation (scipy, imported on the first call)
 * ``gramian_quadrature_sweep`` -- composite Gauss-Legendre on the defining
   integral, one exponential per node, on panels graded toward r = 0 (the
   first no wider than 1 / ||A||_1) and bisected locally until, for every
@@ -49,7 +49,6 @@ __all__ = [
     "gramian_quadrature",
     "gramian_quadrature_sweep",
     "gramian_lyapunov_ode",
-    "gramian_infinite",
     "gramian_commuting_closed_form",
     "gramian_block_exponential",
     "compute_gramian",
@@ -278,23 +277,6 @@ def _check_lyapunov_residual(sys, Q, method):
         )
 
 
-def gramian_infinite(sys):
-    """Infinite-horizon Gramian of a stable system: Bartels-Stewart on the
-    algebraic Lyapunov equation A Q + Q A^T + BB^T = 0.
-
-    An oracle beside the engine's doubling (``compute_gramian``), called by
-    name; it imports scipy on its first call.  Raises UnstableSystemError
-    when the decay margin is zero, and StiffnessError when the solve cannot
-    meet the residual bound ``||A Q + Q A^T + BB^T|| <= 1e-10 * ||BB^T||``.
-    """
-    import scipy.linalg  # the oracle's own dependency: the engine never loads scipy
-
-    _require_stable(sys)
-    Q = scipy.linalg.solve_continuous_lyapunov(sys.A, -sys.BBt)
-    _check_lyapunov_residual(sys, Q, "algebraic solve")
-    return _wrap(sys, Q, np.inf, "bartels_stewart")
-
-
 # doublings of h = 1 / ||A||_1 reach s = 2^64 h: far past the 36 ||A||_1 / omega
 # that takes e^{sA} below roundoff for any margin omega above eps * ||A||_1
 _MAX_SMITH_DOUBLINGS = 64
@@ -310,8 +292,9 @@ def _gramian_infinite_doubling(sys):
     tail Q_inf - Q_s = e^{sA} Q_inf e^{sA^T} is below roundoff.  Raises
     UnstableSystemError when the decay margin is zero, StiffnessError when
     ``_MAX_SMITH_DOUBLINGS`` doublings leave e^{sA} above roundoff or the
-    result misses the algebraic residual bound of ``gramian_infinite``, and
-    NonFiniteError when a transient overflows.
+    result misses the algebraic residual bound
+    ``||A Q + Q A^T + BB^T|| <= 1e-10 * ||BB^T||``, and NonFiniteError when a
+    transient overflows.
     """
     _require_stable(sys)
     E, Q = _van_loan_step(sys, 1.0 / np.abs(sys.A).sum(axis=0).max())

@@ -856,11 +856,22 @@ def shift_reachable_defect(sys_, t, target=None):
 
 
 def shift_value_oracle(sys_, t):
-    """The value x -> ½ h f̂ᵀ (L Lᵀ)⁺ f̂ with f̂ = √h x, through the Gramian
-    L Lᵀ (``shift_gramian``) rather than the singular vectors of L that
-    ``shift_reachable_defect`` uses."""
-    P, h = shift_gramian(sys_, t).Q.pinv(), sys_.h
-    return lambda x: 0.5 * h * h * float(np.asarray(x, dtype=float) @ P @ x)
+    """The value x -> ½ h f̂ᵀ (L Lᵀ)⁺ f̂ with f̂ = √h x, through a QR
+    factorization of the control map L rather than the singular vectors that
+    ``shift_reachable_defect`` uses.  A tall or square L = QR gives the
+    coefficients v = R⁻¹Qᵀf̂ and the value ½ h ‖v‖²; a wide L has Lᵀ = QR
+    and the value ½ h ‖R⁻ᵀf̂‖².  Neither forms L Lᵀ, whose condition number
+    is the square of L's."""
+    L, h = shift_control_map(sys_, t), sys_.h
+    tall = L.shape[0] >= L.shape[1]
+    Q, R = np.linalg.qr(L if tall else L.T)
+
+    def value(x):
+        f_hat = math.sqrt(h) * np.asarray(x, dtype=float)
+        w = np.linalg.solve(R, Q.T @ f_hat) if tall else np.linalg.solve(R.T, f_hat)
+        return 0.5 * h * float(w @ w)
+
+    return value
 
 
 # ---------------------------------------------------------------------------

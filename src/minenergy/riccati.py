@@ -385,19 +385,17 @@ def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6):
     )
 
 
-def _commuting_t1(sys, K, margin):
+def _commuting_t1(lam, Kt, margin):
     """Exact threshold when K commutes with A: the bracket diagonalizes.
 
-    Each simultaneous eigenpair (lambda, kappa) contributes the branch
-    1 - kappa e^{2 lambda t}; its margin crossing is at
-    t = log(kappa / (1 - margin)) / (-2 lambda) whenever kappa reaches
-    1 - margin at all (branches with kappa below that, or negative, never
-    come close to singular).
+    ``lam`` are the eigenvalues of A and ``Kt`` is K in its eigenvectors,
+    which is block diagonal across distinct eigenspaces.  Each simultaneous
+    eigenpair (lambda, kappa) contributes the branch 1 - kappa e^{2 lambda t};
+    its margin crossing is at t = log(kappa / (1 - margin)) / (-2 lambda)
+    whenever kappa reaches 1 - margin at all (branches with kappa below
+    that, or negative, never come close to singular).
     """
-    lam, V = np.linalg.eigh(sys.A)
-    Kp = V.T @ K @ V
-    # K is exactly block diagonal across distinct eigenspaces of A;
-    # diagonalize it within each (numerically grouped) eigenspace.
+    # diagonalize Kt within each (numerically grouped) eigenspace of A
     n = lam.size
     group_tol = 1e-10 * max(1.0, float(np.abs(lam).max()))
     t1 = 0.0
@@ -406,7 +404,7 @@ def _commuting_t1(sys, K, margin):
         j = i
         while j + 1 < n and lam[j + 1] - lam[i] <= group_tol:
             j += 1
-        block = Kp[i : j + 1, i : j + 1]
+        block = Kt[i : j + 1, i : j + 1]
         kappas = np.linalg.eigvalsh(0.5 * (block + block.T))
         lam_g = float(np.mean(lam[i : j + 1]))
         for kappa in kappas:
@@ -417,57 +415,57 @@ def _commuting_t1(sys, K, margin):
 
 
 def detect_t1(sys, K, margin=1e-6):
-    """First time after which I - e^{tA} K e^{tA} stays invertible with margin.
+    """First time past which I - e^{tA} K e^{tA} stays invertible with margin.
 
-    When K commutes with A the threshold is computed exactly from the
-    simultaneous eigenpairs.  Otherwise the smallest singular value is
-    scanned at 512 points of [0, t_hi] (t_hi chosen so the decay makes the
-    bracket uniformly safe), every scan-grid local minimum is polished with a
-    bounded scalar minimizer — near-singular dips are far narrower than
-    any practical grid — and the last margin crossing is bisected.
-    Returns 0.0 when the bracket is safe from the start.
+    With A = V diag(lambda) V^T, K~ = V^T K V and D_t = diag(e^{t lambda}),
+    the bracket is orthogonally similar to I - D_t K~ D_t, so for symmetric
+    K its smallest singular value is min |1 - mu| over the eigenvalues mu
+    of D_t K~ D_t.  D_t K~ D_t - cI is congruent to K~ - c D_t^{-2}, which
+    only decreases in t when c > 0, so by Sylvester's law of inertia and
+    Weyl's monotonicity theorem (Horn & Johnson, Matrix Analysis, 2nd ed.,
+    Thms 4.5.8 and 4.3.1) the number of mu >= 1 - margin never rises: t1 is
+    the one time at which the largest mu falls below 1 - margin.
+
+    When K commutes with A that time is exact from the simultaneous
+    eigenpairs; otherwise it is bisected to the last bit on [0, t_hi], where
+    ||e^{tA} K e^{tA}|| <= (1 - margin) / 2.  Returns 0.0 when the bracket is
+    safe from the start.  K must be n x n and symmetric to 1e-12 relative,
+    and the margin must lie in (0, 1); otherwise PreconditionError.
     """
     if not sys.is_commuting_selfadjoint():
         raise PreconditionError("the exponential family needs symmetric A commuting with B B^T")
     if not sys.stable:
         raise UnstableSystemError("the exponential family threshold needs a stable system")
+    if not 0.0 < margin < 1.0:
+        raise PreconditionError(f"the margin must lie in (0, 1), got {margin:g}")
     K = np.asarray(K, dtype=float)
-    normK = np.linalg.norm(K, 2)
+    if K.shape != (sys.n, sys.n):
+        raise PreconditionError(f"K must be {sys.n} x {sys.n}, got shape {K.shape}")
+    normK = np.linalg.norm(K, 2) if np.all(np.isfinite(K)) else np.inf
+    if not np.isfinite(normK):
+        raise NonFiniteError("K has no finite norm in double precision")
+    asymmetry = np.linalg.norm(K - K.T, 2)
+    if not asymmetry <= 1e-12 * normK:
+        raise PreconditionError(
+            f"K must be symmetric: ||K - K^T|| = {asymmetry:.3e} against ||K|| = {normK:.3e}"
+        )
     if normK == 0.0:
         return 0.0
+    lam, V = np.linalg.eigh(sys.A)
+    Kt = V.T @ K @ V
     if commutes(sys.A, K, tol=1e-12):
-        return _commuting_t1(sys, K, margin)
-    from scipy.optimize import minimize_scalar  # costs a tenth of a second to import
+        return _commuting_t1(lam, Kt, margin)
 
-    def sigma_min(t):
-        E = expm(sys.A, t)
-        return float(np.linalg.svd(np.eye(sys.n) - E @ K @ E, compute_uv=False)[-1])
+    def unsafe(t):
+        d = np.exp(t * lam)
+        return np.linalg.eigvalsh(d[:, None] * Kt * d)[-1] >= 1.0 - margin
 
-    # past t_hi:  ||e^{tA} K e^{tA}|| <= ||K|| e^{-2 omega t} <= 1/2
-    t_hi = max(np.log(max(2.0 * normK, 2.0)) / (2.0 * sys.omega), 1.0 / sys.omega)
-    ts = np.linspace(0.0, t_hi, 512)
-    vals = np.array([sigma_min(t) for t in ts])
-    unsafe = [float(t) for t, v in zip(ts, vals) if v <= margin]
-    for i in range(1, ts.size - 1):
-        if vals[i] < vals[i - 1] and vals[i] < vals[i + 1]:
-            res = minimize_scalar(
-                sigma_min, bounds=(ts[i - 1], ts[i + 1]), method="bounded",
-                options={"xatol": 1e-14},
-            )
-            if res.fun <= margin:
-                unsafe.append(float(res.x))
-    if not unsafe:
+    if not unsafe(0.0):
         return 0.0
-    step = ts[1] - ts[0]
-    lo = max(unsafe)
-    hi = lo + step
-    while hi < t_hi + step and sigma_min(hi) <= margin:
-        hi += step
-    if sigma_min(hi) <= margin:
-        raise MarginError("bracket never becomes safely invertible inside the scan window")
-    for _ in range(80):
+    lo, hi = 0.0, math.log(2.0 * normK / (1.0 - margin)) / (2.0 * sys.omega)
+    while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if sigma_min(mid) <= margin:
+        if unsafe(mid):
             lo = mid
         else:
             hi = mid
@@ -487,9 +485,9 @@ class CommutingSolution:
 def commuting_family(sys, K, t, margin=1e-6, t1=None):
     """Evaluate (I - e^{tA} K e^{tA})^{-1} for the commuting selfadjoint case.
 
-    ``K`` must be symmetric in the weighted geometry (for the diagonal
-    models used here, plain symmetry suffices when it commutes with the
-    metric).  Times at or below the detected threshold raise MarginError.
+    ``K`` must be plainly symmetric, to 1e-12 relative (``detect_t1``
+    raises PreconditionError otherwise).  Times at or below the detected
+    threshold raise MarginError.
     """
     K = np.asarray(K, dtype=float)
     if t1 is None:

@@ -631,12 +631,20 @@ def test_non_finite_model_presets_are_usage_errors(tmp_path):
 def test_importing_the_cli_leaves_scipy_optimize_out(tmp_path):
     # no scipy module at all, no numpy.random and no schema library, neither
     # after the import nor after running the benchmark and dense3 golden
-    # scenarios (whose Riccati checks draw seeded probes); and the runs load
-    # no module the import did not: otherwise import cost would only move
-    # from set-up into the run
+    # scenarios (whose Riccati checks draw seeded probes) and a
+    # commuting-family run whose K does not commute with A (its threshold is
+    # bisected); and the runs load no module the import did not: otherwise
+    # import cost would only move from set-up into the run
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bisected = tmp_path / "bisected.json"
+    bisected.write_text(json.dumps({
+        "model": {"A": [[-50.0, 0.0], [0.0, -0.01]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+        "tasks": ["commuting-family"], "horizons": [0.5, 1.0],
+        "K": [[2.0, 1e-7], [1e-7, 0.99]],
+    }))
     scenarios = [os.path.join(root, "scenarios", "benchmark.json"),
-                 os.path.join(root, "tests", "golden", "dense3", "scenario.json")]
+                 os.path.join(root, "tests", "golden", "dense3", "scenario.json"),
+                 str(bisected)]
     code = (
         "import sys, minenergy.cli as cli\n"
         "def heavy_modules():\n"

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -82,6 +82,9 @@ SCENARIO = st.fixed_dictionaries(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(SCENARIO)
+# the non-finite delay presets, which the derandomized draws do not reach
+@example({"model": "delay(nan,0.5,1,1)", "tasks": ["gramian"], "horizons": [1.0]})
+@example({"model": "delay(inf,0.5,1,1)", "tasks": ["gramian"], "horizons": [1.0]})
 def test_run_keeps_the_exit_code_contract(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import minenergy as me
 from conftest import SCALAR_V11, SCALAR_U0, SCALAR_UM1
+from oracles import gramian_infinite
 
 
 def test_value_scalar_frozen(scalar_sys):
@@ -221,7 +222,7 @@ def test_closed_loop_limit_gain(scalar_sys):
 
 
 def test_h_norm_weighted(scalar_sys):
-    g_inf = me.gramian_infinite(scalar_sys)
+    g_inf = gramian_infinite(scalar_sys)
     geom = me.HGeometry(g_inf)
     # metric is Q_inf^+ = 2, so |x|_H = sqrt(2) |x|
     assert me.h_norm(geom, [1.0]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -229,7 +230,7 @@ def test_h_norm_weighted(scalar_sys):
 
 def test_h_geometry_rejects_outside_vectors():
     sys = me.LinearSystem(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
-    geom = me.HGeometry(me.gramian_infinite(sys))
+    geom = me.HGeometry(gramian_infinite(sys))
     assert geom.contains([1.0, 0.0])
     assert not geom.contains([0.0, 1.0])
     with pytest.raises(me.NotInSpaceError):

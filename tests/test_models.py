@@ -583,8 +583,7 @@ def test_shift_gramian_is_the_overlap_gramian(t):
 
 @pytest.mark.parametrize("t", [0.25, 1.0])
 def test_shift_report_value_matches_gramian_oracle(t):
-    # the oracle goes through (L L^T)^+, which squares the condition number
-    # of L: at m = 16 it still meets the SVD value to 1e-12
+    # the oracle factors L by QR, apart from the SVD route of the report
     sh = me.ShiftSystem(16)
     target = shift_benchmark_target(16)
     rep = shift_reachable_defect(sh, t, target=target)
@@ -593,6 +592,17 @@ def test_shift_report_value_matches_gramian_oracle(t):
         assert rep.value == pytest.approx(shift_value_oracle(sh, t)(target), rel=1e-12)
     else:
         assert rep.value is None
+
+
+@pytest.mark.parametrize("t", [1.0, 1.5])
+def test_shift_value_oracle_meets_the_svd_value_at_m128(t):
+    # square (t = 1) and wide (t = 1.5) control maps with cond(L) = 2.3e4:
+    # through (L L^T)^+ the squared condition number cost 4e-9 at t = 1
+    sh = me.ShiftSystem(128)
+    target = shift_benchmark_target(128)
+    rep = shift_reachable_defect(sh, t, target=target)
+    assert rep.reachable
+    assert rep.value == pytest.approx(shift_value_oracle(sh, t)(target), rel=1e-12)
 
 
 def test_shift_callable_target():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import minenergy as me
@@ -180,6 +182,68 @@ def test_detect_t1_noncommuting_dip():
     # just past t1 the family must be safely invertible
     S = np.eye(2) - me.expm(A, t1 + 1e-3) @ K @ me.expm(A, t1 + 1e-3)
     assert np.linalg.svd(S, compute_uv=False)[-1] > 1e-6
+
+
+def masked_dip_system():
+    """A = diag(-50, -0.01), B = I: the fast branch of the bracket turns
+    safe near t = 0.007, while the slow branch only rises."""
+    return me.LinearSystem(np.diag([-50.0, -0.01]), np.eye(2))
+
+
+MASKED_DIP_K = np.array([[2.0, 1e-7], [1e-7, 0.99]])
+
+
+def test_detect_t1_finds_the_dip_of_a_fast_branch():
+    # K does not commute with A, so the threshold is bisected; the fast
+    # branch 2 e^{-100 t} crosses 1 - margin at log(2 / (1 - margin)) / 100
+    t1 = me.detect_t1(masked_dip_system(), MASKED_DIP_K, margin=1e-6)
+    assert t1 == pytest.approx(np.log(2.0 / (1.0 - 1e-6)) / 100.0, rel=1e-9)
+
+
+def test_commuting_family_refuses_a_time_inside_the_fast_dip():
+    with pytest.raises(me.MarginError):
+        me.commuting_family(masked_dip_system(), MASKED_DIP_K, 0.00693)
+
+
+def test_detect_t1_refuses_a_non_symmetric_K():
+    # I - e^{-2t} [[0, 3], [0, 0]] is invertible with sigma_min >= 0.30 at
+    # every t >= 0; the threshold of its symmetric part (t = 0.2027) is not
+    # this bracket's
+    sys = me.LinearSystem(-np.eye(2), np.eye(2))
+    K = [[0.0, 3.0], [0.0, 0.0]]
+    with pytest.raises(me.PreconditionError, match="symmetric"):
+        me.detect_t1(sys, K)
+    with pytest.raises(me.PreconditionError, match="symmetric"):
+        me.commuting_family(sys, K, 0.1)
+
+
+@pytest.mark.parametrize("K, margin", [(np.eye(3), 1e-6), (np.eye(2), 0.0),
+                                       (np.eye(2), 1.0), (np.eye(2), -1e-6)])
+def test_detect_t1_refuses_a_wrong_shape_or_margin(diag_sys, K, margin):
+    with pytest.raises(me.PreconditionError):
+        me.detect_t1(diag_sys, K, margin=margin)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n),
+    # eigenvalues kept off 1 - margin, where a 1e-10 shift moves t1 by more
+    # than 1e-8 relative
+    st.lists(st.one_of(st.floats(-1.0, 0.9), st.floats(1.2, 4.0)), min_size=n, max_size=n),
+)))
+def test_detect_t1_bisection_matches_the_closed_form(rates_and_kappas):
+    # a symmetric perturbation of relative size 1e-10 breaks the commutation
+    # with A, so the bisection runs; it must land on the closed-form
+    # threshold of the unperturbed diagonal K
+    rates, kappas = rates_and_kappas
+    n = len(rates)
+    A = -np.diag(rates)
+    sys = me.LinearSystem(A, np.eye(n))
+    K0 = np.diag(kappas)
+    K = K0 + 1e-10 * np.abs(kappas).max() * (np.ones((n, n)) - np.eye(n)) / (n - 1)
+    assume(not me.commutes(A, K, tol=1e-12))
+    want = me.detect_t1(sys, K0)
+    assert me.detect_t1(sys, K) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_commuting_family_values(scalar_sys):
