@@ -165,9 +165,9 @@ _FIELDS = {
     "targets": _MATRIX_FIELD,
     "grid_points": (_integer(2), "an integer of at least 2"),
     "seed": (_integer(0), "a non-negative integer"),
-    "mesh": (_integer(2), "an integer of at least 2"),
+    "mesh": (lambda x: _integer(2)(x) and x % 2 == 0, "an even integer of at least 2"),
     "tolerance": _POSITIVE_FIELD,
-    "margin": _POSITIVE_FIELD,
+    "margin": (lambda x: _positive(x) and x < 1, "a number in (0, 1)"),
     "t_star": _POSITIVE_FIELD,
     "K": _MATRIX_FIELD,
     "projector": _MATRIX_FIELD,
@@ -618,7 +618,7 @@ def _scenario_from_args(args, tasks):
         scenario["targets"] = [[float(v) for v in t.split(",")] for t in args.target]
     for attr, field in (("grid_points", "grid_points"), ("t_star", "t_star"),
                         ("margin", "margin"), ("kind", "sweep_kinds")):
-        if getattr(args, attr, None):
+        if getattr(args, attr, None) is not None:  # a given 0 reaches the reader
             scenario[field] = getattr(args, attr)
     for field in ("K", "projector"):
         if getattr(args, field, None):

@@ -335,8 +335,10 @@ class DelaySystem(Model):
     segment is represented by cell averages on a uniform mesh of ``mesh``
     cells; that projection is the single approximation in the pipeline.
     ``delay_gramian`` keeps each mesh Gramian it computes in ``_gramians``,
-    keyed by horizon.  There is no matrix system, and no value oracle apart
-    from the fundamental solution yet.
+    keyed by horizon, and ``delay_fundamental_solution`` each fundamental
+    solution in ``_fundamentals``, keyed by its number of delay intervals.
+    There is no matrix system, and no value oracle apart from the
+    fundamental solution yet.
     """
 
     kind = "delay"
@@ -348,6 +350,7 @@ class DelaySystem(Model):
     delay: float
     mesh: int
     _gramians: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fundamentals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.a0, self.a1, self.b0, self.delay))):
@@ -369,11 +372,6 @@ class DelaySystem(Model):
     def dim(self):
         """Mesh-level state dimension: scalar head plus one average per cell."""
         return self.mesh + 1
-
-    @property
-    def offsets(self):
-        """Cell offsets c_j = (j + 1) h - delay used throughout the mesh formulas."""
-        return np.arange(1, self.mesh + 1, dtype=float) * self.h - self.delay
 
     def fingerprint(self):
         payload = struct.pack(
@@ -465,7 +463,7 @@ class FundamentalSolution:
 
     def __init__(self, sys_, t_max):
         a0, a1, M, h = sys_.a0, sys_.a1, sys_.mesh, sys_.h
-        K = max(1.0, float(np.ceil(float(t_max) / sys_.delay - 1e-12)))  # delay intervals
+        K = _delay_intervals(sys_, t_max)
         if M * K * K > _LATTICE_WORK_CAP:  # in floats, so an infinite count is caught too
             raise StiffnessError(
                 f"the delay lattice of {M * K:.3g} cells over {K:.3g} delay intervals "
@@ -497,6 +495,25 @@ class FundamentalSolution:
             out += self.c[k] * np.where(i >= 0, self.s[np.maximum(i, 0)], 0.0) * terms[..., k]
         return out
 
+    def _pieces(self, j, sigma, order):
+        """g, then F and F2 up to ``order``, on cells j at local times sigma
+        (broadcast together); one moment series serves both antiderivatives."""
+        out = [np.exp(self.a0 * sigma) * self._lagged(j, sigma[:, None] ** np.arange(self.c.size))]
+        if order:
+            mu = _moments(self.a0, sigma, self.c.size - (order == 1))
+            out.append(self.F0[j] + self._lagged(j, mu[:, :self.c.size]))
+        if order == 2:
+            inner = sigma[:, None] * mu[:, :-1] - mu[:, 1:]
+            out.append(self.F20[j] + self.F0[j] * sigma + self._lagged(j, inner))
+        return out
+
+    def locate(self, t):
+        """Cell and local time of each t in [0, end], as two arrays; the last
+        cell holds the end of the built range, at local time h."""
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.floor(t / self.h), 0, self.cells - 1).astype(int)
+        return j, np.maximum(t, 0.0) - j * self.h
+
     def _at(self, t, order):
         """g (order 0), F (1) or F2 (2) elementwise; a float at a scalar t."""
         flat = np.asarray(t, dtype=float).ravel()
@@ -504,18 +521,8 @@ class FundamentalSolution:
         if beyond.any():
             raise ValueError(f"evaluation at {flat[np.argmax(beyond)]:g} beyond the "
                              f"built range [0, {self.end:g}]")
-        j = np.clip(np.floor(flat / self.h), 0, self.cells - 1).astype(int)
-        sigma = np.maximum(flat, 0.0) - j * self.h  # points below 0 are zeroed below
-        if order == 0:
-            powers = sigma[:, None] ** np.arange(self.c.size)
-            vals = np.exp(self.a0 * sigma) * self._lagged(j, powers)
-        elif order == 1:
-            vals = self.F0[j] + self._lagged(j, _moments(self.a0, sigma, self.c.size - 1))
-        else:
-            mu = _moments(self.a0, sigma, self.c.size)
-            inner = sigma[:, None] * mu[:, :-1] - mu[:, 1:]
-            vals = self.F20[j] + self.F0[j] * sigma + self._lagged(j, inner)
-        vals = np.where(flat < 0.0, 0.0, vals)
+        j, sigma = self.locate(flat)  # points below 0 are zeroed below
+        vals = np.where(flat < 0.0, 0.0, self._pieces(j, sigma, order)[order])
         return float(vals[0]) if np.ndim(t) == 0 else vals.reshape(np.shape(t))
 
     def __call__(self, t):
@@ -527,19 +534,28 @@ class FundamentalSolution:
     def F2(self, t):
         return self._at(t, 2)
 
-    def on_cells(self, sigma):
-        """g and F at local time sigma on every cell: two (cells, len(sigma)) arrays."""
-        sigma = np.asarray(sigma, dtype=float)
-        j = np.arange(self.cells)[:, None]
-        g = self._lagged(j, sigma[:, None] ** np.arange(self.c.size)) * np.exp(self.a0 * sigma)
-        F = self.F0[:-1, None] + self._lagged(j, _moments(self.a0, sigma, self.c.size - 1))
-        return g, F
+    def on_cells(self, sigma, order=1):
+        """g, then F and F2 up to ``order``, at local time sigma on every cell:
+        (cells, len(sigma)) arrays."""
+        return self._pieces(np.arange(self.cells)[:, None], np.asarray(sigma, dtype=float), order)
+
+
+def _delay_intervals(sys_, t_max):
+    """Whole delay intervals covering [0, t_max], at least one; a float, so an
+    overlong horizon reads as a huge or infinite count instead of overflowing."""
+    return max(1.0, float(np.ceil(float(t_max) / sys_.delay - 1e-12)))
 
 
 def delay_fundamental_solution(sys_, t_max):
-    """The fundamental solution covering [0, t_max] (see ``FundamentalSolution``);
-    a build takes well under a millisecond at benchmark sizes, so nothing is cached."""
-    return FundamentalSolution(sys_, t_max)
+    """The fundamental solution covering [0, t_max] (see ``FundamentalSolution``),
+    built once per lattice: the system keeps it in ``_fundamentals``, keyed by the
+    number of delay intervals, so every horizon within the same whole delay
+    interval shares one object."""
+    K = _delay_intervals(sys_, t_max)
+    fund = sys_._fundamentals.get(K)
+    if fund is None:
+        fund = sys_._fundamentals[K] = FundamentalSolution(sys_, t_max)
+    return fund
 
 
 def _panel_gram(sys_, fund, lo, hi, first, stop):
@@ -599,14 +615,24 @@ def delay_gramian(sys_, t):
 def delay_optimal_control(sys_, gram, x, grid=129):
     """The least-norm control u(r) = b0 (g(-r) z_0 + sum_j W(c_j - r) z_j /
     sqrt(h)) on [-t, 0], z = Q_t^+ x: the kernels of ``delay_gramian`` at
-    time -r applied to z.  Same contract as ``energy.optimal_control``."""
+    time -r applied to z.  Same contract as ``energy.optimal_control``.
+
+    At tau = -r = ih + sigma, W(tau + c_j) = F(tau + c_j) - F(tau + c_j - h)
+    takes F on cells i + j + 1 - M and i + j - M at the local time sigma, so
+    one lattice evaluation per sample time gives every kernel, as in
+    ``_panel_gram``.
+    """
     z = _steering_coefficients(gram, x, grid, "control")
     t = gram.horizon
+    M = sys_.mesh
     fund = delay_fundamental_solution(sys_, t)
     rs = np.linspace(-t, 0.0, grid)
-    u = -rs[:, None] + sys_.offsets
-    cells = (fund.F(u) - fund.F(u - sys_.h)) @ z[1:]
-    vals = sys_.b0 * (fund(-rs) * z[0] + cells / math.sqrt(sys_.h))
+    i, sigma = fund.locate(-rs)
+    g, F = fund.on_cells(sigma)
+    dF = np.diff(np.concatenate((np.zeros((M, grid)), F)), axis=0)
+    samples = np.arange(grid)
+    W = dF[i[:, None] + np.arange(M), samples[:, None]]
+    vals = sys_.b0 * (g[i, samples] * z[0] + (W @ z[1:]) / math.sqrt(sys_.h))
     return ControlSignal(rs, vals[:, None])
 
 
@@ -617,27 +643,31 @@ def delay_semigroup_matrix(sys_, T0):
     history cell j via the variation-of-constants formula
     x(t) = g(t) x0 + a1 * integral of g(t - s - delay) x1(s) ds.
     Cells that have not yet been overwritten (T0 + theta < 0) keep their
-    initial data, which contributes an exact overlap term.
+    initial data, which contributes an exact overlap term.  Every argument
+    of g, F and F2 is T0 plus a multiple of h, so all of them come from one
+    lattice evaluation at the local time of T0.
     """
     T0 = float(T0)
     if T0 < 0:
         raise ValueError("flow time must be nonnegative")
     M, h, d, a1 = sys_.mesh, sys_.h, sys_.delay, sys_.a1
     fund = delay_fundamental_solution(sys_, T0)
-    F, F2 = fund.F, fund.F2
-    c = sys_.offsets
+    i, sigma = fund.locate([T0])
+    g, F, F2 = fund.on_cells(sigma, order=2)
+    # F and F2 at T0 + mh are entry e + m, zero before the start
+    e = 2 * M + int(i[0])
+    F, F2 = (np.concatenate((np.zeros(2 * M), v[: e - 2 * M + 1, 0])) for v in (F, F2))
     rt_h = math.sqrt(h)
     cells = np.arange(M)
 
     S = np.zeros((M + 1, M + 1))
-    S[0, 0] = fund(T0)
-    S[1:, 0] = (F(T0 + c) - F(T0 + c - h)) / rt_h
-    S[0, 1:] = (a1 / rt_h) * (F(T0 - cells * h) - F(T0 - (cells + 1) * h))
-    # the Duhamel term of cell j in cell k depends on k - j only
-    lag = np.arange(-(M - 1), M)
-    a = T0 - d + lag * h
-    b = a + h
-    duhamel = (a1 / h) * (F2(b) - F2(a) - F2(b - h) + F2(a - h))
+    S[0, 0] = g[i[0], 0]
+    S[1:, 0] = (F[e + 1 - M : e + 1] - F[e - M : e]) / rt_h  # at T0 + c, T0 + c - h
+    S[0, 1:] = (a1 / rt_h) * (F[e - cells] - F[e - 1 - cells])  # at T0 - jh, T0 - (j + 1)h
+    # the Duhamel term of cell j in cell k depends on k - j only: at
+    # a = T0 - d + (k - j) h its second difference over a + h, a and a - h
+    b, a, a_h = F2[e + 2 - 2 * M : e + 1], F2[e + 1 - 2 * M : e], F2[e - 2 * M : e - 1]
+    duhamel = (a1 / h) * (b - a - a + a_h)
     k, j = cells[:, None], cells[None, :]
     lo = np.maximum(-d + k * h, -d + j * h - T0)
     hi = np.minimum(np.minimum(-d + (k + 1) * h, -d + (j + 1) * h - T0), -T0)

@@ -86,9 +86,9 @@ FIELD_CASES = {
     "targets": ([[[1.0], [0.5, 2.0]]], [[[]], [[math.nan]], [1.0]]),
     "grid_points": ([2, 5.0], [1, 2.5, True]),
     "seed": ([0, 7], [-1, 0.5, 10**400]),
-    "mesh": ([8], [1, "8"]),
+    "mesh": ([2, 8, 8.0], [1, 3, 9, "8"]),
     "tolerance": ([1e-6], [0, math.inf]),
-    "margin": ([1e-6], [-1e-6, math.nan]),
+    "margin": ([1e-6, 0.5], [-1e-6, math.nan, 0, 1, 1.5]),
     "t_star": ([1.0], [math.nan, None]),
     "K": ([[[1.0, 0.0], [0.0, 0.5]]], [[[1.0, "x"]], [[-math.inf]]]),
     "projector": ([[[0.0]]], [[], [[math.nan]]]),
@@ -504,7 +504,19 @@ def test_coarse_delay_mesh_is_usage_error(tmp_path):
     p = run_cli(["gramian", "--model", "delay(-1,0.5,1,1)", "--mesh", "3",
                  "--horizons", "1", "--out", str(tmp_path / "out")])
     assert p.returncode == 2
-    assert "mesh" in p.stderr
+    assert "scenario field 'mesh': must be an even integer" in p.stderr
+    assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("margin", ["1.5", "0"])
+def test_margin_outside_unit_interval_is_usage_error(tmp_path, margin):
+    # the threshold search needs a margin in (0, 1); the reader says so before
+    # any task runs, and a given 0 is refused, not replaced by the default
+    p = run_cli(["commuting-family", "--model", "spectral:landau-ginzburg(2)",
+                 "--K", "[[2,0],[0,0.5]]", "--horizons", "1", "--margin", margin,
+                 "--out", str(tmp_path / "out")])
+    assert p.returncode == 2
+    assert "scenario field 'margin': must be a number in (0, 1)" in p.stderr
     assert "Traceback" not in p.stderr
 
 
@@ -756,3 +768,21 @@ def test_run_builds_one_delay_gramian_per_horizon(tmp_path, monkeypatch):
     assert [t["task"] for t in read_report(str(tmp_path))["tasks"]
             if "error" in t] == []
     assert sorted(built) == [1.5, 2.0]
+
+
+def test_run_builds_one_fundamental_solution_per_delay_interval_count(tmp_path, monkeypatch):
+    # the Gramians, semigroups and controls of horizons 0.5 and 0.75 share one
+    # lattice of one delay interval; 1.5 and 2.5 need two and three
+    from minenergy import models
+
+    built = []
+    build = models.FundamentalSolution
+    monkeypatch.setattr(models, "FundamentalSolution",
+                        lambda sys_, t_max: built.append(t_max) or build(sys_, t_max))
+    scenario = {"model": "delay(-0.5,0.5,1,1)", "mesh": 8, "horizons": [0.5, 0.75, 1.5, 2.5],
+                "targets": [[1.0] + [0.0] * 8],
+                "tasks": ["gramian", "min-energy", "null-controllability"]}
+    cli.run_scenario(scenario, str(tmp_path))
+    tasks = read_report(str(tmp_path))["tasks"]
+    assert [t["task"] for t in tasks if "error" in t] == []
+    assert sorted(math.ceil(t) for t in built) == [1, 2, 3]

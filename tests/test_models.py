@@ -13,6 +13,7 @@ from scipy.special import gamma, gammainc, hyp1f1
 
 import minenergy as me
 import minenergy.cli as cli
+from minenergy.energy import _steering_coefficients
 from minenergy.models import (
     delay_domain_residual,
     delay_fundamental_solution,
@@ -491,6 +492,32 @@ def test_delay_control_energy_converges_to_value():
         gaps.append(abs(signal.energy() - value) / value)
     assert gaps[1] <= 1e-4
     assert gaps[1] <= gaps[0] / 30
+
+
+def _control_pointwise(sys_, gram, x, grid):
+    """The least-norm delay control with every kernel value its own
+    evaluation of g or F at its own point: M + 1 per sample time."""
+    z = _steering_coefficients(gram, x, grid, "control")
+    g = delay_fundamental_solution(sys_, gram.horizon)
+    rs = np.linspace(-gram.horizon, 0.0, grid)
+    u = -rs[:, None] + np.arange(1, sys_.mesh + 1, dtype=float) * sys_.h - sys_.delay
+    cells = (g.F(u) - g.F(u - sys_.h)) @ z[1:]
+    return sys_.b0 * (g(-rs) * z[0] + cells / math.sqrt(sys_.h))
+
+
+@pytest.mark.parametrize("mesh,grid", [(8, 17), (8, 129), (32, 17), (32, 129)])
+@pytest.mark.parametrize("a0", [-0.7, 0.0, 0.3])
+def test_delay_control_matches_pointwise(mesh, grid, a0):
+    # whole-delay horizons put the first sample at the end of the built
+    # range, which the lattice reads on the last cell at local time h
+    sys_ = me.DelaySystem(a0=a0, a1=0.6, b0=1.2, delay=1.0, mesh=mesh)
+    for t in (0.5, 1.0, 1.5, 2.0, 2.5):
+        gram = delay_gramian(sys_, t)
+        live = (np.arange(mesh) + 1) * sys_.h > sys_.delay - t + 1e-12
+        x = np.r_[0.5, np.where(live, np.linspace(0.05, 0.2, mesh), 0.0)]
+        signal = delay_optimal_control(sys_, gram, x, grid=grid)
+        assert_allclose(signal.values[:, 0], _control_pointwise(sys_, gram, x, grid),
+                        rtol=1e-13, atol=0)
 
 
 def test_delay_null_controllability_past_one_delay():
