@@ -1,13 +1,14 @@
 """Command-line interface: a JSON scenario runner plus per-task subcommands.
 
-Every invocation writes ``report.json`` (numeric results, tolerances,
-verdicts, and a ``formula`` label identifying the expression behind each
-result block) and one CSV per emitted time series into the output
+Every invocation writes one CSV per emitted time series and then
+``report.json`` (numeric results, tolerances, verdicts, and a ``formula``
+label identifying the expression behind each result block) into the output
 directory.  Identical scenario + seed reproduces the artifacts byte for
-byte: floats are printed with 17 significant digits, dictionary keys are
-sorted, no timestamps are recorded, and files are written atomically.
-Failing verification tasks do not abort the run; the exit status
-aggregates all verdicts (nonzero iff anything failed or errored).
+byte: keys are sorted, no timestamps are recorded, files are written
+atomically, and floats print as their shortest round-trip repr in the
+report and with 17 significant digits in the CSVs.  Failing verification
+tasks do not abort the run; the exit status aggregates all verdicts
+(nonzero iff anything failed or errored).
 
 The model answers every task through the calls of ``systems.Model``: its
 Gramian, steering verdict, least-norm control, null-controllability report
@@ -68,6 +69,9 @@ def _atomic_write(path, text):
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes the file 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,22 +96,59 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _json_ready(obj):
-    if type(obj) is float and math.isfinite(obj):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, np.generic):  # a numpy float, int or bool
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    if isinstance(obj, float) and math.isnan(obj):
-        return "nan"
-    return obj
+def _array_layout(shape, nl):
+    """The JSON layout of a float array of ``shape``, with a NUL for each entry."""
+    if not shape:
+        return "\0"
+    inner = nl + "  "
+    rows = ("," + inner).join([_array_layout(shape[1:], inner)] * shape[0])
+    return "[" + inner + rows + nl + "]" if shape[0] else "[]"
+
+
+def _json_text(obj):
+    """``json.dumps(obj, sort_keys=True, indent=2)`` once keys are ``str``, numpy
+    values Python ones, tuples lists and non-finite floats "inf", "-inf" or "nan".
+
+    One walk lays the text out with a NUL, which JSON text never holds, for
+    each float.  The floats are told apart by their bits, which keeps -0.0
+    apart from 0.0, and each distinct one is formatted once.
+    """
+    blocks, scalars = [], []  # the floats in order: arrays, and the scalars before each
+
+    def text(obj, nl):  # nl: a newline and the indent of obj's line
+        if isinstance(obj, float):
+            scalars.append(obj)
+            return "\0"
+        if obj is None or isinstance(obj, (str, int)):
+            return json.dumps(obj)
+        inner = nl + "  "
+        if isinstance(obj, dict):
+            items = sorted({str(k): v for k, v in obj.items()}.items())
+            body, brackets = [json.dumps(k) + ": " + text(v, inner) for k, v in items], "{}"
+        elif isinstance(obj, (list, tuple)) and not all(type(v) is float for v in obj):
+            body, brackets = [text(v, inner) for v in obj], "[]"
+        elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray) and obj.dtype == float:
+            blocks.extend((np.array(scalars, dtype=float), np.ravel(obj)))
+            scalars.clear()
+            return _array_layout(np.shape(obj), nl)
+        elif isinstance(obj, (np.ndarray, np.generic)):
+            return text(obj.tolist(), nl)
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if not body:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(body) + nl + brackets[1]
+
+    pieces = text(obj, "\n").split("\0")
+    blocks.append(np.array(scalars, dtype=float))
+    bits, where = np.unique(np.concatenate(blocks).view(np.int64), return_inverse=True)
+    values = bits.view(float)
+    formatted = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    nonfinite = ~np.isfinite(values)  # printed as the strings "inf", "-inf" and "nan"
+    formatted[nonfinite] = '"' + formatted[nonfinite] + '"'
+    out = [None] * (2 * len(pieces) - 1)
+    out[::2], out[1::2] = pieces, formatted[where].tolist()
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +258,18 @@ def _load_model(value, mesh):
     """The scenario's model; a model that cannot be built is a usage error."""
     try:
         if isinstance(value, dict):
-            model = LinearSystem.from_json_dict(value)
-        else:
-            text = value.strip()
-            if text.startswith("{"):
-                model = LinearSystem.from_json_dict(json.loads(text))
-            elif os.path.isfile(text):
-                with open(text) as f:
-                    model = LinearSystem.from_json_dict(json.load(f))
-            else:
-                model = parse_model(text, mesh=mesh)
+            return LinearSystem.from_json_dict(value)
+        text = value.strip()
+        if text.startswith("{"):
+            return LinearSystem.from_json_dict(json.loads(text))
+        if os.path.isfile(text):
+            with open(text) as f:
+                return LinearSystem.from_json_dict(json.load(f))
+        return parse_model(text, mesh=mesh)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"scenario field 'model': {exc}") from exc
-    return model
 
 
 class _Run:
@@ -243,13 +281,9 @@ class _Run:
             raise ScenarioError("scenario field 'model': a model or system is required")
         self.model = _load_model(raw_model, int(scenario.get("mesh", 32)))
         self.tasks = scenario.get("tasks", [])
-        horizons = scenario.get("horizons")
-        if horizons is None:
-            horizons = [scenario["horizon"]] if "horizon" in scenario else []
+        horizons = scenario.get("horizons", [scenario["horizon"]] if "horizon" in scenario else [])
         self.horizons = [math.inf if h == "inf" else float(h) for h in horizons]
-        targets = scenario.get("targets")
-        if targets is None:
-            targets = [scenario["target"]] if "target" in scenario else []
+        targets = scenario.get("targets", [scenario["target"]] if "target" in scenario else [])
         self.targets = [np.asarray(x, dtype=float) for x in targets]
         for i, x in enumerate(self.targets):
             if x.ndim != 1 or x.size != self.model.dim:
@@ -388,27 +422,18 @@ def _task_verify_riccati(run):
 def _task_verify_lyapunov(run):
     sys_lin = run.matrix_system("verify-lyapunov")
     times = run.need("horizons", run.finite_horizons(), "verify-lyapunov")
-    out = []
-    rows = []
     rep = lyapunov_residual(
         sys_lin, lambda t: compute_gramian(sys_lin, t).matrix, "differential", times=times
     )
-    out.append(_residual_entry("lyapunov-differential", rep, mode=rep.mode))
-    for t, r in zip(rep.times, rep.residuals):
-        rows.append(("differential", t, r, rep.tol_scaled))
+    out = [_residual_entry("lyapunov-differential", rep, mode=rep.mode)]
+    rows = [("differential", t, r, rep.tol_scaled) for t, r in zip(rep.times, rep.residuals)]
     all_passed = rep.passed
     if sys_lin.stable:
         qinf = compute_gramian(sys_lin, math.inf).matrix
         rep_a = lyapunov_residual(sys_lin, qinf, "algebraic", tol=1e-10)
-        out.append(
-            {
-                "formula": "lyapunov-algebraic",
-                "mode": rep_a.mode,
-                "residuals": list(rep_a.residuals),
-                "tol_scaled": rep_a.tol_scaled,
-                "passed": rep_a.passed,
-            }
-        )
+        out.append({"formula": "lyapunov-algebraic", "mode": rep_a.mode,
+                    "residuals": list(rep_a.residuals), "tol_scaled": rep_a.tol_scaled,
+                    "passed": rep_a.passed})
         rows.append(("algebraic", 0.0, rep_a.residuals[0], rep_a.tol_scaled))
         all_passed = all_passed and rep_a.passed
     run.csv_files["lyapunov_residuals.csv"] = _csv_text(
@@ -438,7 +463,7 @@ def _task_commuting_family(run):
         for t in times:
             S = cand.evaluate(t)
             result["evaluations"].append(
-                {"t": t, "operator": S.tolist(), "norm": float(np.linalg.norm(S, 2))}
+                {"t": t, "operator": S, "norm": float(np.linalg.norm(S, 2))}
             )
         rep = riccati_residual_commuting(cand, times, tol=run.tol, seed=run.seed)
         result["residual"] = _residual_entry("riccati-residual-commuting", rep)
@@ -449,15 +474,9 @@ def _task_commuting_family(run):
 def _task_recover_l(run):
     cand = _commuting_cand(run, "recover-L")
     rep = recover_L(cand.sys, cand, run.need("t_star", run.t_star, "recover-L"))
-    result = {
-        "formula": "recover-mixing-operator",
-        "t_star": rep.t_star,
-        "L": rep.L.tolist(),
-        "forward_times": list(rep.times),
-        "forward_errors": list(rep.errors),
-        "k_roundtrip_error": rep.k_roundtrip_error,
-        "passed": rep.passed,
-    }
+    result = {"formula": "recover-mixing-operator", "t_star": rep.t_star, "L": rep.L,
+              "forward_times": list(rep.times), "forward_errors": list(rep.errors),
+              "k_roundtrip_error": rep.k_roundtrip_error, "passed": rep.passed}
     return result, rep.passed
 
 
@@ -541,29 +560,15 @@ def _task_sweep(run):
     return result, None
 
 
-_TASK_FN = {
-    "gramian": _task_gramian,
-    "min-energy": _task_min_energy,
-    "verify-riccati": _task_verify_riccati,
-    "verify-lyapunov": _task_verify_lyapunov,
-    "commuting-family": _task_commuting_family,
-    "recover-L": _task_recover_l,
-    "project-check": _task_project_check,
-    "null-controllability": _task_null_controllability,
-    "sweep": _task_sweep,
-}
+_TASK_FN = {task: globals()["_task_" + task.replace("-", "_").lower()] for task in _TASKS}
 
 
 def run_scenario(scenario, out_dir):
     """Execute a scenario dict that passed ``_validate_scenario``; write artifacts;
     return the exit status."""
     run = _Run(scenario)
-    report = {
-        "model": {"kind": run.model.kind, **run.model.to_json_dict()},
-        "seed": run.seed,
-        "tolerance": run.tol,
-        "tasks": [],
-    }
+    report = {"model": {"kind": run.model.kind, **run.model.to_json_dict()},
+              "seed": run.seed, "tolerance": run.tol, "tasks": []}
     failures = []
     for task in run.tasks:
         entry = {"task": task}
@@ -581,12 +586,10 @@ def run_scenario(scenario, out_dir):
     report["failures"] = failures
     report["all_passed"] = not failures
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(
-        os.path.join(out_dir, "report.json"),
-        json.dumps(_json_ready(report), sort_keys=True, indent=2) + "\n",
-    )
+    # the report last: once it is on disk, so is every file it names
     for name in sorted(run.csv_files):
         _atomic_write(os.path.join(out_dir, name), run.csv_files[name])
+    _atomic_write(os.path.join(out_dir, "report.json"), _json_text(report) + "\n")
     return 0 if not failures else 1
 
 
@@ -711,10 +714,7 @@ def main(argv=None):
                 raise ScenarioError(str(exc)) from exc
         _validate_scenario(scenario)
         return run_scenario(scenario, args.out or scenario.get("output", "out"))
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

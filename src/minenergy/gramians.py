@@ -75,7 +75,7 @@ class Gramian:
     def to_json_dict(self):
         horizon = "inf" if np.isinf(self.horizon) else float(self.horizon)
         return {
-            "Q": self.Q.matrix.tolist(),
+            "Q": self.Q.matrix,
             "horizon": horizon,
             "method": self.method,
             "system_fingerprint": self.system_fingerprint,

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -176,6 +177,43 @@ def test_run_is_deterministic(tmp_path):
         with open(os.path.join(out2, name), "rb") as f:
             b2 = f.read()
         assert b1 == b2, f"{name} differs between identical runs"
+
+
+STEER_SCENARIO = {"model": SCALAR_MODEL, "tasks": ["gramian", "min-energy"],
+                  "horizons": [1.0], "targets": [[1.0]], "grid_points": 9}
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_artifact_modes_follow_the_umask(tmp_path, umask, mode):
+    out = str(tmp_path / "out")
+    path = write_scenario(tmp_path, dict(STEER_SCENARIO, output=out))
+    old = os.umask(umask)
+    try:
+        assert cli.main(["run", path]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(os.listdir(out))
+    assert names == ["report.json", "timeseries_h0_x0.csv"]
+    for name in names:
+        assert stat.S_IMODE(os.stat(os.path.join(out, name)).st_mode) == mode, name
+
+
+def test_report_is_not_written_when_a_csv_write_fails(tmp_path, monkeypatch):
+    """The CSVs go first: a report on disk means every file it names is there."""
+    written = []
+    real_write = cli._atomic_write
+
+    def full_disk_for_csv(path, text):
+        if path.endswith(".csv"):
+            raise OSError(28, "No space left on device")
+        written.append(os.path.basename(path))
+        real_write(path, text)
+
+    out = str(tmp_path / "out")
+    path = write_scenario(tmp_path, dict(STEER_SCENARIO, output=out))
+    monkeypatch.setattr(cli, "_atomic_write", full_disk_for_csv)
+    assert cli.main(["run", path]) == 2
+    assert written == [] and os.listdir(out) == []
 
 
 def test_failure_keeps_running_and_sets_exit_code(tmp_path):

@@ -14,6 +14,7 @@ When a change moves a golden number on purpose, regenerate with
 and say in CHANGES.md which files moved and why.
 """
 
+import json
 import os
 import shutil
 import sys
@@ -47,16 +48,33 @@ def test_cases_cover_every_kind():
     assert CASES == ["benchmark", "delay", "dense3", "shift", "spectral"]
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_golden_outputs_reproduce(case, tmp_path):
-    out = str(tmp_path / "out")
-    assert _run(case, out) == 0
+def _assert_reproduces(case, out):
     expected = os.path.join(GOLDEN, case, "expected")
     assert sorted(os.listdir(out)) == sorted(os.listdir(expected))
     for name in sorted(os.listdir(expected)):
         assert _read(os.path.join(out, name)) == _read(os.path.join(expected, name)), (
             f"{case}/{name} differs from the golden file"
         )
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_outputs_reproduce(case, tmp_path):
+    out = str(tmp_path / "out")
+    assert _run(case, out) == 0
+    _assert_reproduces(case, out)
+
+
+def test_report_needs_no_pure_python_json_encoder(tmp_path, monkeypatch):
+    """``json.dumps`` with an indent leaves its C encoder for the pure-Python
+    one, a generator step and a float formatting per number; the report's
+    writer must not come to depend on it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    out = str(tmp_path / "out")
+    assert _run("shift", out) == 0
+    _assert_reproduces("shift", out)
 
 
 def _regenerate(cases):
