@@ -34,7 +34,6 @@ from .linalg import (
     expm,
     negative_type_bound,
     pinv,
-    psd_sqrt,
     range_inclusion,
 )
 from .systems import LinearSystem, Model, random_stable_system

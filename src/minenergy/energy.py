@@ -79,14 +79,21 @@ class ControlSignal:
 
 @dataclass(frozen=True)
 class ReachabilityClass:
-    """Tri-state reachability verdict with the distance to the reachable set.
+    """Reachability verdict with the distance to the reachable set.
 
     category is one of:
-      'in_range_Q'          -- x in range(Q_t): finite energy and an attaining control
-      'in_range_Qhalf_only' -- x in range(Q_t^{1/2}) only: finite value, optimizer
-                               exists only in the limit
-      'unreachable'         -- positive distance to range(Q_t^{1/2})
-    defect is the Euclidean distance from x to range(Q_t^{1/2}).
+      'in_range_Q'  -- x in range(Q_t): finite energy and an attaining control
+      'unreachable' -- positive distance to range(Q_t)
+    defect is the Euclidean distance from x to range(Q_t), the span of the
+    eigenvectors that ``SymmetricPSD`` keeps under ``REL_THRESHOLD``.
+
+    Two classes suffice because in finite dimension range(Q_t^{1/2}) =
+    range(Q_t): a target has a finite value exactly when a control attains
+    it.  Whether a discretized value belongs to the infinite-dimensional
+    problem, where the two ranges differ, is a question about the limit
+    under refinement (ROADMAP, "Limit verdicts"); telling apart directions
+    below ``REL_THRESHOLD`` needs a factored Gramian (ROADMAP, "Factored
+    Gramians" and "A one-actuator mode model").
     """
 
     category: str
@@ -97,62 +104,12 @@ class ReachabilityClass:
         return self.category != "unreachable"
 
 
-def classify_target(gram, x):
-    """Classify a target against the ranges of Q_t and Q_t^{1/2}.
-
-    Under the relative rank threshold the two ranges genuinely differ: an
-    eigendirection survives in range(Q^{1/2}) when its eigenvalue clears the
-    *squared* relative threshold, mirroring the fact that the square root
-    has the larger range.  That threshold never drops below n * eps, the
-    roundoff of ``eigh`` relative to the largest eigenvalue, so a roundoff
-    eigenvalue of an unreachable direction never counts as reachable.
-    """
-    x = np.asarray(x, dtype=float)
-    lam = gram.Q.eigenvalues
-    V = gram.Q.eigenvectors
-    lam_max = lam[-1] if lam.size else 0.0
-    tau = REL_THRESHOLD
-    w = V.T @ x
-    norm_x = np.linalg.norm(x)
-    if lam_max <= 0.0:
-        defect = float(norm_x)
-        category = "in_range_Q" if norm_x == 0.0 else "unreachable"
-        return ReachabilityClass(category, defect)
-    in_q = lam > tau * lam_max
-    in_half = lam > max(tau * tau, lam.size * np.finfo(float).eps) * lam_max
-    defect_q = float(np.linalg.norm(w[~in_q]))
-    defect_half = float(np.linalg.norm(w[~in_half]))
-    tol = tau * max(norm_x, 1e-300)
-    if defect_q <= tol:
-        return ReachabilityClass("in_range_Q", defect_half)
-    if defect_half <= tol:
-        return ReachabilityClass("in_range_Qhalf_only", defect_half)
-    return ReachabilityClass("unreachable", defect_half)
-
-
-def value_function(gram, x):
-    """Minimum steering energy (1/2) ||Q_t^{-1/2} x||^2 for a reachable target.
-
-    Raises ReachabilityError (carrying the defect) when x is outside
-    range(Q_t^{1/2}) under the relative rank threshold.
-    """
-    x = np.asarray(x, dtype=float)
-    cls = classify_target(gram, x)
-    if not cls.reachable:
-        raise ReachabilityError(
-            f"target at distance {cls.defect:.3e} from the reachable subspace",
-            defect=cls.defect,
-        )
-    y = gram.Q.sqrt().pinv() @ x
-    return 0.5 * float(y @ y)
-
-
 @dataclass(frozen=True)
 class Steering:
     """Class, defect and value of steering from 0 to a target over one horizon.
 
-    ``category`` and ``defect`` are those of ``classify_target``; ``value`` is
-    ``value_function`` for a reachable target and None otherwise.
+    ``category`` and ``defect`` are those of ``ReachabilityClass``; ``value``
+    is the minimum energy for a reachable target and None otherwise.
     """
 
     category: str
@@ -164,9 +121,43 @@ class Steering:
 
 
 def steer(gram, x):
-    """The class, defect and value of steering to x on the Gramian ``gram``."""
-    cls = classify_target(gram, x)
-    return Steering(cls.category, cls.defect, value_function(gram, x) if cls.reachable else None)
+    """The class, defect and value of steering to x on the Gramian ``gram``.
+
+    One pass over the eigenpairs that ``gram.Q`` keeps (``SymmetricPSD``
+    cuts them once, at ``REL_THRESHOLD``): with w = V^T x, the defect is the
+    norm of w over the dropped directions, x is in range(Q_t) when that is
+    within ``REL_THRESHOLD`` of ||x||, and the value is
+    (1/2) sum_k w_k^2 / lam_k over exactly the kept directions.
+    """
+    x = np.asarray(x, dtype=float)
+    keep = gram.Q._keep()
+    w = gram.Q.eigenvectors.T @ x
+    defect = float(np.linalg.norm(w[~keep]))
+    if defect > REL_THRESHOLD * max(np.linalg.norm(x), 1e-300):
+        return Steering("unreachable", defect, None)
+    value = 0.5 * float(np.sum(w[keep] ** 2 / gram.Q.eigenvalues[keep]))
+    return Steering("in_range_Q", defect, value)
+
+
+def classify_target(gram, x):
+    """The class and defect of ``steer``."""
+    s = steer(gram, x)
+    return ReachabilityClass(s.category, s.defect)
+
+
+def value_function(gram, x):
+    """Minimum steering energy (1/2) ||Q_t^{-1/2} x||^2, the value of ``steer``.
+
+    Raises ReachabilityError (carrying the defect) when x is outside
+    range(Q_t) under the relative rank threshold.
+    """
+    s = steer(gram, x)
+    if s.value is None:
+        raise ReachabilityError(
+            f"target at distance {s.defect:.3e} from the reachable subspace",
+            defect=s.defect,
+        )
+    return s.value
 
 
 def _steering_coefficients(gram, x, grid, what):
@@ -376,12 +367,13 @@ class NullControllability:
 
 
 def null_controllability_test(sys, T0):
-    """Test range(e^{T0 A}) ⊆ range(Q_{T0}^{1/2}) and compute its constant."""
+    """Test range(e^{T0 A}) ⊆ range(Q_{T0}^{1/2}) and compute its constant,
+    with the factor of Q_{T0} (``SymmetricPSD.factor``) in place of the root."""
     T0 = float(T0)
     if T0 <= 0.0 or not np.isfinite(T0):
         raise ValueError(f"T0 must be positive and finite, got {T0}")
-    S = compute_gramian(sys, T0).Q.sqrt().matrix
-    incl = range_inclusion(expm(sys.A, T0), S)
+    Z = compute_gramian(sys, T0).Q.factor()
+    incl = range_inclusion(expm(sys.A, T0), Z)
     constant = incl.constant ** 2 if incl.included else np.inf
     return NullControllability(incl.included, float(constant), incl.defect)
 
@@ -392,15 +384,18 @@ class HGeometry:
     The norm is ||x||_H = ||Q_inf^{-1/2} x||; membership in H means lying in
     range(Q_inf^{1/2}).  Operators that are selfadjoint in this geometry
     satisfy M = Q_inf M^T Q_inf^{-1} on H.
+
+    ``sqrt_matrix`` is the factor Z of Q_inf (n x k, ``SymmetricPSD.factor``)
+    and ``pinv_sqrt`` = (Z / lam_k)^T its left inverse, so that
+    ``pinv_sqrt @ M @ sqrt_matrix`` has the norms of Q_inf^{-1/2} M Q_inf^{1/2}.
     """
 
     def __init__(self, gram):
         if not np.isinf(gram.horizon):
             raise ValueError("HGeometry needs an infinite-horizon Gramian")
         self.gram = gram
-        root = gram.Q.sqrt()
-        self.sqrt_matrix = root.matrix
-        self.pinv_sqrt = root.pinv()
+        self.sqrt_matrix = gram.Q.factor()
+        self.pinv_sqrt = (self.sqrt_matrix / gram.Q.eigenvalues[gram.Q._keep()]).T
         self.metric = gram.Q.pinv()       # = pinv_sqrt^T pinv_sqrt
         self.projector = gram.Q.range_projector()
 

@@ -508,11 +508,12 @@ def range_equality_check(sys, t):
 
     For stable systems the ranges agree from the null-controllability time
     onward; in the commuting selfadjoint case they agree for every t > 0.
+    Each root enters as its Gramian's factor (``SymmetricPSD.factor``).
     """
-    S_t = compute_gramian(sys, t).Q.sqrt().matrix
-    S_inf = compute_gramian(sys, np.inf).Q.sqrt().matrix
-    fw = range_inclusion(S_t, S_inf)
-    bw = range_inclusion(S_inf, S_t)
+    Z_t = compute_gramian(sys, t).Q.factor()
+    Z_inf = compute_gramian(sys, np.inf).Q.factor()
+    fw = range_inclusion(Z_t, Z_inf)
+    bw = range_inclusion(Z_inf, Z_t)
     return RangeEqualityReport(
         t=float(t),
         included_forward=fw.included,

@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels: exponentials, rank-aware pseudoinverses,
-PSD square roots, commutation and range-inclusion tests.
+PSD factors, commutation and range-inclusion tests.
 
 All range/kernel decisions in the package use one relative threshold so
 that "numerically zero" means the same thing everywhere: a singular value
 (or eigenvalue) is treated as zero when it is at most ``REL_THRESHOLD``
-times the largest one.
+times the largest one.  A ``SymmetricPSD`` makes that cut once on its
+eigenpairs, and its factor stands in for the square root.
 """
 
 import math
@@ -21,7 +22,6 @@ __all__ = [
     "as_matrix",
     "expm",
     "pinv",
-    "psd_sqrt",
     "commutes",
     "range_inclusion",
     "commuting_pinv_compose",
@@ -135,17 +135,16 @@ class SymmetricPSD:
         P = (self._V * inv) @ self._V.T
         return 0.5 * (P + P.T)
 
-    def sqrt(self):
-        """The PSD square root, with sub-threshold eigenvalues zeroed.
+    def factor(self):
+        """The factor Z = V_k diag(sqrt(lam_k)) over the kept eigenpairs.
 
-        Zeroing keeps the root's kernel equal to the matrix kernel under the
-        relative threshold (a raw sqrt would promote noise eigenvalues across the
-        threshold).
+        Z Z^T is the matrix with its sub-threshold eigenvalues zeroed, so
+        range(Z) = range(M^{1/2}) and ||Z^T x|| = ||M^{1/2} x||: Z stands in
+        for the square root wherever one is an operand, with no second
+        decomposition.
         """
         keep = self._keep()
-        root = np.where(keep, np.sqrt(self._lam), 0.0)
-        S = (self._V * root) @ self._V.T
-        return SymmetricPSD(0.5 * (S + S.T))
+        return self._V[:, keep] * np.sqrt(self._lam[keep])
 
 
 def _pade_table(m):
@@ -264,17 +263,6 @@ def pinv(M):
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (Vt.T * inv) @ U.T
-
-
-def psd_sqrt(M):
-    """Symmetric PSD square root of a symmetric PSD matrix (ndarray in, ndarray out).
-
-    Accepts either a SymmetricPSD or raw entries; sub-threshold eigenvalues
-    are zeroed so that kernel(S) = kernel(M) under the relative threshold.
-    """
-    if not isinstance(M, SymmetricPSD):
-        M = SymmetricPSD(M)
-    return M.sqrt().matrix
 
 
 def commutes(A, K, tol=1e-10):

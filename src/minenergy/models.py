@@ -690,7 +690,7 @@ def delay_null_controllability(sys_, T0):
     _require_mesh(sys_, T0)
     S = delay_semigroup_matrix(sys_, T0)
     gram = delay_gramian(sys_, T0)
-    inc = range_inclusion(S, gram.Q.sqrt().matrix)
+    inc = range_inclusion(S, gram.Q.factor())
     return NullControllability(
         satisfied=inc.included, constant=inc.constant**2, defect=inc.defect
     )

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,15 +33,82 @@ def test_value_unreachable_raises():
         me.value_function(g, [0.0, 1.0])
 
 
-def test_classify_target_three_ways():
+def test_classify_target_two_classes():
     sys = me.LinearSystem(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
     g = me.compute_gramian(sys, 1.0)
     assert me.classify_target(g, [1.0, 0.0]).category == "in_range_Q"
     assert me.classify_target(g, [0.0, 1.0]).category == "unreachable"
-    # in range of Q^{1/2} but not Q requires an ill-conditioned Gramian at a
-    # short horizon with a near-kernel direction; rank policy decides, so just
-    # assert the category vocabulary on the reachable case
+    # a target is judged by its direction, not its size: a small multiple of
+    # a reachable target stays in range(Q_t)
     assert me.classify_target(g, [1e-8, 0.0]).category == "in_range_Q"
+
+
+def test_band_target_is_unreachable_not_undervalued():
+    # the second eigenvalue is below REL_THRESHOLD of the first, so the
+    # target's 1e-3 along it lies outside range(Q); its exact value
+    # (1/2) x^T Q^{-1} x is about 5e5, and no value summed over the first
+    # direction alone may stand in for it
+    g = me.Gramian(me.SymmetricPSD(np.diag([1.0, 1e-12])), 1.0, "closed_form", "band")
+    x = [1.0, 1e-3]
+    s = me.steer(g, x)
+    assert s.category == "unreachable"
+    assert s.defect == pytest.approx(1e-3, rel=1e-12)
+    assert s.value is None
+    assert me.classify_target(g, x).category == "unreachable"
+    with pytest.raises(me.ReachabilityError):
+        me.value_function(g, x)
+
+
+def _one_actuator_value(N, x):
+    """(1/2) x^T Q^{-1} x at 80 digits for A = -diag(n^2), B = ones, t = 1,
+    where Q_ij = (1 - e^{-(i^2 + j^2)}) / (i^2 + j^2)."""
+    with mpmath.workdps(80):
+        Q = mpmath.matrix(N, N)
+        for i in range(N):
+            for j in range(N):
+                s = (i + 1) ** 2 + (j + 1) ** 2
+                Q[i, j] = (1 - mpmath.exp(-s)) / s
+        xm = mpmath.matrix([mpmath.mpf(float(v)) for v in x])
+        y = mpmath.lu_solve(Q, xm)
+        return float(sum(xm[k] * y[k] for k in range(N)) / 2)
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 8, 10, 12])
+def test_one_actuator_value_is_exact_or_refused(N):
+    # one actuator on every mode: Q's eigenvalues fall below REL_THRESHOLD of
+    # the largest by N = 12, and a target with a part there has no value
+    # rather than one summed over fewer directions than it needs
+    sys = me.LinearSystem(-np.diag(np.arange(1.0, N + 1.0) ** 2), np.ones((N, 1)))
+    g = me.compute_gramian(sys, 1.0)
+    for x in (np.eye(N)[0], np.ones(N), np.eye(N)[-1]):
+        s = me.steer(g, x)
+        if s.value is None:
+            assert s.category == "unreachable"
+            assert N > 8
+        else:
+            assert s.category == "in_range_Q"
+            assert s.value == pytest.approx(_one_actuator_value(N, x), rel=1e-7)
+
+
+def test_steering_and_geometry_reuse_the_gramian_decomposition(rng, monkeypatch):
+    sys = me.random_stable_system(rng, 5)
+    g = me.compute_gramian(sys, 1.0)
+    g_inf = me.compute_gramian(sys, np.inf)
+    x = g.matrix @ rng.standard_normal(5)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    me.steer(g, x)
+    me.value_function(g, x)
+    me.classify_target(g, x)
+    me.HGeometry(g_inf)
+    me.pv_candidate(sys)
+    assert calls == []
 
 
 def test_classify_target_ignores_roundoff_eigenvalues():

@@ -11,11 +11,13 @@ When a change moves a golden number on purpose, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py [case ...]
 
-and say in CHANGES.md which files moved and why.
+which prints, before it overwrites a file, the file's largest numeric move,
+absolute and relative, and say in CHANGES.md which files moved and why.
 """
 
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -77,6 +79,24 @@ def test_report_needs_no_pure_python_json_encoder(tmp_path, monkeypatch):
     _assert_reproduces("shift", out)
 
 
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _largest_move(old, new):
+    """How the numbers of ``new`` moved from those of ``old``, paired in order:
+    the largest absolute and the largest relative move, each with its pair."""
+    a, b = ([float(v) for v in _NUMBER.findall(text)] for text in (old, new))
+    if len(a) != len(b):
+        return f"the count of numbers changed from {len(a)} to {len(b)}"
+    moved = [(abs(y - x), x, y) for x, y in zip(a, b) if x != y]
+    if not moved:
+        return "unchanged" if old == new else "no number moved"
+    absolute = max(moved)
+    relative = max((d / max(abs(x), abs(y)), x, y) for d, x, y in moved)
+    return (f"largest move {absolute[0]:.3g} absolute ({absolute[1]!r} -> {absolute[2]!r}), "
+            f"{relative[0]:.3g} relative ({relative[1]!r} -> {relative[2]!r})")
+
+
 def _regenerate(cases):
     for case in cases:
         expected = os.path.join(GOLDEN, case, "expected")
@@ -84,6 +104,15 @@ def _regenerate(cases):
             out = os.path.join(tmp, "out")
             if _run(case, out) != 0:
                 raise SystemExit(f"{case}: the scenario did not pass")
+            before = os.listdir(expected) if os.path.isdir(expected) else []
+            for name in sorted(set(os.listdir(out)) | set(before)):
+                old, new = (os.path.join(d, name) for d in (expected, out))
+                if not os.path.exists(new):
+                    print(f"{case}/{name}: removed")
+                elif not os.path.exists(old):
+                    print(f"{case}/{name}: new file")
+                else:
+                    print(f"{case}/{name}: {_largest_move(_read(old), _read(new))}")
             shutil.rmtree(expected, ignore_errors=True)
             shutil.copytree(out, expected)
         print(f"regenerated {case}")

@@ -111,14 +111,15 @@ def test_pinv_rank_policy_cuts_noise_singular_values():
     assert P[0, 0] == pytest.approx(1.0)
 
 
-def test_psd_sqrt_rotated_rank_one():
+def test_psd_factor_rotated_rank_one():
     th = 0.3
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     M = R @ np.diag([1.0, 1e-14]) @ R.T
-    S = me.psd_sqrt(M)
-    # sqrt keeps the kernel: S^2 reproduces only the surviving direction
-    assert_allclose(S @ S, R @ np.diag([1.0, 0.0]) @ R.T, atol=1e-10)
-    assert np.linalg.matrix_rank(S, tol=1e-8) == 1
+    Z = me.SymmetricPSD(M).factor()
+    # the factor keeps the kernel: one column, and Z Z^T reproduces only the
+    # surviving direction
+    assert Z.shape == (2, 1)
+    assert_allclose(Z @ Z.T, R @ np.diag([1.0, 0.0]) @ R.T, atol=1e-10)
 
 
 def test_symmetric_psd_rejects_asymmetry():
