@@ -19,11 +19,11 @@ for t in (0.5, 1.0, 2.0):
           f"   (closed form {1 / (1 - np.exp(-2 * t)):.12f})")
 
 times = [0.5, 1.0, 2.0, 3.0]
-rep_h = me.riccati_residual_H(cand, times)
+rep_h = me.riccati_residual(cand, times)
 print(f"\nweighted-form residuals: max {max(rep_h.residuals):.2e} "
       f"(tolerance {rep_h.tol_scaled:.2e}) -> passed = {rep_h.passed}")
 
-rep_x = me.riccati_residual_X(me.inverse_candidate(sys_), times)
+rep_x = me.riccati_residual(me.inverse_candidate(sys_), times)
 print(f"inverse-form residuals:  max {max(rep_x.residuals):.2e} "
       f"-> passed = {rep_x.passed}")
 
@@ -33,9 +33,9 @@ print(f"commuting-form residuals: max {max(rep_c.residuals):.2e} "
 
 # a shifted family is rejected, loudly
 shifted = me.RiccatiCandidate(
-    sys_, cand.geometry, lambda t: cand.evaluate(t) + np.eye(1), kind="shifted"
+    sys_, cand.geometry, lambda t: cand.evaluate(t) + np.eye(1)
 )
-rep_bad = me.riccati_residual_H(shifted, times)
+rep_bad = me.riccati_residual(shifted, times)
 print(f"\nshifted family P + I: max residual {max(rep_bad.residuals):.2e} "
       f"-> passed = {rep_bad.passed}")
 

@@ -52,6 +52,7 @@ from .gramians import (
 )
 from .energy import (
     ControlSignal,
+    EuclideanGeometry,
     HGeometry,
     LeastNormControl,
     NullControllability,
@@ -87,11 +88,10 @@ from .riccati import (
     pv_candidate,
     recover_L,
     residual_probes,
-    riccati_residual_H,
-    riccati_residual_X,
+    riccati_pairings,
+    riccati_residual,
     riccati_residual_commuting,
     uniqueness_reconstruction,
-    weighted_pairings,
 )
 from .models import (
     DelaySystem,

@@ -38,10 +38,9 @@ from .riccati import (
     projected_solution_check,
     pv_candidate,
     recover_L,
-    riccati_residual_H,
-    riccati_residual_X,
+    riccati_pairings,
+    riccati_residual,
     riccati_residual_commuting,
-    weighted_pairings,
 )
 from .systems import LinearSystem
 
@@ -393,14 +392,14 @@ def _residual_entry(formula, rep, **extra):
 def _task_verify_riccati(run):
     sys_lin = run.matrix_system("verify-riccati")
     times = run.need("horizons", run.finite_horizons(), "verify-riccati")
-    families = []
     rows = []
     pv = pv_candidate(sys_lin)
-    rep = riccati_residual_H(pv, times, tol=run.tol, seed=run.seed)
-    families.append(("gramian-ratio", "riccati-residual-H", rep))
-    inv = inverse_candidate(sys_lin)
-    rep_x = riccati_residual_X(inv, times, tol=run.tol, seed=run.seed)
-    families.append(("gramian-inverse", "riccati-residual-X", rep_x))
+    families = [
+        ("gramian-ratio", "riccati-residual-H",
+         riccati_residual(pv, times, tol=run.tol, seed=run.seed)),
+        ("gramian-inverse", "riccati-residual-X",
+         riccati_residual(inverse_candidate(sys_lin), times, tol=run.tol, seed=run.seed)),
+    ]
     if sys_lin.is_commuting_selfadjoint():
         rep_c = riccati_residual_commuting(pv, times, tol=run.tol, seed=run.seed)
         families.append(("gramian-ratio", "riccati-residual-commuting", rep_c))
@@ -422,15 +421,13 @@ def _task_verify_riccati(run):
 def _task_verify_lyapunov(run):
     sys_lin = run.matrix_system("verify-lyapunov")
     times = run.need("horizons", run.finite_horizons(), "verify-lyapunov")
-    rep = lyapunov_residual(
-        sys_lin, lambda t: compute_gramian(sys_lin, t).matrix, "differential", times=times
-    )
+    rep = lyapunov_residual(sys_lin, lambda t: compute_gramian(sys_lin, t).matrix, times)
     out = [_residual_entry("lyapunov-differential", rep, mode=rep.mode)]
     rows = [("differential", t, r, rep.tol_scaled) for t, r in zip(rep.times, rep.residuals)]
     all_passed = rep.passed
     if sys_lin.stable:
         qinf = compute_gramian(sys_lin, math.inf).matrix
-        rep_a = lyapunov_residual(sys_lin, qinf, "algebraic", tol=1e-10)
+        rep_a = lyapunov_residual(sys_lin, qinf, tol=1e-10)
         out.append({"formula": "lyapunov-algebraic", "mode": rep_a.mode,
                     "residuals": list(rep_a.residuals), "tol_scaled": rep_a.tol_scaled,
                     "passed": rep_a.passed})
@@ -535,7 +532,7 @@ def _residual_sweep_rows(run):
     cand = pv_candidate(sys_lin)
     rows = []
     for t in run.finite_horizons():
-        _, lhs, rhs = weighted_pairings(cand, t, seed=run.seed)
+        _, lhs, rhs = riccati_pairings(cand, t, seed=run.seed)
         for i in range(lhs.shape[0]):
             for j in range(lhs.shape[0]):
                 rows.append((t, i, j, lhs[i, j], rhs[i, j], lhs[i, j] - rhs[i, j]))

@@ -1,5 +1,7 @@
 """Minimum-energy steering: value function, optimal controls and trajectories,
-reachability classification, and the Gramian-weighted state geometry.
+reachability classification, and the two state geometries the Riccati
+residuals pair in: the Gramian-weighted space H (``HGeometry``) and the plain
+Euclidean space X (``EuclideanGeometry``).
 
 Steering problem: drive the state from 0 at time -t to a target x at time 0
 with the least control energy (1/2) ∫ ||u||^2.  The value is
@@ -22,6 +24,7 @@ __all__ = [
     "ControlSignal",
     "ReachabilityClass",
     "HGeometry",
+    "EuclideanGeometry",
     "classify_target",
     "value_function",
     "Steering",
@@ -388,7 +391,10 @@ class HGeometry:
     ``sqrt_matrix`` is the factor Z of Q_inf (n x k, ``SymmetricPSD.factor``)
     and ``pinv_sqrt`` = (Z / lam_k)^T its left inverse, so that
     ``pinv_sqrt @ M @ sqrt_matrix`` has the norms of Q_inf^{-1/2} M Q_inf^{1/2}.
+    ``equation`` names the Riccati equation this geometry pairs.
     """
+
+    equation = "weighted"
 
     def __init__(self, gram):
         if not np.isinf(gram.horizon):
@@ -424,6 +430,10 @@ class HGeometry:
             raise ValueError("cannot normalize a zero vector")
         return np.asarray(x, dtype=float) / nx
 
+    def operator_norm(self, M):
+        """Norm of M as an operator on H: ||Q_inf^{-1/2} M Q_inf^{1/2}||_2."""
+        return float(np.linalg.norm(self.pinv_sqrt @ M @ self.sqrt_matrix, 2))
+
     def symmetry_defect(self, M, seed=0, n_probes=8):
         """Max |<Mx,y>_H - <x,My>_H| over seeded probe pairs, scaled by probe norms."""
         rng = random.Random(seed)
@@ -436,6 +446,25 @@ class HGeometry:
             y = self.normalize(y)
             worst = max(worst, abs(self.inner(M @ x, y) - self.inner(x, M @ y)))
         return worst
+
+
+class EuclideanGeometry:
+    """The plain state space X of dimension n: the metric is the identity."""
+
+    equation = "plain"
+
+    def __init__(self, n):
+        self.metric = np.eye(n)
+
+    def normalize(self, x):
+        x = np.asarray(x, dtype=float)
+        nx = np.linalg.norm(x)
+        if nx == 0.0:
+            raise ValueError("cannot normalize a zero vector")
+        return x / nx
+
+    def operator_norm(self, M):
+        return float(np.linalg.norm(M, 2))
 
 
 def h_norm(geom, x):

@@ -1,10 +1,13 @@
 """Quadratic operator families and their verification.
 
 The central family is the Gramian ratio P(t) = Q_inf Q_t^+, viewed as an
-operator on the Gramian-weighted space.  In that geometry it solves a
+operator on the Gramian-weighted space H.  In that geometry it solves a
 quadratic differential equation whose linear part carries a reversed sign
 relative to the classical control Riccati equation, with the inverse family
-R(t) = Q_t^+ solving the analogous equation in the original inner product.
+R(t) = Q_t^+ solving the same equation in the plain space X.  The two
+equations differ only in the metric W of the pairing (Q_inf^+ on H, the
+identity on X), so each candidate carries its geometry (``HGeometry`` or
+``EuclideanGeometry``) and one residual, ``riccati_residual``, checks either.
 Verification is by finite differences on weak-form pairings against probe
 vectors, since the equations only hold tested against smooth directions.
 
@@ -25,7 +28,7 @@ import numpy as np
 from .errors import MarginError, NonFiniteError, PreconditionError, UnstableSystemError
 from .gramians import compute_gramian
 from .linalg import _gaussian_combination, commutes, expm
-from .energy import HGeometry, null_controllability_test
+from .energy import EuclideanGeometry, HGeometry, null_controllability_test
 
 __all__ = [
     "RiccatiCandidate",
@@ -35,9 +38,8 @@ __all__ = [
     "inverse_candidate",
     "commuting_candidate",
     "residual_probes",
-    "riccati_residual_H",
-    "weighted_pairings",
-    "riccati_residual_X",
+    "riccati_pairings",
+    "riccati_residual",
     "riccati_residual_commuting",
     "uniqueness_reconstruction",
     "UniquenessReport",
@@ -59,15 +61,15 @@ class RiccatiCandidate:
     """A time-indexed operator family to be tested against the quadratic equations.
 
     ``fn`` maps a positive time to an (n, n) matrix acting on state
-    coordinates; ``geometry`` fixes the weighted inner product the family is
-    measured in.  Evaluations are memoized (residual scans hit the same
-    times repeatedly through finite differencing).
+    coordinates; ``geometry`` (``HGeometry`` or ``EuclideanGeometry``) fixes
+    the inner product the family is measured in, and with it the equation
+    ``riccati_residual`` checks.  Evaluations are memoized (residual scans
+    hit the same times repeatedly through finite differencing).
     """
 
-    def __init__(self, sys, geometry, fn, kind="custom"):
+    def __init__(self, sys, geometry, fn):
         self.sys = sys
         self.geometry = geometry
-        self.kind = kind
         self._fn = fn
         self._memo = {}
 
@@ -80,9 +82,8 @@ class RiccatiCandidate:
         return hit
 
     def h_norm_of(self, t):
-        """Operator norm of the family member in the weighted geometry."""
-        g = self.geometry
-        return float(np.linalg.norm(g.pinv_sqrt @ self.evaluate(t) @ g.sqrt_matrix, 2))
+        """Operator norm of the family member in the candidate's geometry."""
+        return self.geometry.operator_norm(self.evaluate(t))
 
 
 def _default_geometry(sys):
@@ -119,40 +120,40 @@ def build_pv(sys, t):
 def pv_candidate(sys):
     """Candidate wrapping the Gramian-ratio family (``build_pv``), measured in
     the geometry of Q_inf.  Its Gramians are the system's memoised ones."""
-    return RiccatiCandidate(sys, _default_geometry(sys), lambda t: build_pv(sys, t),
-                            kind="gramian_ratio")
+    return RiccatiCandidate(sys, _default_geometry(sys), lambda t: build_pv(sys, t))
 
 
 def inverse_candidate(sys):
-    """Candidate wrapping the inverse-Gramian family R(t) = Q_t^+ (plain geometry),
-    on the system's memoised Gramians."""
-    return RiccatiCandidate(sys, _default_geometry(sys),
-                            lambda t: compute_gramian(sys, t).Q.pinv(),
-                            kind="gramian_inverse")
+    """Candidate wrapping the inverse-Gramian family R(t) = Q_t^+ in the plain
+    geometry, on the system's memoised Gramians.  Needs no stability: only
+    finite-horizon Gramians enter."""
+    return RiccatiCandidate(sys, EuclideanGeometry(sys.n),
+                            lambda t: compute_gramian(sys, t).Q.pinv())
 
 
-def residual_probes(cand, t, n_random=10, seed=0, weighted=True):
+def _probes(geometry, U, n_random, seed, P=None):
+    """The columns of U plus ``n_random`` seeded random combinations of them,
+    mapped by P when given (dropping those it sends to zero), normalized in
+    the geometry; one probe per row."""
+    rng = random.Random(seed)
+    cols = [U[:, j] for j in range(U.shape[1])]
+    cols += [_gaussian_combination(U, rng) for _ in range(n_random)]
+    if P is not None:
+        cols = [P @ v for v in cols]
+        cols = [v for v in cols if np.linalg.norm(v) > 1e-12]
+    return np.array([geometry.normalize(v) for v in cols])
+
+
+def residual_probes(cand, t, n_random=10, seed=0):
     """Probe vectors for weak-form residuals at time t.
 
     An orthonormal basis of range(Q_t) plus ``n_random`` seeded random
-    vectors inside it; normalized in the weighted norm when ``weighted``,
-    in the Euclidean norm otherwise.
+    vectors inside it, normalized in the candidate's geometry.
     """
-    rng = random.Random(seed)
-    gram_t = compute_gramian(cand.sys, t)
-    U = gram_t.Q.range_basis()
+    U = compute_gramian(cand.sys, t).Q.range_basis()
     if U.shape[1] == 0:
         raise PreconditionError(f"range(Q_t) is trivial at t = {t:g}: there is nothing to probe")
-    cols = [U[:, j] for j in range(U.shape[1])]
-    for _ in range(n_random):
-        cols.append(_gaussian_combination(U, rng))
-    probes = []
-    for v in cols:
-        if weighted:
-            probes.append(cand.geometry.normalize(v))
-        else:
-            probes.append(v / np.linalg.norm(v))
-    return np.array(probes)
+    return _probes(cand.geometry, U, n_random, seed)
 
 
 @dataclass(frozen=True)
@@ -177,19 +178,14 @@ def _richardson(f, t, h):
     return (4.0 * d2 - d1) / 3.0
 
 
-def _pairing_derivative(cand, t, X, Y, W, h):
-    """d/dt of the probe pairing matrix X^T W P(t) Y (W is the metric of the
-    pairing): [i, j] = <P(tau) x_i, y_j>_W = y_j^T W P x_i."""
-    return _richardson(lambda tau: (Y @ (W @ (cand.evaluate(tau) @ X.T))).T, t, h)
+def _pairing_derivative(cand, t, X, W, h):
+    """d/dt of the probe pairing matrix X^T W P(t) X (W is the metric of the
+    pairing): [i, j] = <P(tau) x_i, x_j>_W = x_j^T W P x_i."""
+    return _richardson(lambda tau: (X @ (W @ (cand.evaluate(tau) @ X.T))).T, t, h)
 
 
-def _scale(cand, t, weighted):
-    A_norm = np.linalg.norm(cand.sys.A, 2)
-    if weighted:
-        P_norm = cand.h_norm_of(t)
-    else:
-        P_norm = np.linalg.norm(cand.evaluate(t), 2)
-    return max(1.0, P_norm) ** 2 * max(1.0, A_norm)
+def _scale(cand, t):
+    return max(1.0, cand.h_norm_of(t)) ** 2 * max(1.0, np.linalg.norm(cand.sys.A, 2))
 
 
 def _as_times(t):
@@ -199,17 +195,18 @@ def _as_times(t):
     return ts
 
 
-def weighted_pairings(cand, t, probes=None, seed=0):
-    """Both sides of the weighted-space equation, paired against probes at time t.
+def riccati_pairings(cand, t, probes=None, seed=0):
+    """Both sides of the candidate's equation, paired against probes at time t.
 
     Returns ``(X, lhs, rhs)``: the probes (rows) and the matrices
-    ``lhs[i, j] = d/dt <P x_i, x_j>_H`` (Richardson finite differences with
+    ``lhs[i, j] = d/dt <P x_i, x_j>_W`` (Richardson finite differences with
     step ``FD_STEP_FACTOR * max(1, t)``) and
-    ``rhs[i, j] = - <A x_i, W P x_j> - <W P x_i, A x_j> - <B^T W P x_i, B^T W P x_j>``.
+    ``rhs[i, j] = - <A x_i, W P x_j> - <W P x_i, A x_j> - <B^T W P x_i, B^T W P x_j>``,
+    with W the metric of the candidate's geometry.
     """
     X = residual_probes(cand, t, seed=seed) if probes is None else np.asarray(probes)
     W = cand.geometry.metric
-    lhs = _pairing_derivative(cand, t, X, X, W, FD_STEP_FACTOR * max(1.0, t))
+    lhs = _pairing_derivative(cand, t, X, W, FD_STEP_FACTOR * max(1.0, t))
     WP_X = W @ (cand.evaluate(t) @ X.T)          # columns: W P x_i
     AX = cand.sys.A @ X.T
     BtWP = cand.sys.B.T @ WP_X
@@ -217,7 +214,7 @@ def weighted_pairings(cand, t, probes=None, seed=0):
     return X, lhs, rhs
 
 
-def _residual_report(kind, cand, t, sides, tol, weighted=True):
+def _residual_report(equation, cand, t, sides, tol):
     """Max |lhs - rhs| per time over the probe pairings ``sides(tau)``
     returns as ``(probes, lhs, rhs)``, against the scale-aware threshold."""
     times = _as_times(t)
@@ -228,10 +225,10 @@ def _residual_report(kind, cand, t, sides, tol, weighted=True):
         X, lhs, rhs = sides(tau)
         n_probes = X.shape[0]
         residuals.append(float(np.abs(lhs - rhs).max()))
-        worst_scale = max(worst_scale, _scale(cand, tau, weighted))
+        worst_scale = max(worst_scale, _scale(cand, tau))
     tol_scaled = tol * worst_scale
     return ResidualReport(
-        kind=kind,
+        kind=equation,
         times=tuple(float(x) for x in times),
         residuals=tuple(residuals),
         tol=tol,
@@ -242,42 +239,24 @@ def _residual_report(kind, cand, t, sides, tol, weighted=True):
     )
 
 
-def riccati_residual_H(cand, t, probes=None, tol=1e-6, seed=0):
-    """Weak-form residual of the weighted-space equation with reversed linear sign:
+def riccati_residual(cand, t, probes=None, tol=1e-6, seed=0):
+    """Weak-form residual of the reversed-sign equation in the candidate's geometry:
 
-        d/dt <P x, y>_H  =  - <A x, W P y>  -  <W P x, A y>  -  <B^T W P x, B^T W P y>
+        d/dt <P x, y>_W  =  - <A x, W P y>  -  <W P x, A y>  -  <B^T W P x, B^T W P y>
 
-    with W the weighted metric (the pseudoinverse of the limit Gramian).
-    Probes default to a basis of range(Q_t) plus seeded random vectors,
-    normalized in the weighted norm.  The pass threshold is
-    ``tol * max(1, ||P||_H)^2 * max(1, ||A||)``.
+    with W the metric: the pseudoinverse of the limit Gramian for
+    ``HGeometry`` (the weighted equation, which the Gramian ratio solves),
+    the identity for ``EuclideanGeometry`` (the plain equation, which the
+    inverse Gramian solves).  The report's ``kind`` is the geometry's
+    ``equation``.  Probes default to a basis of range(Q_t) plus seeded random
+    vectors, normalized in the geometry.  The pass threshold is
+    ``tol * max(1, ||P||)^2 * max(1, ||A||)``, the norm of P taken in the
+    geometry.
     """
     return _residual_report(
-        "weighted", cand, t,
-        lambda tau: weighted_pairings(cand, tau, probes, seed), tol,
+        cand.geometry.equation, cand, t,
+        lambda tau: riccati_pairings(cand, tau, probes, seed), tol,
     )
-
-
-def riccati_residual_X(cand, t, probes=None, tol=1e-6, seed=0):
-    """Weak-form residual of the plain-space equation
-
-        d/dt <R x, y>  =  - <A x, R y>  -  <R x, A y>  -  <B^T R x, B^T R y>
-
-    (Euclidean pairings; probes Euclidean-normalized in range(Q_t)).
-    """
-    A = cand.sys.A
-
-    def sides(tau):
-        X = (residual_probes(cand, tau, seed=seed, weighted=False)
-             if probes is None else np.asarray(probes))
-        lhs = _pairing_derivative(cand, tau, X, X, np.eye(cand.sys.n),
-                                  FD_STEP_FACTOR * max(1.0, tau))
-        RX = cand.evaluate(tau) @ X.T
-        AX = A @ X.T
-        BtR = cand.sys.B.T @ RX
-        return X, lhs, -(AX.T @ RX) - (RX.T @ AX) - (BtR.T @ BtR)
-
-    return _residual_report("plain", cand, t, sides, tol, weighted=False)
 
 
 def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, seed=0):
@@ -287,17 +266,20 @@ def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, seed=0):
 
     Also reports how far this right-hand side is from the general weighted
     one on the same probes (``consistency``): in the commuting case
-    2 A y = - B B^T W y on the space, so the two must agree.
+    2 A y = - B B^T W y on the space, so the two must agree.  A candidate
+    in the plain geometry raises PreconditionError.
     """
     if not cand.sys.is_commuting_selfadjoint():
         raise PreconditionError("commuting-case residual requires symmetric A commuting with B B^T")
+    if not isinstance(cand.geometry, HGeometry):
+        raise PreconditionError("the commuting-case equation is posed in the weighted geometry")
     A = cand.sys.A
     W = cand.geometry.metric
     gaps = []
 
     def sides(tau):
         # the general weighted right-hand side on the same probes comes along
-        X, lhs, rhs_general = weighted_pairings(cand, tau, probes, seed)
+        X, lhs, rhs_general = riccati_pairings(cand, tau, probes, seed)
         PX = cand.evaluate(tau) @ X.T
         AX = A @ X.T
         APX = A @ PX
@@ -336,9 +318,9 @@ def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6):
     family to the Gramian ratio.
     """
     sys = cand.sys
-    geometry = cand.geometry
-    Q_inf = geometry.Q_inf
-    U = geometry.gram.Q.range_basis()
+    gram_inf = compute_gramian(sys, np.inf)
+    Q_inf = gram_inf.matrix
+    U = gram_inf.Q.range_basis()
 
     Pv0 = build_pv(sys, t0)
     S0 = cand.evaluate(t0)
@@ -516,7 +498,7 @@ def commuting_candidate(sys, K, margin=1e-6):
     def fn(t):
         return commuting_family(sys, K, t, margin, t1=t1).operator
 
-    cand = RiccatiCandidate(sys, geometry, fn, kind="commuting_exponential")
+    cand = RiccatiCandidate(sys, geometry, fn)
     cand.K, cand.t1 = np.asarray(K, dtype=float), t1
     return cand
 
@@ -601,14 +583,17 @@ class ProjectionReport:
 def projected_solution_check(sys, cand, P, times, tol=1e-6, seed=0):
     """Check the compression biconditional for a projection P.
 
-    P must be an orthogonal projection in the weighted geometry commuting
-    with A.  The range condition is measured as the weighted operator-norm
-    defect of (I - P) S(t) P, and holds when that defect over max(1, the
-    family's weighted norm) is at most 1e-8; the compressed family P S(t) P
-    is then run through the commuting-case residual on probes from ran(P).
+    The candidate must be in the weighted geometry, and P an orthogonal
+    projection there commuting with A.  The range condition is measured as
+    the weighted operator-norm defect of (I - P) S(t) P, and holds when that
+    defect over max(1, the family's weighted norm) is at most 1e-8; the
+    compressed family P S(t) P is then run through the commuting-case
+    residual on probes from ran(P).
     """
     P = np.asarray(P, dtype=float)
     geometry = cand.geometry
+    if not isinstance(geometry, HGeometry):
+        raise PreconditionError("the compression test is posed in the weighted geometry")
     idem = np.linalg.norm(P @ P - P, 2)
     if idem > 1e-10 * max(np.linalg.norm(P, 2), 1.0):
         raise PreconditionError(f"P is not idempotent: ||P^2 - P|| = {idem:.3e}")
@@ -618,42 +603,23 @@ def projected_solution_check(sys, cand, P, times, tol=1e-6, seed=0):
         raise PreconditionError("P must commute with A")
 
     times = _as_times(times)
-    pinv_sqrt = geometry.pinv_sqrt
-    sqrt_m = geometry.sqrt_matrix
     defects = []
     worst = (0.0, times[0], None)
     for t in times:
-        S = cand.evaluate(t)
-        M = (np.eye(sys.n) - P) @ S @ P
-        d = float(np.linalg.norm(pinv_sqrt @ M @ sqrt_m, 2))
-        scale = max(1.0, cand.h_norm_of(t))
-        d_rel = d / scale
+        M = (np.eye(sys.n) - P) @ cand.evaluate(t) @ P
+        d_rel = geometry.operator_norm(M) / max(1.0, cand.h_norm_of(t))
         defects.append(d_rel)
         if d_rel > worst[0]:
             # witness: the probe direction in ran(P) most expelled from it
-            Mw = pinv_sqrt @ M @ sqrt_m
-            _, _, Vt = np.linalg.svd(Mw)
-            worst = (d_rel, float(t), sqrt_m @ Vt[0])
+            _, _, Vt = np.linalg.svd(geometry.pinv_sqrt @ M @ geometry.sqrt_matrix)
+            worst = (d_rel, float(t), geometry.sqrt_matrix @ Vt[0])
     range_ok = max(defects) <= 1e-8
 
-    compressed = RiccatiCandidate(
-        sys, geometry, lambda t: P @ cand.evaluate(t) @ P, kind="compressed"
-    )
+    compressed = RiccatiCandidate(sys, geometry, lambda t: P @ cand.evaluate(t) @ P)
     # probes restricted to ran(P) (and to the weighted space)
-    rng = random.Random(seed)
-    U = geometry.gram.Q.range_basis()
-    cols = []
-    for j in range(U.shape[1]):
-        v = P @ U[:, j]
-        if np.linalg.norm(v) > 1e-12:
-            cols.append(geometry.normalize(v))
-    for _ in range(10):
-        v = P @ _gaussian_combination(U, rng)
-        if np.linalg.norm(v) > 1e-12:
-            cols.append(geometry.normalize(v))
-    if not cols:
+    probes = _probes(geometry, geometry.gram.Q.range_basis(), 10, seed, P=P)
+    if probes.shape[0] == 0:
         raise PreconditionError("P maps the weighted space to zero: there is nothing to probe")
-    probes = np.array(cols)
     residual = riccati_residual_commuting(compressed, times, probes=probes, tol=tol)
     is_solution = residual.passed
     return ProjectionReport(
@@ -677,32 +643,28 @@ class LyapunovReport:
     passed: bool
 
 
-def lyapunov_residual(sys, Q, mode, times=None, tol=1e-7):
-    """Residual of the Gramian's own linear equation.
+def lyapunov_residual(sys, Q, times=None, tol=1e-7):
+    """Residual of the Gramian's own linear equation; the kind of Q picks the check.
 
-    mode 'differential': Q is a callable family; checks
-    d/dt Q(t) = A Q + Q A^T + B B^T by Richardson central differences
-    with step ``FD_STEP_FACTOR * max(1, t)``.
-    mode 'algebraic': Q is a matrix; checks A Q + Q A^T + B B^T = 0.
+    A callable Q is a family (mode 'differential'), checked at ``times``
+    against d/dt Q(t) = A Q + Q A^T + B B^T by Richardson central
+    differences with step ``FD_STEP_FACTOR * max(1, t)``.  A matrix Q
+    (mode 'algebraic') is checked against A Q + Q A^T + B B^T = 0.
     Thresholds scale with ||B B^T||.
     """
     C = sys.BBt
-    scale = max(np.linalg.norm(C, 2), 1e-300)
-    if mode == "algebraic":
+    tol_scaled = float(tol * max(np.linalg.norm(C, 2), 1e-300))
+    if not callable(Q):
         resid = float(np.linalg.norm(sys.A @ Q + Q @ sys.A.T + C, 2))
-        tol_scaled = tol * scale
-        return LyapunovReport("algebraic", (np.inf,), (resid,), float(tol_scaled),
+        return LyapunovReport("algebraic", (np.inf,), (resid,), tol_scaled,
                               bool(resid <= tol_scaled))
-    if mode != "differential":
-        raise ValueError(f"unknown mode {mode!r}")
     if times is None:
-        raise ValueError("differential mode needs times")
+        raise ValueError("a Gramian family needs times")
+    times = _as_times(times)
     residuals = []
-    for t in _as_times(times):
+    for t in times:
         dQ = _richardson(Q, t, FD_STEP_FACTOR * max(1.0, t))
         Qt = Q(t)
         residuals.append(float(np.linalg.norm(dQ - (sys.A @ Qt + Qt @ sys.A.T + C), 2)))
-    tol_scaled = tol * scale
-    return LyapunovReport("differential", tuple(float(t) for t in _as_times(times)),
-                          tuple(residuals), float(tol_scaled),
-                          bool(max(residuals) <= tol_scaled))
+    return LyapunovReport("differential", tuple(float(t) for t in times),
+                          tuple(residuals), tol_scaled, bool(max(residuals) <= tol_scaled))

@@ -133,9 +133,9 @@ def test_c04_riccati_verification_and_discrimination():
         T0 = 0.25 / sys_.omega
         times = np.linspace(T0, 4.0 / sys_.omega, 6)
         cand = me.pv_candidate(sys_)
-        rep_h = me.riccati_residual_H(cand, times, tol=1e-6)
+        rep_h = me.riccati_residual(cand, times, tol=1e-6)
         assert rep_h.passed, f"H residual failed: {max(rep_h.residuals):.3e}"
-        rep_x = me.riccati_residual_X(me.inverse_candidate(sys_), times, tol=1e-6)
+        rep_x = me.riccati_residual(me.inverse_candidate(sys_), times, tol=1e-6)
         assert rep_x.passed, f"X residual failed: {max(rep_x.residuals):.3e}"
     # discriminative power: the shifted family must fail decisively
     rng2 = np.random.default_rng(SEED + 1)
@@ -143,10 +143,9 @@ def test_c04_riccati_verification_and_discrimination():
                  me.random_stable_system(rng2, 4)]:
         base = me.pv_candidate(sys_)
         shifted = me.RiccatiCandidate(
-            sys_, base.geometry, lambda t, b=base: b.evaluate(t) + np.eye(sys_.n),
-            kind="shifted",
+            sys_, base.geometry, lambda t, b=base: b.evaluate(t) + np.eye(sys_.n)
         )
-        rep = me.riccati_residual_H(shifted, [0.5 / sys_.omega, 1.0 / sys_.omega])
+        rep = me.riccati_residual(shifted, [0.5 / sys_.omega, 1.0 / sys_.omega])
         scale = rep.tol_scaled / rep.tol
         assert not rep.passed
         assert max(rep.residuals) >= 1e-2 * scale
@@ -158,18 +157,18 @@ def test_c05_lyapunov_verification_and_uniqueness():
     for sys_ in systems:
         family = lambda s, sys=sys_: me.compute_gramian(sys, s).Q.matrix
         times = np.linspace(0.4, 2.0, 4)
-        rep_d = me.lyapunov_residual(sys_, family, "differential", times, tol=1e-7)
+        rep_d = me.lyapunov_residual(sys_, family, times, tol=1e-7)
         assert rep_d.passed, f"differential residual {max(rep_d.residuals):.3e}"
         q_inf = gramian_infinite(sys_).Q.matrix
-        rep_a = me.lyapunov_residual(sys_, q_inf, "algebraic", tol=1e-10)
+        rep_a = me.lyapunov_residual(sys_, q_inf, tol=1e-10)
         assert rep_a.passed, f"algebraic residual {rep_a.residuals[0]:.3e}"
     # uniqueness / discrimination on the scalar benchmark
     sys_ = me.LinearSystem([[-1.0]], [[1.0]])
     bad_family = lambda s: 1.1 * me.compute_gramian(sys_, s).Q.matrix
-    rep_bad = me.lyapunov_residual(sys_, bad_family, "differential", [0.5, 1.0], tol=1e-7)
+    rep_bad = me.lyapunov_residual(sys_, bad_family, [0.5, 1.0], tol=1e-7)
     assert not rep_bad.passed
     q_bad = gramian_infinite(sys_).Q.matrix + 0.05 * np.eye(1)
-    rep_bad_a = me.lyapunov_residual(sys_, q_bad, "algebraic", tol=1e-10)
+    rep_bad_a = me.lyapunov_residual(sys_, q_bad, tol=1e-10)
     assert not rep_bad_a.passed
     _pass(5, "Q_t differential <= 1e-7 scaled, Q_inf algebraic <= 1e-10 scaled, perturbations rejected")
 

@@ -467,7 +467,7 @@ def test_residual_sweep_matches_riccati_residual_H(tmp_path):
     lines = open(os.path.join(out, "residual_sweep.csv")).read().strip().splitlines()
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     sys_ = me.LinearSystem(COUPLED_MODEL["A"], COUPLED_MODEL["B"])
-    rep = me.riccati_residual_H(me.pv_candidate(sys_), [0.5, 1.0, 2.0], seed=3)
+    rep = me.riccati_residual(me.pv_candidate(sys_), [0.5, 1.0, 2.0], seed=3)
     swept = [max(abs(r[5]) for r in rows if r[0] == t) for t in rep.times]
     assert swept == list(rep.residuals)
 

@@ -333,7 +333,7 @@ def test_cache_solves_infinite_gramian_once(coupled_sys, monkeypatch):
         me.compute_gramian(coupled_sys, np.inf)
     cand = me.pv_candidate(coupled_sys)
     me.inverse_candidate(coupled_sys)
-    me.riccati_residual_H(cand, [1.0, 2.0])
+    me.riccati_residual(cand, [1.0, 2.0])
     assert len(calls) == 1
 
 

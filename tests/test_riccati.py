@@ -28,7 +28,7 @@ def test_pv_candidate_scalar_value(scalar_sys):
 
 def test_residual_H_scalar_identity(scalar_sys):
     cand = me.pv_candidate(scalar_sys)
-    rep = me.riccati_residual_H(cand, [0.5, 1.0, 2.0])
+    rep = me.riccati_residual(cand, [0.5, 1.0, 2.0])
     assert rep.passed
     assert max(rep.residuals) < rep.tol_scaled
 
@@ -62,7 +62,7 @@ def test_commuting_consistency_field(scalar_sys):
 
 def test_residual_X_scalar(scalar_sys):
     cand = me.inverse_candidate(scalar_sys)
-    rep = me.riccati_residual_X(cand, [0.5, 1.0, 2.0])
+    rep = me.riccati_residual(cand, [0.5, 1.0, 2.0])
     assert rep.passed
 
 
@@ -80,14 +80,14 @@ def test_residuals_on_random_commuting(rng):
         sys = me.LinearSystem(np.diag(-lam), np.diag(np.sqrt(b)))
         cand = me.pv_candidate(sys)
         times = [0.4, 1.0, 2.5]
-        assert me.riccati_residual_H(cand, times).passed
+        assert me.riccati_residual(cand, times).passed
         assert me.riccati_residual_commuting(cand, times).passed
-        assert me.riccati_residual_X(me.inverse_candidate(sys), times).passed
+        assert me.riccati_residual(me.inverse_candidate(sys), times).passed
 
 
 def test_residual_H_noncommuting(coupled_sys):
     cand = me.pv_candidate(coupled_sys)
-    rep = me.riccati_residual_H(cand, [0.5, 1.0, 2.0])
+    rep = me.riccati_residual(cand, [0.5, 1.0, 2.0])
     assert rep.passed
 
 
@@ -97,18 +97,60 @@ def test_perturbed_candidate_fails(scalar_sys):
     def shifted(t):
         return base.evaluate(t) + np.eye(1)
 
-    bad = me.RiccatiCandidate(scalar_sys, base.geometry, shifted, kind="shifted")
-    rep = me.riccati_residual_H(bad, [0.5, 1.0])
+    bad = me.RiccatiCandidate(scalar_sys, base.geometry, shifted)
+    rep = me.riccati_residual(bad, [0.5, 1.0])
     assert not rep.passed
     # failure must be decisive, not marginal
     assert max(rep.residuals) > 100 * rep.tol_scaled
 
 
 def test_zero_candidate_solves_X_trivially(scalar_sys):
-    geom = me.pv_candidate(scalar_sys).geometry
-    zero = me.RiccatiCandidate(scalar_sys, geom, lambda t: np.zeros((1, 1)), kind="zero")
-    rep = me.riccati_residual_X(zero, [0.5, 1.0])
+    zero = me.RiccatiCandidate(scalar_sys, me.EuclideanGeometry(1), lambda t: np.zeros((1, 1)))
+    rep = me.riccati_residual(zero, [0.5, 1.0])
     assert rep.passed  # R = 0 kills every term of the inverse-form equation
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n), st.floats(-0.5, 0.5), st.integers(0, 2**32 - 1))))
+def test_inverse_family_solves_the_plain_equation_without_stability(draw):
+    # R(t) = Q_t^+ needs only finite-horizon Gramians, so the plain equation
+    # is checked on unstable systems too, with no limit Gramian in sight
+    n, m, abscissa, seed = draw
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A += (abscissa - np.linalg.eigvals(A).real.max()) * np.eye(n)
+    B = rng.standard_normal((n, m))
+    kalman = np.hstack([np.linalg.matrix_power(A, k) @ B for k in range(n)])
+    assume(np.linalg.matrix_rank(kalman) == n)
+    rep = me.riccati_residual(me.inverse_candidate(me.LinearSystem(A, B)), [0.5, 1.0, 2.0])
+    assert rep.kind == "plain"
+    assert rep.passed, f"residual {max(rep.residuals):.3e} against {rep.tol_scaled:.3e}"
+
+
+def test_uniqueness_on_a_plain_candidate_is_a_verdict(scalar_sys):
+    # the inverse family carries no limit Gramian in its geometry; the check
+    # reads it from the system and rejects the family at t0 (R = 2 P there)
+    rep = me.uniqueness_reconstruction(me.inverse_candidate(scalar_sys), 1.0, [0.5, 1.0, 2.0])
+    assert not rep.passed
+    assert rep.match_at_t0 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_commuting_checks_refuse_a_plain_candidate(diag_sys):
+    # the commuting form and the compression test are posed on H
+    cand = me.inverse_candidate(diag_sys)
+    with pytest.raises(me.PreconditionError):
+        me.riccati_residual_commuting(cand, [1.0])
+    with pytest.raises(me.PreconditionError):
+        me.projected_solution_check(diag_sys, cand, np.diag([1.0, 0.0]), [1.0])
+
+
+def test_lyapunov_residual_reads_the_check_from_q(scalar_sys):
+    family = lambda s: me.compute_gramian(scalar_sys, s).matrix
+    assert me.lyapunov_residual(scalar_sys, family, [1.0]).mode == "differential"
+    assert me.lyapunov_residual(scalar_sys, np.array([[0.5]])).mode == "algebraic"
+    with pytest.raises(ValueError):
+        me.lyapunov_residual(scalar_sys, family)
 
 
 def test_pv_norm_nonincreasing(rng):
@@ -140,7 +182,7 @@ def test_uniqueness_reconstruction_scalar(scalar_sys):
 def test_uniqueness_rejects_scaled_family(scalar_sys):
     base = me.pv_candidate(scalar_sys)
     doubled = me.RiccatiCandidate(
-        scalar_sys, base.geometry, lambda t: 2.0 * base.evaluate(t), kind="doubled"
+        scalar_sys, base.geometry, lambda t: 2.0 * base.evaluate(t)
     )
     rep = me.uniqueness_reconstruction(doubled, 1.0, np.linspace(0.5, 2.0, 4))
     assert not rep.passed
@@ -333,7 +375,7 @@ def test_projection_rejects_non_idempotent(diag_sys):
 
 def test_residual_report_tolerance_scaling(scalar_sys):
     cand = me.pv_candidate(scalar_sys)
-    rep = me.riccati_residual_H(cand, [1.0], tol=1e-6)
+    rep = me.riccati_residual(cand, [1.0], tol=1e-6)
     # scaled tolerance tracks the magnitude of the equation's terms
     assert rep.tol_scaled >= 1e-6
     assert rep.n_probes >= 1
