@@ -78,21 +78,199 @@ def _atomic_write(path, text):
         raise
 
 
-def _csv_text(header, rows):
-    """CSV text: floats with 17 significant digits, anything else as ``str``.
+_CSV_BLOCK = 2048  # cells per numpy pass
+# a bound on the error of an inexact scaled value, with tenfold room (8 u^2 1e17 < 1e-14)
+_INEXACT = 1e-13
+_X_MIN, _X_MAX = -324, 308  # the decimal exponents of finite nonzero doubles
 
-    Rows are formatted whole, with one %-format per sequence of cell types.
+# The bytes one cell may print, in print order, as six little-endian words.
+# np.compress keeps a subset of them, chosen by the cell's layout: the sign;
+# "0." and up to three zeros of a fixed-form value below 1; the 17 digits
+# D0..D16, each followed by a decimal point slot; "e", the exponent's sign
+# and three digits; a NUL standing in for a cell that Python prints; and the
+# separator.
+_DIGIT, _EXP, _NUL, _SEP = 6, 40, 45, 46  # D_j sits at _DIGIT + 2j, its point after it
+_WIDTH = 48
+# a layout is (form, significant digits, sign): form 0..20 is fixed notation
+# with decimal exponent form - 4, 21 and 22 exponent notation with two and
+# three exponent digits; the layout after them prints the NUL alone
+_LAYOUTS = 23 * 17 * 2
+_csv = {}  # the tables of _csv_tables
+
+
+def _csv_tables():
+    """The writer's tables, built on first use: each four-digit group as the
+    word "d.d.d.d.", its trailing zeros, each decimal exponent's word
+    "e+ddd" and first layout, the kept bytes of each layout, and room for
+    the powers 5^s."""
+    if not _csv:
+        k = np.arange(100)
+        two = np.full((100, 4), ord("."), np.uint8)  # "d.d." for each pair of digits
+        two[:, 0], two[:, 2] = k // 10 + 48, k % 10 + 48
+        two = two.view("<u4").ravel().astype("<u8")
+        _csv["pairs"] = (two[:, None] | two << 32).ravel()
+        tz = (k % 10 == 0) + (k == 0).astype(np.int64)
+        _csv["tz"] = np.where(k == 0, 2 + tz[:, None], tz).ravel()
+        _csv["base"] = np.frombuffer(b"-0.000\0.", "<u8")[0]
+        X = np.arange(_X_MIN, _X_MAX + 1)
+        exp = np.zeros((X.size, 8), np.uint8)
+        exp[:, 0] = ord("e")
+        exp[:, 1] = np.where(X < 0, ord("-"), ord("+"))
+        exp[:, 2:5] = np.abs(X)[:, None] // np.array([100, 10, 1]) % 10 + 48
+        _csv["exp"] = exp.view("<u8").ravel()
+        form = np.where((X >= -4) & (X <= 16), X + 4, np.where(np.abs(X) < 100, 21, 22))
+        _csv["first"] = 34 * form
+        form, ndig = np.arange(23)[:, None, None], np.arange(1, 18)[:, None]
+        X = form - 4
+        fixed, whole = form <= 20, (form <= 20) & (X >= 0)
+        col = np.arange(_WIDTH)
+        j, odd = np.divmod(col - _DIGIT, 2)
+        digit = (col >= _DIGIT) & (col < _EXP)
+        point = np.where(whole, X, np.where(fixed, -1, 0))  # the digit the point follows
+        keep = (
+            (col >= 1) & (col <= 2) & fixed & (X < 0)
+            | (col >= 3) & (col < _DIGIT) & fixed & (col - 3 < -X - 1)
+            | (col >= _EXP) & (col < _NUL) & ~fixed & ((col != _EXP + 2) | (form == 22))
+            | (col == _SEP)
+            | (np.where(digit & (odd == 0), j, _WIDTH)
+               < np.where(whole, np.maximum(ndig, X + 1), ndig))
+            | (np.where(digit & (odd == 1), j, -2) == point) & (ndig > point + 1)
+        )
+        keep = np.stack([keep, keep | (col == 0)], axis=2).reshape(-1, _WIDTH)
+        _csv["keep"] = np.vstack([keep, (col == _NUL) | (col == _SEP)])
+        _csv["p5"] = np.full((2, 16 - _X_MIN - (16 - _X_MAX) + 1), np.nan)
+    return _csv
+
+
+def _pow5(s_lo, s_hi):
+    """5^s for s in [s_lo, s_hi] as double-doubles hi + lo (rows 0 and 1, from
+    column s - (16 - _X_MAX)), filled in where missing."""
+    p5 = _csv_tables()["p5"]
+    first = 16 - _X_MAX
+    for i in np.flatnonzero(np.isnan(p5[0, s_lo - first:s_hi - first + 1])).tolist():
+        s = s_lo + i
+        if s >= 0:
+            p = 5 ** s
+            hi = float(p)
+            lo = float(p - int(hi))
+        else:
+            q = 5 ** -s
+            hi = 1 / q
+            a, b = hi.as_integer_ratio()
+            lo = (b - a * q) / (q * b)
+        p5[:, s - first] = hi, lo
+    return p5
+
+
+def _split(a):
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _csv_block(v, sep, python):
+    """The bytes of one block of cells, and which of them are NULs for Python.
+
+    ``v`` holds the cells as doubles and ``python`` marks the cells that are
+    not floats.  A finite nonzero |v| = f 2^e is scaled to S = |v| 10^s with
+    s = 16 - floor(log10 |v|) in [1e16, 1e17) as the double-double
+    (f 5^s) 2^(e+s); rounding S half to even gives the 17 digits.  For
+    0 <= s <= 22, 5^s is a double and S is exact; otherwise S is within
+    ``_INEXACT``, and a cell is left to Python when that cannot decide the
+    rounding (a fraction near 1/2) or the decade (S near 1e16), or when
+    log10 missed the decade, or when v is not finite.
     """
-    lines = [",".join(header)]
-    formats = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(
-                "%.17g" if issubclass(k, (float, np.floating)) else "%s" for k in kinds)
-        lines.append(fmt % tuple(row))
-    return "\n".join(lines) + "\n"
+    t = _csv_tables()
+    neg = np.signbit(v)
+    a = np.abs(v)
+    zero = (a == 0) & ~python
+    ok = np.isfinite(a) & ~zero & ~python
+    a = np.where(ok, a, 1.0)
+    f, e = np.frexp(a)
+    X = np.floor(np.log10(a)).astype(np.int64)
+    s = 16 - X
+    column = s - (16 - _X_MAX)
+    p5 = _pow5(int(s.min()), int(s.max()))
+    p5_hi, p5_lo = p5[0].take(column), p5[1].take(column)
+    p = f * p5_hi
+    fh, fl = _split(f)
+    ph, pl = _split(p5_hi)
+    lo = (((fh * ph - p) + fh * pl + fl * ph) + fl * pl) + f * p5_lo
+    scale = ((e + s + 1023) << 52).view(np.float64)  # 2^(e+s), a normal double
+    hi, lo = p * scale, lo * scale
+    inexact = (s < 0) | (s > 22)
+    rounded = np.rint(lo)
+    ok &= ~inexact | (np.abs(lo - rounded) < 0.5 - _INEXACT)
+    ok &= ((hi - 1e16) + lo >= inexact * _INEXACT) & (hi < 2e17)
+    N = np.where(ok, hi, 0.0).astype(np.int64) + np.where(ok, rounded, 0.0).astype(np.int64)
+    ok &= N <= 10 ** 17
+    top = N == 10 ** 17
+    N[top] = 10 ** 16
+    X += top
+    N[~ok] = 0
+    X[~ok] = 0
+    lead, rest = np.divmod(N, 10 ** 16)
+    g1, rest = np.divmod(rest, 10 ** 12)
+    g2, rest = np.divmod(rest, 10 ** 8)
+    g3, g4 = np.divmod(rest, 10 ** 4)
+    tz = t["tz"]
+    zeros = tz.take(g4)
+    short = np.flatnonzero(g4 == 0)
+    if short.size:
+        h1, h2, h3 = g1[short], g2[short], g3[short]
+        zeros[short] = 4 + np.where(h3, tz.take(h3),
+                                    4 + np.where(h2, tz.take(h2), 4 + tz.take(h1)))
+    x = X - _X_MIN
+    layout = t["first"].take(x) + 2 * (16 - zeros) + neg
+    nul = ~ok & ~zero
+    layout[nul] = _LAYOUTS
+    pairs = t["pairs"]
+    words = np.empty((v.size, _WIDTH // 8), "<u8")
+    words[:, 0] = t["base"] + ((lead + 48) << 48).astype("<u8")
+    for i, g in enumerate((g1, g2, g3, g4)):
+        words[:, i + 1] = pairs.take(g)
+    words[:, 5] = t["exp"].take(x) | (sep.astype("<u8") << 48)
+    keep = t["keep"].take(layout, axis=0)
+    return np.compress(keep.ravel(), words.view(np.uint8).ravel()).tobytes(), nul
+
+
+def _csv_text(header, rows):
+    """CSV text: every float cell prints as ``'%.17g' % v`` and every other
+    cell as ``str(v)``; rows end in a newline and hold at least one cell.
+
+    A float array is formatted whole, a sequence of rows cell by cell.  The
+    float cells go through numpy ``_CSV_BLOCK`` at a time (``_csv_block``);
+    Python prints the rest, and the floats numpy cannot certify.
+    """
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
+        values, cells = rows.ravel(), None
+        python = np.zeros(values.size, bool)
+        ends = np.arange(rows.shape[1], values.size + 1, rows.shape[1]) - 1
+    else:
+        rows = list(rows)
+        if not all(len(row) for row in rows):
+            raise ValueError("every CSV row needs a cell")
+        cells = [c for row in rows for c in row]
+        python = np.array([not isinstance(c, (float, np.floating)) for c in cells], dtype=bool)
+        values = np.array([0.0 if p else c for c, p in zip(cells, python)], dtype=float)
+        ends = np.cumsum([len(row) for row in rows], dtype=np.int64) - 1
+    sep = np.full(values.size, ord(","), np.uint8)
+    sep[ends] = ord("\n")
+    blocks, nuls = [], []
+    for start in range(0, values.size, _CSV_BLOCK):
+        stop = start + _CSV_BLOCK
+        text, nul = _csv_block(values[start:stop], sep[start:stop], python[start:stop])
+        blocks.append(text)
+        nuls.append(nul)
+    body = b"".join(blocks).decode("ascii")
+    where = np.flatnonzero(np.concatenate(nuls)) if nuls else []
+    if len(where):
+        own = [str(cells[i]) if python[i] else "%.17g" % values[i] for i in where.tolist()]
+        pieces = body.split("\0")
+        out = [None] * (2 * len(pieces) - 1)
+        out[::2], out[1::2] = pieces, own
+        body = "".join(out)
+    return ",".join(header) + "\n" + body
 
 
 def _array_layout(shape, nl):
@@ -377,7 +555,7 @@ def _task_min_energy(run):
                     header += [f"y{j + 1}" for j in range(states.shape[1])]
                     columns.append(states)
                 name = f"timeseries_h{ti}_x{xi}.csv"
-                run.csv_files[name] = _csv_text(header, np.hstack(columns).tolist())
+                run.csv_files[name] = _csv_text(header, np.hstack(columns))
                 entry["timeseries_csv"] = name
             results.append(entry)
     return {"results": results}, None
