@@ -65,6 +65,7 @@ from .energy import (
     h_norm,
     null_controllability_test,
     optimal_control,
+    optimal_samples,
     optimal_trajectory,
     simulate_control,
     steer,

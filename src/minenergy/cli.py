@@ -24,7 +24,6 @@ import locale  # noqa: F401  argparse messages need it: load it with the CLI, no
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -63,14 +62,21 @@ _TASKS = (
 
 
 def _atomic_write(path, text):
+    """Write ``text`` to ``path`` through a new file beside it, renamed over it.
+
+    The file is created with mode 0666 for the kernel to apply the umask.
+    """
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    while True:
+        tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes the file 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -29,6 +29,7 @@ __all__ = [
     "value_function",
     "Steering",
     "steer",
+    "optimal_samples",
     "optimal_control",
     "optimal_trajectory",
     "Trajectory",
@@ -123,6 +124,19 @@ class Steering:
         return {"class": self.category, "defect": self.defect, "value": self.value}
 
 
+def _project(gram, x):
+    """x projected once on the eigenvectors of ``gram.Q``: the ``Steering`` of
+    x, w = V^T x and the mask of the kept eigenpairs."""
+    x = np.asarray(x, dtype=float)
+    keep = gram.Q._keep()
+    w = gram.Q.eigenvectors.T @ x
+    defect = float(np.linalg.norm(w[~keep]))
+    if defect > REL_THRESHOLD * max(np.linalg.norm(x), 1e-300):
+        return Steering("unreachable", defect, None), w, keep
+    value = 0.5 * float(np.sum(w[keep] ** 2 / gram.Q.eigenvalues[keep]))
+    return Steering("in_range_Q", defect, value), w, keep
+
+
 def steer(gram, x):
     """The class, defect and value of steering to x on the Gramian ``gram``.
 
@@ -132,14 +146,7 @@ def steer(gram, x):
     within ``REL_THRESHOLD`` of ||x||, and the value is
     (1/2) sum_k w_k^2 / lam_k over exactly the kept directions.
     """
-    x = np.asarray(x, dtype=float)
-    keep = gram.Q._keep()
-    w = gram.Q.eigenvectors.T @ x
-    defect = float(np.linalg.norm(w[~keep]))
-    if defect > REL_THRESHOLD * max(np.linalg.norm(x), 1e-300):
-        return Steering("unreachable", defect, None)
-    value = 0.5 * float(np.sum(w[keep] ** 2 / gram.Q.eigenvalues[keep]))
-    return Steering("in_range_Q", defect, value)
+    return _project(gram, x)[0]
 
 
 def classify_target(gram, x):
@@ -164,41 +171,21 @@ def value_function(gram, x):
 
 
 def _steering_coefficients(gram, x, grid, what):
-    """z = Q_t^+ x for the optimal ``what`` on ``grid`` nodes: ReachabilityError
-    unless x is in range(Q_t), ValueError for grid < 2 or an infinite horizon."""
-    x = np.asarray(x, dtype=float)
+    """z = V_k (w_k / lam_k) = Q_t^+ x from the projection of ``steer``, over
+    exactly the directions its value sums over: ReachabilityError unless x is
+    in range(Q_t), ValueError for grid < 2 or an infinite horizon."""
     if operator.index(grid) < 2:
         raise ValueError(f"need at least 2 grid nodes, got {grid}")
-    cls = classify_target(gram, x)
-    if cls.category != "in_range_Q":
+    s, w, keep = _project(gram, x)
+    if s.category != "in_range_Q":
         raise ReachabilityError(
-            f"optimal {what} requires a target in range(Q_t); "
-            f"classification was {cls.category!r} with defect {cls.defect:.3e}",
-            defect=cls.defect,
+            f"a target outside range(Q_t) has no optimal {what}; "
+            f"classification was {s.category!r} with defect {s.defect:.3e}",
+            defect=s.defect,
         )
     if not np.isfinite(gram.horizon):
         raise ValueError(f"optimal {what} needs a finite horizon, got {gram.horizon}")
-    return gram.Q.pinv() @ x
-
-
-def _adjoint_flow(sys, gram, x, grid, what):
-    """The node grid r_i on [-t, 0], the adjoint samples
-    w_i = e^{-r_i A^T} Q_t^+ x, and the one-step pair (e^{hA}, Q_h).
-
-    ``grid`` is the node count k >= 2, so h = t / (k - 1).  The samples step
-    backward from w = Q_t^+ x at r = 0 by the exact recurrence
-    w_{i-1} = e^{hA^T} w_i: one exponential for the whole grid.
-    """
-    z = _steering_coefficients(gram, x, grid, what)
-    t = gram.horizon
-    E, Qh = _van_loan_step(sys, t / (grid - 1))
-    w = np.empty((grid, sys.n))
-    w[-1] = z
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(grid - 1, 0, -1):
-            w[i - 1] = w[i] @ E
-    _require_finite(w, what, t)
-    return np.linspace(-t, 0.0, grid), w, E, Qh
+    return gram.Q.eigenvectors[:, keep] @ (w[keep] / gram.Q.eigenvalues[keep])
 
 
 def _require_finite(samples, what, t):
@@ -209,14 +196,70 @@ def _require_finite(samples, what, t):
         )
 
 
-def optimal_control(sys, gram, x, grid=129):
-    """The minimum-energy control u(r) = B^T e^{-r A^T} Q_t^+ x on [-t, 0].
+def _sample_flows(E, Qh, z, k):
+    """The adjoint samples w_i = (E^T)^{k-1-i} z and the states
+    y_0 = 0, y_{i+1} = E y_i + Q_h w_{i+1}, for i < k, as rows.
 
-    Requires the target to be in range(Q_t); sampled at ``grid`` (an int
-    node count) equally spaced nodes.
+    Both by doubling over the powers P = E^m, m = 1, 2, 4, ..., each formed
+    only when it is applied: the rows z^T E^j for j < 2m are those for
+    j < m and their products with P, and the prefix scan adds to each y_i
+    the partial sum m steps back, carried by P.  That is about log2(k)
+    matrix products for each series instead of k - 1 vector steps.
     """
-    g, w, _, _ = _adjoint_flow(sys, gram, x, grid, "control")
-    return ControlSignal(g, w @ sys.B)
+    powers = []
+    rows = np.empty((k, z.size))  # row j is z^T E^j
+    rows[0] = z
+    P, m = E, 1
+    while m < k:
+        if powers:
+            P = P @ P
+        powers.append(P)
+        rows[m:2 * m] = rows[:min(m, k - m)] @ P
+        m *= 2
+    w = rows[::-1]
+    y = w @ Qh.T  # row i is (Q_h w_i)^T
+    y[0] = 0.0
+    for i, P in enumerate(powers):
+        if 1 << i >= k - 1:
+            break
+        y[1 << i:] += y[:-(1 << i)] @ P.T
+    return w, y
+
+
+def optimal_samples(sys, gram, x, grid=129):
+    """The minimum-energy control and the state it steers, on [-t, 0].
+
+    The control is u(r) = B^T w(r) with the adjoint w(r) = e^{-r A^T} Q_t^+ x,
+    and the state y(r) = Q_{t+r} w(r), both sampled at ``grid`` (an int node
+    count k >= 2) equally spaced nodes r_i = -t + i h, h = t / (k - 1).  The
+    target must lie in range(Q_t).
+
+    One exponential gives the step pair (e^{hA}, Q_h).  The adjoint steps
+    back from w = Q_t^+ x at r = 0 by the exact recurrence
+    w_i = e^{hA^T} w_{i+1}.  With Q_{s+h} = Q_h + e^{hA} Q_s e^{hA^T}, the
+    states follow the exact vector recurrence y_{i+1} = e^{hA} y_i +
+    Q_h w_{i+1} from y_0 = 0 at r = -t, so y(-t) = 0 exactly, and at r = 0
+    the Gramian cancels the pseudoinverse on range(Q_t), giving x.  Both
+    series are formed by doubling (``_sample_flows``).  Returns the pair
+    (``ControlSignal``, ``Trajectory``); NonFiniteError when either
+    overflows.
+    """
+    z = _steering_coefficients(gram, x, grid, "control and trajectory")
+    t = gram.horizon
+    E, Qh = _van_loan_step(sys, t / (grid - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, states = _sample_flows(E, Qh, z, grid)
+        values = w @ sys.B
+    _require_finite(values, "control", t)
+    _require_finite(states, "trajectory", t)
+    nodes = np.linspace(-t, 0.0, grid)
+    return ControlSignal(nodes, values), Trajectory(nodes, states)
+
+
+def optimal_control(sys, gram, x, grid=129):
+    """The minimum-energy control u(r) = B^T e^{-r A^T} Q_t^+ x on [-t, 0]:
+    the control of ``optimal_samples``."""
+    return optimal_samples(sys, gram, x, grid)[0]
 
 
 @dataclass(frozen=True)
@@ -234,22 +277,9 @@ class Trajectory:
 
 
 def optimal_trajectory(sys, gram, x, grid=129):
-    """The optimally steered state y(r) = Q_{t+r} e^{-r A^T} Q_t^+ x on [-t, 0].
-
-    Sampled like ``optimal_control``.  The Gramians step forward from
-    Q_0 = 0 by the exact recurrence Q_{s+h} = Q_h + e^{hA} Q_s e^{hA^T}, so
-    y(-t) = 0 exactly, and at r = 0 the Gramian cancels the pseudoinverse
-    on range(Q_t), giving x.
-    """
-    g, w, E, Qh = _adjoint_flow(sys, gram, x, grid, "trajectory")
-    states = np.zeros_like(w)
-    Qs = np.zeros_like(Qh)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, g.size):
-            Qs = Qh + E @ Qs @ E.T
-            states[i] = Qs @ w[i]
-    _require_finite(states, "trajectory", gram.horizon)
-    return Trajectory(g, states)
+    """The optimally steered state y(r) = Q_{t+r} e^{-r A^T} Q_t^+ x on
+    [-t, 0]: the trajectory of ``optimal_samples``."""
+    return optimal_samples(sys, gram, x, grid)[1]
 
 
 def simulate_control(sys, signal, substeps=8):

@@ -620,9 +620,12 @@ def delay_optimal_control(sys_, gram, x, grid=129):
     At tau = -r = ih + sigma, W(tau + c_j) = F(tau + c_j) - F(tau + c_j - h)
     takes F on cells i + j + 1 - M and i + j - M at the local time sigma, so
     one lattice evaluation per sample time gives every kernel, as in
-    ``_panel_gram``.
+    ``_panel_gram``.  Here z is the dense product Q_t^+ x rather than the
+    projection of ``energy._steering_coefficients``; the two differ only in
+    rounding, and the delay samples keep the former.
     """
-    z = _steering_coefficients(gram, x, grid, "control")
+    _steering_coefficients(gram, x, grid, "control")
+    z = gram.Q.pinv() @ np.asarray(x, dtype=float)
     t = gram.horizon
     M = sys_.mesh
     fund = delay_fundamental_solution(sys_, t)

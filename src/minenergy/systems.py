@@ -6,13 +6,7 @@ import hashlib
 
 import numpy as np
 
-from .energy import (
-    null_controllability_test,
-    optimal_control,
-    optimal_trajectory,
-    steer,
-    value_function,
-)
+from .energy import null_controllability_test, optimal_samples, steer, value_function
 from .gramians import compute_gramian, gramian_quadrature_sweep
 from .linalg import as_matrix, commutes
 
@@ -46,9 +40,8 @@ class Model:
         return steer(self.gramian(t), x)
 
     def least_norm_control(self, t, x, grid):
-        gram = self.gramian(t)
-        signal = optimal_control(self.linear, gram, x, grid=grid)
-        return signal, optimal_trajectory(self.linear, gram, x, grid=grid).states
+        signal, trajectory = optimal_samples(self.linear, self.gramian(t), x, grid=grid)
+        return signal, trajectory.states
 
     def value_oracles(self, times):
         """The value on the quadrature Gramians of ``linear``, all from one sweep."""

@@ -198,6 +198,19 @@ def test_artifact_modes_follow_the_umask(tmp_path, umask, mode):
         assert stat.S_IMODE(os.stat(os.path.join(out, name)).st_mode) == mode, name
 
 
+def test_artifact_writes_leave_the_process_umask_alone(tmp_path, monkeypatch):
+    # setting the umask to read it would open a window in which a file that
+    # another thread creates gets mode 0666
+    def refuse(mask):
+        raise AssertionError("the writer changed the process umask")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    out = str(tmp_path / "out")
+    path = write_scenario(tmp_path, dict(STEER_SCENARIO, output=out))
+    assert cli.main(["run", path]) == 0
+    assert sorted(os.listdir(out)) == ["report.json", "timeseries_h0_x0.csv"]
+
+
 def test_report_is_not_written_when_a_csv_write_fails(tmp_path, monkeypatch):
     """The CSVs go first: a report on disk means every file it names is there."""
     written = []

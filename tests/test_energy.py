@@ -1,7 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import minenergy as me
 from conftest import SCALAR_V11, SCALAR_U0, SCALAR_UM1
@@ -192,6 +192,53 @@ def test_propagated_samples_match_per_node_formulas(name):
     assert_allclose(sig.grid, rs, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("grid", [2, 3, 4, 5, 17, 100, 129])
+def test_samples_by_doubling_match_the_step_recurrences(rng, grid):
+    # w_i = e^{hA^T} w_{i+1} from w = Q_t^+ x, and y_{i+1} = e^{hA} y_i + Q_h w_{i+1}
+    # from y = 0, one vector step at a time
+    sys = me.random_stable_system(rng, 5, margin=-0.2)
+    t = 1.3
+    g = me.compute_gramian(sys, t)
+    x = g.matrix @ rng.standard_normal(5)
+    E, Qh = me.gramians._van_loan_step(sys, t / (grid - 1))
+    w = np.empty((grid, 5))
+    w[-1] = me.energy._steering_coefficients(g, x, grid, "control")
+    for i in range(grid - 1, 0, -1):
+        w[i - 1] = E.T @ w[i]
+    y = np.zeros((grid, 5))
+    for i in range(grid - 1):
+        y[i + 1] = E @ y[i] + Qh @ w[i + 1]
+    signal, traj = me.optimal_samples(sys, g, x, grid=grid)
+    for got, ref in ((signal.values, w @ sys.B), (traj.states, y)):
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max())
+    assert np.all(traj.states[0] == 0.0)
+    assert_allclose(traj.states[-1], x, rtol=0, atol=1e-9 * np.abs(x).max())
+
+
+def test_control_and_trajectory_are_the_two_parts_of_the_samples(rng):
+    sys = me.random_stable_system(rng, 4)
+    g = me.compute_gramian(sys, 0.8)
+    x = g.matrix @ rng.standard_normal(4)
+    signal, traj = me.optimal_samples(sys, g, x, grid=33)
+    control = me.optimal_control(sys, g, x, grid=33)
+    trajectory = me.optimal_trajectory(sys, g, x, grid=33)
+    assert_array_equal(control.grid, signal.grid)
+    assert_array_equal(control.values, signal.values)
+    assert_array_equal(trajectory.grid, traj.grid)
+    assert_array_equal(trajectory.states, traj.states)
+    assert np.all(traj.states[0] == 0.0)  # y(-t), exactly
+
+
+def test_overflowing_samples_are_typed_errors():
+    # a step pair e^{hA}, Q_h that leaves double precision reaches the samples
+    # as inf: the Gramian comes from a tame system, the step from a hot one
+    g = me.compute_gramian(me.LinearSystem([[-1.0]], [[1.0]]), 1.0)
+    hot = me.LinearSystem([[800.0]], [[1.0]])
+    for steer in (me.optimal_samples, me.optimal_control, me.optimal_trajectory):
+        with pytest.raises(me.NonFiniteError, match="overflows double precision"):
+            steer(hot, g, [1.0], grid=3)
+
+
 def test_steering_makes_one_exponential_and_no_gramian(monkeypatch, rng):
     sys = me.random_stable_system(rng, 4)
     g = me.compute_gramian(sys, 1.5)
@@ -210,7 +257,7 @@ def test_steering_makes_one_exponential_and_no_gramian(monkeypatch, rng):
         monkeypatch.setattr(module, "expm", expm)
     for module in (me.gramians, me.energy):
         monkeypatch.setattr(module, "compute_gramian", compute_gramian)
-    for steer in (me.optimal_control, me.optimal_trajectory):
+    for steer in (me.optimal_samples, me.optimal_control, me.optimal_trajectory):
         calls.update(expm=0, compute_gramian=0)
         steer(sys, g, x, grid=129)
         assert calls == {"expm": 1, "compute_gramian": 0}

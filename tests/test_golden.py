@@ -16,6 +16,7 @@ absolute and relative, and say in CHANGES.md which files moved and why.
 """
 
 import json
+import math
 import os
 import re
 import shutil
@@ -84,7 +85,10 @@ _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 def _largest_move(old, new):
     """How the numbers of ``new`` moved from those of ``old``, paired in order:
-    the largest absolute and the largest relative move, each with its pair."""
+    the largest absolute move and the largest move relative to the number
+    itself, each with its pair, and the largest absolute move relative to
+    the file's largest magnitude.  Roundoff on a sample near zero is a large
+    move relative to itself but a small one against the file's scale."""
     a, b = ([float(v) for v in _NUMBER.findall(text)] for text in (old, new))
     if len(a) != len(b):
         return f"the count of numbers changed from {len(a)} to {len(b)}"
@@ -93,8 +97,10 @@ def _largest_move(old, new):
         return "unchanged" if old == new else "no number moved"
     absolute = max(moved)
     relative = max((d / max(abs(x), abs(y)), x, y) for d, x, y in moved)
+    scale = max(abs(v) for v in a + b if math.isfinite(v))
     return (f"largest move {absolute[0]:.3g} absolute ({absolute[1]!r} -> {absolute[2]!r}), "
-            f"{relative[0]:.3g} relative ({relative[1]!r} -> {relative[2]!r})")
+            f"{relative[0]:.3g} relative ({relative[1]!r} -> {relative[2]!r}), "
+            f"{absolute[0] / scale:.3g} of the file's largest magnitude {scale!r}")
 
 
 def _regenerate(cases):
