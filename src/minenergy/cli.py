@@ -64,16 +64,11 @@ _TASKS = (
 def _atomic_write(path, text):
     """Write ``text`` to ``path`` through a new file beside it, renamed over it.
 
-    The file is created with mode 0666 for the kernel to apply the umask.
+    The file takes a random name and is created with mode 0666 for the
+    kernel to apply the umask.
     """
-    directory = os.path.dirname(path) or "."
-    while True:
-        tmp = os.path.join(directory, ".tmp-" + os.urandom(8).hex())
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
+    tmp = os.path.join(os.path.dirname(path) or ".", ".tmp-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)

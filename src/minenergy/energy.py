@@ -253,7 +253,7 @@ def optimal_samples(sys, gram, x, grid=129):
     _require_finite(values, "control", t)
     _require_finite(states, "trajectory", t)
     nodes = np.linspace(-t, 0.0, grid)
-    return ControlSignal(nodes, values), Trajectory(nodes, states)
+    return ControlSignal(nodes, values), Trajectory(nodes.copy(), states)
 
 
 def optimal_control(sys, gram, x, grid=129):
