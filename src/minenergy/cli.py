@@ -235,43 +235,81 @@ def _csv_block(v, sep, python):
     return np.compress(keep.ravel(), words.view(np.uint8).ravel()).tobytes(), nul
 
 
-def _csv_text(header, rows):
-    """CSV text: every float cell prints as ``'%.17g' % v`` and every other
-    cell as ``str(v)``; rows end in a newline and hold at least one cell.
+def _csv_texts(tables):
+    """The CSV text of each ``(header, rows)`` table: every float cell prints
+    as ``'%.17g' % v`` and every other cell as ``str(v)``; rows end in a
+    newline and hold at least one cell.
 
-    A float array is formatted whole, a sequence of rows cell by cell.  The
-    float cells go through numpy ``_CSV_BLOCK`` at a time (``_csv_block``);
-    Python prints the rest, and the floats numpy cannot certify.
+    Consecutive tables that fit in one block of ``_CSV_BLOCK`` cells are
+    formatted together (``_csv_group``), so that small tables share the
+    fixed cost of a numpy pass, and a larger table is formatted alone.
     """
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
-        values, cells = rows.ravel(), None
-        python = np.zeros(values.size, bool)
-        ends = np.arange(rows.shape[1], values.size + 1, rows.shape[1]) - 1
-    else:
-        rows = list(rows)
-        if not all(len(row) for row in rows):
-            raise ValueError("every CSV row needs a cell")
-        cells = [c for row in rows for c in row]
-        python = np.array([not isinstance(c, (float, np.floating)) for c in cells], dtype=bool)
-        values = np.array([0.0 if p else c for c, p in zip(cells, python)], dtype=float)
-        ends = np.cumsum([len(row) for row in rows], dtype=np.int64) - 1
-    sep = np.full(values.size, ord(","), np.uint8)
-    sep[ends] = ord("\n")
-    blocks, nuls = [], []
+    texts, group, cells = [], [], 0
+    for header, rows in tables:
+        size = len(header) * len(rows)
+        if group and cells + size > _CSV_BLOCK:
+            texts += _csv_group(group)
+            group, cells = [], 0
+        group.append((header, rows))
+        cells += size
+    return texts + _csv_group(group) if group else texts
+
+
+def _csv_group(tables):
+    """The CSV texts of ``tables``, whose float cells go through numpy together.
+
+    A float array of rows is taken whole, a sequence of rows cell by cell.
+    The float cells pass ``_CSV_BLOCK`` at a time (``_csv_block``); Python
+    prints the other cells, and the floats numpy cannot certify.  Each
+    table's last separator is a 0x01 byte, which no formatted cell holds,
+    and the text is cut there.
+    """
+    values, python, seps, others, empty = [], [], [], [], []
+    for header, rows in tables:
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
+            v, width = rows.ravel(), rows.shape[1]
+            p = np.zeros(v.size, bool)
+            ends = np.arange(width - 1, v.size, width)
+        else:
+            rows = list(rows)
+            if not all(len(row) for row in rows):
+                raise ValueError("every CSV row needs a cell")
+            cells = [c for row in rows for c in row]
+            p = np.array([not isinstance(c, (float, np.floating)) for c in cells], dtype=bool)
+            v = np.array([0.0 if q else c for c, q in zip(cells, p)], dtype=float)
+            others += [str(c) for c, q in zip(cells, p) if q]
+            ends = np.cumsum([len(row) for row in rows], dtype=np.int64) - 1
+        sep = np.full(v.size, ord(","), np.uint8)
+        sep[ends] = ord("\n")
+        sep[-1:] = 1
+        empty.append(v.size == 0)
+        values.append(v)
+        python.append(p)
+        seps.append(sep)
+    values, python, sep = (np.concatenate(a) for a in (values, python, seps))
+    blocks, nuls = [], [np.zeros(0, bool)]
     for start in range(0, values.size, _CSV_BLOCK):
         stop = start + _CSV_BLOCK
         text, nul = _csv_block(values[start:stop], sep[start:stop], python[start:stop])
         blocks.append(text)
         nuls.append(nul)
-    body = b"".join(blocks).decode("ascii")
-    where = np.flatnonzero(np.concatenate(nuls)) if nuls else []
-    if len(where):
-        own = [str(cells[i]) if python[i] else "%.17g" % values[i] for i in where.tolist()]
-        pieces = body.split("\0")
-        out = [None] * (2 * len(pieces) - 1)
-        out[::2], out[1::2] = pieces, own
-        body = "".join(out)
-    return ",".join(header) + "\n" + body
+    pieces = iter(b"".join(blocks).decode("ascii").split("\x01"))
+    others = iter(others)
+    where = np.flatnonzero(np.concatenate(nuls))
+    own = iter([next(others) if python[i] else "%.17g" % values[i] for i in where.tolist()])
+    texts = []
+    for (header, _), no_rows in zip(tables, empty):
+        body = "" if no_rows else next(pieces) + "\n"
+        if "\0" in body:
+            parts = body.split("\0")
+            body = parts[0] + "".join(next(own) + part for part in parts[1:])
+        texts.append(",".join(header) + "\n" + body)
+    return texts
+
+
+def _csv_text(header, rows):
+    """The CSV text of one table, as ``_csv_texts`` writes it."""
+    return _csv_texts([(header, rows)])[0]
 
 
 def _array_layout(shape, nl):
@@ -478,7 +516,7 @@ class _Run:
         self.projector = self._square(scenario, "projector")
         self.sweep_kinds = scenario.get("sweep_kinds", ["value", "residual"])
         self.expect_nc = scenario.get("expect_null_controllable")
-        self.csv_files = {}
+        self.csv_tables = {}  # file name -> (header, rows)
 
     def _square(self, scenario, field):
         if field not in scenario:
@@ -556,7 +594,7 @@ def _task_min_energy(run):
                     header += [f"y{j + 1}" for j in range(states.shape[1])]
                     columns.append(states)
                 name = f"timeseries_h{ti}_x{xi}.csv"
-                run.csv_files[name] = _csv_text(header, np.hstack(columns))
+                run.csv_tables[name] = header, np.hstack(columns)
                 entry["timeseries_csv"] = name
             results.append(entry)
     return {"results": results}, None
@@ -591,9 +629,7 @@ def _task_verify_riccati(run):
         for t, r in zip(rep.times, rep.residuals):
             rows.append((rep.kind, t, r, rep.tol_scaled))
     rows.sort(key=lambda r: (r[0], r[1]))
-    run.csv_files["riccati_residuals.csv"] = _csv_text(
-        ["equation", "t", "residual", "tol_scaled"], rows
-    )
+    run.csv_tables["riccati_residuals.csv"] = ["equation", "t", "residual", "tol_scaled"], rows
     return {"results": out}, all_passed
 
 
@@ -612,9 +648,7 @@ def _task_verify_lyapunov(run):
                     "passed": rep_a.passed})
         rows.append(("algebraic", 0.0, rep_a.residuals[0], rep_a.tol_scaled))
         all_passed = all_passed and rep_a.passed
-    run.csv_files["lyapunov_residuals.csv"] = _csv_text(
-        ["mode", "t", "residual", "tol_scaled"], rows
-    )
+    run.csv_tables["lyapunov_residuals.csv"] = ["mode", "t", "residual", "tol_scaled"], rows
     return {"results": out}, all_passed
 
 
@@ -731,7 +765,7 @@ def _task_sweep(run):
             # sorted by the leading columns: time, then target or probe indices
             rows = sorted(rows_of(run), key=lambda r: tuple(r[: len(header) - 1]))
             name = f"{kind}_sweep.csv"
-            run.csv_files[name] = _csv_text(header, rows)
+            run.csv_tables[name] = header, rows
             result[f"{kind}_sweep"] = {"formula": f"{kind}-sweep", "rows": len(rows), "csv": name}
     return result, None
 
@@ -763,8 +797,9 @@ def run_scenario(scenario, out_dir):
     report["all_passed"] = not failures
     os.makedirs(out_dir, exist_ok=True)
     # the report last: once it is on disk, so is every file it names
-    for name in sorted(run.csv_files):
-        _atomic_write(os.path.join(out_dir, name), run.csv_files[name])
+    names = sorted(run.csv_tables)
+    for name, text in zip(names, _csv_texts([run.csv_tables[name] for name in names])):
+        _atomic_write(os.path.join(out_dir, name), text)
     _atomic_write(os.path.join(out_dir, "report.json"), _json_text(report) + "\n")
     return 0 if not failures else 1
 

@@ -1,4 +1,4 @@
-"""``cli._csv_text``, the writer of the CSVs, against Python's own formatting.
+"""``cli._csv_texts``, the writer of the CSVs, against Python's own formatting.
 
 Every float cell must print as ``'%.17g' % v`` and every other cell as
 ``str(v)``.  The oracle for whole tables is the writer the CLI had before
@@ -117,6 +117,21 @@ def test_mixed_rows_print_as_before():
     max_size=12))
 def test_any_rows_print_as_before(rows):
     assert cli._csv_text(["h"], rows) == _csv_text_oracle(["h"], rows)
+
+
+def test_tables_formatted_together_print_as_alone():
+    # small tables share numpy passes; a large one runs alone; none bleeds
+    # into the next, empty tables included
+    rng = np.random.default_rng(2)
+    tables = [(["r", "u1"], rng.standard_normal((129, 2))),
+              (["t", "i", "v"], [(0.5, 0, 1e23), (1.0, 1, math.nan)]),
+              (["x"], []),
+              (["y"], np.zeros((0, 1))),
+              (list("abcde"), rng.standard_normal((cli._CSV_BLOCK // 2, 5))),
+              (["e", "f"], [["w", 1.0], ["p", -0.0]])]
+    texts = cli._csv_texts(tables)
+    assert texts == [_csv_text_oracle(h, r.tolist() if isinstance(r, np.ndarray) else r)
+                     for h, r in tables]
 
 
 def test_a_row_needs_a_cell():
