@@ -12,7 +12,8 @@ When a change moves a golden number on purpose, regenerate with
     PYTHONPATH=src python tests/test_golden.py [case ...]
 
 which prints, before it overwrites a file, the file's largest numeric move,
-absolute and relative, and say in CHANGES.md which files moved and why.
+absolute, relative to the number and relative to the file's largest
+magnitude, and say in CHANGES.md which files moved and why.
 """
 
 import json
