@@ -54,10 +54,10 @@ class LinearSystem(Model):
 
     The decay margin ``omega = max(0, -max Re lambda(A))`` is computed once;
     ``omega > 0`` means the flow is uniformly exponentially stable, which is
-    what infinite-horizon computations require.  A and B are read-only, so
-    ``compute_gramian`` keeps each Gramian it computes in ``_gramians``,
-    keyed by horizon, and ``riccati.build_pv`` keeps in
-    ``_null_controllable_from`` the least horizon at which the null
+    what infinite-horizon computations require.  A, B and ``BBt`` = B Bᵀ,
+    formed once, are read-only, so ``compute_gramian`` keeps each Gramian it
+    computes in ``_gramians``, keyed by horizon, and ``riccati.build_pv``
+    keeps in ``_null_controllable_from`` the least horizon at which the null
     controllability test passed (inf until one has).
     """
 
@@ -72,14 +72,14 @@ class LinearSystem(Model):
             raise ValueError(
                 f"B must have one row per state: A is {A.shape}, B is {B.shape}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            BBt = B @ B.T
-        if not np.all(np.isfinite(BBt)):
-            raise ValueError("B B^T overflows double precision")
         self.A = A.copy()
         self.B = B.copy()
-        self.A.setflags(write=False)
-        self.B.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.BBt = self.B @ self.B.T
+        if not np.all(np.isfinite(self.BBt)):
+            raise ValueError("B B^T overflows double precision")
+        for M in (self.A, self.B, self.BBt):
+            M.setflags(write=False)
         self.n = A.shape[0]
         self.m = B.shape[1]
         self.omega = float(max(0.0, -np.max(np.linalg.eigvals(self.A).real)))
@@ -99,10 +99,6 @@ class LinearSystem(Model):
 
     def null_controllability(self, t):
         return null_controllability_test(self, t)
-
-    @property
-    def BBt(self):
-        return self.B @ self.B.T
 
     @property
     def stable(self):

@@ -1,7 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 import minenergy as me
+
+# Subprocesses (``python -m minenergy``) import the package from this
+# checkout too, as pytest's ``pythonpath`` setting has the tests do.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join([_SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
 
 # The 1-d benchmark A = -1, B = 1 threads through most suites: every quantity
 # has a closed form, so tolerances can be tight.

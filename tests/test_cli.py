@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import minenergy.cli as cli
+from minenergy import artifacts
 
 SCALAR_MODEL = {"A": [[-1.0]], "B": [[1.0]]}
 
@@ -122,7 +123,7 @@ def test_csv_cells_match_per_cell_formatting():
         return "%.17g" % float(x) if isinstance(x, (float, np.floating)) else str(x)
 
     expected = "\n".join(["a,b,c,d,e,f,g"] + [",".join(cell(x) for x in row) for row in rows])
-    assert cli._csv_text(list("abcdefg"), rows) == expected + "\n"
+    assert artifacts._csv_texts([(list("abcdefg"), rows)])[0] == expected + "\n"
 
 
 def test_singular_key_aliases(tmp_path):
@@ -214,7 +215,7 @@ def test_artifact_writes_leave_the_process_umask_alone(tmp_path, monkeypatch):
 def test_report_is_not_written_when_a_csv_write_fails(tmp_path, monkeypatch):
     """The CSVs go first: a report on disk means every file it names is there."""
     written = []
-    real_write = cli._atomic_write
+    real_write = artifacts._atomic_write
 
     def full_disk_for_csv(path, text):
         if path.endswith(".csv"):
@@ -224,7 +225,7 @@ def test_report_is_not_written_when_a_csv_write_fails(tmp_path, monkeypatch):
 
     out = str(tmp_path / "out")
     path = write_scenario(tmp_path, dict(STEER_SCENARIO, output=out))
-    monkeypatch.setattr(cli, "_atomic_write", full_disk_for_csv)
+    monkeypatch.setattr(artifacts, "_atomic_write", full_disk_for_csv)
     assert cli.main(["run", path]) == 2
     assert written == [] and os.listdir(out) == []
 
@@ -655,6 +656,17 @@ def test_cli_leaves_the_numerics_to_the_library():
 
     model_functions = {n for n in dir(minenergy) if n.startswith(("spectral_", "delay_", "shift_"))}
     assert model_functions and not names & model_functions
+    # nor does it print a float: the file formats are the artifacts module's,
+    # which needs only the standard library and numpy
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"_atomic_write", "_csv_block", "_csv_texts", "_json_text"}
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and "%.17g" in str(n.value)]
+    for node in ast.walk(ast.parse(open(artifacts.__file__).read())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            assert getattr(node, "level", 0) == 0, ast.unparse(node)
+            assert all(m.split(".")[0] in sys.stdlib_module_names | {"numpy"} for m in modules), \
+                ast.unparse(node)
 
 
 def test_recover_l_verdict_is_the_library_s(tmp_path):
@@ -806,11 +818,11 @@ def test_run_tests_null_controllability_once_per_range_of_times(tmp_path, monkey
 
 
 def test_run_builds_one_delay_gramian_per_horizon(tmp_path, monkeypatch):
-    from minenergy import models
+    from minenergy.models import delay
 
     built = []
-    wrap = models._wrap
-    monkeypatch.setattr(models, "_wrap",
+    wrap = delay._wrap
+    monkeypatch.setattr(delay, "_wrap",
                         lambda sys_, Q, t, method: built.append(t) or wrap(sys_, Q, t, method))
     scenario = {"model": "delay(-0.5,0.5,1,1)", "mesh": 8, "horizons": [1.5, 2.0],
                 "targets": [[1.0] + [0.0] * 8],
@@ -824,11 +836,11 @@ def test_run_builds_one_delay_gramian_per_horizon(tmp_path, monkeypatch):
 def test_run_builds_one_fundamental_solution_per_delay_interval_count(tmp_path, monkeypatch):
     # the Gramians, semigroups and controls of horizons 0.5 and 0.75 share one
     # lattice of one delay interval; 1.5 and 2.5 need two and three
-    from minenergy import models
+    from minenergy.models import delay
 
     built = []
-    build = models.FundamentalSolution
-    monkeypatch.setattr(models, "FundamentalSolution",
+    build = delay.FundamentalSolution
+    monkeypatch.setattr(delay, "FundamentalSolution",
                         lambda sys_, t_max: built.append(t_max) or build(sys_, t_max))
     scenario = {"model": "delay(-0.5,0.5,1,1)", "mesh": 8, "horizons": [0.5, 0.75, 1.5, 2.5],
                 "targets": [[1.0] + [0.0] * 8],

@@ -1,4 +1,4 @@
-"""``cli._csv_texts``, the writer of the CSVs, against Python's own formatting.
+"""``artifacts._csv_texts``, the writer of the CSVs, against Python's own formatting.
 
 Every float cell must print as ``'%.17g' % v`` and every other cell as
 ``str(v)``.  The oracle for whole tables is the writer the CLI had before
@@ -13,7 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from minenergy import cli
+from minenergy import artifacts
+
+
+def _csv_text(header, rows):
+    """The CSV text of one table, as ``artifacts._csv_texts`` writes it."""
+    return artifacts._csv_texts([(header, rows)])[0]
 
 
 def _csv_text_oracle(header, rows):
@@ -35,7 +40,7 @@ def _from_bits(bits):
 
 def _column(values):
     """Each value as a one-cell row, through the float-array path."""
-    return cli._csv_text(["v"], np.asarray(values, dtype=float).reshape(-1, 1))
+    return _csv_text(["v"], np.asarray(values, dtype=float).reshape(-1, 1))
 
 
 def _expected_column(values):
@@ -75,20 +80,21 @@ def test_float_cells_print_as_percent_17g(values):
 def test_float_cells_across_blocks():
     # several numpy blocks, with cells left to Python in each of them
     rng = np.random.default_rng(0)
-    values = rng.integers(0, 2 ** 64, 3 * cli._CSV_BLOCK + 6, dtype=np.uint64).view(float)
+    values = rng.integers(0, 2 ** 64, 3 * artifacts._CSV_BLOCK + 6, dtype=np.uint64).view(float)
     values[::97] = np.nan
     values[5::211] = 1e23
     table = values.reshape(-1, 5)
-    assert cli._csv_text(list("abcde"), table) == _csv_text_oracle(list("abcde"), table.tolist())
+    assert _csv_text(list("abcde"), table) == _csv_text_oracle(list("abcde"), table.tolist())
 
 
 def test_samples_stay_on_the_array_path():
     # control and trajectory samples: no cell needs Python's formatting
     rng = np.random.default_rng(1)
-    values = rng.standard_normal(cli._CSV_BLOCK) * 10.0 ** rng.integers(-12, 6, cli._CSV_BLOCK)
+    size = artifacts._CSV_BLOCK
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 6, size)
     values[:3] = 0.0, -0.0, 1.0
     sep = np.full(values.size, ord(","), np.uint8)
-    _, nul = cli._csv_block(values, sep, np.zeros(values.size, bool))
+    _, nul = artifacts._csv_block(values, sep, np.zeros(values.size, bool))
     assert not nul.any()
 
 
@@ -102,10 +108,10 @@ MIXED_ROWS = [
 
 def test_mixed_rows_print_as_before():
     header = ["equation", "t", "residual", "tol_scaled"]
-    assert cli._csv_text(header, MIXED_ROWS) == _csv_text_oracle(header, MIXED_ROWS)
-    assert cli._csv_text(header, [tuple(r) for r in MIXED_ROWS[:2]]) == \
+    assert _csv_text(header, MIXED_ROWS) == _csv_text_oracle(header, MIXED_ROWS)
+    assert _csv_text(header, [tuple(r) for r in MIXED_ROWS[:2]]) == \
         _csv_text_oracle(header, MIXED_ROWS[:2])
-    assert cli._csv_text(header, []) == "equation,t,residual,tol_scaled\n"
+    assert _csv_text(header, []) == "equation,t,residual,tol_scaled\n"
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,7 +122,7 @@ def test_mixed_rows_print_as_before():
              min_size=1, max_size=6),
     max_size=12))
 def test_any_rows_print_as_before(rows):
-    assert cli._csv_text(["h"], rows) == _csv_text_oracle(["h"], rows)
+    assert _csv_text(["h"], rows) == _csv_text_oracle(["h"], rows)
 
 
 def test_tables_formatted_together_print_as_alone():
@@ -127,13 +133,13 @@ def test_tables_formatted_together_print_as_alone():
               (["t", "i", "v"], [(0.5, 0, 1e23), (1.0, 1, math.nan)]),
               (["x"], []),
               (["y"], np.zeros((0, 1))),
-              (list("abcde"), rng.standard_normal((cli._CSV_BLOCK // 2, 5))),
+              (list("abcde"), rng.standard_normal((artifacts._CSV_BLOCK // 2, 5))),
               (["e", "f"], [["w", 1.0], ["p", -0.0]])]
-    texts = cli._csv_texts(tables)
+    texts = artifacts._csv_texts(tables)
     assert texts == [_csv_text_oracle(h, r.tolist() if isinstance(r, np.ndarray) else r)
                      for h, r in tables]
 
 
 def test_a_row_needs_a_cell():
     with pytest.raises(ValueError):
-        cli._csv_text(["h"], [[1.0], []])
+        _csv_text(["h"], [[1.0], []])

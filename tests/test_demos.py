@@ -16,10 +16,6 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(REPO, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
     p = subprocess.run([sys.executable, os.path.join(REPO, "demos", demo)],
-                       capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
+                       capture_output=True, text=True, cwd=REPO, timeout=300)
     assert p.returncode == 0, p.stderr[-2000:]

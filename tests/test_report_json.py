@@ -1,4 +1,4 @@
-"""``cli._json_text``, the writer of ``report.json``, against ``json.dumps``.
+"""``artifacts._json_text``, the writer of ``report.json``, against ``json.dumps``.
 
 The oracle is the conversion the CLI made before the writer existed: make
 keys ``str``, numpy values Python ones, tuples lists and non-finite floats
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from minenergy.cli import _json_text
+from minenergy.artifacts import _json_text
 
 
 def _json_ready_oracle(obj):
