@@ -28,7 +28,7 @@ for steps in (125, 250, 500, 1000, 2000):
 thin = me.LinearSystem(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
 g_thin = me.compute_gramian(thin, t)
 for target in ([1.0, 0.0], [0.0, 1.0]):
-    cls = me.classify_target(g_thin, target)
+    cls = me.steer(g_thin, target)
     print(f"\ntarget {target}: {cls.category} (defect {cls.defect:.2e})")
 
 # the optimal control in feedback form: u(r) = F(t + r) y(r)

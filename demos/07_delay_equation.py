@@ -14,7 +14,6 @@ from minenergy.models import (
     delay_domain_residual,
     delay_fundamental_solution,
     delay_gramian,
-    delay_null_controllability,
     delay_optimal_control,
     delay_semigroup_matrix,
 )
@@ -51,7 +50,7 @@ print(f"\nsemigroup matrix at T0 = 1.25: shape {S.shape}, "
 
 print("\nnull controllability (steer the whole state to zero):")
 for T0 in (2.0, 0.5):
-    rep = delay_null_controllability(sys_, T0)
+    rep = sys_.null_controllability(T0)
     print(f"  T0 = {T0:3g} (= {T0 / sys_.delay:g} delays): satisfied = {rep.satisfied}, "
           f"range defect = {rep.defect:.2e}")
 print("below one delay the untouched history cells make steering impossible")

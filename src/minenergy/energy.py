@@ -18,14 +18,12 @@ import numpy as np
 
 from .errors import NonFiniteError, NotInSpaceError, ReachabilityError
 from .gramians import _van_loan_step, compute_gramian
-from .linalg import REL_THRESHOLD, _gaussian_combination, expm, pinv, range_inclusion
+from .linalg import _gaussian_combination, expm, negligible, pinv, range_inclusion
 
 __all__ = [
     "ControlSignal",
-    "ReachabilityClass",
     "HGeometry",
     "EuclideanGeometry",
-    "classify_target",
     "value_function",
     "Steering",
     "steer",
@@ -82,38 +80,23 @@ class ControlSignal:
 
 
 @dataclass(frozen=True)
-class ReachabilityClass:
-    """Reachability verdict with the distance to the reachable set.
+class Steering:
+    """Class, defect and value of steering from 0 to a target over one horizon.
 
-    category is one of:
+    ``category`` is one of:
       'in_range_Q'  -- x in range(Q_t): finite energy and an attaining control
       'unreachable' -- positive distance to range(Q_t)
-    defect is the Euclidean distance from x to range(Q_t), the span of the
-    eigenvectors that ``SymmetricPSD`` keeps under ``REL_THRESHOLD``.
+    ``defect`` is the Euclidean distance from x to range(Q_t), the span of
+    the eigenvectors that ``SymmetricPSD`` keeps (``linalg.rank_mask``), and
+    ``value`` is the minimum energy for a reachable target and None otherwise.
 
     Two classes suffice because in finite dimension range(Q_t^{1/2}) =
     range(Q_t): a target has a finite value exactly when a control attains
     it.  Whether a discretized value belongs to the infinite-dimensional
     problem, where the two ranges differ, is a question about the limit
     under refinement (ROADMAP, "Limit verdicts"); telling apart directions
-    below ``REL_THRESHOLD`` needs a factored Gramian (ROADMAP, "Factored
+    below the rank cut needs a factored Gramian (ROADMAP, "Factored
     Gramians" and "A one-actuator mode model").
-    """
-
-    category: str
-    defect: float
-
-    @property
-    def reachable(self):
-        return self.category != "unreachable"
-
-
-@dataclass(frozen=True)
-class Steering:
-    """Class, defect and value of steering from 0 to a target over one horizon.
-
-    ``category`` and ``defect`` are those of ``ReachabilityClass``; ``value``
-    is the minimum energy for a reachable target and None otherwise.
     """
 
     category: str
@@ -131,7 +114,7 @@ def _project(gram, x):
     keep = gram.Q._keep()
     w = gram.Q.eigenvectors.T @ x
     defect = float(np.linalg.norm(w[~keep]))
-    if defect > REL_THRESHOLD * max(np.linalg.norm(x), 1e-300):
+    if not negligible(defect, np.linalg.norm(x)):
         return Steering("unreachable", defect, None), w, keep
     value = 0.5 * float(np.sum(w[keep] ** 2 / gram.Q.eigenvalues[keep]))
     return Steering("in_range_Q", defect, value), w, keep
@@ -141,25 +124,19 @@ def steer(gram, x):
     """The class, defect and value of steering to x on the Gramian ``gram``.
 
     One pass over the eigenpairs that ``gram.Q`` keeps (``SymmetricPSD``
-    cuts them once, at ``REL_THRESHOLD``): with w = V^T x, the defect is the
-    norm of w over the dropped directions, x is in range(Q_t) when that is
-    within ``REL_THRESHOLD`` of ||x||, and the value is
+    cuts them once, with ``linalg.rank_mask``): with w = V^T x, the defect is
+    the norm of w over the dropped directions, x is in range(Q_t) when that
+    is ``linalg.negligible`` against ||x||, and the value is
     (1/2) sum_k w_k^2 / lam_k over exactly the kept directions.
     """
     return _project(gram, x)[0]
 
 
-def classify_target(gram, x):
-    """The class and defect of ``steer``."""
-    s = steer(gram, x)
-    return ReachabilityClass(s.category, s.defect)
-
-
 def value_function(gram, x):
     """Minimum steering energy (1/2) ||Q_t^{-1/2} x||^2, the value of ``steer``.
 
-    Raises ReachabilityError (carrying the defect) when x is outside
-    range(Q_t) under the relative rank threshold.
+    Raises ReachabilityError (carrying the defect) when ``steer`` finds x
+    outside range(Q_t).
     """
     s = steer(gram, x)
     if s.value is None:
@@ -399,14 +376,16 @@ class NullControllability:
         return {"satisfied": self.satisfied, "constant": self.constant, "defect": self.defect}
 
 
-def null_controllability_test(sys, T0):
-    """Test range(e^{T0 A}) ⊆ range(Q_{T0}^{1/2}) and compute its constant,
-    with the factor of Q_{T0} (``SymmetricPSD.factor``) in place of the root."""
+def null_controllability_test(model, T0):
+    """Test range(S_{T0}) ⊆ range(Q_{T0}^{1/2}) and compute its constant, for
+    any model with ``gramian(t)`` and ``semigroup(t)`` (the flow S_t, e^{tA}
+    for a matrix system), with the factor of Q_{T0} (``SymmetricPSD.factor``)
+    in place of the root."""
     T0 = float(T0)
     if T0 <= 0.0 or not np.isfinite(T0):
         raise ValueError(f"T0 must be positive and finite, got {T0}")
-    Z = compute_gramian(sys, T0).Q.factor()
-    incl = range_inclusion(expm(sys.A, T0), Z)
+    Z = model.gramian(T0).Q.factor()
+    incl = range_inclusion(model.semigroup(T0), Z)
     constant = incl.constant ** 2 if incl.included else np.inf
     return NullControllability(incl.included, float(constant), incl.defect)
 
@@ -446,7 +425,7 @@ class HGeometry:
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return self.defect(x) <= REL_THRESHOLD * max(np.linalg.norm(x), 1e-300)
+        return negligible(self.defect(x), np.linalg.norm(x))
 
     def inner(self, x, y):
         return float(np.asarray(x, dtype=float) @ (self.metric @ np.asarray(y, dtype=float)))
@@ -501,7 +480,7 @@ def h_norm(geom, x):
     """Norm of x in the Gramian-weighted geometry; error if x is outside it."""
     x = np.asarray(x, dtype=float)
     d = geom.defect(x)
-    if d > REL_THRESHOLD * max(np.linalg.norm(x), 1e-300):
+    if not negligible(d, np.linalg.norm(x)):
         raise NotInSpaceError(
             f"vector is outside the weighted space: defect {d:.3e}", defect=d
         )

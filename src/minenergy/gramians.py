@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, PreconditionError, StiffnessError, UnstableSystemError
-from .linalg import REL_THRESHOLD, SymmetricPSD, expm, range_inclusion
+from .linalg import SymmetricPSD, expm, range_inclusion, rank_mask
 
 __all__ = [
     "Gramian",
@@ -452,7 +452,7 @@ def kernel_chain_check(sys, times, tol=1e-6):
     kernels = [g.Q.kernel_basis() for g in grams]
     # ker B^T = orthogonal complement of range(B)
     U, s, _ = np.linalg.svd(sys.B, full_matrices=True)
-    rank_b = int(np.count_nonzero(s > REL_THRESHOLD * s[0])) if s.size and s[0] > 0 else 0
+    rank_b = int(np.count_nonzero(rank_mask(s)))
     ker_bt = U[:, rank_b:]
 
     inclusions = []

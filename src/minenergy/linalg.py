@@ -2,10 +2,13 @@
 PSD factors, commutation and range-inclusion tests.
 
 All range/kernel decisions in the package use one relative threshold so
-that "numerically zero" means the same thing everywhere: a singular value
-(or eigenvalue) is treated as zero when it is at most ``REL_THRESHOLD``
-times the largest one.  A ``SymmetricPSD`` makes that cut once on its
-eigenpairs, and its factor stands in for the square root.
+that "numerically zero" means the same thing everywhere, and two functions
+are the only readers of it: ``rank_mask`` treats a singular value (or
+eigenvalue) as zero when it is at most ``REL_THRESHOLD`` times the largest
+one, and ``negligible`` treats a defect as roundoff when it is at most
+``REL_THRESHOLD`` times the size of what it was measured against.  A
+``SymmetricPSD`` makes the rank cut once on its eigenpairs, and its factor
+stands in for the square root.
 """
 
 import math
@@ -17,6 +20,8 @@ from .errors import NonFiniteError, NotPSDError, NotSymmetricError, Precondition
 
 __all__ = [
     "REL_THRESHOLD",
+    "rank_mask",
+    "negligible",
     "SymmetricPSD",
     "RangeInclusion",
     "as_matrix",
@@ -30,6 +35,23 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-12
 REL_THRESHOLD = 1e-10
+
+
+def rank_mask(values):
+    """The mask of the values above ``REL_THRESHOLD`` times the largest: the
+    directions a rank, range or pseudoinverse keeps.  All False for an empty
+    or all-zero spectrum."""
+    values = np.asarray(values)
+    top = values.max() if values.size else 0.0
+    if top <= 0.0:
+        return np.zeros(values.shape, dtype=bool)
+    return values > REL_THRESHOLD * top
+
+
+def negligible(defect, scale):
+    """Whether ``defect`` is roundoff against ``scale``: at most
+    ``REL_THRESHOLD`` times it, with a scale below 1e-300 read as 1e-300."""
+    return defect <= REL_THRESHOLD * max(scale, 1e-300)
 
 
 def as_matrix(M, name="matrix"):
@@ -106,10 +128,7 @@ class SymmetricPSD:
         return self._M.shape
 
     def _keep(self):
-        lam_max = self._lam[-1] if self._lam.size else 0.0
-        if lam_max <= 0.0:
-            return np.zeros_like(self._lam, dtype=bool)
-        return self._lam > REL_THRESHOLD * lam_max
+        return rank_mask(self._lam)
 
     @property
     def rank(self):
@@ -257,9 +276,9 @@ def pinv(M):
     """
     M = as_matrix(M, "M")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    keep = rank_mask(s)
+    if not keep.any():
         return np.zeros((M.shape[1], M.shape[0]))
-    keep = s > REL_THRESHOLD * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (Vt.T * inv) @ U.T
@@ -303,8 +322,9 @@ def range_inclusion(A1, A2):
     The inclusion holds exactly when there is a finite k with
     ``||A1^T x|| <= k ||A2^T x||`` for every x; the returned ``constant`` is
     the smallest such k, computed as ``||A1^T U (A2^T U)^+||`` with U an
-    orthonormal basis of range(A2).  Decision rule: the projection defect
-    ``||(I - P_range(A2)) A1||`` must be at most ``REL_THRESHOLD * ||A1||``.
+    orthonormal basis of range(A2) (its ``rank_mask``).  Decision rule: the
+    projection defect ``||(I - P_range(A2)) A1||`` must be ``negligible``
+    against the larger of ||A1|| and ||A2||.
     """
     A1 = as_matrix(A1, "A1")
     A2 = as_matrix(A2, "A2")
@@ -314,15 +334,15 @@ def range_inclusion(A1, A2):
         )
     U2, s2, _ = np.linalg.svd(A2, full_matrices=False)
     norm1 = np.linalg.norm(A1, 2)
-    if s2.size == 0 or s2[0] == 0.0:
+    keep = rank_mask(s2)
+    if not keep.any():
         # range(A2) = {0}: included iff A1 = 0
         included = norm1 == 0.0
         return RangeInclusion(included, 0.0 if included else np.inf, float(norm1))
-    U = U2[:, s2 > REL_THRESHOLD * s2[0]]
+    U = U2[:, keep]
     resid = A1 - U @ (U.T @ A1)
     defect = float(np.linalg.norm(resid, 2))
-    included = defect <= REL_THRESHOLD * max(norm1, s2[0])
-    if not included:
+    if not negligible(defect, max(norm1, s2[0])):
         return RangeInclusion(False, np.inf, defect)
     M1 = A1.T @ U
     M2 = A2.T @ U

@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..energy import ControlSignal, NullControllability, _steering_coefficients
+from ..energy import ControlSignal, _steering_coefficients
 from ..errors import MeshResolutionError, NonFiniteError, StiffnessError
 from ..gramians import _wrap
-from ..linalg import range_inclusion
 from ..systems import Model
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "delay_gramian",
     "delay_optimal_control",
     "delay_semigroup_matrix",
-    "delay_null_controllability",
     "delay_domain_residual",
 ]
 
@@ -43,6 +41,13 @@ class DelaySystem(Model):
     solution in ``_fundamentals``, keyed by its number of delay intervals.
     There is no matrix system, and no value oracle apart from the
     fundamental solution yet.
+
+    The flow over [0, T0] lands inside the reachable range (the default
+    ``null_controllability``, on ``semigroup`` and ``gramian``) once T0
+    exceeds the delay, when every part of the state has been overwritten by
+    controlled dynamics; it does not for T0 below the delay, where untouched
+    history cells survive.  The reported constant is the squared norm bound
+    of the steering map and grows as T0 decreases toward the delay.
     """
 
     kind = "delay"
@@ -90,8 +95,8 @@ class DelaySystem(Model):
     def gramian(self, t):
         return delay_gramian(self, t)
 
-    def null_controllability(self, t):
-        return delay_null_controllability(self, t)
+    def semigroup(self, t):
+        return delay_semigroup_matrix(self, t)
 
     def least_norm_control(self, t, x, grid):
         return delay_optimal_control(self, self.gramian(t), x, grid=grid), None
@@ -381,27 +386,6 @@ def delay_semigroup_matrix(sys_, T0):
     hi = np.minimum(np.minimum(-d + (k + 1) * h, -d + (j + 1) * h - T0), -T0)
     S[1:, 1:] = duhamel[k - j + (M - 1)] + np.maximum(0.0, hi - lo) / h
     return S
-
-
-def delay_null_controllability(sys_, T0):
-    """Does the flow over [0, T0] land inside the reachable range?
-
-    Satisfied once T0 exceeds the delay (every part of the state has been
-    overwritten by controlled dynamics); fails for T0 below the delay, where
-    untouched history cells survive.  The reported constant is the squared
-    norm bound of the steering map and grows as T0 decreases toward the
-    delay.
-    """
-    T0 = float(T0)
-    if T0 <= 0:
-        raise ValueError("horizon must be positive")
-    _require_mesh(sys_, T0)
-    S = delay_semigroup_matrix(sys_, T0)
-    gram = delay_gramian(sys_, T0)
-    inc = range_inclusion(S, gram.Q.factor())
-    return NullControllability(
-        satisfied=inc.included, constant=inc.constant**2, defect=inc.defect
-    )
 
 
 def delay_domain_residual(sys_, t):

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import MeshResolutionError, PreconditionError, ScenarioError
 from ..gramians import _wrap
-from ..linalg import REL_THRESHOLD
+from ..linalg import negligible, rank_mask
 from ..systems import Model
 
 __all__ = [
@@ -134,20 +134,20 @@ class ShiftDefectReport:
 
     ``coefficients`` is the least-norm control (lattice coefficients v with
     L v the projection of the scaled target onto the kept range of L), cut
-    at the same relative threshold (``REL_THRESHOLD``) as ``rank``.
+    by the same ``linalg.rank_mask`` as ``rank``.
     """
 
     defect: float
     horizon: float
     m: int
     rank: int
-    reachable: bool            # defect within REL_THRESHOLD of the target's norm
+    reachable: bool            # defect negligible against the target's norm
     value: float | None        # the energy ½ h ‖v‖² when reachable
     coefficients: np.ndarray = field(repr=False, compare=False)
 
     @property
     def category(self):
-        """The class of ``energy.classify_target``: in_range_Q or unreachable."""
+        """The class that ``energy.steer`` gives a target: in_range_Q or unreachable."""
         return "in_range_Q" if self.reachable else "unreachable"
 
     def to_json_dict(self):
@@ -176,12 +176,12 @@ def shift_reachable_defect(sys_, t, target=None):
     f_hat = math.sqrt(sys_.h) * f
     L = shift_control_map(sys_, t)
     U, s, Vt = np.linalg.svd(L, full_matrices=False)
-    keep = s > REL_THRESHOLD * s[0] if s.size else np.zeros(0, dtype=bool)
+    keep = rank_mask(s)
     Ur = U[:, keep]
     proj = Ur.T @ f_hat
     defect = float(np.linalg.norm(f_hat - Ur @ proj))
     v = Vt[keep].T @ (proj / s[keep])
-    reachable = defect <= REL_THRESHOLD * max(np.linalg.norm(f_hat), 1e-300)
+    reachable = negligible(defect, np.linalg.norm(f_hat))
     return ShiftDefectReport(
         defect=defect,
         horizon=float(t),

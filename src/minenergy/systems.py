@@ -8,26 +8,29 @@ import numpy as np
 
 from .energy import null_controllability_test, optimal_samples, steer, value_function
 from .gramians import compute_gramian, gramian_quadrature_sweep
-from .linalg import as_matrix, commutes
+from .linalg import as_matrix, commutes, expm
 
 __all__ = ["Model", "LinearSystem", "random_stable_system"]
 
 
 class Model:
-    """The calls every model answers, with the defaults that need only its Gramian.
+    """The calls every model answers, with the defaults that need only its Gramian
+    (and, for null controllability, its semigroup).
 
     A model names its ``kind``, the length ``dim`` of a target vector and
     its matrix system ``linear`` (None when there is none, and the tasks
     built on A and B refuse it); ``no_infinite_horizon`` says why it has no
     Q_inf, if it has none.  ``to_json_dict()`` describes it, ``gramian(t)``
-    is its Gramian and ``null_controllability(t)`` its null-controllability
-    report, which has a ``to_json_dict()`` too.  ``steer(t, x)`` gives the
-    class, defect and value of steering to x; ``least_norm_control(t, x,
-    grid)`` the least-norm control with the states it passes through (None
-    when the model has no samples, or no states); ``default_targets()`` the
-    targets of a steering task that names none; ``value_oracles(times)``
-    per horizon a map from a target to its value computed apart from
-    ``steer`` (None when the model has no such oracle).
+    is its Gramian, ``semigroup(t)`` its uncontrolled flow over time t, and
+    ``null_controllability(t)`` its null-controllability report, which has a
+    ``to_json_dict()`` too (by default ``null_controllability_test`` on the
+    two).  ``steer(t, x)`` gives the class, defect and value of steering to
+    x; ``least_norm_control(t, x, grid)`` the least-norm control with the
+    states it passes through (None when the model has no samples, or no
+    states); ``default_targets()`` the targets of a steering task that names
+    none; ``value_oracles(times)`` per horizon a map from a target to its
+    value computed apart from ``steer`` (None when the model has no such
+    oracle).
     """
 
     linear = None
@@ -35,6 +38,9 @@ class Model:
 
     def default_targets(self):
         return []
+
+    def null_controllability(self, t):
+        return null_controllability_test(self, t)
 
     def steer(self, t, x):
         return steer(self.gramian(t), x)
@@ -97,8 +103,8 @@ class LinearSystem(Model):
     def gramian(self, t):
         return compute_gramian(self, t)
 
-    def null_controllability(self, t):
-        return null_controllability_test(self, t)
+    def semigroup(self, t):
+        return expm(self.A, t)
 
     @property
     def stable(self):

@@ -18,7 +18,6 @@ import minenergy as me
 from minenergy.models import (
     delay_fundamental_solution,
     delay_gramian,
-    delay_null_controllability,
     landau_ginzburg,
     power_law,
     shift_benchmark_target,
@@ -240,9 +239,9 @@ def test_c08_delay_model():
         Q = delay_gramian(sys_, t).Q.matrix
         assert np.abs(Q - Q.T).max() <= 1e-9
         assert np.linalg.eigvalsh(Q).min() >= -1e-9
-    rep_pass = delay_null_controllability(sys_, 2.0)
+    rep_pass = sys_.null_controllability(2.0)
     assert rep_pass.satisfied
-    rep_fail = delay_null_controllability(sys_, 0.5)
+    rep_fail = sys_.null_controllability(0.5)
     assert not rep_fail.satisfied
     _pass(8, "hand-derived g segments exact; Gramian symmetric PSD to 1e-9; NC passes at 2d, fails at d/2")
 

@@ -635,6 +635,24 @@ def test_delay_overflow_reports_typed_error(tmp_path):
         assert rep["tasks"][0]["error"].startswith("NonFiniteError:")
 
 
+def test_only_linalg_reads_the_rank_threshold():
+    # the rank cut and the membership test are written once, in linalg
+    # (rank_mask, negligible); a module naming the threshold would hold a
+    # second copy of the decision, or a binding that a patch of linalg misses
+    package = os.path.dirname(cli.__file__)
+    for dirpath, _, files in os.walk(package):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            path = os.path.join(dirpath, name)
+            if path == os.path.join(package, "linalg.py"):
+                continue
+            tree = ast.parse(open(path).read())
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                      for a in n.names}
+            assert "REL_THRESHOLD" not in names, path
+
+
 def test_cli_leaves_the_numerics_to_the_library():
     # the CLI only reads and writes: no linear algebra of its own, no model
     # type, and no formula that belongs to a model, which the model's own

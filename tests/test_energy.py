@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import minenergy as me
@@ -36,11 +38,11 @@ def test_value_unreachable_raises():
 def test_classify_target_two_classes():
     sys = me.LinearSystem(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
     g = me.compute_gramian(sys, 1.0)
-    assert me.classify_target(g, [1.0, 0.0]).category == "in_range_Q"
-    assert me.classify_target(g, [0.0, 1.0]).category == "unreachable"
+    assert me.steer(g, [1.0, 0.0]).category == "in_range_Q"
+    assert me.steer(g, [0.0, 1.0]).category == "unreachable"
     # a target is judged by its direction, not its size: a small multiple of
     # a reachable target stays in range(Q_t)
-    assert me.classify_target(g, [1e-8, 0.0]).category == "in_range_Q"
+    assert me.steer(g, [1e-8, 0.0]).category == "in_range_Q"
 
 
 def test_band_target_is_unreachable_not_undervalued():
@@ -54,7 +56,7 @@ def test_band_target_is_unreachable_not_undervalued():
     assert s.category == "unreachable"
     assert s.defect == pytest.approx(1e-3, rel=1e-12)
     assert s.value is None
-    assert me.classify_target(g, x).category == "unreachable"
+    assert me.steer(g, x).category == "unreachable"
     with pytest.raises(me.ReachabilityError):
         me.value_function(g, x)
 
@@ -105,7 +107,7 @@ def test_steering_and_geometry_reuse_the_gramian_decomposition(rng, monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     me.steer(g, x)
     me.value_function(g, x)
-    me.classify_target(g, x)
+    me.steer(g, x)
     me.HGeometry(g_inf)
     me.pv_candidate(sys)
     assert calls == []
@@ -117,7 +119,7 @@ def test_classify_target_ignores_roundoff_eigenvalues():
     # Gramian eigenvalue there is roundoff (about 1e-18 of the largest)
     g = me.delay_gramian(me.DelaySystem(-0.5, 0.8, 1.0, 1.0, 8), 0.5)
     x = np.array([0.0] + [0.1] * 4 + [0.0] * 4)
-    cls = me.classify_target(g, x)
+    cls = me.steer(g, x)
     assert cls.category == "unreachable"
     assert cls.defect == pytest.approx(0.2, rel=1e-12)
 
@@ -360,3 +362,26 @@ def test_value_decreasing_in_horizon(scalar_sys):
     assert all(a > b for a, b in zip(values, values[1:]))
     # infinite-horizon floor: 0.5 * 2 = 1
     assert values[-1] > 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_reachability_and_value_persist_over_longer_horizons(n, m, seed):
+    # Q_t does not decrease with t, so a target in range(Q_0.5) stays in
+    # range and its value does not increase; and null controllability at T
+    # carries over to 2T, which build_pv's cache of the least horizon that
+    # passed relies on
+    rng = np.random.default_rng(seed)
+    sys = me.random_stable_system(rng, n, min(m, n))
+    Q = me.compute_gramian(sys, 0.5).Q
+    assume(Q.eigenvalues[0] > 0.0 and Q.eigenvalues[-1] <= 1e7 * Q.eigenvalues[0])
+    x = Q.matrix @ rng.standard_normal(n)
+    values = []
+    for t in (0.5, 1.0, 2.0, 4.0):
+        s = me.steer(me.compute_gramian(sys, t), x)
+        assert s.category == "in_range_Q"
+        values.append(s.value)
+    assert all(b <= a * (1 + 1e-9) for a, b in zip(values, values[1:]))
+    # below 0.5 the short-horizon Gramian may fall under the rank cut
+    verdicts = [sys.null_controllability(0.5 * 2.0**k).satisfied for k in range(-7, 4)]
+    assert all(b for a, b in zip(verdicts, verdicts[1:]) if a)

@@ -5,6 +5,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import minenergy as me
+import minenergy.linalg
 from conftest import stiff_non_normal_system
 from minenergy.linalg import as_matrix
 
@@ -199,6 +200,40 @@ def test_commuting_pinv_compose_matches_direct():
 def test_commuting_pinv_compose_rejects_range_escape():
     with pytest.raises(me.PreconditionError):
         me.commuting_pinv_compose(np.eye(2), np.diag([1.0, 0.0]))
+
+
+def test_every_verdict_follows_the_one_cut(monkeypatch):
+    # one rank cut and one membership test, read from ``linalg`` at call
+    # time: a module that kept its own binding of the threshold would judge
+    # by 1e-10 below, not by the patched 1e-3
+    cut = 1e-3
+    monkeypatch.setattr(minenergy.linalg, "REL_THRESHOLD", cut)
+    D = np.diag([1.0, 1e-5])  # the second direction is kept at 1e-10, cut at 1e-3
+    x = np.array([1.0, 1e-5])  # its part there is roundoff at 1e-3, not at 1e-10
+    assert me.SymmetricPSD(D).rank == 1
+    assert_allclose(me.pinv(D), np.diag([1.0, 0.0]))
+    assert np.linalg.matrix_rank(me.pinv(D)) == 1
+    s = me.steer(me.Gramian(me.SymmetricPSD(D), 1.0, "closed_form", "cut"), x)
+    assert s.category == "in_range_Q"
+    assert s.defect == pytest.approx(1e-5) and s.value == pytest.approx(0.5)
+    geom = me.HGeometry(me.Gramian(me.SymmetricPSD(D), np.inf, "closed_form", "cut"))
+    assert geom.contains(x)
+    assert me.h_norm(geom, x) == pytest.approx(1.0)
+    assert me.range_inclusion(x[:, None], D).included
+    # B's second singular value, and the Gramian direction it drives, fall
+    # below the patched cut
+    rep = me.kernel_chain_check(me.LinearSystem(-np.diag([1.0, 2.0]), np.diag([1.0, 1e-4])),
+                                [0.5, 1.0])
+    assert rep.kernel_dims == (1, 1) and rep.dim_ker_Bt == 1
+    # the shift's control map at t = 1 on 32 cells has one singular value
+    # between the two cuts; the target leans 1e-5 into its direction
+    sh = me.ShiftSystem(32)
+    U, sv, _ = np.linalg.svd(me.shift_control_map(sh, 1.0))
+    assert sv[-1] <= cut * sv[0] < sv[-2]
+    f_hat = U[:, 0] + 1e-5 * U[:, -1]
+    rep = me.shift_reachable_defect(sh, 1.0, target=f_hat / np.sqrt(sh.h))
+    assert rep.rank == 31 and rep.reachable
+    assert rep.defect == pytest.approx(1e-5, rel=1e-6)
 
 
 def test_negative_type_bound_scalar():

@@ -18,7 +18,6 @@ from minenergy.models import (
     delay_domain_residual,
     delay_fundamental_solution,
     delay_gramian,
-    delay_null_controllability,
     delay_optimal_control,
     delay_semigroup_matrix,
     landau_ginzburg,
@@ -524,7 +523,7 @@ def test_delay_control_matches_pointwise(mesh, grid, a0):
 
 def test_delay_null_controllability_past_one_delay():
     sys_ = me.DelaySystem(a0=-0.3, a1=0.6, b0=1.0, delay=1.0, mesh=16)
-    rep = delay_null_controllability(sys_, 2.0)
+    rep = sys_.null_controllability(2.0)
     assert rep.satisfied
     assert rep.defect < 1e-9
     assert np.isfinite(rep.constant)
@@ -532,7 +531,7 @@ def test_delay_null_controllability_past_one_delay():
 
 def test_delay_null_controllability_fails_below_delay():
     sys_ = me.DelaySystem(a0=-0.3, a1=0.6, b0=1.0, delay=1.0, mesh=16)
-    rep = delay_null_controllability(sys_, 0.5)
+    rep = sys_.null_controllability(0.5)
     assert not rep.satisfied
     assert rep.defect > 0.5  # untouched history cells: order-one defect
 
@@ -689,7 +688,7 @@ def test_every_model_answers_the_cli_calls(kind):
     for x in targets:
         steering = model.steer(t, x)
         if kind != "shift":  # the shift model steers by the SVD of its control map
-            cls = me.classify_target(gram, x)
+            cls = me.steer(gram, x)
             assert (steering.category, steering.defect) == (cls.category, cls.defect)
             assert steering.value == me.value_function(gram, x)
         signal = model.least_norm_control(t, x, 9)

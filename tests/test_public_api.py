@@ -21,7 +21,7 @@ PUBLIC = {
     ],
     "linalg": [
         "REL_THRESHOLD", "RangeInclusion", "SymmetricPSD", "commutes", "commuting_pinv_compose",
-        "expm", "negative_type_bound", "pinv", "range_inclusion",
+        "expm", "negative_type_bound", "negligible", "pinv", "range_inclusion", "rank_mask",
     ],
     "systems": ["LinearSystem", "Model", "random_stable_system"],
     "gramians": [
@@ -32,8 +32,8 @@ PUBLIC = {
     ],
     "energy": [
         "ControlSignal", "EuclideanGeometry", "HGeometry", "LeastNormControl",
-        "NullControllability", "ReachabilityClass", "Steering", "Trajectory",
-        "brute_force_min_energy", "classify_target", "feedback_gain", "h_norm",
+        "NullControllability", "Steering", "Trajectory",
+        "brute_force_min_energy", "feedback_gain", "h_norm",
         "null_controllability_test", "optimal_control", "optimal_samples", "optimal_trajectory",
         "simulate_control", "steer", "value_function",
     ],
@@ -52,7 +52,7 @@ PUBLIC = {
     ],
     "models.delay": [
         "DelaySystem", "delay_domain_residual", "delay_fundamental_solution", "delay_gramian",
-        "delay_null_controllability", "delay_optimal_control", "delay_semigroup_matrix",
+        "delay_optimal_control", "delay_semigroup_matrix",
     ],
     "models.shift": [
         "ShiftDefectReport", "ShiftSystem", "shift_benchmark_target", "shift_control_map",
@@ -63,7 +63,7 @@ PUBLIC = {
 
 
 def test_every_public_name_is_its_module_s():
-    assert sum(map(len, PUBLIC.values())) == 99
+    assert sum(map(len, PUBLIC.values())) == 98
     for modname, names in PUBLIC.items():
         module = importlib.import_module("minenergy." + modname)
         for name in names:
