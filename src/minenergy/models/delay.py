@@ -329,13 +329,11 @@ def delay_optimal_control(sys_, gram, x, grid=129):
     At tau = -r = ih + sigma, W(tau + c_j) = F(tau + c_j) - F(tau + c_j - h)
     takes F on cells i + j + 1 - M and i + j - M at the local time sigma, so
     one lattice evaluation per sample time gives every kernel, as in
-    ``_panel_gram``.  Here z is formed as the dense product Q_t^+ x, not
-    from the projection of ``energy._steering_coefficients``: the two agree
-    up to rounding, and moving the delay samples onto the projection is left
-    to a change that regenerates the delay outputs.
+    ``_panel_gram``.  z comes from the projection that ``energy.steer``
+    makes (``energy._steering_coefficients``), over exactly the directions
+    its value sums over.
     """
-    _steering_coefficients(gram, x, grid, "control")
-    z = gram.Q.pinv() @ np.asarray(x, dtype=float)
+    z = _steering_coefficients(gram, x, grid, "control")
     t = gram.horizon
     M = sys_.mesh
     fund = delay_fundamental_solution(sys_, t)

@@ -497,8 +497,7 @@ def _control_pointwise(sys_, gram, x, grid):
     """The least-norm delay control with every kernel value its own
     evaluation of g or F at its own point: M + 1 per sample time, applied
     to the same z = Q_t^+ x as the control."""
-    _steering_coefficients(gram, x, grid, "control")
-    z = gram.Q.pinv() @ x
+    z = _steering_coefficients(gram, x, grid, "control")
     g = delay_fundamental_solution(sys_, gram.horizon)
     rs = np.linspace(-gram.horizon, 0.0, grid)
     u = -rs[:, None] + np.arange(1, sys_.mesh + 1, dtype=float) * sys_.h - sys_.delay
