@@ -297,7 +297,6 @@ def _residual_entry(formula, rep, **extra):
 def _task_verify_riccati(run):
     sys_lin = run.matrix_system("verify-riccati")
     times = run.need("horizons", run.finite_horizons(), "verify-riccati")
-    rows = []
     pv = pv_candidate(sys_lin)
     families = [
         ("gramian-ratio", "riccati-residual-H",
@@ -314,10 +313,6 @@ def _task_verify_riccati(run):
         out.append(_residual_entry(formula, rep, family=family, equation=rep.kind,
                                    n_probes=rep.n_probes))
         all_passed = all_passed and rep.passed
-        for t, r in zip(rep.times, rep.residuals):
-            rows.append((rep.kind, t, r, rep.tol_scaled))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    run.csv_tables["riccati_residuals.csv"] = ["equation", "t", "residual", "tol_scaled"], rows
     return {"results": out}, all_passed
 
 
@@ -326,7 +321,6 @@ def _task_verify_lyapunov(run):
     times = run.need("horizons", run.finite_horizons(), "verify-lyapunov")
     rep = lyapunov_residual(sys_lin, lambda t: compute_gramian(sys_lin, t).matrix, times)
     out = [_residual_entry("lyapunov-differential", rep, mode=rep.mode)]
-    rows = [("differential", t, r, rep.tol_scaled) for t, r in zip(rep.times, rep.residuals)]
     all_passed = rep.passed
     if sys_lin.stable:
         qinf = compute_gramian(sys_lin, math.inf).matrix
@@ -334,9 +328,7 @@ def _task_verify_lyapunov(run):
         out.append({"formula": "lyapunov-algebraic", "mode": rep_a.mode,
                     "residuals": list(rep_a.residuals), "tol_scaled": rep_a.tol_scaled,
                     "passed": rep_a.passed})
-        rows.append(("algebraic", 0.0, rep_a.residuals[0], rep_a.tol_scaled))
         all_passed = all_passed and rep_a.passed
-    run.csv_tables["lyapunov_residuals.csv"] = ["mode", "t", "residual", "tol_scaled"], rows
     return {"results": out}, all_passed
 
 

@@ -310,7 +310,7 @@ def test_verify_riccati_subcommand_scalar(tmp_path):
     rep = read_report(out)
     res = rep["tasks"][0]["results"][0]
     assert res["passed"] is True
-    assert os.path.exists(os.path.join(out, "riccati_residuals.csv"))
+    assert res["times"] == [0.5, 1.0, 2.0] and len(res["residuals"]) == 3
 
 
 def test_commuting_family_and_recover_subcommands(tmp_path):
