@@ -107,7 +107,6 @@ def test_steering_and_geometry_reuse_the_gramian_decomposition(rng, monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     me.steer(g, x)
     me.value_function(g, x)
-    me.steer(g, x)
     me.HGeometry(g_inf)
     me.pv_candidate(sys)
     assert calls == []

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import minenergy as me
 import minenergy.linalg
@@ -200,6 +200,15 @@ def test_commuting_pinv_compose_matches_direct():
 def test_commuting_pinv_compose_rejects_range_escape():
     with pytest.raises(me.PreconditionError):
         me.commuting_pinv_compose(np.eye(2), np.diag([1.0, 0.0]))
+
+
+def test_a_zero_spectrum_keeps_nothing():
+    assert me.rank_mask(np.zeros(0)).shape == (0,)
+    assert not me.rank_mask(np.zeros(3)).any()
+    assert_array_equal(me.pinv(np.zeros((2, 3))), np.zeros((3, 2)))
+    assert me.SymmetricPSD(np.zeros((2, 2))).rank == 0
+    assert me.range_inclusion(np.zeros((2, 1)), np.zeros((2, 2))).included
+    assert not me.range_inclusion(np.eye(2)[:, :1], np.zeros((2, 2))).included
 
 
 def test_every_verdict_follows_the_one_cut(monkeypatch):
