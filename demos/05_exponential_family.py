@@ -34,7 +34,7 @@ print(f"\nresiduals past t1: max {max(rep.residuals):.2e} -> passed = {rep.passe
 
 # one snapshot recovers the mixing operator
 t_star = t1 + 0.5
-rec = me.recover_L(sys_, cand, t_star)
+rec = me.recover_L(cand, t_star)
 E_inv = me.expm(sys_.A, -t_star)
 K_back = E_inv @ rec.L @ E_inv
 print(f"\nrecovered K from one snapshot (worst entry error "
@@ -42,7 +42,7 @@ print(f"\nrecovered K from one snapshot (worst entry error "
 
 # projection biconditional, positive case: spectral projector
 P = np.diag([1.0, 0.0])
-good = me.projected_solution_check(sys_, cand, P, [t1 + 0.3, t1 + 0.8])
+good = me.projected_solution_check(cand, P, [t1 + 0.3, t1 + 0.8])
 print(f"\ndiagonal K, spectral P: range invariant = {good.range_condition_holds}, "
       f"compressed family solves = {good.is_solution}")
 
@@ -50,7 +50,7 @@ print(f"\ndiagonal K, spectral P: range invariant = {good.range_condition_holds}
 sys_b = me.LinearSystem(np.diag([-1.0, -2.0]), np.diag([1.0, np.sqrt(2.0)]))
 K_bad = np.array([[0.3, 0.2], [0.2, 0.3]])
 cand_bad = me.commuting_candidate(sys_b, K_bad)
-bad = me.projected_solution_check(sys_b, cand_bad, P, [0.8, 1.2, 2.0])
+bad = me.projected_solution_check(cand_bad, P, [0.8, 1.2, 2.0])
 print(f"coupled K,  spectral P: range invariant = {bad.range_condition_holds}, "
       f"compressed family solves = {bad.is_solution}, "
       f"mixed verdict = {bad.mixed_verdict}")

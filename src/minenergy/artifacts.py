@@ -1,9 +1,10 @@
 """The files a run writes: one CSV per emitted table, then ``report.json``.
 
-This module alone knows their formats.  A float prints as its shortest
-round-trip repr in the report and as ``'%.17g' % v`` in a CSV, every other
-CSV cell as ``str(v)``; the report's keys are sorted and each file is
-written atomically, so the same results give the same bytes.
+This module alone knows their formats.  A table is a header and a 2-d float
+array, and every cell of every table prints as ``'%.17g' % v`` in one numpy
+pass; a float in the report prints as its shortest round-trip repr.  The
+report's keys are sorted and each file is written atomically, so the same
+results give the same bytes.
 """
 
 import json
@@ -13,7 +14,7 @@ import numpy as np
 
 
 def write_artifacts(out_dir, tables, report):
-    """Write each ``(header, rows)`` of ``tables`` under its file name, then
+    """Write each ``(header, float array)`` of ``tables`` under its file name, then
     ``report`` as ``report.json``, into ``out_dir``, made if missing.
 
     The report goes last: once it is on disk, so is every file it names.
@@ -133,11 +134,11 @@ def _split(a):
     return hi, a - hi
 
 
-def _csv_block(v, sep, python):
-    """The bytes of one block of cells, and which of them are NULs for Python.
+def _csv_block(v, sep):
+    """The bytes of one block of cells ``v``, each followed by its ``sep``
+    byte, and which cells print as a NUL for Python.
 
-    ``v`` holds the cells as doubles and ``python`` marks the cells that are
-    not floats.  A finite nonzero |v| = f 2^e is scaled to S = |v| 10^s with
+    A finite nonzero |v| = f 2^e is scaled to S = |v| 10^s with
     s = 16 - floor(log10 |v|) in [1e16, 1e17) as the double-double
     (f 5^s) 2^(e+s); rounding S half to even gives the 17 digits.  For
     0 <= s <= 22, 5^s is a double and S is exact; otherwise S is within
@@ -148,8 +149,8 @@ def _csv_block(v, sep, python):
     t = _csv_tables()
     neg = np.signbit(v)
     a = np.abs(v)
-    zero = (a == 0) & ~python
-    ok = np.isfinite(a) & ~zero & ~python
+    zero = a == 0
+    ok = np.isfinite(a) & ~zero
     a = np.where(ok, a, 1.0)
     f, e = np.frexp(a)
     X = np.floor(np.log10(a)).astype(np.int64)
@@ -200,76 +201,40 @@ def _csv_block(v, sep, python):
 
 
 def _csv_texts(tables):
-    """The CSV text of each ``(header, rows)`` table: every float cell prints
-    as ``'%.17g' % v`` and every other cell as ``str(v)``; rows end in a
-    newline and hold at least one cell.
+    """The CSV text of each ``(header, rows)`` table, ``rows`` a 2-d float
+    array: every cell prints as ``'%.17g' % v`` and every row ends in a
+    newline.
 
-    Consecutive tables that fit in one block of ``_CSV_BLOCK`` cells are
-    formatted together (``_csv_group``), so that small tables share the
-    fixed cost of a numpy pass, and a larger table is formatted alone.
+    The cells of all tables go through numpy in one pass, ``_CSV_BLOCK`` at
+    a time (``_csv_block``), and Python prints the cells numpy cannot
+    certify.  Each table's last separator is a 0x01 byte, which no formatted
+    cell holds, and the text is cut there.
     """
-    texts, group, cells = [], [], 0
-    for header, rows in tables:
-        size = len(header) * len(rows)
-        if group and cells + size > _CSV_BLOCK:
-            texts += _csv_group(group)
-            group, cells = [], 0
-        group.append((header, rows))
-        cells += size
-    return texts + _csv_group(group) if group else texts
-
-
-def _csv_group(tables):
-    """The CSV texts of ``tables``, whose float cells go through numpy together.
-
-    A float array of rows is taken whole, a sequence of rows cell by cell.
-    The float cells pass ``_CSV_BLOCK`` at a time (``_csv_block``); Python
-    prints the other cells, and the floats numpy cannot certify.  Each
-    table's last separator is a 0x01 byte, which no formatted cell holds,
-    and the text is cut there.
-    """
-    values, python, seps, others, empty = [], [], [], [], []
-    for header, rows in tables:
-        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == float:
-            v, width = rows.ravel(), rows.shape[1]
-            p = np.zeros(v.size, bool)
-            ends = np.arange(width - 1, v.size, width)
-        else:
-            rows = list(rows)
-            if not all(len(row) for row in rows):
-                raise ValueError("every CSV row needs a cell")
-            cells = [c for row in rows for c in row]
-            p = np.array([not isinstance(c, (float, np.floating)) for c in cells], dtype=bool)
-            v = np.array([0.0 if q else c for c, q in zip(cells, p)], dtype=float)
-            others += [str(c) for c, q in zip(cells, p) if q]
-            ends = np.cumsum([len(row) for row in rows], dtype=np.int64) - 1
-        sep = np.full(v.size, ord(","), np.uint8)
-        sep[ends] = ord("\n")
+    values, seps = [np.zeros(0)], [np.zeros(0, np.uint8)]
+    for _, rows in tables:
+        sep = np.full(rows.shape, ord(","), np.uint8)
+        sep[:, -1] = ord("\n")
+        sep = sep.ravel()
         sep[-1:] = 1
-        empty.append(v.size == 0)
-        values.append(v)
-        python.append(p)
+        values.append(rows.ravel())
         seps.append(sep)
-    values, python, sep = (np.concatenate(a) for a in (values, python, seps))
+    values, sep = np.concatenate(values), np.concatenate(seps)
     blocks, nuls = [], [np.zeros(0, bool)]
     for start in range(0, values.size, _CSV_BLOCK):
         stop = start + _CSV_BLOCK
-        text, nul = _csv_block(values[start:stop], sep[start:stop], python[start:stop])
+        text, nul = _csv_block(values[start:stop], sep[start:stop])
         blocks.append(text)
         nuls.append(nul)
     pieces = iter(b"".join(blocks).decode("ascii").split("\x01"))
-    others = iter(others)
-    where = np.flatnonzero(np.concatenate(nuls))
-    own = iter([next(others) if python[i] else "%.17g" % values[i] for i in where.tolist()])
+    own = iter(["%.17g" % v for v in values[np.concatenate(nuls)].tolist()])
     texts = []
-    for (header, _), no_rows in zip(tables, empty):
-        body = "" if no_rows else next(pieces) + "\n"
+    for header, rows in tables:
+        body = next(pieces) + "\n" if rows.size else ""
         if "\0" in body:
             parts = body.split("\0")
             body = parts[0] + "".join(next(own) + part for part in parts[1:])
         texts.append(",".join(header) + "\n" + body)
     return texts
-
 
 
 def _array_layout(shape, nl):

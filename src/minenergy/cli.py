@@ -204,7 +204,7 @@ class _Run:
         self.projector = self._square(scenario, "projector")
         self.sweep_kinds = scenario.get("sweep_kinds", ["value", "residual"])
         self.expect_nc = scenario.get("expect_null_controllable")
-        self.csv_tables = {}  # file name -> (header, rows)
+        self.csv_tables = {}  # file name -> (header, float array)
 
     def _square(self, scenario, field):
         if field not in scenario:
@@ -363,7 +363,7 @@ def _task_commuting_family(run):
 
 def _task_recover_l(run):
     cand = _commuting_cand(run, "recover-L")
-    rep = recover_L(cand.sys, cand, run.need("t_star", run.t_star, "recover-L"))
+    rep = recover_L(cand, run.need("t_star", run.t_star, "recover-L"))
     result = {"formula": "recover-mixing-operator", "t_star": rep.t_star, "L": rep.L,
               "forward_times": list(rep.times), "forward_errors": list(rep.errors),
               "k_roundtrip_error": rep.k_roundtrip_error, "passed": rep.passed}
@@ -379,7 +379,7 @@ def _task_project_check(run):
         raise ScenarioError(
             "project-check needs at least one horizon above the detected threshold"
         )
-    rep = projected_solution_check(cand.sys, cand, P, times, tol=run.tol, seed=run.seed)
+    rep = projected_solution_check(cand, P, times, tol=run.tol, seed=run.seed)
     result = {
         "formula": "projection-compression",
         "times": list(rep.times),
@@ -406,10 +406,9 @@ def _task_null_controllability(run):
     return {"results": results}, passed
 
 
-def _value_sweep_rows(run):
+def _value_sweep_rows(run, times):
     run.need("targets", run.targets, "sweep")
     rows = []
-    times = run.finite_horizons()
     for t, oracle in zip(times, run.model.value_oracles(times)):
         for xi, x in enumerate(run.targets):
             v = run.model.steer(t, x).value
@@ -417,33 +416,34 @@ def _value_sweep_rows(run):
             if v is None:
                 v = math.nan
             rows.append((t, xi, v, v_o, abs(v - v_o)))
-    return rows
+    return np.array(rows, dtype=float)
 
 
-def _residual_sweep_rows(run):
-    sys_lin = run.matrix_system("the residual sweep")
-    cand = pv_candidate(sys_lin)
-    rows = []
-    for t in run.finite_horizons():
+def _residual_sweep_rows(run, times):
+    cand = pv_candidate(run.matrix_system("the residual sweep"))
+    blocks = []
+    for t in times:
         _, lhs, rhs = riccati_pairings(cand, t, seed=run.seed)
-        for i in range(lhs.shape[0]):
-            for j in range(lhs.shape[0]):
-                rows.append((t, i, j, lhs[i, j], rhs[i, j], lhs[i, j] - rhs[i, j]))
-    return rows
+        i, j = np.indices(lhs.shape).reshape(2, -1)
+        blocks.append(np.column_stack(
+            [np.full(i.size, t), i, j, lhs.ravel(), rhs.ravel(), (lhs - rhs).ravel()]))
+    return np.vstack(blocks)
 
 
+# kind: (rows, header, the number of leading index columns the rows are sorted by)
 _SWEEPS = {
-    "value": (_value_sweep_rows, ["t", "target_id", "value", "value_oracle", "abs_diff"]),
-    "residual": (_residual_sweep_rows, ["t", "probe_i", "probe_j", "lhs", "rhs", "residual"]),
+    "value": (_value_sweep_rows, ["t", "target_id", "value", "value_oracle", "abs_diff"], 2),
+    "residual": (_residual_sweep_rows, ["t", "probe_i", "probe_j", "lhs", "rhs", "residual"], 3),
 }
 
 
 def _task_sweep(run):
+    times = run.need("horizons", run.finite_horizons(), "sweep")
     result = {"kinds": list(run.sweep_kinds)}
-    for kind, (rows_of, header) in _SWEEPS.items():
+    for kind, (rows_of, header, keys) in _SWEEPS.items():
         if kind in run.sweep_kinds:
-            # sorted by the leading columns: time, then target or probe indices
-            rows = sorted(rows_of(run), key=lambda r: tuple(r[: len(header) - 1]))
+            rows = rows_of(run, times)
+            rows = rows[np.lexsort(rows[:, :keys].T[::-1])]  # stable: repeats keep their order
             name = f"{kind}_sweep.csv"
             run.csv_tables[name] = header, rows
             result[f"{kind}_sweep"] = {"formula": f"{kind}-sweep", "rows": len(rows), "csv": name}

@@ -520,15 +520,17 @@ class RecoverLReport:
     k_roundtrip_error: float
 
 
-def recover_L(sys, cand, t_star, t_grid=None, rtol=1e-6):
+def recover_L(cand, t_star, t_grid=None, rtol=1e-6):
     """Recover the family's mixing operator from one snapshot and verify forward.
 
-    Given S from the exponential family of ``commuting_candidate``, L = I -
-    S(T*)^{-1} regenerates the family as (I - e^{(t-T*)A} L e^{(t-T*)A})^{-1};
-    agreement on a forward grid certifies the snapshot characterizes the
-    family, and the round trip back to K that it recovers the operator.  A
-    round trip that overflows raises NonFiniteError.
+    Given S from the exponential family of ``commuting_candidate`` on the
+    system ``cand.sys``, L = I - S(T*)^{-1} regenerates the family as
+    (I - e^{(t-T*)A} L e^{(t-T*)A})^{-1}; agreement on a forward grid
+    certifies the snapshot characterizes the family, and the round trip
+    back to K that it recovers the operator.  A round trip that overflows
+    raises NonFiniteError.
     """
+    sys = cand.sys
     S_star = cand.evaluate(t_star)
     sigma = np.linalg.svd(S_star, compute_uv=False)
     if sigma[-1] <= 1e-12 * sigma[0]:
@@ -580,16 +582,17 @@ class ProjectionReport:
     witness_vector: np.ndarray
 
 
-def projected_solution_check(sys, cand, P, times, tol=1e-6, seed=0):
+def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
     """Check the compression biconditional for a projection P.
 
     The candidate must be in the weighted geometry, and P an orthogonal
-    projection there commuting with A.  The range condition is measured as
-    the weighted operator-norm defect of (I - P) S(t) P, and holds when that
-    defect over max(1, the family's weighted norm) is at most 1e-8; the
-    compressed family P S(t) P is then run through the commuting-case
-    residual on probes from ran(P).
+    projection there commuting with the A of ``cand.sys``.  The range
+    condition is measured as the weighted operator-norm defect of
+    (I - P) S(t) P, and holds when that defect over max(1, the family's
+    weighted norm) is at most 1e-8; the compressed family P S(t) P is then
+    run through the commuting-case residual on probes from ran(P).
     """
+    sys = cand.sys
     P = np.asarray(P, dtype=float)
     geometry = cand.geometry
     if not isinstance(geometry, HGeometry):

@@ -186,7 +186,7 @@ def test_c06_commuting_case_suite():
         assert rep.passed, f"draw {i}: residual {max(rep.residuals):.3e}"
         # (b) one-snapshot recovery round-trips the mixing operator
         t_star = cand.t1 + 0.5
-        rec = me.recover_L(sys_, cand, t_star)
+        rec = me.recover_L(cand, t_star)
         assert rec.passed
         E_inv = me.expm(sys_.A, -t_star)
         assert np.abs(E_inv @ rec.L @ E_inv - K).max() < 1e-6
@@ -195,16 +195,14 @@ def test_c06_commuting_case_suite():
         if mask.sum() in (0, n):
             mask[0] = 1 - mask[0]
         P = np.diag(mask.astype(float))
-        prep = me.projected_solution_check(sys_, cand, P, times)
+        prep = me.projected_solution_check(cand, P, times)
         mixed_verdicts += int(prep.mixed_verdict)
         assert prep.range_condition_holds and prep.is_solution
     # engineered failure: coupled K breaks the invariance and the equation
     sys_f = me.LinearSystem(np.diag([-1.0, -2.0]), np.diag([1.0, math.sqrt(2.0)]))
     K_f = np.array([[0.3, 0.2], [0.2, 0.3]])
     cand_f = me.commuting_candidate(sys_f, K_f)
-    rep_f = me.projected_solution_check(
-        sys_f, cand_f, np.diag([1.0, 0.0]), [0.8, 1.2, 2.0]
-    )
+    rep_f = me.projected_solution_check(cand_f, np.diag([1.0, 0.0]), [0.8, 1.2, 2.0])
     mixed_verdicts += int(rep_f.mixed_verdict)
     assert not rep_f.range_condition_holds
     assert not rep_f.is_solution

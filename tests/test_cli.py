@@ -114,18 +114,6 @@ def test_scenario_fields_accept_and_refuse():
         cli._validate_scenario({"model": "shift(4)", "frob": 1})
 
 
-def test_csv_cells_match_per_cell_formatting():
-    rows = [[0.1, 3, "plain", np.float64(1 / 3), np.int64(7), True, None],
-            [float("inf"), -0, "x", np.float32(0.1), np.int32(-2), False, float("nan")],
-            [2.5, 1.0, "y", 1e-300, 4, np.bool_(True), "z"]]
-
-    def cell(x):
-        return "%.17g" % float(x) if isinstance(x, (float, np.floating)) else str(x)
-
-    expected = "\n".join(["a,b,c,d,e,f,g"] + [",".join(cell(x) for x in row) for row in rows])
-    assert artifacts._csv_texts([(list("abcdefg"), rows)])[0] == expected + "\n"
-
-
 def test_singular_key_aliases(tmp_path):
     out = str(tmp_path / "out")
     path = write_scenario(
@@ -392,6 +380,42 @@ def test_sweep_sorted_and_17_digits(tmp_path):
     # 17 significant digits on a non-terminating value
     row1 = lines[1].split(",")
     assert len(row1[2]) >= 17
+    # repeated, unsorted horizons and two targets, through both sweeps: the
+    # rows are ordered by their index columns, each repeat beside its twin
+    out = str(tmp_path / "repeats")
+    path = write_scenario(
+        tmp_path,
+        {"model": COUPLED_MODEL, "tasks": ["sweep"], "horizons": [2.0, 0.5, 2.0],
+         "targets": [[1.0, 0.0], [0.5, -1.0]], "output": out},
+        name="repeats.json",
+    )
+    assert cli.main(["run", path]) == 0
+    for name, keys in (("value_sweep.csv", 2), ("residual_sweep.csv", 3)):
+        lines = open(os.path.join(out, name)).read().splitlines()[1:]
+        index = [tuple(float(v) for v in line.split(",")[:keys]) for line in lines]
+        assert index == sorted(index)
+        twice = [line for line, i in zip(lines, index) if i[0] == 2.0]
+        assert twice[::2] == twice[1::2] and len(twice) == 2 * (len(lines) - len(twice)) > 0
+        # the indices print as integers
+        column = {line.split(",")[1] for line in lines}
+        assert column == {str(k) for k in range(len(column))}
+
+
+def test_sweep_needs_a_finite_horizon(tmp_path):
+    # like verify-riccati, the sweep is a task error without a finite horizon
+    out = str(tmp_path / "out")
+    path = write_scenario(
+        tmp_path,
+        {"model": SCALAR_MODEL, "tasks": ["sweep", "verify-riccati"], "horizons": ["inf"],
+         "targets": [[1.0]], "output": out},
+    )
+    assert cli.main(["run", path]) == 1
+    rep = read_report(out)
+    assert rep["failures"] == ["sweep", "verify-riccati"]
+    for entry in rep["tasks"]:
+        assert entry["error"] == \
+            f"ScenarioError: task '{entry['task']}' requires scenario field 'horizons'"
+    assert sorted(os.listdir(out)) == ["report.json"]
 
 
 def test_seed_override_changes_nothing_structural(tmp_path):
@@ -695,7 +719,7 @@ def test_recover_l_verdict_is_the_library_s(tmp_path):
 
     K = np.diag(np.linspace(0.5, 3.0, 16))
     ssys = me.landau_ginzburg(16)
-    rep = me.recover_L(ssys.linear, me.commuting_candidate(ssys.linear, K), 1.0)
+    rep = me.recover_L(me.commuting_candidate(ssys.linear, K), 1.0)
     assert max(rep.errors) <= 1e-6 and rep.k_roundtrip_error > 1e-6
     assert rep.passed is False
     out = str(tmp_path / "out")

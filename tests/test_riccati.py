@@ -142,7 +142,7 @@ def test_commuting_checks_refuse_a_plain_candidate(diag_sys):
     with pytest.raises(me.PreconditionError):
         me.riccati_residual_commuting(cand, [1.0])
     with pytest.raises(me.PreconditionError):
-        me.projected_solution_check(diag_sys, cand, np.diag([1.0, 0.0]), [1.0])
+        me.projected_solution_check(cand, np.diag([1.0, 0.0]), [1.0])
 
 
 def test_lyapunov_residual_reads_the_check_from_q(scalar_sys):
@@ -316,7 +316,7 @@ def test_recover_L_roundtrip(scalar_sys):
     K = np.array([[0.3]])
     cand = me.commuting_candidate(scalar_sys, K)
     t_star = 1.0
-    rep = me.recover_L(scalar_sys, cand, t_star)
+    rep = me.recover_L(cand, t_star)
     assert rep.passed
     assert rep.k_roundtrip_error <= 1e-6
     # L = e^{T* A} K e^{T* A}; undo the conjugation to recover K
@@ -332,7 +332,7 @@ def test_recover_L_random_diagonal(rng):
         K = np.diag(rng.uniform(0.0, 2.0, size=3))
         cand = me.commuting_candidate(sys, K)
         t_star = cand.t1 + 0.5
-        rep = me.recover_L(sys, cand, t_star)
+        rep = me.recover_L(cand, t_star)
         assert rep.passed
         assert rep.k_roundtrip_error <= 1e-6
         E_inv = me.expm(sys.A, -t_star)
@@ -346,7 +346,7 @@ def test_projection_invariance_pass(diag_sys):
     K = np.diag([0.5, 0.8])
     cand = me.commuting_candidate(diag_sys, K)
     P = np.diag([1.0, 0.0])  # spectral projector: commutes with everything here
-    rep = me.projected_solution_check(diag_sys, cand, P, [0.5, 1.0, 2.0])
+    rep = me.projected_solution_check(cand, P, [0.5, 1.0, 2.0])
     assert rep.range_condition_holds
     assert rep.is_solution
     assert not rep.mixed_verdict
@@ -360,7 +360,7 @@ def test_projection_biconditional_fails_coupled():
     K = np.array([[0.3, 0.2], [0.2, 0.3]])
     cand = me.commuting_candidate(sys, K)
     P = np.diag([1.0, 0.0])
-    rep = me.projected_solution_check(sys, cand, P, [0.8, 1.2, 2.0])
+    rep = me.projected_solution_check(cand, P, [0.8, 1.2, 2.0])
     assert not rep.range_condition_holds
     assert not rep.is_solution
     assert not rep.mixed_verdict
@@ -370,7 +370,7 @@ def test_projection_biconditional_fails_coupled():
 def test_projection_rejects_non_idempotent(diag_sys):
     cand = me.commuting_candidate(diag_sys, np.diag([0.5, 0.5]))
     with pytest.raises(me.PreconditionError):
-        me.projected_solution_check(diag_sys, cand, np.array([[0.5, 0.0], [0.0, 1.0]]), [1.0])
+        me.projected_solution_check(cand, np.array([[0.5, 0.0], [0.0, 1.0]]), [1.0])
 
 
 def test_residual_report_tolerance_scaling(scalar_sys):
