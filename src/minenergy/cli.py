@@ -17,6 +17,7 @@ each task puts in the report.
 """
 
 import argparse
+import functools
 import json
 import locale  # noqa: F401  argparse messages need it: load it with the CLI, not in a run
 import math
@@ -27,7 +28,7 @@ import numpy as np
 
 from .artifacts import write_artifacts
 from .errors import MinEnergyError, ScenarioError
-from .gramians import compute_gramian
+from .gramians import compute_gramian, gramian_rate
 from .models import parse_model
 from .riccati import (
     commuting_candidate,
@@ -205,6 +206,9 @@ class _Run:
         self.sweep_kinds = scenario.get("sweep_kinds", ["value", "residual"])
         self.expect_nc = scenario.get("expect_null_controllable")
         self.csv_tables = {}  # file name -> (header, float array)
+        # the candidates the tasks share, built by the first task that asks
+        self.pv = None
+        self.commuting = None
 
     def _square(self, scenario, field):
         if field not in scenario:
@@ -289,15 +293,23 @@ def _task_min_energy(run):
 
 
 def _residual_entry(formula, rep, **extra):
-    """Report entry of a residual check over times."""
+    """Report entry of a residual check over times, naming its derivative."""
     return {"formula": formula, "times": list(rep.times), "residuals": list(rep.residuals),
-            "tol_scaled": rep.tol_scaled, "passed": rep.passed, **extra}
+            "tol_scaled": rep.tol_scaled, "passed": rep.passed,
+            "derivative": rep.derivative, **extra}
+
+
+def _pv_cand(run, task):
+    """The run's one Gramian-ratio candidate."""
+    if run.pv is None:
+        run.pv = pv_candidate(run.matrix_system(task))
+    return run.pv
 
 
 def _task_verify_riccati(run):
     sys_lin = run.matrix_system("verify-riccati")
     times = run.need("horizons", run.finite_horizons(), "verify-riccati")
-    pv = pv_candidate(sys_lin)
+    pv = _pv_cand(run, "verify-riccati")
     families = [
         ("gramian-ratio", "riccati-residual-H",
          riccati_residual(pv, times, tol=run.tol, seed=run.seed)),
@@ -319,7 +331,8 @@ def _task_verify_riccati(run):
 def _task_verify_lyapunov(run):
     sys_lin = run.matrix_system("verify-lyapunov")
     times = run.need("horizons", run.finite_horizons(), "verify-lyapunov")
-    rep = lyapunov_residual(sys_lin, lambda t: compute_gramian(sys_lin, t).matrix, times)
+    rep = lyapunov_residual(sys_lin, lambda t: compute_gramian(sys_lin, t).matrix, times,
+                            derivative=functools.partial(gramian_rate, sys_lin))
     out = [_residual_entry("lyapunov-differential", rep, mode=rep.mode)]
     all_passed = rep.passed
     if sys_lin.stable:
@@ -333,9 +346,13 @@ def _task_verify_lyapunov(run):
 
 
 def _commuting_cand(run, task):
-    sys_lin = run.matrix_system(task)
-    K = run.need("K", run.K, task)
-    return commuting_candidate(sys_lin, K, margin=run.margin)
+    """The run's one commuting candidate: ``detect_t1`` runs once, and each
+    S(t) is evaluated once for every task that reads it."""
+    if run.commuting is None:
+        sys_lin = run.matrix_system(task)
+        K = run.need("K", run.K, task)
+        run.commuting = commuting_candidate(sys_lin, K, margin=run.margin)
+    return run.commuting
 
 
 def _task_commuting_family(run):
@@ -390,6 +407,7 @@ def _task_project_check(run):
         "witness_time": rep.witness_time,
         "residuals": list(rep.residual.residuals),
         "tol_scaled": rep.residual.tol_scaled,
+        "derivative": rep.residual.derivative,
     }
     return result, not rep.mixed_verdict
 
@@ -407,6 +425,7 @@ def _task_null_controllability(run):
 
 
 def _value_sweep_rows(run, times):
+    """The value sweep's rows, and no extra report entries."""
     run.need("targets", run.targets, "sweep")
     rows = []
     for t, oracle in zip(times, run.model.value_oracles(times)):
@@ -416,21 +435,23 @@ def _value_sweep_rows(run, times):
             if v is None:
                 v = math.nan
             rows.append((t, xi, v, v_o, abs(v - v_o)))
-    return np.array(rows, dtype=float)
+    return np.array(rows, dtype=float), {}
 
 
 def _residual_sweep_rows(run, times):
-    cand = pv_candidate(run.matrix_system("the residual sweep"))
+    """The residual sweep's rows, and the derivative their lhs took."""
+    cand = _pv_cand(run, "the residual sweep")
     blocks = []
     for t in times:
         _, lhs, rhs = riccati_pairings(cand, t, seed=run.seed)
         i, j = np.indices(lhs.shape).reshape(2, -1)
         blocks.append(np.column_stack(
             [np.full(i.size, t), i, j, lhs.ravel(), rhs.ravel(), (lhs - rhs).ravel()]))
-    return np.vstack(blocks)
+    return np.vstack(blocks), {"derivative": cand.derivative_kind}
 
 
-# kind: (rows, header, the number of leading index columns the rows are sorted by)
+# kind: (rows and extra report entries, header, the number of leading index
+# columns the rows are sorted by)
 _SWEEPS = {
     "value": (_value_sweep_rows, ["t", "target_id", "value", "value_oracle", "abs_diff"], 2),
     "residual": (_residual_sweep_rows, ["t", "probe_i", "probe_j", "lhs", "rhs", "residual"], 3),
@@ -442,11 +463,12 @@ def _task_sweep(run):
     result = {"kinds": list(run.sweep_kinds)}
     for kind, (rows_of, header, keys) in _SWEEPS.items():
         if kind in run.sweep_kinds:
-            rows = rows_of(run, times)
+            rows, extra = rows_of(run, times)
             rows = rows[np.lexsort(rows[:, :keys].T[::-1])]  # stable: repeats keep their order
             name = f"{kind}_sweep.csv"
             run.csv_tables[name] = header, rows
-            result[f"{kind}_sweep"] = {"formula": f"{kind}-sweep", "rows": len(rows), "csv": name}
+            result[f"{kind}_sweep"] = {"formula": f"{kind}-sweep", "rows": len(rows), "csv": name,
+                                       **extra}
     return result, None
 
 

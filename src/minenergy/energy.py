@@ -11,14 +11,13 @@ dynamics.
 """
 
 import operator
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, NotInSpaceError, ReachabilityError
 from .gramians import _van_loan_step, compute_gramian
-from .linalg import _gaussian_combination, expm, negligible, pinv, range_inclusion
+from .linalg import _gaussian_coefficients, expm, negligible, pinv, range_inclusion
 
 __all__ = [
     "ControlSignal",
@@ -434,27 +433,28 @@ class HGeometry:
         return float(np.linalg.norm(self.pinv_sqrt @ np.asarray(x, dtype=float)))
 
     def normalize(self, x):
-        nx = self.norm(x)
-        if nx == 0.0:
+        """x over its H-norm; each column of a matrix over its own."""
+        x = np.asarray(x, dtype=float)
+        nx = np.linalg.norm(self.pinv_sqrt @ x, axis=0)
+        if np.any(nx == 0.0):
             raise ValueError("cannot normalize a zero vector")
-        return np.asarray(x, dtype=float) / nx
+        return x / nx
 
     def operator_norm(self, M):
         """Norm of M as an operator on H: ||Q_inf^{-1/2} M Q_inf^{1/2}||_2."""
         return float(np.linalg.norm(self.pinv_sqrt @ M @ self.sqrt_matrix, 2))
 
     def symmetry_defect(self, M, seed=0, n_probes=8):
-        """Max |<Mx,y>_H - <x,My>_H| over seeded probe pairs, scaled by probe norms."""
-        rng = random.Random(seed)
+        """Max |<Mx,y>_H - <x,My>_H| over seeded probe pairs, scaled by probe norms.
+
+        The pairs are seeded random combinations of a basis of the space,
+        drawn x, y, x, y, ... and normalized in H."""
         U = self.gram.Q.range_basis()
-        worst = 0.0
-        for _ in range(n_probes):
-            x = _gaussian_combination(U, rng)
-            y = _gaussian_combination(U, rng)
-            x = self.normalize(x)
-            y = self.normalize(y)
-            worst = max(worst, abs(self.inner(M @ x, y) - self.inner(x, M @ y)))
-        return worst
+        XY = self.normalize(U @ _gaussian_coefficients(seed, U.shape[1], 2 * n_probes))
+        X, Y = XY[:, 0::2], XY[:, 1::2]
+        W = self.metric
+        gaps = np.einsum("ik,ik->k", M @ X, W @ Y) - np.einsum("ik,ik->k", X, W @ (M @ Y))
+        return float(np.abs(gaps).max(initial=0.0))
 
 
 class EuclideanGeometry:
@@ -466,9 +466,10 @@ class EuclideanGeometry:
         self.metric = np.eye(n)
 
     def normalize(self, x):
+        """x over its norm; each column of a matrix over its own."""
         x = np.asarray(x, dtype=float)
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
+        nx = np.linalg.norm(x, axis=0)
+        if np.any(nx == 0.0):
             raise ValueError("cannot normalize a zero vector")
         return x / nx
 

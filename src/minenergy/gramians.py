@@ -24,13 +24,13 @@ Bartels-Stewart on the algebraic Lyapunov equation, lives with the tests in
 ``tests/oracles.py``):
 
 * ``gramian_quadrature_sweep`` -- composite Gauss-Legendre on the defining
-  integral, one exponential per node, on panels graded toward r = 0 (the
-  first no wider than 1 / ||A||_1) and bisected locally until, for every
-  horizon asked for, the estimated errors of the panels inside it add up to
-  at most ``rtol`` times its largest entry (R. Piessens et al., QUADPACK,
-  1983); one sweep to the longest horizon serves the shorter ones, whose
-  Gramians are prefixes of its integral, and ``gramian_quadrature`` is the
-  sweep at one horizon
+  integral, a panel's node exponentials in one stacked ``expm`` call, on
+  panels graded toward r = 0 (the first no wider than 1 / ||A||_1) and
+  bisected locally until, for every horizon asked for, the estimated errors
+  of the panels inside it add up to at most ``rtol`` times its largest entry
+  (R. Piessens et al., QUADPACK, 1983); one sweep to the longest horizon
+  serves the shorter ones, whose Gramians are prefixes of its integral, and
+  ``gramian_quadrature`` is the sweep at one horizon
 * ``gramian_lyapunov_ode`` -- RK4 on the differential Lyapunov equation
 """
 
@@ -51,6 +51,7 @@ __all__ = [
     "gramian_lyapunov_ode",
     "gramian_commuting_closed_form",
     "gramian_block_exponential",
+    "gramian_rate",
     "compute_gramian",
     "kernel_chain_check",
     "KernelChainReport",
@@ -107,13 +108,15 @@ def _halvings(A, h):
 
 def _gauss_panel(sys, a, b, nodes, weights):
     """The integral of e^{rA} BB^T e^{rA^T} over [a, b] by one Gauss-Legendre
-    panel (``nodes`` and ``weights`` on [-1, 1]), one exponential per node."""
+    panel (``nodes`` and ``weights`` on [-1, 1]).
+
+    The nodes' exponentials come from one stacked ``expm`` call, and the
+    panel's Gramian is the one product H H^T of H = [sqrt(w_i) e^{r_i A} B]
+    (the weights are positive)."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    Q = np.zeros((sys.n, sys.n))
-    for xi, wi in zip(nodes, weights):
-        G = expm(sys.A, mid + half * xi) @ sys.B
-        Q += (half * wi) * (G @ G.T)
-    return Q
+    G = expm(sys.A, mid + half * nodes) @ sys.B * np.sqrt(half * weights)[:, None, None]
+    H = G.transpose(1, 0, 2).reshape(sys.n, -1)
+    return H @ H.T
 
 
 def gramian_quadrature_sweep(sys, times, n_nodes=8, rtol=1e-10, max_panels=2 ** 14):
@@ -389,6 +392,13 @@ def gramian_block_exponential(sys, t):
     taken at the whole horizon."""
     t = _finite_horizon(t)
     return _wrap(sys, _van_loan_step(sys, t)[1], t, "block_exponential")
+
+
+def gramian_rate(sys, t):
+    """The Gramian's time derivative Q_t' = e^{tA} BB^T e^{tA^T}, the integrand
+    of Q_t at r = t (Van Loan 1978), at a finite time t."""
+    E = expm(sys.A, t)
+    return E @ sys.BBt @ E.T
 
 
 def compute_gramian(sys, t):

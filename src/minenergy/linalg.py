@@ -11,7 +11,9 @@ one, and ``negligible`` treats a defect as roundoff when it is at most
 stands in for the square root.
 """
 
+import functools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,18 +203,18 @@ _MAX_NORM = 1.0 / np.finfo(float).eps
 
 
 def _pade(X, table):
-    """The Pade approximant r_m(X) of ``table``: stack the even powers of X,
-    combine them with the table's rows in one product, and solve
-    (V - U) R = V + U."""
-    n = X.shape[0]
+    """The Pade approximant r_m(X) of ``table`` on a stack X of matrices:
+    stack the even powers of X, combine them with the table's rows in one
+    product, and solve (V - U) R = V + U."""
+    b, n = X.shape[:2]
     k = table.shape[1]
-    P = np.empty((k, n, n))
+    P = np.empty((k, b, n, n))
     P[0] = 0.0
-    P[0].ravel()[::n + 1] = 1.0
+    P[0].reshape(b, n * n)[:, ::n + 1] = 1.0
     np.matmul(X, X, out=P[1])
     for j in range(2, k):
         np.matmul(P[j - 1], P[1], out=P[j])
-    R = (table @ P.reshape(k, n * n)).reshape(-1, n, n)
+    R = (table @ P.reshape(k, b * n * n)).reshape(-1, b, n, n)
     if len(R) == 2:
         U, V = X @ R[0], R[1]
     else:
@@ -221,37 +223,53 @@ def _pade(X, table):
 
 
 def expm(A, t=1.0):
-    """Matrix exponential ``e^{tA}``.
+    """Matrix exponential ``e^{tA}``, or the stack of them over a 1-d array of
+    times.
 
-    Diagonal matrices take an exact entrywise path.  General matrices go
-    through scaling and squaring with a Pade approximant (Higham 2005): the
-    lowest degree among 3, 5, 7 and 9 whose theta bounds ||tA||_1, else
-    degree 13 on tA / 2^s with s the fewest halvings that bring ||tA||_1
-    within theta_13, followed by s squarings.  Negative ``t`` is allowed: a
-    square matrix always generates a group, so the backward flow is
-    well-defined here (unlike for genuinely unbounded generators).  An
-    exponential that overflows, or one whose ||tA||_1 exceeds 1 / eps so
-    that no digit of it survives the squarings, raises ``NonFiniteError``.
+    A scalar ``t`` gives one (n, n) matrix; a 1-d array of k times gives the
+    (k, n, n) stack, one exponential per time, through the same code (a
+    scalar is a stack of one).  Diagonal matrices take an exact entrywise
+    path.  General matrices go through scaling and squaring with a Pade
+    approximant (Higham 2005): the lowest degree among 3, 5, 7 and 9 whose
+    theta bounds ||tA||_1, else degree 13 on tA / 2^s with s the fewest
+    halvings that bring ||tA||_1 within theta_13, followed by s squarings.
+    A stack takes its degree and s from its largest ||tA||_1, so that one
+    product serves every member.  Negative times are allowed: a square
+    matrix always generates a group, so the backward flow is well-defined
+    here (unlike for genuinely unbounded generators).  An exponential that
+    overflows, or one whose ||tA||_1 exceeds 1 / eps so that no digit of it
+    survives the squarings, raises ``NonFiniteError``.
     """
     A = as_matrix(A, "A")
     n, m = A.shape
     if n != m:
         raise ValueError(f"matrix exponential needs a square matrix, got {A.shape}")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a number or a 1-d array of times, got shape {ts.shape}")
+    E = _expm_stack(A, np.atleast_1d(ts))
+    return E if ts.ndim else E[0]
+
+
+def _expm_stack(A, ts):
+    """The exponentials e^{tA} for the times of the 1-d array ``ts``."""
+    if not np.isfinite(ts).all():
+        raise ValueError(f"t must be finite, got {_largest(ts)}")
+    n = A.shape[0]
     d = np.diagonal(A)
     if np.count_nonzero(A) == np.count_nonzero(d):
-        e = np.exp(t * d)
+        e = np.exp(ts[:, None] * d)
         if np.isfinite(e).all():
-            E = np.zeros((n, n))
-            E.ravel()[::n + 1] = e
+            E = np.zeros((ts.size, n, n))
+            E.reshape(ts.size, n * n)[:, ::n + 1] = e
             return E
-        raise NonFiniteError(f"e^(tA) leaves double precision at t = {t:g}")
-    X = t * A
-    norm = np.abs(X).sum(axis=0).max()
+        raise NonFiniteError(f"e^(tA) leaves double precision at t = {_largest(ts):g}")
+    X = ts[:, None, None] * A
+    norm = np.abs(X).sum(axis=1).max()
     if not norm <= _MAX_NORM:
         raise NonFiniteError(
-            f"e^(tA) leaves double precision at t = {t:g}: ||tA||_1 = {norm:.3g} exceeds 1/eps"
+            f"e^(tA) leaves double precision at t = {_largest(ts):g}: "
+            f"||tA||_1 = {norm:.3g} exceeds 1/eps"
         )
     for theta, table in _PADE[:-1]:
         if norm <= theta:
@@ -264,7 +282,12 @@ def expm(A, t=1.0):
             E = E @ E
     if np.isfinite(E).all():
         return E
-    raise NonFiniteError(f"e^(tA) leaves double precision at t = {t:g}")
+    raise NonFiniteError(f"e^(tA) leaves double precision at t = {_largest(ts):g}")
+
+
+def _largest(ts):
+    """The time of largest magnitude, which an error message names."""
+    return ts[np.abs(ts).argmax()]
 
 
 def pinv(M):
@@ -384,8 +407,14 @@ def negative_type_bound(A, omega=None, t_max=1.0, n_samples=201):
     return float(M), float(omega)
 
 
-def _gaussian_combination(U, rng):
-    """U g with g a vector of independent standard normal draws from ``rng``,
-    a ``random.Random``: the stdlib generator keeps ``numpy.random`` (some
-    milliseconds to import) out of a run."""
-    return U @ np.array([rng.gauss(0.0, 1.0) for _ in range(U.shape[1])])
+@functools.lru_cache(maxsize=64)
+def _gaussian_coefficients(seed, rank, count):
+    """A (rank, count) array of independent standard normal draws from
+    ``random.Random(seed)``, column by column: the coefficients of ``count``
+    seeded random combinations of ``rank`` basis vectors.  The stdlib
+    generator keeps ``numpy.random`` (some milliseconds to import) out of a
+    run.  Drawn once per arguments and shared, so read-only."""
+    rng = random.Random(seed)
+    G = np.array([rng.gauss(0.0, 1.0) for _ in range(rank * count)]).reshape(count, rank).T
+    G.setflags(write=False)
+    return G

@@ -8,8 +8,12 @@ R(t) = Q_t^+ solving the same equation in the plain space X.  The two
 equations differ only in the metric W of the pairing (Q_inf^+ on H, the
 identity on X), so each candidate carries its geometry (``HGeometry`` or
 ``EuclideanGeometry``) and one residual, ``riccati_residual``, checks either.
-Verification is by finite differences on weak-form pairings against probe
-vectors, since the equations only hold tested against smooth directions.
+Verification pairs both sides against probe vectors (the weak form), since
+the equations only hold tested against smooth directions.  The time
+derivative is the family's own exact one wherever it has one: every family
+built here from Gramians (through Q_t' = e^{tA} BB^T e^{tA^T}) or from the
+exponential formula supplies it.  Only an opaque family, a bare function of
+t, is differentiated by Richardson-extrapolated central differences.
 
 In the commuting selfadjoint case the same equation admits the explicit
 solutions (I - e^{tA} K e^{tA})^{-1}, defined past the first time the
@@ -21,13 +25,12 @@ projection remain solutions.
 from dataclasses import dataclass, replace
 
 import math
-import random
 
 import numpy as np
 
 from .errors import MarginError, NonFiniteError, PreconditionError, UnstableSystemError
-from .gramians import compute_gramian
-from .linalg import _gaussian_combination, commutes, expm
+from .gramians import compute_gramian, gramian_rate
+from .linalg import _gaussian_coefficients, commutes, expm
 from .energy import EuclideanGeometry, HGeometry, null_controllability_test
 
 __all__ = [
@@ -63,15 +66,21 @@ class RiccatiCandidate:
     ``fn`` maps a positive time to an (n, n) matrix acting on state
     coordinates; ``geometry`` (``HGeometry`` or ``EuclideanGeometry``) fixes
     the inner product the family is measured in, and with it the equation
-    ``riccati_residual`` checks.  Evaluations are memoized (residual scans
-    hit the same times repeatedly through finite differencing).
+    ``riccati_residual`` checks.  ``derivative``, when given, maps a positive
+    time to the family's exact time derivative there; without one the family
+    is opaque, and ``derivative(t)`` is a Richardson difference of ``fn``.
+    ``derivative_kind`` says which: ``"exact"`` or ``"richardson"``.
+    Evaluations of both are memoized (the checks of one run share times).
     """
 
-    def __init__(self, sys, geometry, fn):
+    def __init__(self, sys, geometry, fn, derivative=None):
         self.sys = sys
         self.geometry = geometry
         self._fn = fn
+        self._derivative = derivative
+        self.derivative_kind = "richardson" if derivative is None else "exact"
         self._memo = {}
+        self._rates = {}
 
     def evaluate(self, t):
         t = float(t)
@@ -81,13 +90,36 @@ class RiccatiCandidate:
             self._memo[t] = hit
         return hit
 
+    def derivative(self, t):
+        """The family's time derivative at t: exact when the candidate has
+        one, else ``_richardson`` on ``evaluate``."""
+        t = float(t)
+        hit = self._rates.get(t)
+        if hit is None:
+            if self._derivative is None:
+                hit = _richardson(self.evaluate, t)
+            else:
+                hit = np.asarray(self._derivative(t), dtype=float)
+            self._rates[t] = hit
+        return hit
+
     def h_norm_of(self, t):
         """Operator norm of the family member in the candidate's geometry."""
         return self.geometry.operator_norm(self.evaluate(t))
 
 
 def _default_geometry(sys):
-    return HGeometry(compute_gramian(sys, np.inf))
+    """The system's one ``HGeometry``, on its memoised Q_inf, built on first use."""
+    if sys._h_geometry is None:
+        sys._h_geometry = HGeometry(compute_gramian(sys, np.inf))
+    return sys._h_geometry
+
+
+def _inverse_rate(sys, t):
+    """d/dt Q_t^+ = -Q_t^+ Q_t' Q_t^+: range(Q_t), the reachable subspace,
+    is the same at every t > 0, and Q_t' maps into it."""
+    R = compute_gramian(sys, t).Q.pinv()
+    return -R @ gramian_rate(sys, t) @ R
 
 
 def build_pv(sys, t):
@@ -119,69 +151,79 @@ def build_pv(sys, t):
 
 def pv_candidate(sys):
     """Candidate wrapping the Gramian-ratio family (``build_pv``), measured in
-    the geometry of Q_inf.  Its Gramians are the system's memoised ones."""
-    return RiccatiCandidate(sys, _default_geometry(sys), lambda t: build_pv(sys, t))
+    the system's one geometry of Q_inf.  Its Gramians are the system's
+    memoised ones, and its exact derivative is
+    P' = -Q_inf Q_t^+ Q_t' Q_t^+ with Q_t' = e^{tA} BB^T e^{tA^T}."""
+    return RiccatiCandidate(sys, _default_geometry(sys), lambda t: build_pv(sys, t),
+                            lambda t: compute_gramian(sys, np.inf).matrix @ _inverse_rate(sys, t))
 
 
 def inverse_candidate(sys):
     """Candidate wrapping the inverse-Gramian family R(t) = Q_t^+ in the plain
-    geometry, on the system's memoised Gramians.  Needs no stability: only
-    finite-horizon Gramians enter."""
+    geometry, on the system's memoised Gramians, with the exact derivative
+    R' = -Q_t^+ Q_t' Q_t^+.  Needs no stability: only finite-horizon Gramians
+    enter."""
     return RiccatiCandidate(sys, EuclideanGeometry(sys.n),
-                            lambda t: compute_gramian(sys, t).Q.pinv())
+                            lambda t: compute_gramian(sys, t).Q.pinv(),
+                            lambda t: _inverse_rate(sys, t))
 
 
 def _probes(geometry, U, n_random, seed, P=None):
     """The columns of U plus ``n_random`` seeded random combinations of them,
     mapped by P when given (dropping those it sends to zero), normalized in
     the geometry; one probe per row."""
-    rng = random.Random(seed)
-    cols = [U[:, j] for j in range(U.shape[1])]
-    cols += [_gaussian_combination(U, rng) for _ in range(n_random)]
+    Y = np.hstack([U, U @ _gaussian_coefficients(seed, U.shape[1], n_random)])
     if P is not None:
-        cols = [P @ v for v in cols]
-        cols = [v for v in cols if np.linalg.norm(v) > 1e-12]
-    return np.array([geometry.normalize(v) for v in cols])
+        Y = P @ Y
+        Y = Y[:, np.linalg.norm(Y, axis=0) > 1e-12]
+    return geometry.normalize(Y).T
 
 
 def residual_probes(cand, t, n_random=10, seed=0):
     """Probe vectors for weak-form residuals at time t.
 
     An orthonormal basis of range(Q_t) plus ``n_random`` seeded random
-    vectors inside it, normalized in the candidate's geometry.
+    vectors inside it, normalized in the candidate's geometry.  They are
+    made once per geometry, time, count and seed, and kept on the system.
     """
-    U = compute_gramian(cand.sys, t).Q.range_basis()
-    if U.shape[1] == 0:
-        raise PreconditionError(f"range(Q_t) is trivial at t = {t:g}: there is nothing to probe")
-    return _probes(cand.geometry, U, n_random, seed)
+    memo = cand.sys._probes.setdefault(cand.geometry, {})
+    key = (float(t), n_random, seed)
+    X = memo.get(key)
+    if X is None:
+        U = compute_gramian(cand.sys, t).Q.range_basis()
+        if U.shape[1] == 0:
+            raise PreconditionError(
+                f"range(Q_t) is trivial at t = {t:g}: there is nothing to probe")
+        X = memo[key] = _probes(cand.geometry, U, n_random, seed)
+        X.setflags(write=False)
+    return X
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Max weak-form residual per time, with the scale-aware pass threshold."""
+    """Max weak-form residual per time, with the scale-aware pass threshold
+    and the kind of time derivative the left side took: the family's own
+    ``"exact"`` one, or ``"richardson"`` differences of an opaque family."""
 
     kind: str
     times: tuple
     residuals: tuple           # max |lhs - rhs| over probe pairs, per time
     tol: float                 # requested base tolerance
     tol_scaled: float          # tol * max(1,||P||)^2 * max(1,||A||), worst over times
-    fd_step: float             # relative step factor: the step is fd_step * max(1, t)
+    derivative: str            # the family's "exact" derivative, or "richardson" differences
     n_probes: int
     passed: bool
     consistency: float = np.nan  # commuting-vs-general right-hand-side agreement
 
 
-def _richardson(f, t, h):
-    """Richardson-extrapolated central difference of f at t with step h."""
+def _richardson(f, t):
+    """Richardson-extrapolated central difference of f at t > 0, with step
+    h = ``FD_STEP_FACTOR * max(1, t)`` capped at t / 2, so that every time f
+    is evaluated at stays at or above t / 2."""
+    h = min(FD_STEP_FACTOR * max(1.0, t), 0.5 * t)
     d1 = (f(t + h) - f(t - h)) / (2.0 * h)
     d2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0
-
-
-def _pairing_derivative(cand, t, X, W, h):
-    """d/dt of the probe pairing matrix X^T W P(t) X (W is the metric of the
-    pairing): [i, j] = <P(tau) x_i, x_j>_W = x_j^T W P x_i."""
-    return _richardson(lambda tau: (X @ (W @ (cand.evaluate(tau) @ X.T))).T, t, h)
 
 
 def _scale(cand, t):
@@ -199,15 +241,15 @@ def riccati_pairings(cand, t, probes=None, seed=0):
     """Both sides of the candidate's equation, paired against probes at time t.
 
     Returns ``(X, lhs, rhs)``: the probes (rows) and the matrices
-    ``lhs[i, j] = d/dt <P x_i, x_j>_W`` (Richardson finite differences with
-    step ``FD_STEP_FACTOR * max(1, t)``) and
+    ``lhs[i, j] = <P'(t) x_i, x_j>_W``, with P' the candidate's ``derivative``
+    (exact, or Richardson differences for an opaque family), and
     ``rhs[i, j] = - <A x_i, W P x_j> - <W P x_i, A x_j> - <B^T W P x_i, B^T W P x_j>``,
     with W the metric of the candidate's geometry.
     """
     X = residual_probes(cand, t, seed=seed) if probes is None else np.asarray(probes)
     W = cand.geometry.metric
-    lhs = _pairing_derivative(cand, t, X, W, FD_STEP_FACTOR * max(1.0, t))
     WP_X = W @ (cand.evaluate(t) @ X.T)          # columns: W P x_i
+    lhs = (X @ (W @ (cand.derivative(t) @ X.T))).T
     AX = cand.sys.A @ X.T
     BtWP = cand.sys.B.T @ WP_X
     rhs = -(AX.T @ WP_X) - (WP_X.T @ AX) - (BtWP.T @ BtWP)
@@ -233,7 +275,7 @@ def _residual_report(equation, cand, t, sides, tol):
         residuals=tuple(residuals),
         tol=tol,
         tol_scaled=float(tol_scaled),
-        fd_step=FD_STEP_FACTOR,
+        derivative=cand.derivative_kind,
         n_probes=n_probes,
         passed=bool(max(residuals) <= tol_scaled),
     )
@@ -249,7 +291,9 @@ def riccati_residual(cand, t, probes=None, tol=1e-6, seed=0):
     the identity for ``EuclideanGeometry`` (the plain equation, which the
     inverse Gramian solves).  The report's ``kind`` is the geometry's
     ``equation``.  Probes default to a basis of range(Q_t) plus seeded random
-    vectors, normalized in the geometry.  The pass threshold is
+    vectors, normalized in the geometry.  The left side is the candidate's
+    ``derivative``, and the report's ``derivative`` names its kind.  The
+    pass threshold is
     ``tol * max(1, ||P||)^2 * max(1, ||A||)``, the norm of P taken in the
     geometry.
     """
@@ -491,15 +535,23 @@ def commuting_family(sys, K, t, margin=1e-6, t1=None):
 
 def commuting_candidate(sys, K, margin=1e-6):
     """Candidate wrapping the exponential family for a fixed K, measured in
-    the geometry of the system's memoised Q_inf, and carries K and t1."""
+    the system's one geometry of Q_inf, and carries K and t1.  Its exact
+    derivative is S' = S (A E K E + E K E A) S with E = e^{tA}."""
     geometry = _default_geometry(sys)
+    K = np.asarray(K, dtype=float)
     t1 = detect_t1(sys, K, margin)
 
     def fn(t):
         return commuting_family(sys, K, t, margin, t1=t1).operator
 
-    cand = RiccatiCandidate(sys, geometry, fn)
-    cand.K, cand.t1 = np.asarray(K, dtype=float), t1
+    def derivative(t):
+        S = cand.evaluate(t)
+        E = expm(sys.A, t)
+        EKE = E @ K @ E
+        return S @ (sys.A @ EKE + EKE @ sys.A) @ S
+
+    cand = RiccatiCandidate(sys, geometry, fn, derivative)
+    cand.K, cand.t1 = K, t1
     return cand
 
 
@@ -590,7 +642,8 @@ def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
     condition is measured as the weighted operator-norm defect of
     (I - P) S(t) P, and holds when that defect over max(1, the family's
     weighted norm) is at most 1e-8; the compressed family P S(t) P is then
-    run through the commuting-case residual on probes from ran(P).
+    run through the commuting-case residual on probes from ran(P), with the
+    derivative P S'(t) P when the candidate has an exact S'.
     """
     sys = cand.sys
     P = np.asarray(P, dtype=float)
@@ -618,7 +671,10 @@ def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
             worst = (d_rel, float(t), geometry.sqrt_matrix @ Vt[0])
     range_ok = max(defects) <= 1e-8
 
-    compressed = RiccatiCandidate(sys, geometry, lambda t: P @ cand.evaluate(t) @ P)
+    compressed = RiccatiCandidate(
+        sys, geometry, lambda t: P @ cand.evaluate(t) @ P,
+        (lambda t: P @ cand.derivative(t) @ P) if cand.derivative_kind == "exact" else None,
+    )
     # probes restricted to ran(P) (and to the weighted space)
     probes = _probes(geometry, geometry.gram.Q.range_basis(), 10, seed, P=P)
     if probes.shape[0] == 0:
@@ -644,16 +700,19 @@ class LyapunovReport:
     residuals: tuple
     tol_scaled: float
     passed: bool
+    derivative: str = None     # mode 'differential': "exact" or "richardson"
 
 
-def lyapunov_residual(sys, Q, times=None, tol=1e-7):
+def lyapunov_residual(sys, Q, times=None, tol=1e-7, derivative=None):
     """Residual of the Gramian's own linear equation; the kind of Q picks the check.
 
     A callable Q is a family (mode 'differential'), checked at ``times``
-    against d/dt Q(t) = A Q + Q A^T + B B^T by Richardson central
-    differences with step ``FD_STEP_FACTOR * max(1, t)``.  A matrix Q
-    (mode 'algebraic') is checked against A Q + Q A^T + B B^T = 0.
-    Thresholds scale with ||B B^T||.
+    against d/dt Q(t) = A Q + Q A^T + B B^T.  The left side is
+    ``derivative(t)`` when given (for the system's own Gramians,
+    ``gramian_rate``: Q_t' = e^{tA} BB^T e^{tA^T}), else a Richardson
+    difference of Q (``_richardson``); the report's ``derivative`` says
+    which.  A matrix Q (mode 'algebraic') is checked against
+    A Q + Q A^T + B B^T = 0.  Thresholds scale with ||B B^T||.
     """
     C = sys.BBt
     tol_scaled = float(tol * max(np.linalg.norm(C, 2), 1e-300))
@@ -666,8 +725,9 @@ def lyapunov_residual(sys, Q, times=None, tol=1e-7):
     times = _as_times(times)
     residuals = []
     for t in times:
-        dQ = _richardson(Q, t, FD_STEP_FACTOR * max(1.0, t))
         Qt = Q(t)
+        dQ = _richardson(Q, t) if derivative is None else derivative(t)
         residuals.append(float(np.linalg.norm(dQ - (sys.A @ Qt + Qt @ sys.A.T + C), 2)))
     return LyapunovReport("differential", tuple(float(t) for t in times),
-                          tuple(residuals), tol_scaled, bool(max(residuals) <= tol_scaled))
+                          tuple(residuals), tol_scaled, bool(max(residuals) <= tol_scaled),
+                          "richardson" if derivative is None else "exact")

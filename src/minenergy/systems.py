@@ -3,6 +3,7 @@ every model answers."""
 
 import functools
 import hashlib
+import weakref
 
 import numpy as np
 
@@ -64,7 +65,10 @@ class LinearSystem(Model):
     formed once, are read-only, so ``compute_gramian`` keeps each Gramian it
     computes in ``_gramians``, keyed by horizon, and ``riccati.build_pv``
     keeps in ``_null_controllable_from`` the least horizon at which the null
-    controllability test passed (inf until one has).
+    controllability test passed (inf until one has).  The ``riccati`` module
+    keeps the system's one ``HGeometry`` in ``_h_geometry`` (None until
+    built) and its residual probes in ``_probes``: per geometry, held weakly
+    so that a geometry's probes go with it, keyed by time, count and seed.
     """
 
     kind = "linear"
@@ -91,6 +95,8 @@ class LinearSystem(Model):
         self.omega = float(max(0.0, -np.max(np.linalg.eigvals(self.A).real)))
         self._gramians = {}
         self._null_controllable_from = np.inf
+        self._h_geometry = None
+        self._probes = weakref.WeakKeyDictionary()
 
     @property
     def linear(self):

@@ -801,23 +801,55 @@ def test_models_without_q_inf_refuse_infinite_horizon(tmp_path):
 
 
 def test_run_computes_each_dense_gramian_once(tmp_path, monkeypatch):
-    # the Riccati and Lyapunov checks and the residual sweep evaluate the same
-    # horizons (and Richardson offsets around them); each is one Van Loan solve
+    # the Riccati and Lyapunov checks and both sweeps of a dense system read
+    # Q_t at the run's horizons alone, since every derivative they take is
+    # exact; each Q_t is one Van Loan solve, and Q_inf one doubling
     import numpy as np
 
     from minenergy import gramians
     from minenergy.systems import random_stable_system
 
     times = []
-    block = gramians.gramian_block_exponential
+    block, doubling = gramians.gramian_block_exponential, gramians._gramian_infinite_doubling
     monkeypatch.setattr(gramians, "gramian_block_exponential",
                         lambda sys_, t: times.append(float(t)) or block(sys_, t))
-    model = random_stable_system(np.random.default_rng(4), 4).to_json_dict()
-    scenario = {"model": model, "horizons": [0.5, 1.0], "sweep_kinds": ["residual"],
-                "tasks": ["verify-riccati", "verify-lyapunov", "sweep"]}
+    monkeypatch.setattr(gramians, "_gramian_infinite_doubling",
+                        lambda sys_: times.append(math.inf) or doubling(sys_))
+    rng = np.random.default_rng(4)
+    model = random_stable_system(rng, 16).to_json_dict()
+    horizons = [0.5, 1.0, 2.0, 4.0]
+    scenario = {"model": model, "horizons": horizons,
+                "targets": [rng.standard_normal(16).tolist() for _ in range(2)],
+                "tasks": ["gramian", "verify-riccati", "verify-lyapunov", "sweep"]}
     assert cli.run_scenario(scenario, str(tmp_path)) == 0
-    assert {0.5, 1.0} <= set(times)
-    assert len(times) == len(set(times))
+    assert sorted(times) == horizons + [math.inf]
+    for task in read_report(str(tmp_path))["tasks"][1:3]:
+        assert {r.get("derivative") for r in task["results"]} <= {"exact", None}
+
+
+@pytest.mark.parametrize("task", ["verify-lyapunov", "verify-riccati"])
+def test_verify_below_the_difference_step_writes_a_report(tmp_path, task):
+    # a horizon below the old Richardson step (1e-4) used to put a Gramian or
+    # family member at a negative time: an untyped crash with no report
+    out = str(tmp_path / "out")
+    model = {"A": [[-1.0, 0.3], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+    assert cli.main([task, "--model", json.dumps(model), "--horizons", "5e-5",
+                     "--out", out]) == 0
+    results = read_report(out)["tasks"][0]["results"]
+    assert all(r["passed"] for r in results)
+    assert results[0]["derivative"] == "exact"
+
+
+def test_verify_lyapunov_passes_a_stiff_mode(tmp_path):
+    # rate 1e6 against a 1e-4 difference step failed the correct Gramian
+    # (6.5e-7 against tol_scaled 2e-7); the exact Q_t' leaves roundoff
+    out = str(tmp_path / "out")
+    model = {"A": [[-1e6, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]]}
+    assert cli.main(["verify-lyapunov", "--model", json.dumps(model), "--horizons", "1",
+                     "--out", out]) == 0
+    differential = read_report(out)["tasks"][0]["results"][0]
+    assert differential["passed"] is True and differential["derivative"] == "exact"
+    assert differential["residuals"][0] < 1e-3 * differential["tol_scaled"]
 
 
 def test_value_sweep_makes_one_quadrature_sweep(tmp_path, monkeypatch):
@@ -841,8 +873,8 @@ def test_value_sweep_makes_one_quadrature_sweep(tmp_path, monkeypatch):
 
 def test_run_tests_null_controllability_once_per_range_of_times(tmp_path, monkeypatch):
     # the ratio family P(t) = Q_inf Q_t^+ needs null controllability at t,
-    # which holds at every later time once it holds: of the 15 finite-difference
-    # times of three horizons, only those below every earlier one are tested
+    # which holds at every later time once it holds: of the times the family
+    # is evaluated at, only those below every earlier one are tested
     import numpy as np
 
     from minenergy import riccati

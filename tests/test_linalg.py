@@ -80,6 +80,34 @@ def test_expm_negative_time(rng):
             assert resid <= 1e-14 * np.linalg.norm(back, 1) * np.linalg.norm(fwd, 1)
 
 
+def test_expm_stack_matches_the_scalar_calls():
+    # a stack shares the degree and squarings of its largest ||tA||_1; each
+    # slice stays within the scalar test's 1e-13 of the scalar call
+    rng = np.random.default_rng(11)
+    for n in (2, 6, 16):
+        A = rng.standard_normal((n, n))
+        A /= np.abs(A).sum(axis=0).max()
+        ts = np.array(EXPM_NORMS + [-2.0, 0.0])
+        E = me.expm(A, ts)
+        assert E.shape == (ts.size, n, n)
+        for t, E_t in zip(ts, E):
+            assert _rel_1(E_t, me.expm(A, t)) <= 1e-13, (n, t)
+        D = np.diag(rng.standard_normal(n))
+        assert np.array_equal(me.expm(D, ts), [me.expm(D, t) for t in ts])
+
+
+def test_expm_stack_of_one_is_the_scalar_call():
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 16):
+        for norm in EXPM_NORMS:
+            A = rng.standard_normal((n, n))
+            A *= norm / np.abs(A).sum(axis=0).max()
+            for t in (0.5, -1.5):
+                assert np.array_equal(me.expm(A, np.array([t]))[0], me.expm(A, t))
+    with pytest.raises(ValueError):
+        me.expm(A, np.ones((2, 2)))
+
+
 def test_expm_refuses_scaling_beyond_double_precision():
     # ||tA||_1 = 2.5e299 would take 993 squarings; the true (0, 0) entry is
     # 1, where a plain scaling and squaring returns 0.  No finite matrix may

@@ -379,4 +379,75 @@ def test_residual_report_tolerance_scaling(scalar_sys):
     # scaled tolerance tracks the magnitude of the equation's terms
     assert rep.tol_scaled >= 1e-6
     assert rep.n_probes >= 1
-    assert rep.fd_step > 0
+    assert rep.derivative == "exact"
+
+
+# --- exact derivatives ---
+
+
+def _opaque(cand):
+    """The same family without its derivative: differentiated by Richardson steps."""
+    return me.RiccatiCandidate(cand.sys, cand.geometry, cand.evaluate)
+
+
+def _assert_matches_richardson(cand, times):
+    # the Richardson step h = 1e-4 max(1, t) leaves an O(h^4) truncation and
+    # an O(eps |P| / h) roundoff error, below 1e-7 of |P'| on these draws
+    assert cand.derivative_kind == "exact"
+    fd = _opaque(cand)
+    assert fd.derivative_kind == "richardson"
+    for t in times:
+        exact = cand.derivative(t)
+        assert np.abs(exact - fd.derivative(t)).max() <= 1e-6 * np.abs(exact).max(), t
+
+
+def test_exact_derivatives_match_richardson(rng, monkeypatch):
+    from minenergy import riccati
+
+    for _ in range(3):
+        sys_ = me.random_stable_system(rng, 4)
+        _assert_matches_richardson(me.pv_candidate(sys_), [0.3, 1.0, 3.0])
+        _assert_matches_richardson(me.inverse_candidate(sys_), [0.3, 1.0, 3.0])
+    compressed = []
+    check = riccati.riccati_residual_commuting
+    monkeypatch.setattr(riccati, "riccati_residual_commuting",
+                        lambda cand, *a, **kw: compressed.append(cand) or check(cand, *a, **kw))
+    for _ in range(3):
+        lam = np.sort(rng.uniform(0.4, 2.5, size=4))
+        sys_ = me.LinearSystem(np.diag(-lam), np.eye(4))
+        cand = me.commuting_candidate(sys_, np.diag(rng.uniform(0.0, 2.0, size=4)))
+        times = [cand.t1 + 0.3, cand.t1 + 1.0]
+        _assert_matches_richardson(cand, times)
+        rep = me.projected_solution_check(cand, np.diag([1.0, 0.0, 1.0, 0.0]), times)
+        assert rep.is_solution and rep.residual.derivative == "exact"
+        _assert_matches_richardson(compressed[-1], times)
+
+
+def test_a_wrong_exact_derivative_fails(rng):
+    sys_ = me.random_stable_system(rng, 4)
+    pv = me.pv_candidate(sys_)
+    times = [0.5, 1.0, 2.0]
+    assert me.riccati_residual(pv, times).passed
+    off = me.RiccatiCandidate(sys_, pv.geometry, pv.evaluate,
+                              lambda t: (1.0 + 1e-3) * pv.derivative(t))
+    rep = me.riccati_residual(off, times)
+    assert rep.derivative == "exact"
+    assert not rep.passed
+
+
+def test_richardson_step_stays_above_half_the_time(scalar_sys):
+    # below the step FD_STEP_FACTOR * max(1, t) an opaque family used to be
+    # evaluated at a negative time; the step is capped at t / 2
+    base = me.pv_candidate(scalar_sys)
+    seen = []
+    opaque = me.RiccatiCandidate(scalar_sys, base.geometry,
+                                 lambda t: seen.append(t) or base.evaluate(t))
+    t = 5e-5
+    rep = me.riccati_residual(opaque, [t])
+    assert rep.derivative == "richardson"
+    assert np.isfinite(rep.residuals).all()
+    assert min(seen) >= 0.5 * t
+    family = lambda s: me.compute_gramian(scalar_sys, s).matrix
+    rep = me.lyapunov_residual(scalar_sys, family, [t])
+    assert rep.derivative == "richardson" and rep.passed
+
