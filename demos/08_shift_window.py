@@ -10,19 +10,14 @@ while at t = 1 the defect collapses to roundoff.
 import numpy as np
 
 import minenergy as me
-from minenergy.models import (
-    shift_benchmark_target,
-    shift_control_map,
-    shift_reachable_defect,
-    shift_value_oracle,
-)
+from minenergy.models import shift_benchmark_target, shift_control_map, shift_value_oracle
 
 print("defect of the ramp target vs lattice resolution:")
 print("   m     t = 1/4      t = 1")
 for m in (64, 128, 256, 512):
     sh = me.ShiftSystem(m)
-    d_quarter = shift_reachable_defect(sh, 0.25, shift_benchmark_target(m)).defect
-    d_one = shift_reachable_defect(sh, 1.0, shift_benchmark_target(m)).defect
+    d_quarter = sh.steer(0.25, shift_benchmark_target(m)).defect
+    d_one = sh.steer(1.0, shift_benchmark_target(m)).defect
     print(f"  {m:4d}   {d_quarter:.6f}   {d_one:.2e}")
 
 print(f"\nuntouched-tail lower bound at t = 1/4: 1/(4 sqrt 2) = {1 / (4 * np.sqrt(2)):.6f}")
@@ -30,15 +25,15 @@ print("the defect exceeds it because even the swept part cannot be matched exact
 
 sh = me.ShiftSystem(256)
 L = shift_control_map(sh, 0.25)
-rank = np.linalg.matrix_rank(L, tol=1e-10)
+rank = sh.gramian(0.25).Q.rank
 print(f"\ncontrol map at t = 1/4: shape {L.shape}, rank {rank} "
       f"of {sh.m} cells — the reachable set is a proper subspace")
 
 small, ramp = me.ShiftSystem(16), shift_benchmark_target(16)
-rep = shift_reachable_defect(small, 1.0, ramp)
+rep = small.steer(1.0, ramp)
 oracle = shift_value_oracle(small, 1.0)(ramp)
-print(f"\nramp on 16 cells at t = 1: reachable = {rep.reachable}, value = {rep.value:.15f} "
+print(f"\nramp on 16 cells at t = 1: class {rep.category}, value = {rep.value:.15f} "
       f"(Gramian oracle {oracle:.15f})")
 
-rep = shift_reachable_defect(sh, 1.0, lambda x: np.ones_like(x))
+rep = sh.steer(1.0, np.ones(sh.m))
 print(f"\nconstant target at t = 1: defect {rep.defect:.2e} (exactly reachable)")

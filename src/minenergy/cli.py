@@ -151,8 +151,9 @@ _GRAMIAN_FORMULA = {
     ("shift", "closed_form"): "shift-overlap-gramian",
 }
 
-# a shift model steers by one SVD of its control map, every other model by
-# the class and value on its Gramian
+# a shift model's value is the value on its coefficient Gramian times the
+# lattice step (``ShiftSystem.steer``), every other model's the value on its
+# Gramian
 _STEER_FORMULA = {"shift": "shift-reachability-defect"}
 _GRAMIAN_STEER_FORMULA = {"value": "value-half-norm-sq", "class": "reachable-range-classification"}
 

@@ -93,9 +93,11 @@ class Steering:
     range(Q_t): a target has a finite value exactly when a control attains
     it.  Whether a discretized value belongs to the infinite-dimensional
     problem, where the two ranges differ, is a question about the limit
-    under refinement (ROADMAP, "Limit verdicts"); telling apart directions
-    below the rank cut needs a factored Gramian (ROADMAP, "Factored
-    Gramians" and "A one-actuator mode model").
+    under refinement (ROADMAP, "Limit verdicts").  A Gramian made from its
+    factor Z (``SymmetricPSD.from_factor``, as the shift model's is) cuts on
+    the singular values of Z, so it tells apart directions down to
+    eps^2 * lam_max that a Gramian made from its entries must drop; the
+    other models' factors are ROADMAP "Factored Gramians".
     """
 
     category: str

@@ -74,13 +74,25 @@ def _sym_error(M):
 
 
 class SymmetricPSD:
-    """A symmetric positive-semidefinite matrix with a cached eigendecomposition.
+    """A symmetric positive-semidefinite matrix held as its eigenpairs, with
+    the rank cut made once.
 
-    Construction validates symmetry (relative deviation at most 1e-12) and
-    clips slightly negative eigenvalues to zero: an eigenvalue in
-    ``[-REL_THRESHOLD * lam_max, 0)`` is attributed to roundoff, anything
-    more negative raises ``NotPSDError``.  The same threshold decides rank
-    and range for every method.
+    Three ways in, each ending in the core that ``from_eigenpairs`` is:
+    ascending eigenpairs, the mask of the kept ones and V diag(lam) V^T.
+
+    - ``SymmetricPSD(entries)`` validates symmetry (relative deviation at
+      most 1e-12), runs ``eigh`` and clips slightly negative eigenvalues to
+      zero: an eigenvalue in ``[-REL_THRESHOLD * lam_max, 0)`` is attributed
+      to roundoff, anything more negative raises ``NotPSDError``.  It keeps
+      the eigenpairs where ``rank_mask(lam)`` holds.
+    - ``SymmetricPSD.from_factor(Z)`` is Z Z^T, from one full SVD of Z:
+      lam = sigma^2, and it keeps the eigenpairs where ``rank_mask(sigma)``
+      holds, so its cut resolves lam to eps^2 * lam_max.
+    - ``SymmetricPSD.from_eigenpairs(lam, V)`` takes ascending eigenvalues
+      and orthonormal eigenvectors as given and keeps ``rank_mask(lam)``.
+
+    Every method reads the kept eigenpairs (``_keep()``), so rank, range,
+    pseudoinverse, factor and ``energy.steer`` all follow the one cut.
     """
 
     def __init__(self, entries):
@@ -104,11 +116,39 @@ class SymmetricPSD:
                 f"{floor:.6e}; not positive semidefinite"
             )
         lam = np.where(lam < 0.0, 0.0, lam)
+        self._set(lam, V, rank_mask(lam))
+
+    @classmethod
+    def from_eigenpairs(cls, lam, V, keep=None):
+        """The matrix V diag(lam) V^T from ascending eigenvalues ``lam`` and
+        orthonormal eigenvector columns ``V``, with no decomposition; the
+        arrays are held, not copied, and made read-only.  The kept
+        eigenpairs are ``keep``, by default ``rank_mask(lam)`` (a factor
+        passes the cut on its singular values)."""
+        self = cls.__new__(cls)
+        lam = np.asarray(lam, dtype=float)
+        self._set(lam, np.asarray(V, dtype=float), rank_mask(lam) if keep is None else keep)
+        return self
+
+    @classmethod
+    def from_factor(cls, Z):
+        """Z Z^T from one full SVD of the (n, k) factor Z: lam = sigma^2 (zero
+        past min(n, k)), in ascending order, keeping the eigenpairs where
+        ``rank_mask(sigma)`` holds.  The full left basis leaves
+        ``kernel_basis`` the complement of the range."""
+        Z = as_matrix(Z, "factor")
+        U, s, _ = np.linalg.svd(Z)
+        sigma = np.zeros(Z.shape[0])
+        sigma[:s.size] = s
+        return cls.from_eigenpairs(sigma[::-1] ** 2, U[:, ::-1], rank_mask(sigma[::-1]))
+
+    def _set(self, lam, V, keep):
         self._lam = lam
         self._V = V
+        self._mask = keep
         self._M = (V * lam) @ V.T
         self._M = 0.5 * (self._M + self._M.T)
-        for arr in (self._lam, self._V, self._M):
+        for arr in (self._lam, self._V, self._M, self._mask):
             arr.setflags(write=False)
 
     @property
@@ -130,7 +170,8 @@ class SymmetricPSD:
         return self._M.shape
 
     def _keep(self):
-        return rank_mask(self._lam)
+        """The mask of the kept eigenpairs, cut once at construction."""
+        return self._mask
 
     @property
     def rank(self):

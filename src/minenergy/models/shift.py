@@ -1,25 +1,25 @@
-"""A nilpotent shift with a short control window: reachability defects are
-computed from an exactly assembled cell/interval overlap matrix."""
+"""A nilpotent shift with a short control window: the Gramian is made from
+an exactly assembled cell/interval overlap matrix, the control map L, as a
+factor, and steering reads it through ``energy.steer``."""
 
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import MeshResolutionError, PreconditionError, ScenarioError
-from ..gramians import _wrap
-from ..linalg import negligible, rank_mask
+from ..energy import Steering, steer
+from ..gramians import Gramian
+from ..linalg import SymmetricPSD
 from ..systems import Model
 
 __all__ = [
     "ShiftSystem",
-    "ShiftDefectReport",
     "shift_control_map",
     "shift_gramian",
     "shift_benchmark_target",
-    "shift_reachable_defect",
     "shift_value_oracle",
 ]
 
@@ -33,8 +33,13 @@ class ShiftSystem(Model):
     in an essential way.  ``m`` cells discretize the interval; m must be a
     multiple of 4 so the control window edge is lattice-aligned, which makes
     the overlap integrals below exact (the integrand is piecewise linear
-    between lattice points).  Steering is judged by one SVD of the control
-    map, which yields no sampled control.
+    between lattice points).
+
+    The Gramian Q = L Lᵀ (``shift_gramian``) is that of the lattice
+    coefficients c of a piecewise-constant control, while the energy is
+    ½∫u² = ½ h |c|², and a target x of cell values has coordinates √h x.  So
+    ``steer(t, x)`` is ``energy.steer`` on Q with target √h x and its value
+    multiplied by h.  It yields no sampled control.
     """
 
     kind = "shift"
@@ -70,7 +75,8 @@ class ShiftSystem(Model):
         return [shift_benchmark_target(self.m)]
 
     def steer(self, t, x):
-        return shift_reachable_defect(self, t, target=x)
+        s = steer(self.gramian(t), math.sqrt(self.h) * np.asarray(x, dtype=float))
+        return s if s.value is None else Steering(s.category, s.defect, self.h * s.value)
 
     def least_norm_control(self, t, x, grid):
         return None
@@ -117,9 +123,15 @@ def shift_control_map(sys_, t):
 
 
 def shift_gramian(sys_, t):
-    """The overlap Gramian L Lᵀ of the control map at horizon t."""
-    L = shift_control_map(sys_, t)
-    return _wrap(sys_, L @ L.T, t, "closed_form")
+    """The overlap Gramian L Lᵀ of the control map at horizon t, made from
+    its factor L (``SymmetricPSD.from_factor``).
+
+    It is the Gramian of the lattice coefficients c (u = c_k on slot k), not
+    of the control: the energy ½∫u² is ½ h |c|², so a value on this Q is
+    the model's value divided by h (``ShiftSystem.steer`` scales it back).
+    """
+    Q = SymmetricPSD.from_factor(shift_control_map(sys_, t))
+    return Gramian(Q, float(t), "closed_form", sys_.fingerprint())
 
 
 def shift_benchmark_target(m):
@@ -128,75 +140,10 @@ def shift_benchmark_target(m):
     return np.minimum(centers, 0.25)
 
 
-@dataclass(frozen=True)
-class ShiftDefectReport:
-    """Reachability defect of one target, from one SVD of the control map.
-
-    ``coefficients`` is the least-norm control (lattice coefficients v with
-    L v the projection of the scaled target onto the kept range of L), cut
-    by the same ``linalg.rank_mask`` as ``rank``.
-    """
-
-    defect: float
-    horizon: float
-    m: int
-    rank: int
-    reachable: bool            # defect negligible against the target's norm
-    value: float | None        # the energy ½ h ‖v‖² when reachable
-    coefficients: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def category(self):
-        """The class that ``energy.steer`` gives a target: in_range_Q or unreachable."""
-        return "in_range_Q" if self.reachable else "unreachable"
-
-    def to_json_dict(self):
-        """The steering verdict, as ``energy.Steering`` gives it, and the rank."""
-        return {"class": self.category, "defect": self.defect, "value": self.value,
-                "rank": self.rank}
-
-
-def shift_reachable_defect(sys_, t, target=None):
-    """Distance from the target to the reachable set at horizon t.
-
-    The defect is the L^2 norm of the component of the target outside
-    the range of the control map.  At t = 1/4 the ramp target keeps an
-    untouched plateau on (1/2, 1] and the defect stays above 0.17; at
-    t = 1 the window has swept the whole interval and the defect collapses.
-    """
-    if target is None:
-        target = shift_benchmark_target(sys_.m)
-    if callable(target):
-        centers = (np.arange(sys_.m, dtype=float) + 0.5) * sys_.h
-        f = np.asarray(target(centers), dtype=float)
-    else:
-        f = np.asarray(target, dtype=float)
-    if f.shape != (sys_.m,):
-        raise ValueError("target must provide one value per cell")
-    f_hat = math.sqrt(sys_.h) * f
-    L = shift_control_map(sys_, t)
-    U, s, Vt = np.linalg.svd(L, full_matrices=False)
-    keep = rank_mask(s)
-    Ur = U[:, keep]
-    proj = Ur.T @ f_hat
-    defect = float(np.linalg.norm(f_hat - Ur @ proj))
-    v = Vt[keep].T @ (proj / s[keep])
-    reachable = negligible(defect, np.linalg.norm(f_hat))
-    return ShiftDefectReport(
-        defect=defect,
-        horizon=float(t),
-        m=sys_.m,
-        rank=int(np.count_nonzero(keep)),
-        reachable=bool(reachable),
-        value=0.5 * sys_.h * float(v @ v) if reachable else None,
-        coefficients=v,
-    )
-
-
 def shift_value_oracle(sys_, t):
     """The value x -> ½ h f̂ᵀ (L Lᵀ)⁺ f̂ with f̂ = √h x, through a QR
     factorization of the control map L rather than the singular vectors that
-    ``shift_reachable_defect`` uses.  A tall or square L = QR gives the
+    ``ShiftSystem.steer`` reads from the Gramian.  A tall or square L = QR gives the
     coefficients v = R⁻¹Qᵀf̂ and the value ½ h ‖v‖²; a wide L has Lᵀ = QR
     and the value ½ h ‖R⁻ᵀf̂‖².  Neither forms L Lᵀ, whose condition number
     is the square of L's."""

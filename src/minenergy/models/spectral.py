@@ -86,7 +86,9 @@ def spectral_gramian(ssys, t):
     """Reachability Gramian of a diagonal system, in closed form.
 
     Finite horizon: q_n = b_n (1 - e^{-2 lambda_n t}) / (2 lambda_n);
-    infinite horizon drops the exponential.
+    infinite horizon drops the exponential.  The q_n are the eigenvalues and
+    the unit vectors the eigenvectors, handed over in the ascending order
+    ``eigh`` would give, with no decomposition.
     """
     lam, b = ssys.lambdas, ssys.bs
     if t == math.inf:
@@ -96,8 +98,9 @@ def spectral_gramian(ssys, t):
         if t <= 0:
             raise ValueError("horizon must be positive")
         q = b * (-np.expm1(-2.0 * lam * t)) / (2.0 * lam)
+    order = np.argsort(q, kind="stable")
     return Gramian(
-        Q=SymmetricPSD(np.diag(q)),
+        Q=SymmetricPSD.from_eigenpairs(q[order], np.eye(q.size)[:, order]),
         horizon=t,
         method="closed_form",
         system_fingerprint=ssys.fingerprint(),

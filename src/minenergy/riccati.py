@@ -218,9 +218,10 @@ class ResidualReport:
 
 def _richardson(f, t):
     """Richardson-extrapolated central difference of f at t > 0, with step
-    h = ``FD_STEP_FACTOR * max(1, t)`` capped at t / 2, so that every time f
-    is evaluated at stays at or above t / 2."""
-    h = min(FD_STEP_FACTOR * max(1.0, t), 0.5 * t)
+    h = ``FD_STEP_FACTOR * t`` relative to t, so that every time f is
+    evaluated at stays within a factor 1 -+ ``FD_STEP_FACTOR`` of t and a
+    family that varies on the scale of t near 0 is resolved."""
+    h = FD_STEP_FACTOR * t
     d1 = (f(t + h) - f(t - h)) / (2.0 * h)
     d2 = (f(t + 0.5 * h) - f(t - 0.5 * h)) / h
     return (4.0 * d2 - d1) / 3.0

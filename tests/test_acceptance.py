@@ -21,7 +21,6 @@ from minenergy.models import (
     landau_ginzburg,
     power_law,
     shift_benchmark_target,
-    shift_reachable_defect,
     spectral_gramian,
     spectral_null_controllability,
     spectral_space_h_classification,
@@ -248,10 +247,10 @@ def test_c09_shift_counterexample():
     defects = []
     for m in (64, 128, 256, 512):
         sh = me.ShiftSystem(m)
-        rep = shift_reachable_defect(sh, 0.25, shift_benchmark_target(m))
+        rep = sh.steer(0.25, shift_benchmark_target(m))
         assert rep.defect >= 0.17, f"m={m}: defect {rep.defect:.4f}"
         defects.append(rep.defect)
-    rep_full = shift_reachable_defect(me.ShiftSystem(512), 1.0, shift_benchmark_target(512))
+    rep_full = me.ShiftSystem(512).steer(1.0, shift_benchmark_target(512))
     assert rep_full.defect < 1e-3
     _pass(9, f"defect at t=1/4 stays >= 0.17 under refinement ({defects[-1]:.4f} at m=512); t=1 defect {rep_full.defect:.1e}")
 

@@ -151,6 +151,51 @@ def test_psd_factor_rotated_rank_one():
     assert_allclose(Z @ Z.T, R @ np.diag([1.0, 0.0]) @ R.T, atol=1e-10)
 
 
+def _orthonormal(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)))[0]
+
+
+def test_symmetric_psd_three_ways_agree():
+    # one well-conditioned Q = Z Z^T from its entries, its factor and its
+    # eigenpairs: the same spectrum, rank and steering
+    rng = np.random.default_rng(7)
+    U = _orthonormal(rng, 5)
+    Z = U @ np.diag([2.0, 1.5, 1.2, 1.0, 0.8]) @ _orthonormal(rng, 5)
+    Q = Z @ Z.T
+    lam, V = np.linalg.eigh(Q)
+    ways = [me.SymmetricPSD(Q), me.SymmetricPSD.from_factor(Z),
+            me.SymmetricPSD.from_eigenpairs(lam, V)]
+    x = rng.standard_normal(5)
+    steers = [me.steer(me.Gramian(P, 1.0, "closed_form", "three"), x) for P in ways]
+    for P, s in zip(ways, steers):
+        assert_allclose(P.eigenvalues, lam, rtol=1e-12)
+        assert_allclose(P.matrix, Q, rtol=0, atol=1e-12 * lam[-1])
+        assert P.rank == 5
+        assert s.category == steers[0].category == "in_range_Q"
+        assert s.value == pytest.approx(steers[0].value, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 7)])
+def test_symmetric_psd_from_rank_deficient_factor(shape):
+    # a tall and a wide factor of rank 3, with one more singular value
+    # between the cut on sigma (kept) and the cut on sigma^2 (dropped by
+    # eigh of Z Z^T) and one below both
+    n, k = shape
+    rng = np.random.default_rng(11)
+    sigma = np.zeros(min(n, k))
+    sigma[:4] = [1.0, 0.5, 1e-7, 1e-13]
+    Z = _orthonormal(rng, n)[:, :sigma.size] @ np.diag(sigma) @ _orthonormal(rng, k)[:sigma.size]
+    P = me.SymmetricPSD.from_factor(Z)
+    sv = np.linalg.svd(Z, compute_uv=False)
+    assert P.rank == np.count_nonzero(sv >= minenergy.linalg.REL_THRESHOLD * sv[0]) == 3
+    K, R = P.kernel_basis(), P.range_basis()
+    assert K.shape == (n, n - 3)
+    assert_allclose(K.T @ K, np.eye(n - 3), atol=1e-14)
+    assert_allclose(K.T @ R, 0.0, atol=1e-14)
+    # the range is that of Z's kept singular vectors
+    assert np.linalg.norm(K.T @ Z, 2) <= 1e-12
+
+
 def test_symmetric_psd_rejects_asymmetry():
     with pytest.raises(me.NotSymmetricError):
         me.SymmetricPSD([[1.0, 0.5], [0.0, 1.0]])
@@ -268,8 +313,8 @@ def test_every_verdict_follows_the_one_cut(monkeypatch):
     U, sv, _ = np.linalg.svd(me.shift_control_map(sh, 1.0))
     assert sv[-1] <= cut * sv[0] < sv[-2]
     f_hat = U[:, 0] + 1e-5 * U[:, -1]
-    rep = me.shift_reachable_defect(sh, 1.0, target=f_hat / np.sqrt(sh.h))
-    assert rep.rank == 31 and rep.reachable
+    rep = sh.steer(1.0, f_hat / np.sqrt(sh.h))
+    assert sh.gramian(1.0).Q.rank == 31 and rep.category == "in_range_Q"
     assert rep.defect == pytest.approx(1e-5, rel=1e-6)
 
 

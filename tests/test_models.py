@@ -26,7 +26,6 @@ from minenergy.models import (
     shift_benchmark_target,
     shift_control_map,
     shift_gramian,
-    shift_reachable_defect,
     shift_value_oracle,
     spectral_gramian,
     spectral_null_controllability,
@@ -570,7 +569,7 @@ def test_shift_defect_quarter_exceeds_tail_bound():
     # target there, 1/(4 sqrt(2)), lower-bounds the defect
     for m in (64, 256, 512):
         sh = me.ShiftSystem(m)
-        rep = shift_reachable_defect(sh, 0.25, shift_benchmark_target(m))
+        rep = sh.steer(0.25, shift_benchmark_target(m))
         assert rep.defect >= 0.17
         assert rep.defect == pytest.approx(0.1786, abs=2e-3)
 
@@ -578,22 +577,27 @@ def test_shift_defect_quarter_exceeds_tail_bound():
 def test_shift_defect_unit_time_vanishes():
     for m in (64, 512):
         sh = me.ShiftSystem(m)
-        rep = shift_reachable_defect(sh, 1.0, shift_benchmark_target(m))
+        rep = sh.steer(1.0, shift_benchmark_target(m))
         assert rep.defect < 1e-3
-        assert rep.rank == m
+        assert sh.gramian(1.0).Q.rank == m
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0])
-def test_shift_defect_report_carries_least_norm_control(t):
+def test_shift_steer_is_the_least_norm_control(t):
+    # the defect is the residual of the least-norm lattice coefficients
+    # v = L^+ f_hat, and the value is their energy (1/2) h |v|^2
     sh = me.ShiftSystem(32)
     target = shift_benchmark_target(32)
-    rep = shift_reachable_defect(sh, t, target=target)
+    rep = sh.steer(t, target)
     L = shift_control_map(sh, t)
     f_hat = math.sqrt(sh.h) * target
-    v = rep.coefficients
-    assert v.shape == (L.shape[1],)
-    assert_allclose(v, np.linalg.pinv(L, rcond=1e-10) @ f_hat, rtol=1e-10, atol=1e-12)
+    v = np.linalg.pinv(L, rcond=1e-10) @ f_hat
     assert np.linalg.norm(f_hat - L @ v) == pytest.approx(rep.defect, abs=1e-12)
+    if t == 1.0:
+        assert rep.category == "in_range_Q"
+        assert rep.value == pytest.approx(0.5 * sh.h * float(v @ v), rel=1e-10)
+    else:
+        assert rep.category == "unreachable" and rep.value is None
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 1.0])
@@ -603,7 +607,7 @@ def test_shift_gramian_is_the_overlap_gramian(t):
     gram = shift_gramian(sh, t)
     assert (gram.horizon, gram.method, gram.system_fingerprint) == (t, "closed_form",
                                                                     sh.fingerprint())
-    # SymmetricPSD rebuilds the matrix from its eigendecomposition: within
+    # SymmetricPSD.from_factor rebuilds the matrix from the SVD of L: within
     # roundoff of the largest eigenvalue
     assert np.abs(gram.matrix - L @ L.T).max() <= 1e-15 * gram.Q.eigenvalues[-1]
 
@@ -613,9 +617,9 @@ def test_shift_report_value_matches_gramian_oracle(t):
     # the oracle factors L by QR, apart from the SVD route of the report
     sh = me.ShiftSystem(16)
     target = shift_benchmark_target(16)
-    rep = shift_reachable_defect(sh, t, target=target)
-    assert rep.reachable == (t == 1.0)
-    if rep.reachable:
+    rep = sh.steer(t, target)
+    assert (rep.category == "in_range_Q") == (t == 1.0)
+    if t == 1.0:
         assert rep.value == pytest.approx(shift_value_oracle(sh, t)(target), rel=1e-12)
     else:
         assert rep.value is None
@@ -627,15 +631,9 @@ def test_shift_value_oracle_meets_the_svd_value_at_m128(t):
     # through (L L^T)^+ the squared condition number cost 4e-9 at t = 1
     sh = me.ShiftSystem(128)
     target = shift_benchmark_target(128)
-    rep = shift_reachable_defect(sh, t, target=target)
-    assert rep.reachable
+    rep = sh.steer(t, target)
+    assert rep.category == "in_range_Q"
     assert rep.value == pytest.approx(shift_value_oracle(sh, t)(target), rel=1e-12)
-
-
-def test_shift_callable_target():
-    sh = me.ShiftSystem(64)
-    rep = shift_reachable_defect(sh, 1.0, lambda x: np.minimum(x, 0.25))
-    assert rep.defect < 1e-3
 
 
 def test_shift_lattice_alignment_guard():

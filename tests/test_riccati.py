@@ -436,8 +436,9 @@ def test_a_wrong_exact_derivative_fails(rng):
 
 
 def test_richardson_step_stays_above_half_the_time(scalar_sys):
-    # below the step FD_STEP_FACTOR * max(1, t) an opaque family used to be
-    # evaluated at a negative time; the step is capped at t / 2
+    # an absolute step FD_STEP_FACTOR * max(1, t) once evaluated an opaque
+    # family at a negative time below t = 1e-4; the step FD_STEP_FACTOR * t
+    # keeps every evaluation within a factor 1 -+ 1e-4 of t
     base = me.pv_candidate(scalar_sys)
     seen = []
     opaque = me.RiccatiCandidate(scalar_sys, base.geometry,
@@ -451,3 +452,15 @@ def test_richardson_step_stays_above_half_the_time(scalar_sys):
     rep = me.lyapunov_residual(scalar_sys, family, [t])
     assert rep.derivative == "richardson" and rep.passed
 
+
+
+@pytest.mark.parametrize("t", [1e-3, 5e-5])
+def test_richardson_resolves_an_opaque_family_at_short_horizons(scalar_sys, t):
+    # the scalar Gramian ratio on A = -1, B = 1 grows like 1/t near 0; wrapped
+    # without its derivative, an absolute step of 1e-4 failed it (residual
+    # 12.7 against tol_scaled 0.251 at t = 1e-3, 4.4e6 against 100 at 5e-5)
+    pv = me.pv_candidate(scalar_sys)
+    opaque = me.RiccatiCandidate(scalar_sys, pv.geometry, pv.evaluate)
+    rep = me.riccati_residual(opaque, [t])
+    assert rep.derivative == "richardson"
+    assert rep.passed
