@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MeshResolutionError, PreconditionError, ScenarioError
 from ..energy import Steering, steer
+from ..errors import MeshResolutionError, PreconditionError, ScenarioError
 from ..gramians import Gramian
 from ..linalg import SymmetricPSD
 from ..systems import Model
