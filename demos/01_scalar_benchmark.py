@@ -21,17 +21,16 @@ value = me.value_function(gram, x)
 print(f"\nminimum energy V({t:g}, {x[0]:g}) = {value:.15f}")
 print(f"closed form  1/(1 - e^-2)  = {1 / (1 - np.exp(-2.0)):.15f}")
 
-control = me.optimal_control(sys_, gram, x, grid=513)
+control, states = me.optimal_samples(sys_, gram, x, grid=513)
 print(f"\noptimal control on [-{t:g}, 0]:")
 print(f"  u(-1) = {control.values[0, 0]:.12f}   (closed form {2 * np.exp(-1) / (1 - np.exp(-2)):.12f})")
 print(f"  u(0)  = {control.values[-1, 0]:.12f}   (closed form {2 / (1 - np.exp(-2)):.12f})")
 print(f"  energy of the profile = {control.energy():.12f}  (equals the value above)")
 
-traj = me.optimal_trajectory(sys_, gram, x, grid=513)
-print(f"\noptimal trajectory: starts at {traj.states[0, 0]:.2e}, ends at {traj.states[-1, 0]:.12f}")
+print(f"\noptimal trajectory: starts at {states[0, 0]:.2e}, ends at {states[-1, 0]:.12f}")
 
 sim = me.simulate_control(sys_, control, substeps=8)
-print(f"independent simulation of the same control ends at {sim.states[-1, 0]:.12f}")
+print(f"independent simulation of the same control ends at {sim[-1, 0]:.12f}")
 
 # the value decreases as the deadline relaxes, down to the infinite-horizon floor
 print("\nhorizon sweep:")

@@ -17,7 +17,7 @@ sys_ = me.random_stable_system(rng, 4)
 t = 1.3
 
 routes = {
-    "quadrature": me.gramian_quadrature(sys_, t),
+    "quadrature": me.gramian_quadrature_sweep(sys_, [t])[0],
     "lyapunov_ode": me.gramian_lyapunov_ode(sys_, t),
     "block_exponential": me.gramian_block_exponential(sys_, t),
 }
@@ -29,15 +29,15 @@ for name, gram in routes.items():
 
 diag = me.LinearSystem(np.diag([-1.0, -2.5]), np.eye(2))
 cf = me.gramian_commuting_closed_form(diag, t).Q.matrix
-qd = me.gramian_quadrature(diag, t).Q.matrix
+qd = me.gramian_quadrature_sweep(diag, [t])[0].Q.matrix
 print(f"\ncommuting diagonal case, closed form vs quadrature: "
       f"{np.abs(cf - qd).max():.2e}")
 
 # the splitting identity stitches Gramians across intermediate horizons
 tau = 2.0
-q_tau = me.gramian_quadrature(sys_, tau).Q.matrix
-q_t = me.gramian_quadrature(sys_, t).Q.matrix
-q_gap = me.gramian_quadrature(sys_, tau - t).Q.matrix
+q_tau = me.gramian_quadrature_sweep(sys_, [tau])[0].Q.matrix
+q_t = me.gramian_quadrature_sweep(sys_, [t])[0].Q.matrix
+q_gap = me.gramian_quadrature_sweep(sys_, [tau - t])[0].Q.matrix
 E = me.expm(sys_.A, t)
 split_err = np.linalg.norm(q_tau - (q_t + E @ q_gap @ E.T), 2)
 print(f"splitting Q_tau = Q_t + e^(tA) Q_(tau-t) e^(tA)^T: error {split_err:.2e}")
@@ -48,7 +48,7 @@ M, omega = me.negative_type_bound(sys_.A, t_max=4.0)
 print(f"\ndecay envelope ||e^(tA)|| <= {M:.3f} e^(-{omega:.3f} t)")
 print("horizon   ||Q_inf - Q_T||      tail bound")
 for T in (1.0, 2.0, 4.0):
-    gapT = np.linalg.norm(q_inf - me.gramian_quadrature(sys_, T).Q.matrix, 2)
+    gapT = np.linalg.norm(q_inf - me.gramian_quadrature_sweep(sys_, [T])[0].Q.matrix, 2)
     bound = M**2 * np.exp(-2 * omega * T) * np.linalg.norm(sys_.BBt, 2) / (2 * omega)
     print(f"  {T:4g}     {gapT:.6e}     {bound:.6e}")
 

@@ -32,11 +32,10 @@ for target in ([1.0, 0.0], [0.0, 1.0]):
     print(f"\ntarget {target}: {cls.category} (defect {cls.defect:.2e})")
 
 # the optimal control in feedback form: u(r) = F(t + r) y(r)
-sig = me.optimal_control(sys_, gram, x, grid=9)
-traj = me.optimal_trajectory(sys_, gram, x, grid=9)
+sig, states = me.optimal_samples(sys_, gram, x, grid=9)
 print("\nfeedback representation check along the optimal pair:")
 for i in (2, 4, 6):
     r = sig.grid[i]
     F = me.feedback_gain(sys_, t + r)
-    gap = np.abs(sig.values[i] - F @ traj.states[i]).max()
+    gap = np.abs(sig.values[i] - F @ states[i]).max()
     print(f"  r = {r:+.3f}: |u - F y| = {gap:.2e}")

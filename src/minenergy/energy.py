@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, NotInSpaceError, ReachabilityError
+from .errors import NonFiniteError, ReachabilityError
 from .gramians import _van_loan_step, compute_gramian
 from .linalg import _gaussian_coefficients, expm, negligible, pinv, range_inclusion
 
@@ -27,16 +27,12 @@ __all__ = [
     "Steering",
     "steer",
     "optimal_samples",
-    "optimal_control",
-    "optimal_trajectory",
-    "Trajectory",
     "simulate_control",
     "feedback_gain",
     "brute_force_min_energy",
     "LeastNormControl",
     "null_controllability_test",
     "NullControllability",
-    "h_norm",
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -60,10 +56,6 @@ class ControlSignal:
             raise ValueError("grid must be a strictly ascending 1-d array with >= 2 nodes")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-
-    @property
-    def horizon(self):
-        return -float(self.grid[0])
 
     def __call__(self, r):
         """Piecewise-linear interpolation, one column per input channel."""
@@ -219,8 +211,8 @@ def optimal_samples(sys, gram, x, grid=129):
     Q_h w_{i+1} from y_0 = 0 at r = -t, so y(-t) = 0 exactly, and at r = 0
     the Gramian cancels the pseudoinverse on range(Q_t), giving x.  Both
     series are formed by doubling (``_sample_flows``).  Returns the pair
-    (``ControlSignal``, ``Trajectory``); NonFiniteError when either
-    overflows.
+    (``ControlSignal``, states), the states a (grid, n) array with row i at
+    r_i; NonFiniteError when either overflows.
     """
     z = _steering_coefficients(gram, x, grid, "control and trajectory")
     t = gram.horizon
@@ -231,41 +223,15 @@ def optimal_samples(sys, gram, x, grid=129):
     _require_finite(values, "control", t)
     _require_finite(states, "trajectory", t)
     nodes = np.linspace(-t, 0.0, grid)
-    return ControlSignal(nodes, values), Trajectory(nodes.copy(), states)
-
-
-def optimal_control(sys, gram, x, grid=129):
-    """The minimum-energy control u(r) = B^T e^{-r A^T} Q_t^+ x on [-t, 0]:
-    the control of ``optimal_samples``."""
-    return optimal_samples(sys, gram, x, grid)[0]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States sampled on an ascending grid in [-t, 0]."""
-
-    grid: np.ndarray
-    states: np.ndarray         # shape (k, n)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        cols = [np.interp(r, self.grid, self.states[:, j])
-                for j in range(self.states.shape[1])]
-        return np.stack(cols, axis=-1)
-
-
-def optimal_trajectory(sys, gram, x, grid=129):
-    """The optimally steered state y(r) = Q_{t+r} e^{-r A^T} Q_t^+ x on
-    [-t, 0]: the trajectory of ``optimal_samples``."""
-    return optimal_samples(sys, gram, x, grid)[1]
+    return ControlSignal(nodes, values), states
 
 
 def simulate_control(sys, signal, substeps=8):
     """Integrate y' = Ay + Bu(r) from y = 0 over the signal's grid with RK4.
 
     The control is the signal's piecewise-linear interpolant; each grid
-    interval is subdivided ``substeps`` times.  Returns the trajectory on
-    the signal grid.
+    interval is subdivided ``substeps`` times.  Returns the states on the
+    signal grid, a (k, n) array.
     """
     y = np.zeros(sys.n)
     states = np.empty((signal.grid.size, sys.n))
@@ -285,7 +251,7 @@ def simulate_control(sys, signal, substeps=8):
             k4 = f(r + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[i + 1] = y
-    return Trajectory(signal.grid.copy(), states)
+    return states
 
 
 def feedback_gain(sys, s):
@@ -413,26 +379,6 @@ class HGeometry:
         self.sqrt_matrix = gram.Q.factor()
         self.pinv_sqrt = (self.sqrt_matrix / gram.Q.eigenvalues[gram.Q._keep()]).T
         self.metric = gram.Q.pinv()       # = pinv_sqrt^T pinv_sqrt
-        self.projector = gram.Q.range_projector()
-
-    @property
-    def Q_inf(self):
-        return self.gram.matrix
-
-    def defect(self, x):
-        """Distance from x to the space (range of Q_inf^{1/2})."""
-        x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(x - self.projector @ x))
-
-    def contains(self, x):
-        x = np.asarray(x, dtype=float)
-        return negligible(self.defect(x), np.linalg.norm(x))
-
-    def inner(self, x, y):
-        return float(np.asarray(x, dtype=float) @ (self.metric @ np.asarray(y, dtype=float)))
-
-    def norm(self, x):
-        return float(np.linalg.norm(self.pinv_sqrt @ np.asarray(x, dtype=float)))
 
     def normalize(self, x):
         """x over its H-norm; each column of a matrix over its own."""
@@ -478,13 +424,3 @@ class EuclideanGeometry:
     def operator_norm(self, M):
         return float(np.linalg.norm(M, 2))
 
-
-def h_norm(geom, x):
-    """Norm of x in the Gramian-weighted geometry; error if x is outside it."""
-    x = np.asarray(x, dtype=float)
-    d = geom.defect(x)
-    if not negligible(d, np.linalg.norm(x)):
-        raise NotInSpaceError(
-            f"vector is outside the weighted space: defect {d:.3e}", defect=d
-        )
-    return geom.norm(x)

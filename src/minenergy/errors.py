@@ -9,7 +9,6 @@ __all__ = [
     "StiffnessError",
     "NonFiniteError",
     "ReachabilityError",
-    "NotInSpaceError",
     "MarginError",
     "MeshResolutionError",
     "ScenarioError",
@@ -50,14 +49,6 @@ class ReachabilityError(MinEnergyError, ValueError):
     Carries the distance from the target to the reachable subspace in
     ``defect``.
     """
-
-    def __init__(self, message, defect=None):
-        super().__init__(message)
-        self.defect = defect
-
-
-class NotInSpaceError(MinEnergyError, ValueError):
-    """Vector lies outside the Gramian-weighted state space; carries the defect."""
 
     def __init__(self, message, defect=None):
         super().__init__(message)

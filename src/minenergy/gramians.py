@@ -29,8 +29,7 @@ Bartels-Stewart on the algebraic Lyapunov equation, lives with the tests in
   bisected locally until, for every horizon asked for, the estimated errors
   of the panels inside it add up to at most ``rtol`` times its largest entry
   (R. Piessens et al., QUADPACK, 1983); one sweep to the longest horizon
-  serves the shorter ones, whose Gramians are prefixes of its integral, and
-  ``gramian_quadrature`` is the sweep at one horizon
+  serves the shorter ones, whose Gramians are prefixes of its integral
 * ``gramian_lyapunov_ode`` -- RK4 on the differential Lyapunov equation
 """
 
@@ -46,7 +45,6 @@ from .linalg import SymmetricPSD, expm, range_inclusion, rank_mask
 
 __all__ = [
     "Gramian",
-    "gramian_quadrature",
     "gramian_quadrature_sweep",
     "gramian_lyapunov_ode",
     "gramian_commuting_closed_form",
@@ -200,13 +198,6 @@ def gramian_quadrature_sweep(sys, times, n_nodes=8, rtol=1e-10, max_panels=2 ** 
 def _sweep_result(sys, times, hs, Qs):
     grams = {t: _wrap(sys, Q, t, "quadrature") for t, Q in zip(hs, Qs)}
     return [grams[t] for t in times]
-
-
-def gramian_quadrature(sys, t, n_nodes=8, rtol=1e-10, max_panels=2 ** 14):
-    """Finite-horizon Gramian by graded, locally refined composite
-    Gauss-Legendre quadrature: ``gramian_quadrature_sweep`` at the one
-    horizon t."""
-    return gramian_quadrature_sweep(sys, (t,), n_nodes, rtol, max_panels)[0]
 
 
 def _rk4_lyapunov(sys, t, n_steps):
@@ -435,10 +426,6 @@ class KernelChainReport:
     equalities_ok: bool        # only meaningful when commuting
     violations: tuple          # (label, defect, offending_vector) triples
 
-    @property
-    def all_ok(self):
-        return all(ok for (_, _, ok) in self.inclusions)
-
 
 def _subspace_defect(vectors, basis):
     """Largest distance from a unit vector in ``vectors`` to span(basis)."""
@@ -507,10 +494,6 @@ class RangeEqualityReport:
     constant_forward: float
     constant_backward: float
     commuting: bool
-
-    @property
-    def equal(self):
-        return self.included_forward and self.included_backward
 
 
 def range_equality_check(sys, t):

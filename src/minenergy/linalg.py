@@ -165,10 +165,6 @@ class SymmetricPSD:
         """Orthonormal eigenvectors, columns matching ``eigenvalues``."""
         return self._V
 
-    @property
-    def shape(self):
-        return self._M.shape
-
     def _keep(self):
         """The mask of the kept eigenpairs, cut once at construction."""
         return self._mask
@@ -184,10 +180,6 @@ class SymmetricPSD:
 
     def kernel_basis(self):
         return self._V[:, ~self._keep()]
-
-    def range_projector(self):
-        U = self.range_basis()
-        return U @ U.T
 
     def pinv(self):
         """Moore-Penrose pseudoinverse under the relative threshold."""

@@ -146,7 +146,8 @@ def _moments(a0, sigma, kmax):
 
 # Work of a fundamental solution, (cells) x (delay intervals).  At 2^24 (mesh
 # 32, 724 delays) building it and the Gramian took 2.6 s on a 2-CPU VM; that is
-# 145 times the 60 delays at mesh 32 that the tests reach.
+# 145 times the 60 delays at mesh 32 that the tests reach.  The spectral
+# presets and the shift's control map take the same cap on their entries.
 _LATTICE_WORK_CAP = 2**24
 
 
@@ -324,7 +325,8 @@ def delay_gramian(sys_, t):
 def delay_optimal_control(sys_, gram, x, grid=129):
     """The least-norm control u(r) = b0 (g(-r) z_0 + sum_j W(c_j - r) z_j /
     sqrt(h)) on [-t, 0], z = Q_t^+ x: the kernels of ``delay_gramian`` at
-    time -r applied to z.  Same contract as ``energy.optimal_control``.
+    time -r applied to z.  Same contract as the control of
+    ``energy.optimal_samples``.
 
     At tau = -r = ih + sigma, W(tau + c_j) = F(tau + c_j) - F(tau + c_j - h)
     takes F on cells i + j + 1 - M and i + j - M at the local time sigma, so

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..energy import Steering, steer
-from ..errors import MeshResolutionError, PreconditionError, ScenarioError
+from ..errors import MeshResolutionError, PreconditionError, ScenarioError, StiffnessError
 from ..gramians import Gramian
 from ..linalg import SymmetricPSD
 from ..systems import Model
+from .delay import _LATTICE_WORK_CAP
 
 __all__ = [
     "ShiftSystem",
@@ -107,10 +108,14 @@ def shift_control_map(sys_, t):
 
     Piecewise-constant controls on the same lattice; entry (i, k) integrates
     the moving window indicator against cell i while the window slides by
-    one lattice step, which the trapezoid rule evaluates exactly.
+    one lattice step, which the trapezoid rule evaluates exactly.  A map of
+    more than ``_LATTICE_WORK_CAP`` entries is a ``StiffnessError``.
     """
     n = _lattice_steps(sys_, t)
     m, h = sys_.m, sys_.h
+    if m * n > _LATTICE_WORK_CAP:
+        raise StiffnessError(f"the control map of {m} cells by {n} steps exceeds "
+                             f"the cap of {_LATTICE_WORK_CAP:.3g} entries")
     edges = np.arange(m + 1, dtype=float) * h
     L = np.zeros((m, n))
     for k in range(n):

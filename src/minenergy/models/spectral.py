@@ -10,6 +10,7 @@ from ..energy import NullControllability, null_controllability_test
 from ..gramians import Gramian
 from ..linalg import SymmetricPSD
 from ..systems import LinearSystem, Model
+from .delay import _LATTICE_WORK_CAP
 
 __all__ = [
     "SpectralSystem",
@@ -111,18 +112,18 @@ def spectral_gramian(ssys, t):
 class SpectralNCReport:
     """Per-mode steering-cost ratios for the flow-into-range test.
 
-    ``log_ratios[n]`` is log( 2 lambda_n e^{-2 lambda_n T0}
-    / (b_n (1 - e^{-2 lambda_n T0})) ), the squared cost of steering the
-    n-th eigendirection back to zero over [0, T0].  The flow lands inside
-    the reachable range with a uniform constant exactly when these ratios
-    stay bounded along the tail; on a truncation we certify that by every
-    mode being controlled and the tail being non-increasing.  ``finite_dim``
-    is the range test of the matrix system on the same modes.
+    The ratio of mode n is 2 lambda_n e^{-2 lambda_n T0}
+    / (b_n (1 - e^{-2 lambda_n T0})), the squared cost of steering the
+    n-th eigendirection back to zero over [0, T0], and ``constant`` is the
+    largest.  The flow lands inside the reachable range with a uniform
+    constant exactly when these ratios stay bounded along the tail; on a
+    truncation we certify that by every mode being controlled and the tail
+    being non-increasing.  ``finite_dim`` is the range test of the matrix
+    system on the same modes.
     """
 
     satisfied: bool
     constant: float
-    log_ratios: np.ndarray
     all_controlled: bool
     tail_nonincreasing: bool
     finite_dim: NullControllability
@@ -171,7 +172,6 @@ def spectral_null_controllability(ssys, T0):
     return SpectralNCReport(
         satisfied=satisfied,
         constant=constant,
-        log_ratios=log_ratios,
         all_controlled=all_controlled,
         tail_nonincreasing=tail_nonincreasing,
         finite_dim=null_controllability_test(ssys.linear, T0),
@@ -248,21 +248,33 @@ def spectral_space_h_classification(ssys):
     )
 
 
+def _modes(n_modes):
+    """The mode numbers 1, ..., n_modes; ValueError, before anything is
+    allocated, when the n_modes x n_modes ``linear`` would have more than
+    ``_LATTICE_WORK_CAP`` entries."""
+    if n_modes * n_modes > _LATTICE_WORK_CAP:
+        raise ValueError(f"{n_modes} modes exceed the cap of {_LATTICE_WORK_CAP:.3g} "
+                         "entries in the matrix system")
+    return np.arange(1, n_modes + 1, dtype=float)
+
+
 def landau_ginzburg(n_modes=32):
     """Quadratic spectrum lambda_n = n^2 with unit control weights.
 
     The classic second-derivative-with-clamped-ends picture; the reachable
     energy space comes out as D(A^{1/2}).
     """
-    n = np.arange(1, n_modes + 1, dtype=float)
+    n = _modes(n_modes)
     return SpectralSystem(lambdas=n**2, bs=np.ones_like(n))
 
 
 def power_law(alpha, n_modes=32):
-    """Quadratic spectrum with control weights b_n = lambda_n^alpha."""
-    n = np.arange(1, n_modes + 1, dtype=float)
-    lam = n**2
-    return SpectralSystem(lambdas=lam, bs=lam ** float(alpha))
+    """Quadratic spectrum with control weights b_n = lambda_n^alpha; a
+    weight that overflows is left to the matrix system's finite check."""
+    lam = _modes(n_modes) ** 2
+    with np.errstate(over="ignore"):
+        bs = lam ** float(alpha)
+    return SpectralSystem(lambdas=lam, bs=bs)
 
 
 def thin_control_example(n_modes=16):
@@ -271,7 +283,7 @@ def thin_control_example(n_modes=16):
     with a uniform constant.  The far tail underflows to exact zero in
     double precision, which the finite truncation reports as uncontrolled
     modes — both routes reach the same verdict."""
-    n = np.arange(1, n_modes + 1, dtype=float)
+    n = _modes(n_modes)
     with np.errstate(under="ignore"):
         b = np.exp(-np.exp(n))
     return SpectralSystem(lambdas=n, bs=b)

@@ -348,10 +348,6 @@ class UniquenessReport:
     passed: bool
     hypotheses_checked: tuple
 
-    @property
-    def max_error(self):
-        return max(self.reconstruction_errors) if self.reconstruction_errors else np.nan
-
 
 def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6):
     """Partial-uniqueness check for invertible solution families.
@@ -631,8 +627,7 @@ class ProjectionReport:
     residual: ResidualReport
     is_solution: bool
     mixed_verdict: bool        # True would witness a biconditional violation
-    witness_time: float
-    witness_vector: np.ndarray
+    witness_time: float        # the first time of the largest range defect
 
 
 def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
@@ -661,15 +656,9 @@ def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
 
     times = _as_times(times)
     defects = []
-    worst = (0.0, times[0], None)
     for t in times:
         M = (np.eye(sys.n) - P) @ cand.evaluate(t) @ P
-        d_rel = geometry.operator_norm(M) / max(1.0, cand.h_norm_of(t))
-        defects.append(d_rel)
-        if d_rel > worst[0]:
-            # witness: the probe direction in ran(P) most expelled from it
-            _, _, Vt = np.linalg.svd(geometry.pinv_sqrt @ M @ geometry.sqrt_matrix)
-            worst = (d_rel, float(t), geometry.sqrt_matrix @ Vt[0])
+        defects.append(geometry.operator_norm(M) / max(1.0, cand.h_norm_of(t)))
     range_ok = max(defects) <= 1e-8
 
     compressed = RiccatiCandidate(
@@ -689,8 +678,7 @@ def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
         residual=residual,
         is_solution=bool(is_solution),
         mixed_verdict=bool(range_ok != is_solution),
-        witness_time=worst[1],
-        witness_vector=worst[2] if worst[2] is not None else np.zeros(sys.n),
+        witness_time=float(times[int(np.argmax(defects))]),
     )
 
 

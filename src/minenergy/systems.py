@@ -47,8 +47,7 @@ class Model:
         return steer(self.gramian(t), x)
 
     def least_norm_control(self, t, x, grid):
-        signal, trajectory = optimal_samples(self.linear, self.gramian(t), x, grid=grid)
-        return signal, trajectory.states
+        return optimal_samples(self.linear, self.gramian(t), x, grid=grid)
 
     def value_oracles(self, times):
         """The value on the quadrature Gramians of ``linear``, all from one sweep."""
@@ -144,9 +143,6 @@ class LinearSystem(Model):
         if not isinstance(data, dict) or "A" not in data or "B" not in data:
             raise ValueError("system description must be an object with 'A' and 'B'")
         return cls(np.asarray(data["A"], dtype=float), np.asarray(data["B"], dtype=float))
-
-    def __repr__(self):
-        return f"LinearSystem(n={self.n}, m={self.m}, omega={self.omega:.4g})"
 
 
 def random_stable_system(rng, n, m=None, margin=0.5):

@@ -66,7 +66,7 @@ def test_c01_gramian_cross_validation():
     closed_form_hits = 0
     for sys_, rng_t in cases:
         t = float(rng_t.uniform(0.3, 2.5))
-        q_quad = me.gramian_quadrature(sys_, t).Q.matrix
+        q_quad = me.gramian_quadrature_sweep(sys_, [t])[0].Q.matrix
         q_ode = me.gramian_lyapunov_ode(sys_, t).Q.matrix
         q_eng = me.compute_gramian(sys_, t).Q.matrix
         scale = max(np.linalg.norm(q_quad, 2), 1e-300)
@@ -83,7 +83,7 @@ def test_c01_gramian_cross_validation():
         ssys = preset()
         lin = ssys.to_linear_system()
         q_spec = spectral_gramian(ssys, 1.0).Q.matrix
-        q_quad = me.gramian_quadrature(lin, 1.0).Q.matrix
+        q_quad = me.gramian_quadrature_sweep(lin, [1.0])[0].Q.matrix
         q_ode = me.gramian_lyapunov_ode(lin, 1.0).Q.matrix
         scale = max(np.linalg.norm(q_spec, 2), 1e-300)
         assert np.linalg.norm(q_quad - q_spec, 2) / scale < 1e-8, name
@@ -266,9 +266,9 @@ def test_c10_structural_identities():
             A = rng.standard_normal((n, n)) * 0.4  # sign-indefinite generator
             sys_ = me.LinearSystem(A, rng.standard_normal((n, max(1, n - 1))))
         t, tau = 0.6, 1.7
-        q_t = me.gramian_quadrature(sys_, t).Q.matrix
-        q_tau = me.gramian_quadrature(sys_, tau).Q.matrix
-        q_gap = me.gramian_quadrature(sys_, tau - t).Q.matrix
+        q_t = me.gramian_quadrature_sweep(sys_, [t])[0].Q.matrix
+        q_tau = me.gramian_quadrature_sweep(sys_, [tau])[0].Q.matrix
+        q_gap = me.gramian_quadrature_sweep(sys_, [tau - t])[0].Q.matrix
         E = me.expm(sys_.A, t)
         lhs = q_tau
         rhs = q_t + E @ q_gap @ E.T

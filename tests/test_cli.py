@@ -691,8 +691,8 @@ def test_cli_leaves_the_numerics_to_the_library():
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     forbidden = {"expm", "pinv", "SymmetricPSD", "REL_THRESHOLD", "SpectralSystem",
-                 "DelaySystem", "ShiftSystem", "null_controllability_test", "optimal_control",
-                 "optimal_trajectory", "classify_target", "value_function"}
+                 "DelaySystem", "ShiftSystem", "null_controllability_test", "optimal_samples",
+                 "classify_target", "value_function"}
     assert not names & forbidden
     import minenergy
 

@@ -130,6 +130,14 @@ FOUND = [
     # an integer no double holds, which escaped as an OverflowError
     ({"model": {"A": [[-1.0]], "B": [[1.0]]}, "tasks": ["min-energy"], "horizons": [1.0],
       "targets": [[10**400]]}, 2, "scenario field 'targets'"),
+    # sizes past the work cap, which escaped as a MemoryError from np.arange
+    ({"model": "spectral:landau-ginzburg(99999999999)", "tasks": ["gramian"],
+      "horizons": [1.0]}, 2, "scenario field 'model'"),
+    ({"model": "shift(99999999996)", "tasks": ["gramian"], "horizons": [0.25]},
+     1, "StiffnessError"),
+    # weights that overflow, which printed a RuntimeWarning before the error
+    ({"model": "spectral:power-law(1e308,3)", "tasks": ["gramian"], "horizons": [1.0]},
+     2, "scenario field 'model'"),
 ]
 
 

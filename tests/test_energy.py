@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 import minenergy as me
 from conftest import SCALAR_V11, SCALAR_U0, SCALAR_UM1
@@ -125,7 +125,7 @@ def test_classify_target_ignores_roundoff_eigenvalues():
 
 def test_optimal_control_endpoints_scalar(scalar_sys):
     g = me.compute_gramian(scalar_sys, 1.0)
-    sig = me.optimal_control(scalar_sys, g, [1.0], grid=129)
+    sig, _ = me.optimal_samples(scalar_sys, g, [1.0], grid=129)
     assert sig.grid[0] == pytest.approx(-1.0)
     assert sig.grid[-1] == pytest.approx(0.0)
     assert sig.values[-1, 0] == pytest.approx(SCALAR_U0, rel=1e-10)
@@ -140,16 +140,17 @@ def test_control_energy_equals_value(rng):
         g = me.compute_gramian(sys, t)
         x = g.Q.matrix @ rng.standard_normal(3)
         v = me.value_function(g, x)
-        sig = me.optimal_control(sys, g, x, grid=4097)
+        sig, _ = me.optimal_samples(sys, g, x, grid=4097)
         assert sig.energy() == pytest.approx(v, rel=1e-6)
 
 
 def test_trajectory_endpoints(scalar_sys):
     g = me.compute_gramian(scalar_sys, 1.0)
-    traj = me.optimal_trajectory(scalar_sys, g, [1.0], grid=65)
-    assert traj.grid[0] == pytest.approx(-1.0)
-    assert traj.states[0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert traj.states[-1, 0] == pytest.approx(1.0, rel=1e-12)
+    sig, states = me.optimal_samples(scalar_sys, g, [1.0], grid=65)
+    assert sig.grid[0] == pytest.approx(-1.0)
+    assert states.shape == (65, 1)
+    assert states[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert states[-1, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def _stiff_non_normal():
@@ -184,12 +185,11 @@ def test_propagated_samples_match_per_node_formulas(name):
     y_ref = np.zeros((k, sys.n))
     for i in range(1, k):
         y_ref[i] = me.compute_gramian(sys, t + rs[i]).matrix @ w[i]
-    sig = me.optimal_control(sys, g, x, grid=k)
-    traj = me.optimal_trajectory(sys, g, x, grid=k)
-    for got, ref in ((sig.values, w @ sys.B), (traj.states, y_ref)):
+    sig, states = me.optimal_samples(sys, g, x, grid=k)
+    for got, ref in ((sig.values, w @ sys.B), (states, y_ref)):
         scale = np.abs(ref).max(axis=0)
         assert np.all(np.abs(got - ref).max(axis=0) <= 1e-11 * scale)
-    assert np.all(traj.states[0] == 0.0)
+    assert np.all(states[0] == 0.0)
     assert_allclose(sig.grid, rs, rtol=0, atol=0)
 
 
@@ -209,25 +209,11 @@ def test_samples_by_doubling_match_the_step_recurrences(rng, grid):
     y = np.zeros((grid, 5))
     for i in range(grid - 1):
         y[i + 1] = E @ y[i] + Qh @ w[i + 1]
-    signal, traj = me.optimal_samples(sys, g, x, grid=grid)
-    for got, ref in ((signal.values, w @ sys.B), (traj.states, y)):
+    signal, states = me.optimal_samples(sys, g, x, grid=grid)
+    for got, ref in ((signal.values, w @ sys.B), (states, y)):
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref).max())
-    assert np.all(traj.states[0] == 0.0)
-    assert_allclose(traj.states[-1], x, rtol=0, atol=1e-9 * np.abs(x).max())
-
-
-def test_control_and_trajectory_are_the_two_parts_of_the_samples(rng):
-    sys = me.random_stable_system(rng, 4)
-    g = me.compute_gramian(sys, 0.8)
-    x = g.matrix @ rng.standard_normal(4)
-    signal, traj = me.optimal_samples(sys, g, x, grid=33)
-    control = me.optimal_control(sys, g, x, grid=33)
-    trajectory = me.optimal_trajectory(sys, g, x, grid=33)
-    assert_array_equal(control.grid, signal.grid)
-    assert_array_equal(control.values, signal.values)
-    assert_array_equal(trajectory.grid, traj.grid)
-    assert_array_equal(trajectory.states, traj.states)
-    assert np.all(traj.states[0] == 0.0)  # y(-t), exactly
+    assert np.all(states[0] == 0.0)
+    assert_allclose(states[-1], x, rtol=0, atol=1e-9 * np.abs(x).max())
 
 
 def test_overflowing_samples_are_typed_errors():
@@ -235,9 +221,8 @@ def test_overflowing_samples_are_typed_errors():
     # as inf: the Gramian comes from a tame system, the step from a hot one
     g = me.compute_gramian(me.LinearSystem([[-1.0]], [[1.0]]), 1.0)
     hot = me.LinearSystem([[800.0]], [[1.0]])
-    for steer in (me.optimal_samples, me.optimal_control, me.optimal_trajectory):
-        with pytest.raises(me.NonFiniteError, match="overflows double precision"):
-            steer(hot, g, [1.0], grid=3)
+    with pytest.raises(me.NonFiniteError, match="overflows double precision"):
+        me.optimal_samples(hot, g, [1.0], grid=3)
 
 
 def test_steering_makes_one_exponential_and_no_gramian(monkeypatch, rng):
@@ -258,17 +243,15 @@ def test_steering_makes_one_exponential_and_no_gramian(monkeypatch, rng):
         monkeypatch.setattr(module, "expm", expm)
     for module in (me.gramians, me.energy):
         monkeypatch.setattr(module, "compute_gramian", compute_gramian)
-    for steer in (me.optimal_samples, me.optimal_control, me.optimal_trajectory):
-        calls.update(expm=0, compute_gramian=0)
-        steer(sys, g, x, grid=129)
-        assert calls == {"expm": 1, "compute_gramian": 0}
+    me.optimal_samples(sys, g, x, grid=129)
+    assert calls == {"expm": 1, "compute_gramian": 0}
 
 
 @pytest.mark.parametrize("grid", [1, 2.0, np.linspace(-1.0, 0.0, 5)])
 def test_grid_is_a_node_count_of_at_least_two(scalar_sys, grid):
     g = me.compute_gramian(scalar_sys, 1.0)
     with pytest.raises((TypeError, ValueError)):
-        me.optimal_control(scalar_sys, g, [1.0], grid=grid)
+        me.optimal_samples(scalar_sys, g, [1.0], grid=grid)
     delay = me.DelaySystem(a0=-0.5, a1=0.8, b0=1.0, delay=1.0, mesh=8)
     with pytest.raises(ValueError if isinstance(grid, int) else TypeError):
         me.delay_optimal_control(delay, me.delay_gramian(delay, 1.5), np.r_[1.0, np.zeros(8)],
@@ -277,11 +260,10 @@ def test_grid_is_a_node_count_of_at_least_two(scalar_sys, grid):
 
 def test_trajectory_matches_simulation(scalar_sys):
     g = me.compute_gramian(scalar_sys, 1.0)
-    sig = me.optimal_control(scalar_sys, g, [1.0], grid=513)
+    sig, states = me.optimal_samples(scalar_sys, g, [1.0], grid=513)
     sim = me.simulate_control(scalar_sys, sig, substeps=8)
-    traj = me.optimal_trajectory(scalar_sys, g, [1.0], grid=513)
-    assert sim.states[-1, 0] == pytest.approx(1.0, abs=1e-6)
-    assert np.max(np.abs(sim.states - traj.states)) < 1e-6
+    assert sim[-1, 0] == pytest.approx(1.0, abs=1e-6)
+    assert np.max(np.abs(sim - states)) < 1e-6
 
 
 def test_simulation_convergence_order(scalar_sys):
@@ -289,9 +271,9 @@ def test_simulation_convergence_order(scalar_sys):
     errs = []
     for grid in (33, 65, 129):
         g = me.compute_gramian(scalar_sys, 1.0)
-        sig = me.optimal_control(scalar_sys, g, [1.0], grid=grid)
+        sig, _ = me.optimal_samples(scalar_sys, g, [1.0], grid=grid)
         sim = me.simulate_control(scalar_sys, sig, substeps=2)
-        errs.append(abs(sim.states[-1, 0] - 1.0))
+        errs.append(abs(sim[-1, 0] - 1.0))
     rate = np.log2(errs[0] / errs[2]) / 2.0
     assert rate > 1.9
 
@@ -321,11 +303,10 @@ def test_feedback_consistency_along_trajectory(rng):
     t = 1.2
     g = me.compute_gramian(sys, t)
     x = g.Q.matrix @ rng.standard_normal(3)
-    sig = me.optimal_control(sys, g, x, grid=33)
-    traj = me.optimal_trajectory(sys, g, x, grid=33)
+    sig, states = me.optimal_samples(sys, g, x, grid=33)
     for i, r in enumerate(sig.grid[1:-1], start=1):
         F = me.feedback_gain(sys, t + r)
-        assert_allclose(sig.values[i], F @ traj.states[i], atol=1e-8 * max(1, np.abs(sig.values).max()))
+        assert_allclose(sig.values[i], F @ states[i], atol=1e-8 * max(1, np.abs(sig.values).max()))
 
 
 def test_closed_loop_limit_gain(scalar_sys):
@@ -340,17 +321,20 @@ def test_closed_loop_limit_gain(scalar_sys):
 def test_h_norm_weighted(scalar_sys):
     g_inf = gramian_infinite(scalar_sys)
     geom = me.HGeometry(g_inf)
-    # metric is Q_inf^+ = 2, so |x|_H = sqrt(2) |x|
-    assert me.h_norm(geom, [1.0]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    # metric is Q_inf^+ = 2, so |x|_H = sqrt(2) |x| and x normalizes to x / sqrt(2)
+    assert geom.normalize(np.array([1.0]))[0] == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
 
 
 def test_h_geometry_rejects_outside_vectors():
+    # H = range(Q_inf^{1/2}), which steer decides on Q_inf; a vector outside
+    # it has H-norm 0 and cannot be normalized
     sys = me.LinearSystem(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
-    geom = me.HGeometry(gramian_infinite(sys))
-    assert geom.contains([1.0, 0.0])
-    assert not geom.contains([0.0, 1.0])
-    with pytest.raises(me.NotInSpaceError):
-        me.h_norm(geom, [0.0, 1.0])
+    g_inf = gramian_infinite(sys)
+    geom = me.HGeometry(g_inf)
+    assert me.steer(g_inf, [1.0, 0.0]).category == "in_range_Q"
+    assert me.steer(g_inf, [0.0, 1.0]).category == "unreachable"
+    with pytest.raises(ValueError, match="zero vector"):
+        geom.normalize(np.array([0.0, 1.0]))
 
 
 def test_value_decreasing_in_horizon(scalar_sys):

@@ -9,7 +9,7 @@ from conftest import SCALAR_Q1, SCALAR_QINF, stiff_non_normal_system
 from oracles import gramian_infinite
 
 ROUTES = {
-    "quadrature": me.gramian_quadrature,
+    "quadrature": lambda sys, t: me.gramian_quadrature_sweep(sys, [t])[0],
     "lyapunov_ode": me.gramian_lyapunov_ode,
     "closed_form": me.gramian_commuting_closed_form,
     "block_exponential": me.gramian_block_exponential,
@@ -50,7 +50,7 @@ def test_methods_cross_validate_random(rng):
         n = int(rng.integers(1, 6))
         sys = me.random_stable_system(rng, n)
         t = float(rng.uniform(0.3, 3.0))
-        q_quad = me.gramian_quadrature(sys, t).Q.matrix
+        q_quad = me.gramian_quadrature_sweep(sys, [t])[0].Q.matrix
         q_ode = me.gramian_lyapunov_ode(sys, t).Q.matrix
         q_eng = me.compute_gramian(sys, t).Q.matrix
         scale = max(np.linalg.norm(q_quad, 2), 1e-30)
@@ -119,7 +119,7 @@ def test_block_exponential_rotation_without_cancellation(omega):
     sys = me.LinearSystem([[-1e-3, omega], [-omega, -1e-3]], [[1.0], [0.0]])
     g = me.compute_gramian(sys, 1e-4)
     assert g.method == "block_exponential"
-    assert _rel(g.Q.matrix, me.gramian_quadrature(sys, 1e-4).Q.matrix) <= 1e-12
+    assert _rel(g.Q.matrix, me.gramian_quadrature_sweep(sys, [1e-4])[0].Q.matrix) <= 1e-12
 
 
 def test_block_exponential_stiff_stable_matches_infinite():
@@ -155,7 +155,7 @@ def test_splitting_identity(rng):
     for _ in range(5):
         sys = me.random_stable_system(rng, 3)
         t = float(rng.uniform(0.2, 2.0))
-        q_t = me.gramian_quadrature(sys, t).Q.matrix
+        q_t = me.gramian_quadrature_sweep(sys, [t])[0].Q.matrix
         q_inf = gramian_infinite(sys).Q.matrix
         E = me.expm(sys.A, t)
         assert_allclose(q_t, q_inf - E @ q_inf @ E.T, atol=1e-9 * np.linalg.norm(q_inf, 2))
@@ -193,7 +193,7 @@ def test_quadrature_panel_order(coupled_sys):
         edges = np.linspace(0.0, 1.5, panels + 1)
         return sum(_gauss_panel(coupled_sys, a, b, *rule) for a, b in zip(edges[:-1], edges[1:]))
 
-    ref = me.gramian_quadrature(coupled_sys, 1.5, n_nodes=24).Q.matrix
+    ref = me.gramian_quadrature_sweep(coupled_sys, [1.5], n_nodes=24)[0].Q.matrix
     errs = [np.linalg.norm(uniform(panels) - ref, 2) for panels in (2, 4, 8)]
     rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(rates) > 3.5
@@ -205,7 +205,7 @@ def test_quadrature_resolves_stiff_boundary_layer(lam):
     # node there agrees with its own refinement on a value 1e-4 off
     sys = me.LinearSystem(np.diag([lam, -1.0]), np.eye(2))
     ref = me.gramian_commuting_closed_form(sys, 2.0).Q.matrix
-    assert _rel(me.gramian_quadrature(sys, 2.0).Q.matrix, ref) <= 1e-12
+    assert _rel(me.gramian_quadrature_sweep(sys, [2.0])[0].Q.matrix, ref) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -213,7 +213,7 @@ def test_quadrature_resolves_stiff_boundary_layer(lam):
 def test_quadrature_matches_closed_form_on_diagonal_spectra(log_rates, t):
     sys = me.LinearSystem(np.diag(-(10.0 ** np.array(log_rates))), np.eye(len(log_rates)))
     ref = me.gramian_commuting_closed_form(sys, t).Q.matrix
-    q = me.gramian_quadrature(sys, t).Q.matrix
+    q = me.gramian_quadrature_sweep(sys, [t])[0].Q.matrix
     assert np.abs(q - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
@@ -227,13 +227,13 @@ def test_quadrature_cost_on_stiff_spectrum(monkeypatch):
     expm = gramians.expm
     monkeypatch.setattr(gramians, "expm", lambda A, t: calls.append(t) or expm(A, t))
     sys = me.parse_model("spectral:landau-ginzburg(24)").to_linear_system()
-    me.gramian_quadrature(sys, 2.0)
+    me.gramian_quadrature_sweep(sys, [2.0])
     assert len(calls) <= 1000
 
 
 def test_quadrature_gives_up_past_max_panels(coupled_sys):
     with pytest.raises(me.StiffnessError):
-        me.gramian_quadrature(coupled_sys, 1.5, n_nodes=2, rtol=1e-15, max_panels=8)
+        me.gramian_quadrature_sweep(coupled_sys, [1.5], n_nodes=2, rtol=1e-15, max_panels=8)
 
 
 SWEEP_SYSTEMS = {
@@ -250,7 +250,7 @@ def test_quadrature_sweep_matches_each_horizon_alone(name):
     sys = SWEEP_SYSTEMS[name]()
     times = [0.25, 0.5, 1.0, 2.0]
     for t, g in zip(times, me.gramian_quadrature_sweep(sys, times)):
-        ref = me.gramian_quadrature(sys, t).Q.matrix
+        ref = me.gramian_quadrature_sweep(sys, [t])[0].Q.matrix
         assert (g.horizon, g.method) == (t, "quadrature")
         assert np.abs(g.Q.matrix - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -273,7 +273,7 @@ def test_quadrature_sweep_costs_its_longest_horizon(monkeypatch):
     expm = gramians.expm
     monkeypatch.setattr(gramians, "expm", lambda A, t: calls.append(t) or expm(A, t))
     sys = me.parse_model("spectral:landau-ginzburg(24)").to_linear_system()
-    me.gramian_quadrature(sys, 2.0)
+    me.gramian_quadrature_sweep(sys, [2.0])
     alone = len(calls)
     calls.clear()
     me.gramian_quadrature_sweep(sys, [0.25, 0.5, 1.0, 2.0])

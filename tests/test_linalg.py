@@ -298,9 +298,6 @@ def test_every_verdict_follows_the_one_cut(monkeypatch):
     s = me.steer(me.Gramian(me.SymmetricPSD(D), 1.0, "closed_form", "cut"), x)
     assert s.category == "in_range_Q"
     assert s.defect == pytest.approx(1e-5) and s.value == pytest.approx(0.5)
-    geom = me.HGeometry(me.Gramian(me.SymmetricPSD(D), np.inf, "closed_form", "cut"))
-    assert geom.contains(x)
-    assert me.h_norm(geom, x) == pytest.approx(1.0)
     assert me.range_inclusion(x[:, None], D).included
     # B's second singular value, and the Gramian direction it drives, fall
     # below the patched cut

@@ -16,7 +16,7 @@ import minenergy
 PUBLIC = {
     "errors": [
         "MarginError", "MeshResolutionError", "MinEnergyError", "NonFiniteError",
-        "NotInSpaceError", "NotPSDError", "NotSymmetricError", "PreconditionError",
+        "NotPSDError", "NotSymmetricError", "PreconditionError",
         "ReachabilityError", "ScenarioError", "StiffnessError", "UnstableSystemError",
     ],
     "linalg": [
@@ -27,15 +27,14 @@ PUBLIC = {
     "gramians": [
         "Gramian", "KernelChainReport", "RangeEqualityReport", "compute_gramian",
         "gramian_block_exponential", "gramian_commuting_closed_form", "gramian_lyapunov_ode",
-        "gramian_quadrature", "gramian_quadrature_sweep", "gramian_rate", "kernel_chain_check",
+        "gramian_quadrature_sweep", "gramian_rate", "kernel_chain_check",
         "range_equality_check",
     ],
     "energy": [
         "ControlSignal", "EuclideanGeometry", "HGeometry", "LeastNormControl",
-        "NullControllability", "Steering", "Trajectory",
-        "brute_force_min_energy", "feedback_gain", "h_norm",
-        "null_controllability_test", "optimal_control", "optimal_samples", "optimal_trajectory",
-        "simulate_control", "steer", "value_function",
+        "NullControllability", "Steering", "brute_force_min_energy", "feedback_gain",
+        "null_controllability_test", "optimal_samples", "simulate_control", "steer",
+        "value_function",
     ],
     "riccati": [
         "CommutingSolution", "LyapunovReport", "ProjectionReport", "RecoverLReport",
@@ -63,7 +62,7 @@ PUBLIC = {
 
 
 def test_every_public_name_is_its_module_s():
-    assert sum(map(len, PUBLIC.values())) == 97
+    assert sum(map(len, PUBLIC.values())) == 91
     for modname, names in PUBLIC.items():
         module = importlib.import_module("minenergy." + modname)
         for name in names:
