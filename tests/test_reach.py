@@ -105,7 +105,7 @@ def _all_defs():
 # Runs in a fresh interpreter: the profiler goes in before the package is
 # imported, so that module-level calls count too.
 _CHILD = r"""
-import json, os, sys, tempfile, threading
+import json, os, sys, tempfile
 package, golden, scenarios = sys.argv[1:4]
 seen = set()
 
@@ -116,7 +116,6 @@ def profile(frame, event, arg):
             seen.add((code.co_filename, code.co_firstlineno, code.co_name))
 
 sys.setprofile(profile)
-threading.setprofile(profile)
 import minenergy.cli as cli
 with tempfile.TemporaryDirectory() as tmp:
     for case in sorted(os.listdir(golden)):
