@@ -28,7 +28,7 @@ import numpy as np
 
 from .artifacts import write_artifacts
 from .errors import MinEnergyError, ScenarioError
-from .gramians import compute_gramian, gramian_rate
+from .gramians import gramian_rate
 from .models import parse_model
 from .riccati import (
     commuting_candidate,
@@ -332,12 +332,12 @@ def _task_verify_riccati(run):
 def _task_verify_lyapunov(run):
     sys_lin = run.matrix_system("verify-lyapunov")
     times = run.need("horizons", run.finite_horizons(), "verify-lyapunov")
-    rep = lyapunov_residual(sys_lin, lambda t: compute_gramian(sys_lin, t).matrix, times,
+    rep = lyapunov_residual(sys_lin, lambda t: sys_lin.gramian(t).matrix, times,
                             derivative=functools.partial(gramian_rate, sys_lin))
     out = [_residual_entry("lyapunov-differential", rep, mode=rep.mode)]
     all_passed = rep.passed
     if sys_lin.stable:
-        qinf = compute_gramian(sys_lin, math.inf).matrix
+        qinf = sys_lin.gramian(math.inf).matrix
         rep_a = lyapunov_residual(sys_lin, qinf, tol=1e-10)
         out.append({"formula": "lyapunov-algebraic", "mode": rep_a.mode,
                     "residuals": list(rep_a.residuals), "tol_scaled": rep_a.tol_scaled,

@@ -10,13 +10,14 @@ optimizer flows the Gramian inverse of the target through the adjoint
 dynamics.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteError, ReachabilityError
-from .gramians import _van_loan_step, compute_gramian
+from .gramians import _van_loan_step
 from .linalg import _gaussian_coefficients, expm, negligible, pinv, range_inclusion
 
 __all__ = [
@@ -65,9 +66,17 @@ class ControlSignal:
         return np.stack(cols, axis=-1)
 
     def energy(self):
-        """(1/2) ∫ ||u(r)||^2 dr by the trapezoid rule on the grid."""
-        sq = np.sum(self.values ** 2, axis=1)
-        return 0.5 * float(_trapz(sq, self.grid))
+        """(1/2) ∫ ||u(r)||^2 dr by the trapezoid rule on the grid, on the samples ``_scaled``."""
+        u, k = _scaled(self.values)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(0.5 * _trapz(np.sum(u ** 2, axis=1), self.grid), 2 * k))
+
+
+def _scaled(v):
+    """v / 2^k and k, with 2^k the power of two that brings max |v| into
+    [1/2, 1): exact, so its sums of squares times 4^k overflow only where v's do."""
+    k = math.frexp(np.abs(v).max(initial=0.0))[1]
+    return np.ldexp(v, -k), k
 
 
 @dataclass(frozen=True)
@@ -102,14 +111,19 @@ class Steering:
 
 def _project(gram, x):
     """x projected once on the eigenvectors of ``gram.Q``: the ``Steering`` of
-    x, w = V^T x and the mask of the kept eigenpairs."""
-    x = np.asarray(x, dtype=float)
+    x, w = V^T x and the mask of the kept eigenpairs, summing squares over x and
+    the kept eigenvalues ``_scaled``; NonFiniteError for a value that overflows."""
+    x, k = _scaled(np.asarray(x, dtype=float))
     keep = gram.Q._keep()
     w = gram.Q.eigenvectors.T @ x
-    defect = float(np.linalg.norm(w[~keep]))
-    if not negligible(defect, np.linalg.norm(x)):
+    lam, j = _scaled(gram.Q.eigenvalues[keep])
+    with np.errstate(over="ignore"):
+        defect, size = (float(np.ldexp(np.linalg.norm(v), k)) for v in (w[~keep], x))
+        value = float(np.ldexp(0.5 * np.sum(w[keep] ** 2 / lam), 2 * k - j))
+        w = np.ldexp(w, k)
+    if not negligible(defect, size):
         return Steering("unreachable", defect, None), w, keep
-    value = 0.5 * float(np.sum(w[keep] ** 2 / gram.Q.eigenvalues[keep]))
+    _require_finite(value, "value", gram.horizon)
     return Steering("in_range_Q", defect, value), w, keep
 
 
@@ -263,7 +277,7 @@ def feedback_gain(sys, s):
     """
     if s <= 0.0:
         raise ValueError(f"time-to-go must be positive, got {s}")
-    return sys.B.T @ compute_gramian(sys, s).Q.pinv()
+    return sys.B.T @ sys.gramian(s).Q.pinv()
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@
 * symmetric, invertible A commuting with B B^T: the entrywise closed form
   (``gramian_commuting_closed_form``).
 
-Its Gramians are memoised on the system, one per horizon: a system is
-immutable, so Q_t depends on it and t alone.
+It only computes: ``Model.gramian`` keeps what it returns, one Gramian per
+horizon, and every caller that reuses a Gramian asks the system for it.
 
 Two oracles stay beside it, independent of the engine and of each other;
 they are only ever called by name and compute afresh on every call (a third,
@@ -393,25 +393,19 @@ def gramian_rate(sys, t):
 
 
 def compute_gramian(sys, t):
-    """The reachability Gramian Q_t for t in (0, inf], computed once per
-    system and horizon.
+    """The reachability Gramian Q_t for t in (0, inf], computed afresh
+    (``sys.gramian(t)`` keeps it).
 
     The commuting closed form when A is symmetric, invertible and commutes
     with BB^T; otherwise the scaled block exponential, taken at the horizon
     for finite t (stable or not) and doubled until e^{sA} falls below
     roundoff for t = inf.
     """
-    key = float(t)
-    gram = sys._gramians.get(key)
-    if gram is None:
-        if _has_closed_form(sys):
-            gram = gramian_commuting_closed_form(sys, t)
-        elif np.isinf(t):
-            gram = _gramian_infinite_doubling(sys)
-        else:
-            gram = gramian_block_exponential(sys, t)
-        sys._gramians[key] = gram
-    return gram
+    if _has_closed_form(sys):
+        return gramian_commuting_closed_form(sys, t)
+    if np.isinf(t):
+        return _gramian_infinite_doubling(sys)
+    return gramian_block_exponential(sys, t)
 
 
 @dataclass(frozen=True)
@@ -445,7 +439,7 @@ def kernel_chain_check(sys, times, tol=1e-6):
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0.0:
         raise ValueError("times must be positive")
-    grams = [compute_gramian(sys, t) for t in times]
+    grams = [sys.gramian(t) for t in times]
     kernels = [g.Q.kernel_basis() for g in grams]
     # ker B^T = orthogonal complement of range(B)
     U, s, _ = np.linalg.svd(sys.B, full_matrices=True)
@@ -503,8 +497,8 @@ def range_equality_check(sys, t):
     onward; in the commuting selfadjoint case they agree for every t > 0.
     Each root enters as its Gramian's factor (``SymmetricPSD.factor``).
     """
-    Z_t = compute_gramian(sys, t).Q.factor()
-    Z_inf = compute_gramian(sys, np.inf).Q.factor()
+    Z_t = sys.gramian(t).Q.factor()
+    Z_inf = sys.gramian(np.inf).Q.factor()
     fw = range_inclusion(Z_t, Z_inf)
     bw = range_inclusion(Z_inf, Z_t)
     return RangeEqualityReport(

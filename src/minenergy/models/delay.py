@@ -36,8 +36,8 @@ class DelaySystem(Model):
     The state is the pair (x(t), x(t + .) on [-delay, 0]).  The history
     segment is represented by cell averages on a uniform mesh of ``mesh``
     cells; that projection is the single approximation in the pipeline.
-    ``delay_gramian`` keeps each mesh Gramian it computes in ``_gramians``,
-    keyed by horizon, and ``delay_fundamental_solution`` each fundamental
+    ``gramian(t)`` keeps each mesh Gramian that ``delay_gramian`` computes,
+    one per horizon, and ``delay_fundamental_solution`` each fundamental
     solution in ``_fundamentals``, keyed by its number of delay intervals.
     There is no matrix system, and no value oracle apart from the
     fundamental solution yet.
@@ -58,7 +58,6 @@ class DelaySystem(Model):
     b0: float
     delay: float
     mesh: int
-    _gramians: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _fundamentals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -92,7 +91,7 @@ class DelaySystem(Model):
         return {"a0": self.a0, "a1": self.a1, "b0": self.b0, "delay": self.delay,
                 "mesh": self.mesh}
 
-    def gramian(self, t):
+    def _compute_gramian(self, t):
         return delay_gramian(self, t)
 
     def semigroup(self, t):
@@ -295,11 +294,9 @@ def delay_gramian(sys_, t):
     (b0/sqrt(h)) W(t + c_j - s) for cell j.  Every kernel is smooth between
     lattice points, so Gauss-Legendre panels on each lattice cell (the last
     one ending at t) integrate their products to roundoff; a cell gets one
-    panel per unit of (|a0| + |a1|) h.  Computed once per system and horizon.
+    panel per unit of (|a0| + |a1|) h.
     """
     t = float(t)
-    if t in sys_._gramians:
-        return sys_._gramians[t]
     if t <= 0:
         raise ValueError("horizon must be positive")
     _require_mesh(sys_, t)
@@ -318,8 +315,7 @@ def delay_gramian(sys_, t):
             edges = np.linspace(0.0, width, panels + 1)
             for lo, hi in zip(edges[:-1], edges[1:]):
                 Q += _panel_gram(sys_, fund, lo, hi, first, stop)
-    gram = sys_._gramians[t] = _wrap(sys_, Q, t, "quadrature")
-    return gram
+    return _wrap(sys_, Q, t, "quadrature")
 
 
 def delay_optimal_control(sys_, gram, x, grid=129):
@@ -396,7 +392,7 @@ def delay_domain_residual(sys_, t):
     an average, so the mismatch |average of last cell - head| decays like
     O(h) under refinement instead of vanishing exactly.
     """
-    Q = delay_gramian(sys_, t).matrix
+    Q = sys_.gramian(t).matrix
     scale = np.linalg.norm(Q, axis=0)
     live = scale > 1e-300
     gaps = np.abs(Q[0] - Q[-1] / math.sqrt(sys_.h))[live] / scale[live]

@@ -66,7 +66,7 @@ class ShiftSystem(Model):
     def to_json_dict(self):
         return {"m": self.m}
 
-    def gramian(self, t):
+    def _compute_gramian(self, t):
         return shift_gramian(self, t)
 
     def null_controllability(self, t):

@@ -76,7 +76,7 @@ class SpectralSystem(Model):
     def to_json_dict(self):
         return {"lambdas": self.lambdas.tolist(), "bs": self.bs.tolist()}
 
-    def gramian(self, t):
+    def _compute_gramian(self, t):
         return spectral_gramian(self, t)
 
     def null_controllability(self, t):
@@ -152,9 +152,9 @@ def spectral_null_controllability(ssys, T0):
         raise ValueError("horizon must be positive")
     with np.errstate(divide="ignore"):
         log_b = np.log(b)
-    # log of 2 lam e^{-2 lam T0} / (b (1 - e^{-2 lam T0})), stable for large lam*T0
+    # log of 2 lam e^{-2 lam T0} / (b (1 - e^{-2 lam T0})), stable at any lam*T0
     log_ratios = (
-        np.log(2.0 * lam) - 2.0 * lam * T0 - log_b - np.log1p(-np.exp(-2.0 * lam * T0))
+        np.log(2.0 * lam) - 2.0 * lam * T0 - log_b - np.log(-np.expm1(-2.0 * lam * T0))
     )
     all_controlled = bool(np.all(b > 0))
     k = min(max(2, lam.size // 4), lam.size)

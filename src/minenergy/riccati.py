@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import MarginError, NonFiniteError, PreconditionError, UnstableSystemError
-from .gramians import compute_gramian, gramian_rate
+from .gramians import gramian_rate
 from .linalg import _gaussian_coefficients, commutes, expm
 from .energy import EuclideanGeometry, HGeometry, null_controllability_test
 
@@ -70,92 +70,80 @@ class RiccatiCandidate:
     time to the family's exact time derivative there; without one the family
     is opaque, and ``derivative(t)`` is a Richardson difference of ``fn``.
     ``derivative_kind`` says which: ``"exact"`` or ``"richardson"``.
-    Evaluations of both are memoized (the checks of one run share times).
+    Evaluations of both are memoized (the checks of one run share times),
+    and so are its probes (``residual_probes``).
     """
 
     def __init__(self, sys, geometry, fn, derivative=None):
         self.sys = sys
         self.geometry = geometry
         self._fn = fn
-        self._derivative = derivative
+        self._derivative = derivative or (lambda t: _richardson(self.evaluate, t))
         self.derivative_kind = "richardson" if derivative is None else "exact"
-        self._memo = {}
-        self._rates = {}
+        self._memo, self._rates, self._probes = {}, {}, {}
 
     def evaluate(self, t):
         t = float(t)
-        hit = self._memo.get(t)
-        if hit is None:
-            hit = np.asarray(self._fn(t), dtype=float)
-            self._memo[t] = hit
-        return hit
+        if t not in self._memo:
+            self._memo[t] = np.asarray(self._fn(t), dtype=float)
+        return self._memo[t]
 
     def derivative(self, t):
         """The family's time derivative at t: exact when the candidate has
         one, else ``_richardson`` on ``evaluate``."""
         t = float(t)
-        hit = self._rates.get(t)
-        if hit is None:
-            if self._derivative is None:
-                hit = _richardson(self.evaluate, t)
-            else:
-                hit = np.asarray(self._derivative(t), dtype=float)
-            self._rates[t] = hit
-        return hit
+        if t not in self._rates:
+            self._rates[t] = np.asarray(self._derivative(t), dtype=float)
+        return self._rates[t]
 
     def h_norm_of(self, t):
         """Operator norm of the family member in the candidate's geometry."""
         return self.geometry.operator_norm(self.evaluate(t))
 
 
-def _default_geometry(sys):
-    """The system's one ``HGeometry``, on its memoised Q_inf, built on first use."""
-    if sys._h_geometry is None:
-        sys._h_geometry = HGeometry(compute_gramian(sys, np.inf))
-    return sys._h_geometry
-
-
 def _inverse_rate(sys, t):
     """d/dt Q_t^+ = -Q_t^+ Q_t' Q_t^+: range(Q_t), the reachable subspace,
     is the same at every t > 0, and Q_t' maps into it."""
-    R = compute_gramian(sys, t).Q.pinv()
+    R = sys.gramian(t).Q.pinv()
     return -R @ gramian_rate(sys, t) @ R
 
 
-def build_pv(sys, t):
+def build_pv(sys, t, null_controllable_from=np.inf):
     """The Gramian-ratio operator Q_inf Q_t^+ at a single time.
 
     Defined for stable systems; outside the commuting selfadjoint case the
     horizon must already make the system null controllable (the range test
     is run and failure raises PreconditionError), which is what keeps the
-    ratio bounded in the weighted geometry.
+    ratio bounded in the weighted geometry.  Null controllability at s holds
+    at every t >= s (Q_t >= e^{(t-s)A} Q_s e^{(t-s)A^T}), so the test is
+    skipped at or above ``null_controllable_from``, a horizon where it passed.
     """
     if not sys.stable:
         raise UnstableSystemError("the Gramian-ratio family needs a stable system")
     t = float(t)
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    # null controllability at s holds at every t >= s (Q_t >= e^{(t-s)A} Q_s
-    # e^{(t-s)A^T}), so the test runs only below the least horizon it passed at
-    if not sys.is_commuting_selfadjoint() and t < sys._null_controllable_from:
+    if not sys.is_commuting_selfadjoint() and t < null_controllable_from:
         nc = null_controllability_test(sys, t)
         if not nc.satisfied:
             raise PreconditionError(
                 f"system is not null controllable at horizon {t:g} "
                 f"(range defect {nc.defect:.3e}); the ratio family is unbounded there"
             )
-        sys._null_controllable_from = t
-    Q_inf = compute_gramian(sys, np.inf).matrix
-    return Q_inf @ compute_gramian(sys, t).Q.pinv()
+    return sys.gramian(np.inf).matrix @ sys.gramian(t).Q.pinv()
 
 
 def pv_candidate(sys):
     """Candidate wrapping the Gramian-ratio family (``build_pv``), measured in
-    the system's one geometry of Q_inf.  Its Gramians are the system's
+    the geometry of the system's Q_inf.  Its Gramians are the system's
     memoised ones, and its exact derivative is
-    P' = -Q_inf Q_t^+ Q_t' Q_t^+ with Q_t' = e^{tA} BB^T e^{tA^T}."""
-    return RiccatiCandidate(sys, _default_geometry(sys), lambda t: build_pv(sys, t),
-                            lambda t: compute_gramian(sys, np.inf).matrix @ _inverse_rate(sys, t))
+    P' = -Q_inf Q_t^+ Q_t' Q_t^+ with Q_t' = e^{tA} BB^T e^{tA^T}.  Each time
+    it has evaluated at was shown null controllable, so ``build_pv`` tests
+    only below the least of them."""
+    cand = RiccatiCandidate(sys, HGeometry(sys.gramian(np.inf)),
+                            lambda t: build_pv(sys, t, min(cand._memo, default=np.inf)),
+                            lambda t: sys.gramian(np.inf).matrix @ _inverse_rate(sys, t))
+    return cand
 
 
 def inverse_candidate(sys):
@@ -164,7 +152,7 @@ def inverse_candidate(sys):
     R' = -Q_t^+ Q_t' Q_t^+.  Needs no stability: only finite-horizon Gramians
     enter."""
     return RiccatiCandidate(sys, EuclideanGeometry(sys.n),
-                            lambda t: compute_gramian(sys, t).Q.pinv(),
+                            lambda t: sys.gramian(t).Q.pinv(),
                             lambda t: _inverse_rate(sys, t))
 
 
@@ -184,17 +172,16 @@ def residual_probes(cand, t, n_random=10, seed=0):
 
     An orthonormal basis of range(Q_t) plus ``n_random`` seeded random
     vectors inside it, normalized in the candidate's geometry.  They are
-    made once per geometry, time, count and seed, and kept on the system.
+    made once per time, count and seed, and kept on the candidate.
     """
-    memo = cand.sys._probes.setdefault(cand.geometry, {})
     key = (float(t), n_random, seed)
-    X = memo.get(key)
+    X = cand._probes.get(key)
     if X is None:
-        U = compute_gramian(cand.sys, t).Q.range_basis()
+        U = cand.sys.gramian(t).Q.range_basis()
         if U.shape[1] == 0:
             raise PreconditionError(
                 f"range(Q_t) is trivial at t = {t:g}: there is nothing to probe")
-        X = memo[key] = _probes(cand.geometry, U, n_random, seed)
+        X = cand._probes[key] = _probes(cand.geometry, U, n_random, seed)
         X.setflags(write=False)
     return X
 
@@ -228,7 +215,11 @@ def _richardson(f, t):
 
 
 def _scale(cand, t):
-    return max(1.0, cand.h_norm_of(t)) ** 2 * max(1.0, np.linalg.norm(cand.sys.A, 2))
+    with np.errstate(over="ignore"):
+        scale = np.square(max(1.0, cand.h_norm_of(t))) * max(1.0, np.linalg.norm(cand.sys.A, 2))
+    if not np.isfinite(scale):
+        raise NonFiniteError(f"the residual threshold at t = {t:g} overflows double precision")
+    return scale
 
 
 def _as_times(t):
@@ -245,15 +236,20 @@ def riccati_pairings(cand, t, probes=None, seed=0):
     ``lhs[i, j] = <P'(t) x_i, x_j>_W``, with P' the candidate's ``derivative``
     (exact, or Richardson differences for an opaque family), and
     ``rhs[i, j] = - <A x_i, W P x_j> - <W P x_i, A x_j> - <B^T W P x_i, B^T W P x_j>``,
-    with W the metric of the candidate's geometry.
+    with W the metric of the candidate's geometry.  NonFiniteError when a
+    pairing overflows.
     """
     X = residual_probes(cand, t, seed=seed) if probes is None else np.asarray(probes)
     W = cand.geometry.metric
-    WP_X = W @ (cand.evaluate(t) @ X.T)          # columns: W P x_i
-    lhs = (X @ (W @ (cand.derivative(t) @ X.T))).T
-    AX = cand.sys.A @ X.T
-    BtWP = cand.sys.B.T @ WP_X
-    rhs = -(AX.T @ WP_X) - (WP_X.T @ AX) - (BtWP.T @ BtWP)
+    P, dP = cand.evaluate(t), cand.derivative(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        WP_X = W @ (P @ X.T)          # columns: W P x_i
+        lhs = (X @ (W @ (dP @ X.T))).T
+        AX = cand.sys.A @ X.T
+        BtWP = cand.sys.B.T @ WP_X
+        rhs = -(AX.T @ WP_X) - (WP_X.T @ AX) - (BtWP.T @ BtWP)
+    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
+        raise NonFiniteError(f"the Riccati pairings at t = {t:g} overflow double precision")
     return X, lhs, rhs
 
 
@@ -359,7 +355,7 @@ def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6):
     family to the Gramian ratio.
     """
     sys = cand.sys
-    gram_inf = compute_gramian(sys, np.inf)
+    gram_inf = sys.gramian(np.inf)
     Q_inf = gram_inf.matrix
     U = gram_inf.Q.range_basis()
 
@@ -386,7 +382,7 @@ def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6):
             continue
         S_inv = U @ np.linalg.inv(M) @ U.T
         Q_rec = S_inv @ Q_inf
-        Q_t = compute_gramian(sys, t).matrix
+        Q_t = sys.gramian(t).matrix
         Pr = U @ U.T
         err = np.linalg.norm(Pr @ (Q_rec - Q_t) @ Pr, 2) / max(np.linalg.norm(Q_t, 2), 1e-300)
         times.append(float(t))
@@ -532,9 +528,9 @@ def commuting_family(sys, K, t, margin=1e-6, t1=None):
 
 def commuting_candidate(sys, K, margin=1e-6):
     """Candidate wrapping the exponential family for a fixed K, measured in
-    the system's one geometry of Q_inf, and carries K and t1.  Its exact
+    the geometry of the system's Q_inf, and carries K and t1.  Its exact
     derivative is S' = S (A E K E + E K E A) S with E = e^{tA}."""
-    geometry = _default_geometry(sys)
+    geometry = HGeometry(sys.gramian(np.inf))
     K = np.asarray(K, dtype=float)
     t1 = detect_t1(sys, K, margin)
 

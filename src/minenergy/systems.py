@@ -3,7 +3,6 @@ every model answers."""
 
 import functools
 import hashlib
-import weakref
 
 import numpy as np
 
@@ -37,6 +36,15 @@ class Model:
     linear = None
     no_infinite_horizon = None
 
+    def gramian(self, t):
+        """Q_t, made once per horizon by ``_compute_gramian`` and kept in
+        ``_gramians``, keyed by float(t): the one Gramian memo (a model is
+        immutable, so Q_t depends on it and t alone)."""
+        memo = vars(self).setdefault("_gramians", {})
+        if float(t) not in memo:
+            memo[float(t)] = self._compute_gramian(t)
+        return memo[float(t)]
+
     def default_targets(self):
         return []
 
@@ -61,13 +69,8 @@ class LinearSystem(Model):
     The decay margin ``omega = max(0, -max Re lambda(A))`` is computed once;
     ``omega > 0`` means the flow is uniformly exponentially stable, which is
     what infinite-horizon computations require.  A, B and ``BBt`` = B Bᵀ,
-    formed once, are read-only, so ``compute_gramian`` keeps each Gramian it
-    computes in ``_gramians``, keyed by horizon, and ``riccati.build_pv``
-    keeps in ``_null_controllable_from`` the least horizon at which the null
-    controllability test passed (inf until one has).  The ``riccati`` module
-    keeps the system's one ``HGeometry`` in ``_h_geometry`` (None until
-    built) and its residual probes in ``_probes``: per geometry, held weakly
-    so that a geometry's probes go with it, keyed by time, count and seed.
+    formed once, are read-only, so ``gramian(t)`` keeps each Gramian that
+    ``compute_gramian`` makes, one per horizon.
     """
 
     kind = "linear"
@@ -92,10 +95,6 @@ class LinearSystem(Model):
         self.n = A.shape[0]
         self.m = B.shape[1]
         self.omega = float(max(0.0, -np.max(np.linalg.eigvals(self.A).real)))
-        self._gramians = {}
-        self._null_controllable_from = np.inf
-        self._h_geometry = None
-        self._probes = weakref.WeakKeyDictionary()
 
     @property
     def linear(self):
@@ -105,7 +104,7 @@ class LinearSystem(Model):
     def dim(self):
         return self.n
 
-    def gramian(self, t):
+    def _compute_gramian(self, t):
         return compute_gramian(self, t)
 
     def semigroup(self, t):

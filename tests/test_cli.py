@@ -907,6 +907,21 @@ def test_run_builds_one_delay_gramian_per_horizon(tmp_path, monkeypatch):
     assert sorted(built) == [1.5, 2.0]
 
 
+def test_a_run_leaves_only_the_gramian_memo_on_the_system(tmp_path, monkeypatch):
+    # the candidates keep their own geometry, probes and null-controllability
+    # horizon; the system keeps its inputs, derived constants and Gramians
+    models = []
+    load = cli._load_model
+    monkeypatch.setattr(cli, "_load_model", lambda *a: models.append(load(*a)) or models[-1])
+    scenario = {"model": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+                "horizons": [0.5, 1.0, 2.0], "targets": [[1.0, 0.5]], "K": [[0.5, 0.0], [0.0, 0.3]],
+                "tasks": ["verify-riccati", "sweep", "commuting-family"]}
+    assert cli.run_scenario(scenario, str(tmp_path)) == 0
+    (sys_,) = models
+    assert sorted(vars(sys_)) == ["A", "B", "BBt", "_gramians", "m", "n", "omega"]
+    assert sorted(sys_._gramians) == [0.5, 1.0, 2.0, math.inf]
+
+
 def test_run_builds_one_fundamental_solution_per_delay_interval_count(tmp_path, monkeypatch):
     # the Gramians, semigroups and controls of horizons 0.5 and 0.75 share one
     # lattice of one delay interval; 1.5 and 2.5 need two and three

@@ -138,6 +138,15 @@ FOUND = [
     # weights that overflow, which printed a RuntimeWarning before the error
     ({"model": "spectral:power-law(1e308,3)", "tasks": ["gramian"], "horizons": [1.0]},
      2, "scenario field 'model'"),
+    # a threshold max(1, ||P||)^2 that escaped as an OverflowError
+    ({"model": {"A": [[-1e-300]], "B": [[1.0]]}, "tasks": ["verify-riccati"],
+      "horizons": [1.0]}, 1, "NonFiniteError"),
+    # a value that overflowed and was reported as "inf"
+    ({"model": {"A": [[-1.0]], "B": [[1.0]]}, "tasks": ["min-energy"], "horizons": [1.0],
+      "targets": [[1e300]]}, 1, "NonFiniteError: the optimal value"),
+    # a finite value whose control samples overflowed when squared
+    ({"model": "spectral:landau-ginzburg(3)", "tasks": ["min-energy"], "horizons": [1e-300],
+      "targets": [[1.0, 1.0, 1.0]]}, 0, None),
 ]
 
 
@@ -152,7 +161,8 @@ def test_found_inputs_get_typed_errors(scenario, code, message, tmp_path, capsys
         assert not os.path.exists(os.path.join(out, "report.json"))
     else:
         with open(os.path.join(out, "report.json")) as f:
-            assert json.load(f)["tasks"][0]["error"].startswith(message)
+            task = json.load(f)["tasks"][0]
+        assert task["error"].startswith(message) if code == 1 else "error" not in task
 
 
 def test_nan_horizon_flag_is_refused_like_the_scenario_field(tmp_path, capsys):

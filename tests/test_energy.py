@@ -94,8 +94,8 @@ def test_one_actuator_value_is_exact_or_refused(N):
 
 def test_steering_and_geometry_reuse_the_gramian_decomposition(rng, monkeypatch):
     sys = me.random_stable_system(rng, 5)
-    g = me.compute_gramian(sys, 1.0)
-    g_inf = me.compute_gramian(sys, np.inf)
+    g = sys.gramian(1.0)
+    g_inf = sys.gramian(np.inf)
     x = g.matrix @ rng.standard_normal(5)
     calls = []
     eigh = np.linalg.eigh
@@ -241,7 +241,7 @@ def test_steering_makes_one_exponential_and_no_gramian(monkeypatch, rng):
     compute_gramian = counted("compute_gramian", me.gramians.compute_gramian)
     for module in (me.linalg, me.gramians, me.energy):
         monkeypatch.setattr(module, "expm", expm)
-    for module in (me.gramians, me.energy):
+    for module in (me.gramians, me.systems):
         monkeypatch.setattr(module, "compute_gramian", compute_gramian)
     me.optimal_samples(sys, g, x, grid=129)
     assert calls == {"expm": 1, "compute_gramian": 0}

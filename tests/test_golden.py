@@ -68,6 +68,35 @@ def test_golden_outputs_reproduce(case, tmp_path):
     _assert_reproduces(case, out)
 
 
+def test_each_golden_run_computes_a_gramian_once_per_model_and_horizon(tmp_path, monkeypatch):
+    """``Model.gramian`` keeps what the compute functions return, so a run
+    computes each model's Gramian once per horizon, whichever tasks read it."""
+    from minenergy import systems
+    from minenergy.models import delay, shift, spectral
+
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda model, t: calls.append((name, id(model), float(t))) or fn(model, t))
+
+    for module, name in [(systems, "compute_gramian"), (spectral, "spectral_gramian"),
+                         (delay, "delay_gramian"), (shift, "shift_gramian"),
+                         (shift, "shift_control_map")]:
+        count(module, name)
+    counts = {}
+    for case in CASES:
+        calls.clear()
+        assert _run(case, str(tmp_path / case)) == 0
+        grams = [c for c in calls if c[0] != "shift_control_map"]
+        assert len(grams) == len(set(grams)), case
+        counts[case] = {name: sum(c[0] == name for c in calls) for name, _, _ in calls}
+    # five horizons; the shift's three Gramians and its oracle's three QR maps
+    assert counts["spectral"]["spectral_gramian"] == 5
+    assert counts["shift"] == {"shift_gramian": 3, "shift_control_map": 6}
+
+
 def test_report_needs_no_pure_python_json_encoder(tmp_path, monkeypatch):
     """``json.dumps`` with an indent leaves its C encoder for the pure-Python
     one, a generator step and a float formatting per number; the report's

@@ -313,12 +313,14 @@ def test_range_equality_check_commuting(scalar_sys):
 
 
 def test_gramian_cache_hits(scalar_sys):
-    g1 = me.compute_gramian(scalar_sys, 1.0)
-    g2 = me.compute_gramian(scalar_sys, 1.0)
+    g1 = scalar_sys.gramian(1.0)
+    g2 = scalar_sys.gramian(1)
     assert g1 is g2
     assert scalar_sys._gramians == {1.0: g1}
-    # the memo lives on the instance: an equal system computes its own
-    assert me.compute_gramian(me.LinearSystem([[-1.0]], [[1.0]]), 1.0) is not g1
+    # the memo lives on the instance: an equal system computes its own, and
+    # compute_gramian computes afresh
+    assert me.LinearSystem([[-1.0]], [[1.0]]).gramian(1.0) is not g1
+    assert me.compute_gramian(scalar_sys, 1.0) is not g1
 
 
 def test_cache_solves_infinite_gramian_once(coupled_sys, monkeypatch):
@@ -329,8 +331,8 @@ def test_cache_solves_infinite_gramian_once(coupled_sys, monkeypatch):
     monkeypatch.setattr(gramians, "_gramian_infinite_doubling",
                         lambda *a: calls.append(1) or solve(*a))
     for t in (0.5, 1.0, 2.0, np.inf, 4.0):
-        me.compute_gramian(coupled_sys, t)
-        me.compute_gramian(coupled_sys, np.inf)
+        coupled_sys.gramian(t)
+        coupled_sys.gramian(np.inf)
     cand = me.pv_candidate(coupled_sys)
     me.inverse_candidate(coupled_sys)
     me.riccati_residual(cand, [1.0, 2.0])

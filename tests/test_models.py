@@ -116,6 +116,19 @@ def test_spectral_nc_constant_scalar_mode():
     assert rep.constant == pytest.approx(0.31303528549933135, rel=1e-12)
 
 
+# the first mode's 2 e^{-2 T0} / (1 - e^{-2 T0}), the largest ratio of
+# landau_ginzburg(3), by mpmath at 50 digits
+@pytest.mark.parametrize("T0, constant", [
+    (1e-6, 999999.0000003334), (1e-10, 9999999999.0),
+    (1e-12, 999999999999.0), (1e-14, 99999999999999.0),
+])
+def test_spectral_nc_constant_keeps_its_digits_at_short_horizons(T0, constant):
+    # 1 - e^{-2 lam T0} cancels when formed as log1p(-e^{-2 lam T0})
+    rep = spectral_null_controllability(landau_ginzburg(3), T0)
+    assert rep.constant == pytest.approx(constant, rel=1e-12)
+    assert rep.satisfied and rep.verdicts_agree
+
+
 def test_classification_landau_ginzburg():
     cl = spectral_space_h_classification(landau_ginzburg())
     assert cl.pattern == "power-law"
