@@ -24,7 +24,7 @@ print("quadratic spectrum, unit weights — Gramian diagonal at t = 1:")
 print(np.diag(g.Q.matrix))
 
 print("\nmatches the dense route on the same truncation:",
-      np.allclose(g.Q.matrix, me.compute_gramian(spec.to_linear_system(), 1.0).Q.matrix))
+      np.allclose(g.Q.matrix, me.compute_gramian(me.LinearSystem(spec.A, spec.B), 1.0).Q.matrix))
 
 print("\nnull controllability (flow lands in the reachable range):")
 for name, preset in (("landau-ginzburg", landau_ginzburg()),

@@ -10,10 +10,11 @@ aggregates all verdicts (nonzero iff anything failed or errored).
 
 The model answers every task through the calls of ``systems.Model``: its
 Gramian, steering verdict, least-norm control, null-controllability report
-and value oracles.  The tasks built on A and B use its matrix system
-(``linear``) with the library's matrix-system calls.  The CLI adds only the
-formula labels, keyed by model kind and Gramian method, and the entries
-each task puts in the report.
+and value oracles.  The tasks built on A and B take a model that is a
+``LinearSystem`` (a spectral model is one) and call the library's
+matrix-system functions on it, which read its one Gramian memo.  The CLI
+adds only the formula labels, keyed by model kind and Gramian method, and
+the entries each task puts in the report.
 """
 
 import argparse
@@ -239,10 +240,10 @@ class _Run:
         return horizons
 
     def matrix_system(self, task):
-        """The model's matrix system, for the tasks that need A and B."""
-        if self.model.linear is None:
+        """The model, for the tasks that need A and B: a ``LinearSystem``."""
+        if not isinstance(self.model, LinearSystem):
             raise ScenarioError(f"{task} needs a matrix model (linear or spectral)")
-        return self.model.linear
+        return self.model
 
 
 # ---------------------------------------------------------------------------

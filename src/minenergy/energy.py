@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ReachabilityError
+from .errors import NonFiniteError, ReachabilityError, StiffnessError
 from .gramians import _van_loan_step
-from .linalg import _gaussian_coefficients, expm, negligible, pinv, range_inclusion
+from .linalg import (_LATTICE_WORK_CAP, _gaussian_coefficients, expm, negligible, pinv,
+                     range_inclusion)
 
 __all__ = [
     "ControlSignal",
@@ -154,12 +155,16 @@ def value_function(gram, x):
     return s.value
 
 
-def _steering_coefficients(gram, x, grid, what):
+def _steering_coefficients(gram, x, grid, what, width):
     """z = V_k (w_k / lam_k) = Q_t^+ x from the projection of ``steer``, over
     exactly the directions its value sums over: ReachabilityError unless x is
-    in range(Q_t), ValueError for grid < 2 or an infinite horizon."""
+    in range(Q_t), ValueError for grid < 2 or an infinite horizon, and
+    StiffnessError when ``grid`` samples of ``width`` exceed the work cap."""
     if operator.index(grid) < 2:
         raise ValueError(f"need at least 2 grid nodes, got {grid}")
+    if grid * width > _LATTICE_WORK_CAP:
+        raise StiffnessError(f"{grid} samples of width {width} exceed the cap of "
+                             f"{_LATTICE_WORK_CAP:.3g} entries")
     s, w, keep = _project(gram, x)
     if s.category != "in_range_Q":
         raise ReachabilityError(
@@ -228,7 +233,7 @@ def optimal_samples(sys, gram, x, grid=129):
     (``ControlSignal``, states), the states a (grid, n) array with row i at
     r_i; NonFiniteError when either overflows.
     """
-    z = _steering_coefficients(gram, x, grid, "control and trajectory")
+    z = _steering_coefficients(gram, x, grid, "control and trajectory", max(sys.B.shape))
     t = gram.horizon
     E, Qh = _van_loan_step(sys, t / (grid - 1))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -38,6 +38,12 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 REL_THRESHOLD = 1e-10
 
+# The package's one cap on the entries of an array sized by its input (a
+# delay lattice's work counts (cells) x (delay intervals)).  At 2^24 (mesh 32,
+# 724 delays) building a delay's fundamental solution and Gramian took 2.6 s
+# on a 2-CPU VM, 145 times the 60 delays at mesh 32 that the tests reach.
+_LATTICE_WORK_CAP = 2**24
+
 
 def rank_mask(values):
     """The mask of the values above ``REL_THRESHOLD`` times the largest: the
@@ -143,6 +149,8 @@ class SymmetricPSD:
         return cls.from_eigenpairs(sigma[::-1] ** 2, U[:, ::-1], rank_mask(sigma[::-1]))
 
     def _set(self, lam, V, keep):
+        if np.any(lam[keep] < np.finfo(float).tiny):  # below the normal doubles: digits lost
+            raise NonFiniteError(f"a kept eigenvalue {lam[keep].min():.6e} is subnormal")
         self._lam = lam
         self._V = V
         self._mask = keep

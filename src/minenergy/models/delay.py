@@ -16,6 +16,7 @@ import numpy as np
 from ..energy import ControlSignal, _steering_coefficients
 from ..errors import MeshResolutionError, NonFiniteError, StiffnessError
 from ..gramians import _wrap
+from ..linalg import _LATTICE_WORK_CAP
 from ..systems import Model
 
 __all__ = [
@@ -141,13 +142,6 @@ def _moments(a0, sigma, kmax):
         for j in range(1, kmax + 1):
             mu[~small, j] = col = (s**j * e - j * col) / a0
     return mu
-
-
-# Work of a fundamental solution, (cells) x (delay intervals).  At 2^24 (mesh
-# 32, 724 delays) building it and the Gramian took 2.6 s on a 2-CPU VM; that is
-# 145 times the 60 delays at mesh 32 that the tests reach.  The spectral
-# presets and the shift's control map take the same cap on their entries.
-_LATTICE_WORK_CAP = 2**24
 
 
 class FundamentalSolution:
@@ -331,10 +325,10 @@ def delay_optimal_control(sys_, gram, x, grid=129):
     makes (``energy._steering_coefficients``), over exactly the directions
     its value sums over.
     """
-    z = _steering_coefficients(gram, x, grid, "control")
     t = gram.horizon
     M = sys_.mesh
     fund = delay_fundamental_solution(sys_, t)
+    z = _steering_coefficients(gram, x, grid, "control", fund.cells)
     rs = np.linspace(-t, 0.0, grid)
     i, sigma = fund.locate(-rs)
     g, F = fund.on_cells(sigma)

@@ -12,9 +12,8 @@ import numpy as np
 from ..energy import Steering, steer
 from ..errors import MeshResolutionError, PreconditionError, ScenarioError, StiffnessError
 from ..gramians import Gramian
-from ..linalg import SymmetricPSD
+from ..linalg import _LATTICE_WORK_CAP, SymmetricPSD
 from ..systems import Model
-from .delay import _LATTICE_WORK_CAP
 
 __all__ = [
     "ShiftSystem",

@@ -8,9 +8,8 @@ import numpy as np
 
 from ..energy import NullControllability, null_controllability_test
 from ..gramians import Gramian
-from ..linalg import SymmetricPSD
-from ..systems import LinearSystem, Model
-from .delay import _LATTICE_WORK_CAP
+from ..linalg import _LATTICE_WORK_CAP, SymmetricPSD
+from ..systems import LinearSystem
 
 __all__ = [
     "SpectralSystem",
@@ -25,25 +24,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpectralSystem(Model):
+class SpectralSystem(LinearSystem):
     """Diagonal dynamics: mode n decays at rate lambda_n, control weight b_n.
 
-    Models the stable self-adjoint case where A = -diag(lambda) and
-    B B^* = diag(b) in the eigenbasis.  All Gramian quantities reduce to
-    scalar formulas per mode, which makes this family the reference point
-    for validating the generic matrix pipelines.  The matrix system is built
-    once, as ``linear``.
+    The matrix system A = -diag(lambda), B = diag(sqrt(b)), with B B^* =
+    diag(b): the stable self-adjoint commuting case, and the reference for
+    the generic matrix pipelines.  Its Gramian is the per-mode closed form
+    ``spectral_gramian``, one memo for every task, and its null
+    controllability the per-mode ratio test; every other call is the matrix
+    system's.
     """
 
     kind = "spectral"
 
-    lambdas: np.ndarray
-    bs: np.ndarray
-
-    def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lambdas, dtype=float))
-        b = np.atleast_1d(np.asarray(self.bs, dtype=float))
+    def __init__(self, lambdas, bs):
+        lam = np.atleast_1d(np.asarray(lambdas, dtype=float))
+        b = np.atleast_1d(np.asarray(bs, dtype=float))
         if lam.ndim != 1 or b.shape != lam.shape:
             raise ValueError("lambdas and bs must be 1-d arrays of equal length")
         if lam.size == 0:
@@ -56,22 +52,8 @@ class SpectralSystem(Model):
             raise ValueError("control weights must be nonnegative")
         lam.flags.writeable = False
         b.flags.writeable = False
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "bs", b)
-        object.__setattr__(self, "linear", self.to_linear_system())
-        object.__setattr__(self, "_fingerprint", self.linear.fingerprint())
-
-    @property
-    def n(self):
-        return self.lambdas.size
-
-    dim = n
-
-    def to_linear_system(self):
-        return LinearSystem(np.diag(-self.lambdas), np.diag(np.sqrt(self.bs)))
-
-    def fingerprint(self):
-        return self._fingerprint
+        self.lambdas, self.bs = lam, b
+        super().__init__(np.diag(-lam), np.diag(np.sqrt(b)))
 
     def to_json_dict(self):
         return {"lambdas": self.lambdas.tolist(), "bs": self.bs.tolist()}
@@ -145,7 +127,7 @@ class SpectralNCReport:
 
 
 def spectral_null_controllability(ssys, T0):
-    """The per-mode ratio test at T0, beside the range test of ``ssys.linear``."""
+    """The per-mode ratio test at T0, beside the range test of the matrix system."""
     lam, b = ssys.lambdas, ssys.bs
     T0 = float(T0)
     if T0 <= 0:
@@ -174,7 +156,7 @@ def spectral_null_controllability(ssys, T0):
         constant=constant,
         all_controlled=all_controlled,
         tail_nonincreasing=tail_nonincreasing,
-        finite_dim=null_controllability_test(ssys.linear, T0),
+        finite_dim=null_controllability_test(ssys, T0),
     )
 
 
@@ -250,8 +232,8 @@ def spectral_space_h_classification(ssys):
 
 def _modes(n_modes):
     """The mode numbers 1, ..., n_modes; ValueError, before anything is
-    allocated, when the n_modes x n_modes ``linear`` would have more than
-    ``_LATTICE_WORK_CAP`` entries."""
+    allocated, when the n_modes x n_modes matrices A and B would have more
+    than ``_LATTICE_WORK_CAP`` entries."""
     if n_modes * n_modes > _LATTICE_WORK_CAP:
         raise ValueError(f"{n_modes} modes exceed the cap of {_LATTICE_WORK_CAP:.3g} "
                          "entries in the matrix system")

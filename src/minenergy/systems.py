@@ -17,23 +17,21 @@ class Model:
     """The calls every model answers, with the defaults that need only its Gramian
     (and, for null controllability, its semigroup).
 
-    A model names its ``kind``, the length ``dim`` of a target vector and
-    its matrix system ``linear`` (None when there is none, and the tasks
-    built on A and B refuse it); ``no_infinite_horizon`` says why it has no
-    Q_inf, if it has none.  ``to_json_dict()`` describes it, ``gramian(t)``
-    is its Gramian, ``semigroup(t)`` its uncontrolled flow over time t, and
-    ``null_controllability(t)`` its null-controllability report, which has a
-    ``to_json_dict()`` too (by default ``null_controllability_test`` on the
-    two).  ``steer(t, x)`` gives the class, defect and value of steering to
-    x; ``least_norm_control(t, x, grid)`` the least-norm control with the
-    states it passes through (None when the model has no samples, or no
-    states); ``default_targets()`` the targets of a steering task that names
-    none; ``value_oracles(times)`` per horizon a map from a target to its
-    value computed apart from ``steer`` (None when the model has no such
-    oracle).
+    A model names its ``kind`` and the length ``dim`` of a target vector;
+    ``no_infinite_horizon`` says why it has no Q_inf, if it has none.  The
+    tasks built on A and B take only a ``LinearSystem``.  ``to_json_dict()``
+    describes it, ``gramian(t)`` is its Gramian, ``semigroup(t)`` its
+    uncontrolled flow over time t, and ``null_controllability(t)`` its
+    null-controllability report, which has a ``to_json_dict()`` too (by
+    default ``null_controllability_test`` on the two).  ``steer(t, x)`` gives
+    the class, defect and value of steering to x; ``least_norm_control(t, x,
+    grid)`` the least-norm control with the states it passes through (None
+    when the model has no samples, or no states); ``default_targets()`` the
+    targets of a steering task that names none; ``value_oracles(times)`` per
+    horizon a map from a target to its value computed apart from ``steer``
+    (None when the model has no such oracle).
     """
 
-    linear = None
     no_infinite_horizon = None
 
     def gramian(self, t):
@@ -54,23 +52,16 @@ class Model:
     def steer(self, t, x):
         return steer(self.gramian(t), x)
 
-    def least_norm_control(self, t, x, grid):
-        return optimal_samples(self.linear, self.gramian(t), x, grid=grid)
-
-    def value_oracles(self, times):
-        """The value on the quadrature Gramians of ``linear``, all from one sweep."""
-        grams = gramian_quadrature_sweep(self.linear, times)
-        return [functools.partial(value_function, gram) for gram in grams]
-
 
 class LinearSystem(Model):
     """State matrix A (n x n) and input matrix B (n x m).
 
-    The decay margin ``omega = max(0, -max Re lambda(A))`` is computed once;
-    ``omega > 0`` means the flow is uniformly exponentially stable, which is
-    what infinite-horizon computations require.  A, B and ``BBt`` = B Bᵀ,
-    formed once, are read-only, so ``gramian(t)`` keeps each Gramian that
-    ``compute_gramian`` makes, one per horizon.
+    The decay margin ``omega = max(0, -max Re lambda(A))`` and the
+    ``fingerprint()`` of (A, B) are computed once; ``omega > 0`` means the
+    flow is uniformly exponentially stable, which is what infinite-horizon
+    computations require.  A, B and ``BBt`` = B Bᵀ, formed once, are
+    read-only, so ``gramian(t)`` keeps each Gramian that ``_compute_gramian``
+    makes (here ``compute_gramian``), one per horizon.
     """
 
     kind = "linear"
@@ -95,10 +86,11 @@ class LinearSystem(Model):
         self.n = A.shape[0]
         self.m = B.shape[1]
         self.omega = float(max(0.0, -np.max(np.linalg.eigvals(self.A).real)))
-
-    @property
-    def linear(self):
-        return self
+        h = hashlib.sha256()
+        for M in (self.A, self.B):
+            h.update(np.array(M.shape, dtype=np.int64).tobytes())
+            h.update(np.ascontiguousarray(M).tobytes())
+        self._fingerprint = h.hexdigest()[:16]
 
     @property
     def dim(self):
@@ -109,6 +101,14 @@ class LinearSystem(Model):
 
     def semigroup(self, t):
         return expm(self.A, t)
+
+    def least_norm_control(self, t, x, grid):
+        return optimal_samples(self, self.gramian(t), x, grid=grid)
+
+    def value_oracles(self, times):
+        """The value on the quadrature Gramians, all from one sweep."""
+        grams = gramian_quadrature_sweep(self, times)
+        return [functools.partial(value_function, gram) for gram in grams]
 
     @property
     def stable(self):
@@ -127,12 +127,7 @@ class LinearSystem(Model):
 
     def fingerprint(self):
         """Stable hex digest of (A, B), used to tag derived quantities."""
-        h = hashlib.sha256()
-        h.update(np.array(self.A.shape, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(self.A).tobytes())
-        h.update(np.array(self.B.shape, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(self.B).tobytes())
-        return h.hexdigest()[:16]
+        return self._fingerprint
 
     def to_json_dict(self):
         return {"A": self.A.tolist(), "B": self.B.tolist()}

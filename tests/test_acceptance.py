@@ -81,10 +81,9 @@ def test_c01_gramian_cross_validation():
     assert all(not s.stable for s in unstable)
     for name, preset in SPECTRAL_PRESETS:
         ssys = preset()
-        lin = ssys.to_linear_system()
         q_spec = spectral_gramian(ssys, 1.0).Q.matrix
-        q_quad = me.gramian_quadrature_sweep(lin, [1.0])[0].Q.matrix
-        q_ode = me.gramian_lyapunov_ode(lin, 1.0).Q.matrix
+        q_quad = me.gramian_quadrature_sweep(ssys, [1.0])[0].Q.matrix
+        q_ode = me.gramian_lyapunov_ode(ssys, 1.0).Q.matrix
         scale = max(np.linalg.norm(q_spec, 2), 1e-300)
         assert np.linalg.norm(q_quad - q_spec, 2) / scale < 1e-8, name
         assert np.linalg.norm(q_ode - q_spec, 2) / scale < 1e-8, name
@@ -217,7 +216,7 @@ def test_c07_spectral_model():
         expected = np.diag(b * -np.expm1(-2.0 * lam) / (2.0 * lam))
         assert np.abs(g - expected).max() <= 1e-12 * max(expected.max(), 1e-300), name
         rep = spectral_null_controllability(ssys, 1.0)
-        dense = me.null_controllability_test(ssys.to_linear_system(), 1.0)
+        dense = me.null_controllability_test(me.LinearSystem(ssys.A, ssys.B), 1.0)
         assert rep.satisfied == dense.satisfied, name
     cl = spectral_space_h_classification(landau_ginzburg())
     assert cl.description_sqrt == "D(A^0.5)"

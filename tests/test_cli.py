@@ -719,7 +719,7 @@ def test_recover_l_verdict_is_the_library_s(tmp_path):
 
     K = np.diag(np.linspace(0.5, 3.0, 16))
     ssys = me.landau_ginzburg(16)
-    rep = me.recover_L(me.commuting_candidate(ssys.linear, K), 1.0)
+    rep = me.recover_L(me.commuting_candidate(ssys, K), 1.0)
     assert max(rep.errors) <= 1e-6 and rep.k_roundtrip_error > 1e-6
     assert rep.passed is False
     out = str(tmp_path / "out")
@@ -918,8 +918,35 @@ def test_a_run_leaves_only_the_gramian_memo_on_the_system(tmp_path, monkeypatch)
                 "tasks": ["verify-riccati", "sweep", "commuting-family"]}
     assert cli.run_scenario(scenario, str(tmp_path)) == 0
     (sys_,) = models
-    assert sorted(vars(sys_)) == ["A", "B", "BBt", "_gramians", "m", "n", "omega"]
+    assert sorted(vars(sys_)) == ["A", "B", "BBt", "_fingerprint", "_gramians", "m", "n", "omega"]
     assert sorted(sys_._gramians) == [0.5, 1.0, 2.0, math.inf]
+
+
+def test_a_spectral_run_reads_only_the_per_mode_gramians(tmp_path, monkeypatch):
+    # a spectral model is its matrix system: the matrix tasks read its one
+    # memo of closed-form Gramians, and no dense Gramian is computed
+    from minenergy import gramians, systems
+
+    models = []
+    load = cli._load_model
+    monkeypatch.setattr(cli, "_load_model", lambda *a: models.append(load(*a)) or models[-1])
+
+    def refuse(*args):
+        raise AssertionError("a dense Gramian was computed")
+
+    monkeypatch.setattr(gramians, "compute_gramian", refuse)
+    monkeypatch.setattr(systems, "compute_gramian", refuse)
+    scenario = {"model": "spectral:landau-ginzburg(4)", "horizons": [0.5, 1.0, 2.0],
+                "targets": [[1.0, 0.5, 0.25, 0.125]], "K": np.diag([0.5] * 4).tolist(),
+                "projector": np.diag([1.0, 1.0, 0.0, 0.0]).tolist(),
+                "tasks": ["verify-riccati", "verify-lyapunov", "commuting-family",
+                          "project-check", "null-controllability", "sweep"]}
+    assert cli.run_scenario(scenario, str(tmp_path)) == 0
+    (model,) = models
+    assert sorted(vars(model)) == ["A", "B", "BBt", "_fingerprint", "_gramians", "bs", "lambdas",
+                                   "m", "n", "omega"]
+    assert sorted(model._gramians) == [0.5, 1.0, 2.0, math.inf]
+    assert {g.method for g in model._gramians.values()} == {"closed_form"}
 
 
 def test_run_builds_one_fundamental_solution_per_delay_interval_count(tmp_path, monkeypatch):

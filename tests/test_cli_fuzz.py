@@ -147,6 +147,16 @@ FOUND = [
     # a finite value whose control samples overflowed when squared
     ({"model": "spectral:landau-ginzburg(3)", "tasks": ["min-energy"], "horizons": [1e-300],
       "targets": [[1.0, 1.0, 1.0]]}, 0, None),
+    # a subnormal Gramian, whose value kept 4 digits and whose control overflowed
+    ({"model": {"A": [[-1.0]], "B": [[1e-160]]}, "tasks": ["min-energy"], "horizons": [1.0],
+      "targets": [[1e-10]]}, 1, "NonFiniteError: a kept eigenvalue"),
+    ({"model": {"A": [[-1.0]], "B": [[1e-160]]}, "tasks": ["sweep"], "horizons": [1.0],
+      "targets": [[1e-10]], "sweep_kinds": ["value"]}, 1, "NonFiniteError: a kept eigenvalue"),
+    # sample counts past the work cap, which escaped as a MemoryError
+    ({"model": {"A": [[-1.0]], "B": [[1.0]]}, "tasks": ["min-energy"], "horizons": [1.0],
+      "targets": [[1.0]], "grid_points": 10**15}, 1, "StiffnessError"),
+    ({"model": "delay(-0.7,0.6,1,1)", "mesh": 8, "tasks": ["min-energy"], "horizons": [1.5],
+      "targets": [[0.5] + [0.0] * 8], "grid_points": 10**15}, 1, "StiffnessError"),
 ]
 
 

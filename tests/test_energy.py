@@ -203,7 +203,7 @@ def test_samples_by_doubling_match_the_step_recurrences(rng, grid):
     x = g.matrix @ rng.standard_normal(5)
     E, Qh = me.gramians._van_loan_step(sys, t / (grid - 1))
     w = np.empty((grid, 5))
-    w[-1] = me.energy._steering_coefficients(g, x, grid, "control")
+    w[-1] = me.energy._steering_coefficients(g, x, grid, "control", 5)
     for i in range(grid - 1, 0, -1):
         w[i - 1] = E.T @ w[i]
     y = np.zeros((grid, 5))

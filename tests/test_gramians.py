@@ -226,7 +226,7 @@ def test_quadrature_cost_on_stiff_spectrum(monkeypatch):
     calls = []
     expm = gramians.expm
     monkeypatch.setattr(gramians, "expm", lambda A, t: calls.append(t) or expm(A, t))
-    sys = me.parse_model("spectral:landau-ginzburg(24)").to_linear_system()
+    sys = me.parse_model("spectral:landau-ginzburg(24)")
     me.gramian_quadrature_sweep(sys, [2.0])
     assert len(calls) <= 1000
 
@@ -239,7 +239,7 @@ def test_quadrature_gives_up_past_max_panels(coupled_sys):
 SWEEP_SYSTEMS = {
     "dense": lambda: me.random_stable_system(np.random.default_rng(1), 6),
     "unstable": lambda: me.random_stable_system(np.random.default_rng(2), 6, margin=-0.5),
-    "stiff": lambda: me.parse_model("spectral:landau-ginzburg(24)").to_linear_system(),
+    "stiff": lambda: me.parse_model("spectral:landau-ginzburg(24)"),
 }
 
 
@@ -272,7 +272,7 @@ def test_quadrature_sweep_costs_its_longest_horizon(monkeypatch):
     calls = []
     expm = gramians.expm
     monkeypatch.setattr(gramians, "expm", lambda A, t: calls.append(t) or expm(A, t))
-    sys = me.parse_model("spectral:landau-ginzburg(24)").to_linear_system()
+    sys = me.parse_model("spectral:landau-ginzburg(24)")
     me.gramian_quadrature_sweep(sys, [2.0])
     alone = len(calls)
     calls.clear()

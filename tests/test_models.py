@@ -44,35 +44,34 @@ def test_spectral_gramian_closed_form():
 
 
 def test_spectral_fingerprint_is_computed_once(monkeypatch, tmp_path):
-    built = []
-    init = me.LinearSystem.__init__
+    # a system hashes its A and B once, when it is built; every Gramian and
+    # every task of a run reads that one digest
+    import hashlib
 
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(me.LinearSystem, "__init__", counting)
+    hashes = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: hashes.append(1) or sha256(*a))
     ssys = landau_ginzburg(n_modes=6)
+    assert len(hashes) == 1
     fps = [spectral_gramian(ssys, t).system_fingerprint for t in (0.25, 0.5, 1.0, 2.0, math.inf)]
-    assert ssys.linear.fingerprint() == fps[0]
-    assert len(built) <= 1
-    # every task on a spectral model works on that one matrix system
+    assert fps == [ssys.fingerprint()] * 5
+    assert len(hashes) == 1
     scenario = {"model": "spectral:landau-ginzburg(6)", "tasks": list(cli._TASKS),
                 "horizons": [0.5, 1.0], "targets": [[1.0] * 6], "K": np.diag([0.5] * 6).tolist(),
                 "projector": np.diag([1.0] * 3 + [0.0] * 3).tolist(), "t_star": 1.0}
-    built.clear()
+    hashes.clear()
     cli.run_scenario(scenario, str(tmp_path))
     with open(tmp_path / "report.json") as f:
         assert not [t for t in json.load(f)["tasks"] if "error" in t]
-    assert len(built) <= 1
+    assert len(hashes) == 1
     monkeypatch.undo()
-    assert fps == [ssys.to_linear_system().fingerprint()] * 5
+    assert fps[0] == me.LinearSystem(ssys.A, ssys.B).fingerprint()
 
 
 def test_spectral_matches_linear_route():
     ssys = landau_ginzburg(n_modes=6)
     g_modes = spectral_gramian(ssys, 0.7).Q.matrix
-    g_lin = me.compute_gramian(ssys.to_linear_system(), 0.7).Q.matrix
+    g_lin = me.compute_gramian(me.LinearSystem(ssys.A, ssys.B), 0.7).Q.matrix
     assert_allclose(g_modes, g_lin, rtol=1e-12)
 
 
@@ -104,8 +103,7 @@ def test_spectral_nc_agrees_with_matrix_route():
     # truncation small enough that the dense-route Gramian is well conditioned
     ssys = me.SpectralSystem([float(n * n) for n in range(1, 7)], [1.0] * 6)
     rep = spectral_null_controllability(ssys, 1.0)
-    lin = ssys.to_linear_system()
-    dense = me.null_controllability_test(lin, 1.0)
+    dense = me.null_controllability_test(me.LinearSystem(ssys.A, ssys.B), 1.0)
     assert rep.satisfied == dense.satisfied
     assert rep.constant == pytest.approx(dense.constant, rel=1e-6)
 
@@ -509,7 +507,7 @@ def _control_pointwise(sys_, gram, x, grid):
     """The least-norm delay control with every kernel value its own
     evaluation of g or F at its own point: M + 1 per sample time, applied
     to the same z = Q_t^+ x as the control."""
-    z = _steering_coefficients(gram, x, grid, "control")
+    z = _steering_coefficients(gram, x, grid, "control", sys_.mesh + 1)
     g = delay_fundamental_solution(sys_, gram.horizon)
     rs = np.linspace(-gram.horizon, 0.0, grid)
     u = -rs[:, None] + np.arange(1, sys_.mesh + 1, dtype=float) * sys_.h - sys_.delay
@@ -687,7 +685,7 @@ def test_every_model_answers_the_cli_calls(kind):
     model = MODELS[kind]()
     t = 1.0
     assert model.kind == kind
-    assert (model.linear is not None) == (kind in ("linear", "spectral"))
+    assert isinstance(model, me.LinearSystem) == (kind in ("linear", "spectral"))
     assert (model.no_infinite_horizon is None) == (kind in ("linear", "spectral"))
     assert isinstance(model.to_json_dict(), dict)
     gram = model.gramian(t)
