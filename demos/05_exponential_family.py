@@ -20,7 +20,7 @@ print(f"detected threshold t1 = {t1:.12f}")
 print(f"closed form log(1.5)/2 = {np.log(1.5) / 2:.12f} (plus the margin shift)")
 
 sol = me.commuting_family(sys_, K, t1 + 0.5)
-print(f"\nS(t1 + 0.5) =\n{sol.operator}")
+print(f"\nS(t1 + 0.5) =\n{sol}")
 
 try:
     me.commuting_family(sys_, K, 0.5 * t1)

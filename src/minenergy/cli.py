@@ -164,15 +164,19 @@ _NULL_CONTROLLABILITY_FORMULA = {"spectral": "null-controllability-spectral"}
 def _load_model(value, mesh):
     """The scenario's model; a model that cannot be built is a usage error."""
     try:
-        if isinstance(value, dict):
-            return LinearSystem.from_json_dict(value)
-        text = value.strip()
-        if text.startswith("{"):
-            return LinearSystem.from_json_dict(json.loads(text))
-        if os.path.isfile(text):
-            with open(text) as f:
-                return LinearSystem.from_json_dict(json.load(f))
-        return parse_model(text, mesh=mesh)
+        data = value
+        if not isinstance(value, dict):
+            text = value.strip()
+            if text.startswith("{"):
+                data = json.loads(text)
+            elif os.path.isfile(text):
+                with open(text) as f:
+                    data = json.load(f)
+            else:
+                return parse_model(text, mesh=mesh)
+        if not isinstance(data, dict) or "A" not in data or "B" not in data:
+            raise ValueError("system description must be an object with 'A' and 'B'")
+        return LinearSystem(data["A"], data["B"])
     except ScenarioError:
         raise
     except ValueError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ReachabilityError, StiffnessError
-from .gramians import _van_loan_step
+from .gramians import _finite_horizon, _van_loan_step
 from .linalg import (_LATTICE_WORK_CAP, _gaussian_coefficients, expm, negligible, pinv,
                      range_inclusion)
 
@@ -280,9 +280,7 @@ def feedback_gain(sys, s):
     commuting selfadjoint stable case, A + B F(s) approaches -A^T: the
     optimally steered flow reverses the adjoint dynamics.
     """
-    if s <= 0.0:
-        raise ValueError(f"time-to-go must be positive, got {s}")
-    return sys.B.T @ sys.gramian(s).Q.pinv()
+    return sys.B.T @ sys.gramian(_finite_horizon(s)).Q.pinv()
 
 
 @dataclass(frozen=True)
@@ -290,12 +288,11 @@ class LeastNormControl:
     """Discrete minimum-energy control: piecewise constant on [-t, 0].
 
     ``energy`` uses the exact interval-weighted quadratic form
-    (1/2) Σ h_k ||u_k||^2, and ``edges``/``values`` give the intervals and
-    the constant value on each.
+    (1/2) Σ h_k ||u_k||^2, and ``values`` gives the constant value on each
+    of the N equal intervals.
     """
 
     energy: float
-    edges: np.ndarray          # shape (N+1,)
     values: np.ndarray         # shape (N, m)
 
 
@@ -310,9 +307,7 @@ def brute_force_min_energy(sys, x, t, n_steps):
     miss by more than 1e-8 relative is a ReachabilityError.
     """
     x = np.asarray(x, dtype=float)
-    t = float(t)
-    if t <= 0.0 or not np.isfinite(t):
-        raise ValueError(f"horizon must be positive and finite, got {t}")
+    t = _finite_horizon(t)
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("need at least one step")
@@ -342,8 +337,7 @@ def brute_force_min_energy(sys, x, t, n_steps):
             defect=resid,
         )
     u = (v / np.sqrt(h)).reshape(n_steps, m)
-    edges = np.linspace(-t, 0.0, n_steps + 1)
-    return LeastNormControl(energy=0.5 * float(v @ v), edges=edges, values=u)
+    return LeastNormControl(energy=0.5 * float(v @ v), values=u)
 
 
 @dataclass(frozen=True)
@@ -367,9 +361,7 @@ def null_controllability_test(model, T0):
     any model with ``gramian(t)`` and ``semigroup(t)`` (the flow S_t, e^{tA}
     for a matrix system), with the factor of Q_{T0} (``SymmetricPSD.factor``)
     in place of the root."""
-    T0 = float(T0)
-    if T0 <= 0.0 or not np.isfinite(T0):
-        raise ValueError(f"T0 must be positive and finite, got {T0}")
+    T0 = _finite_horizon(T0)
     Z = model.gramian(T0).Q.factor()
     incl = range_inclusion(model.semigroup(T0), Z)
     constant = incl.constant ** 2 if incl.included else np.inf
@@ -411,13 +403,13 @@ class HGeometry:
         """Norm of M as an operator on H: ||Q_inf^{-1/2} M Q_inf^{1/2}||_2."""
         return float(np.linalg.norm(self.pinv_sqrt @ M @ self.sqrt_matrix, 2))
 
-    def symmetry_defect(self, M, seed=0, n_probes=8):
-        """Max |<Mx,y>_H - <x,My>_H| over seeded probe pairs, scaled by probe norms.
+    def symmetry_defect(self, M):
+        """Max |<Mx,y>_H - <x,My>_H| over 8 seeded probe pairs, scaled by probe norms.
 
-        The pairs are seeded random combinations of a basis of the space,
-        drawn x, y, x, y, ... and normalized in H."""
+        The pairs are random combinations of a basis of the space from seed
+        0, drawn x, y, x, y, ... and normalized in H."""
         U = self.gram.Q.range_basis()
-        XY = self.normalize(U @ _gaussian_coefficients(seed, U.shape[1], 2 * n_probes))
+        XY = self.normalize(U @ _gaussian_coefficients(0, U.shape[1], 16))
         X, Y = XY[:, 0::2], XY[:, 1::2]
         W = self.metric
         gaps = np.einsum("ik,ik->k", M @ X, W @ Y) - np.einsum("ik,ik->k", X, W @ (M @ Y))

@@ -65,7 +65,6 @@ class Gramian:
     Q: SymmetricPSD
     horizon: float
     method: str
-    system_fingerprint: str
 
     @property
     def matrix(self):
@@ -77,7 +76,6 @@ class Gramian:
             "Q": self.Q.matrix,
             "horizon": horizon,
             "method": self.method,
-            "system_fingerprint": self.system_fingerprint,
         }
 
 
@@ -88,13 +86,13 @@ def _finite_horizon(t):
     return t
 
 
-def _wrap(sys, Q, t, method):
+def _wrap(Q, t, method):
     if not np.all(np.isfinite(Q)):
         raise NonFiniteError(
             f"{method} Gramian at horizon {t:g} overflows double precision"
         )
     Q = 0.5 * (Q + Q.T)
-    return Gramian(SymmetricPSD(Q), float(t), method, sys.fingerprint())
+    return Gramian(SymmetricPSD(Q), float(t), method)
 
 
 def _halvings(A, h):
@@ -196,7 +194,7 @@ def gramian_quadrature_sweep(sys, times, n_nodes=8, rtol=1e-10, max_panels=2 ** 
 
 
 def _sweep_result(sys, times, hs, Qs):
-    grams = {t: _wrap(sys, Q, t, "quadrature") for t, Q in zip(hs, Qs)}
+    grams = {t: _wrap(Q, t, "quadrature") for t, Q in zip(hs, Qs)}
     return [grams[t] for t in times]
 
 
@@ -224,13 +222,14 @@ def _rk4_lyapunov(sys, t, n_steps):
     return Q
 
 
-def gramian_lyapunov_ode(sys, t, rtol=1e-8):
+def gramian_lyapunov_ode(sys, t):
     """Finite-horizon Gramian by integrating Q' = AQ + QA^T + BB^T, Q(0) = 0.
 
     Classical RK4 with the iterate symmetrized after every step; the whole
     run, from 64 steps, is repeated with the step halved (at most 14 times)
-    until two runs agree to ``rtol``.
+    until two runs agree to 1e-8 relative to the largest entry.
     """
+    rtol = 1e-8
     t = _finite_horizon(t)
     n = 64
     Q_prev = _rk4_lyapunov(sys, t, n)
@@ -242,7 +241,7 @@ def gramian_lyapunov_ode(sys, t, rtol=1e-8):
             continue
         scale = max(np.abs(Q).max(), np.finfo(float).tiny)
         if np.abs(Q - Q_prev).max() <= rtol * scale:
-            return _wrap(sys, Q, t, "lyapunov_ode")
+            return _wrap(Q, t, "lyapunov_ode")
         Q_prev = Q
     re = np.linalg.eigvals(sys.A).real
     raise StiffnessError(
@@ -308,7 +307,7 @@ def _gramian_infinite_doubling(sys):
             f"doublings toward the infinite-horizon Gramian; decay margin {sys.omega:.3g}"
         )
     _check_lyapunov_residual(sys, Q, "doubling")
-    return _wrap(sys, Q, np.inf, "smith_doubling")
+    return _wrap(Q, np.inf, "smith_doubling")
 
 
 def _has_closed_form(sys):
@@ -337,12 +336,12 @@ def gramian_commuting_closed_form(sys, t):
         if not sys.stable:
             raise UnstableSystemError("infinite-horizon closed form needs a stable system")
         Q = -0.5 * np.linalg.solve(sys.A, sys.BBt)
-        return _wrap(sys, Q, np.inf, "closed_form")
+        return _wrap(Q, np.inf, "closed_form")
     t = _finite_horizon(t)
     lam, V = np.linalg.eigh(sys.A)
     with np.errstate(over="ignore", invalid="ignore"):
         Q = (V * (np.expm1(2.0 * t * lam) / (2.0 * lam))) @ V.T @ sys.BBt
-    return _wrap(sys, Q, t, "closed_form")
+    return _wrap(Q, t, "closed_form")
 
 
 def _van_loan_step(sys, h):
@@ -382,7 +381,7 @@ def gramian_block_exponential(sys, t):
     """Finite-horizon Gramian by the scaled Van Loan step (``_van_loan_step``)
     taken at the whole horizon."""
     t = _finite_horizon(t)
-    return _wrap(sys, _van_loan_step(sys, t)[1], t, "block_exponential")
+    return _wrap(_van_loan_step(sys, t)[1], t, "block_exponential")
 
 
 def gramian_rate(sys, t):
@@ -429,12 +428,14 @@ def _subspace_defect(vectors, basis):
     return float(np.linalg.norm(resid, axis=0).max())
 
 
-def kernel_chain_check(sys, times, tol=1e-6):
+def kernel_chain_check(sys, times):
     """Check the kernel chain over ascending horizons, including ker B^T at the end.
 
     Larger horizons can only shrink the kernel, and every Gramian kernel
-    sits inside ker B^T.  In the commuting selfadjoint case all inclusions
-    are equalities, which is checked as well.
+    sits inside ker B^T.  An inclusion holds when no unit vector of the
+    smaller kernel lies farther than 1e-6 from the larger one.  In the
+    commuting selfadjoint case all inclusions are equalities, which is
+    checked as well.
     """
     times = sorted(float(t) for t in times)
     if not times or times[0] <= 0.0:
@@ -453,7 +454,7 @@ def kernel_chain_check(sys, times, tol=1e-6):
     chain.append(("ker B^T", ker_bt))
     for (lab_small, small), (lab_big, big) in zip(chain[:-1], chain[1:]):
         defect = _subspace_defect(small, big)
-        ok = defect <= tol
+        ok = defect <= 1e-6
         label = f"{lab_small} ⊆ {lab_big}"
         inclusions.append((label, defect, ok))
         if not ok:

@@ -434,16 +434,16 @@ def commuting_pinv_compose(A1, A2):
     return A2.pinv() @ A1
 
 
-def negative_type_bound(A, omega=None, t_max=1.0, n_samples=201):
+def negative_type_bound(A, t_max=1.0):
     """Estimate (M, omega) with ``||e^{tA}|| <= M e^{-omega t}`` on samples.
 
-    ``omega`` defaults to the spectral margin ``-max Re lambda(A)``; M is the
-    sampled supremum of ``||e^{tA}|| e^{omega t}`` over ``[0, t_max]``.
+    ``omega`` is the spectral margin ``-max Re lambda(A)``; M is the
+    supremum of ``||e^{tA}|| e^{omega t}`` over 201 equally spaced samples
+    of ``[0, t_max]``.
     """
     A = as_matrix(A, "A")
-    if omega is None:
-        omega = float(-np.max(np.linalg.eigvals(A).real))
-    ts = np.linspace(0.0, t_max, n_samples)
+    omega = float(-np.max(np.linalg.eigvals(A).real))
+    ts = np.linspace(0.0, t_max, 201)
     M = max(np.linalg.norm(expm(A, t), 2) * np.exp(omega * t) for t in ts)
     return float(M), float(omega)
 

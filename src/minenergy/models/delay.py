@@ -6,16 +6,14 @@ integrated cell by cell to roundoff; the only approximation anywhere is the
 projection of the history segment onto a uniform mesh.
 """
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..energy import ControlSignal, _steering_coefficients
 from ..errors import MeshResolutionError, NonFiniteError, StiffnessError
-from ..gramians import _wrap
+from ..gramians import _finite_horizon, _wrap
 from ..linalg import _LATTICE_WORK_CAP
 from ..systems import Model
 
@@ -81,12 +79,6 @@ class DelaySystem(Model):
     def dim(self):
         """Mesh-level state dimension: scalar head plus one average per cell."""
         return self.mesh + 1
-
-    def fingerprint(self):
-        payload = struct.pack(
-            "<dddd q", self.a0, self.a1, self.b0, self.delay, self.mesh
-        )
-        return hashlib.sha256(payload).hexdigest()[:16]
 
     def to_json_dict(self):
         return {"a0": self.a0, "a1": self.a1, "b0": self.b0, "delay": self.delay,
@@ -290,9 +282,7 @@ def delay_gramian(sys_, t):
     one ending at t) integrate their products to roundoff; a cell gets one
     panel per unit of (|a0| + |a1|) h.
     """
-    t = float(t)
-    if t <= 0:
-        raise ValueError("horizon must be positive")
+    t = _finite_horizon(t)
     _require_mesh(sys_, t)
     M, h = sys_.mesh, sys_.h
     panels = max(1, math.ceil((abs(sys_.a0) + abs(sys_.a1)) * h))
@@ -309,7 +299,7 @@ def delay_gramian(sys_, t):
             edges = np.linspace(0.0, width, panels + 1)
             for lo, hi in zip(edges[:-1], edges[1:]):
                 Q += _panel_gram(sys_, fund, lo, hi, first, stop)
-    return _wrap(sys_, Q, t, "quadrature")
+    return _wrap(Q, t, "quadrature")
 
 
 def delay_optimal_control(sys_, gram, x, grid=129):
@@ -340,7 +330,8 @@ def delay_optimal_control(sys_, gram, x, grid=129):
 
 
 def delay_semigroup_matrix(sys_, T0):
-    """Mesh compression of the uncontrolled flow over time T0.
+    """Mesh compression of the uncontrolled flow over time T0: the identity
+    at T0 = 0, else at a finite positive horizon.
 
     Column 0 propagates the head; column 1+j propagates the indicator of
     history cell j via the variation-of-constants formula
@@ -351,8 +342,8 @@ def delay_semigroup_matrix(sys_, T0):
     lattice evaluation at the local time of T0.
     """
     T0 = float(T0)
-    if T0 < 0:
-        raise ValueError("flow time must be nonnegative")
+    if T0 != 0.0:
+        _finite_horizon(T0)
     M, h, d, a1 = sys_.mesh, sys_.h, sys_.delay, sys_.a1
     fund = delay_fundamental_solution(sys_, T0)
     i, sigma = fund.locate([T0])

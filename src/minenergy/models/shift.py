@@ -2,16 +2,14 @@
 an exactly assembled cell/interval overlap matrix, the control map L, as a
 factor, and steering reads it through ``energy.steer``."""
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..energy import Steering, steer
 from ..errors import MeshResolutionError, PreconditionError, ScenarioError, StiffnessError
-from ..gramians import Gramian
+from ..gramians import Gramian, _finite_horizon
 from ..linalg import _LATTICE_WORK_CAP, SymmetricPSD
 from ..systems import Model
 
@@ -59,9 +57,6 @@ class ShiftSystem(Model):
     def dim(self):
         return self.m
 
-    def fingerprint(self):
-        return hashlib.sha256(struct.pack("<q", self.m)).hexdigest()[:16]
-
     def to_json_dict(self):
         return {"m": self.m}
 
@@ -86,7 +81,7 @@ class ShiftSystem(Model):
 
 
 def _lattice_steps(sys_, t):
-    steps = float(t) * sys_.m
+    steps = _finite_horizon(t) * sys_.m
     n = int(round(steps))
     if n < 1 or abs(steps - n) > 1e-9 * max(1.0, steps):
         raise PreconditionError(
@@ -95,10 +90,11 @@ def _lattice_steps(sys_, t):
     return n
 
 
-def _window_overlap(edges, a, width=0.25):
-    """Lengths |cell_i ∩ [a, a + width]| for all cells at once."""
+def _window_overlap(edges, a):
+    """Lengths |cell_i ∩ [a, a + 1/4]|, the control window at offset a, for
+    all cells at once."""
     lo = np.maximum(edges[:-1], a)
-    hi = np.minimum(edges[1:], a + width)
+    hi = np.minimum(edges[1:], a + 0.25)
     return np.maximum(0.0, hi - lo)
 
 
@@ -135,7 +131,7 @@ def shift_gramian(sys_, t):
     the model's value divided by h (``ShiftSystem.steer`` scales it back).
     """
     Q = SymmetricPSD.from_factor(shift_control_map(sys_, t))
-    return Gramian(Q, float(t), "closed_form", sys_.fingerprint())
+    return Gramian(Q, float(t), "closed_form")
 
 
 def shift_benchmark_target(m):

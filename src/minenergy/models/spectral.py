@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..energy import NullControllability, null_controllability_test
-from ..gramians import Gramian
+from ..gramians import Gramian, _finite_horizon
 from ..linalg import _LATTICE_WORK_CAP, SymmetricPSD
 from ..systems import LinearSystem
 
@@ -77,16 +77,13 @@ def spectral_gramian(ssys, t):
     if t == math.inf:
         q = b / (2.0 * lam)
     else:
-        t = float(t)
-        if t <= 0:
-            raise ValueError("horizon must be positive")
+        t = _finite_horizon(t)
         q = b * (-np.expm1(-2.0 * lam * t)) / (2.0 * lam)
     order = np.argsort(q, kind="stable")
     return Gramian(
         Q=SymmetricPSD.from_eigenpairs(q[order], np.eye(q.size)[:, order]),
         horizon=t,
         method="closed_form",
-        system_fingerprint=ssys.fingerprint(),
     )
 
 
@@ -129,9 +126,7 @@ class SpectralNCReport:
 def spectral_null_controllability(ssys, T0):
     """The per-mode ratio test at T0, beside the range test of the matrix system."""
     lam, b = ssys.lambdas, ssys.bs
-    T0 = float(T0)
-    if T0 <= 0:
-        raise ValueError("horizon must be positive")
+    T0 = _finite_horizon(T0)
     with np.errstate(divide="ignore"):
         log_b = np.log(b)
     # log of 2 lam e^{-2 lam T0} / (b (1 - e^{-2 lam T0})), stable at any lam*T0

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import MarginError, NonFiniteError, PreconditionError, UnstableSystemError
-from .gramians import gramian_rate
+from .gramians import _finite_horizon, gramian_rate
 from .linalg import _gaussian_coefficients, commutes, expm
 from .energy import EuclideanGeometry, HGeometry, null_controllability_test
 
@@ -48,7 +48,6 @@ __all__ = [
     "UniquenessReport",
     "detect_t1",
     "commuting_family",
-    "CommutingSolution",
     "recover_L",
     "RecoverLReport",
     "projected_solution_check",
@@ -58,6 +57,8 @@ __all__ = [
 ]
 
 FD_STEP_FACTOR = 1e-4
+# seeded random probes drawn beside a basis of the probed range
+N_RANDOM_PROBES = 10
 
 
 class RiccatiCandidate:
@@ -120,9 +121,7 @@ def build_pv(sys, t, null_controllable_from=np.inf):
     """
     if not sys.stable:
         raise UnstableSystemError("the Gramian-ratio family needs a stable system")
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+    t = _finite_horizon(t)
     if not sys.is_commuting_selfadjoint() and t < null_controllable_from:
         nc = null_controllability_test(sys, t)
         if not nc.satisfied:
@@ -156,32 +155,32 @@ def inverse_candidate(sys):
                             lambda t: _inverse_rate(sys, t))
 
 
-def _probes(geometry, U, n_random, seed, P=None):
-    """The columns of U plus ``n_random`` seeded random combinations of them,
-    mapped by P when given (dropping those it sends to zero), normalized in
-    the geometry; one probe per row."""
-    Y = np.hstack([U, U @ _gaussian_coefficients(seed, U.shape[1], n_random)])
+def _probes(geometry, U, seed, P=None):
+    """The columns of U plus ``N_RANDOM_PROBES`` seeded random combinations
+    of them, mapped by P when given (dropping those it sends to zero),
+    normalized in the geometry; one probe per row."""
+    Y = np.hstack([U, U @ _gaussian_coefficients(seed, U.shape[1], N_RANDOM_PROBES)])
     if P is not None:
         Y = P @ Y
         Y = Y[:, np.linalg.norm(Y, axis=0) > 1e-12]
     return geometry.normalize(Y).T
 
 
-def residual_probes(cand, t, n_random=10, seed=0):
+def residual_probes(cand, t, seed=0):
     """Probe vectors for weak-form residuals at time t.
 
-    An orthonormal basis of range(Q_t) plus ``n_random`` seeded random
-    vectors inside it, normalized in the candidate's geometry.  They are
-    made once per time, count and seed, and kept on the candidate.
+    An orthonormal basis of range(Q_t) plus ``N_RANDOM_PROBES`` seeded
+    random vectors inside it, normalized in the candidate's geometry.  They
+    are made once per time and seed, and kept on the candidate.
     """
-    key = (float(t), n_random, seed)
+    key = (float(t), seed)
     X = cand._probes.get(key)
     if X is None:
         U = cand.sys.gramian(t).Q.range_basis()
         if U.shape[1] == 0:
             raise PreconditionError(
                 f"range(Q_t) is trivial at t = {t:g}: there is nothing to probe")
-        X = cand._probes[key] = _probes(cand.geometry, U, n_random, seed)
+        X = cand._probes[key] = _probes(cand.geometry, U, seed)
         X.setflags(write=False)
     return X
 
@@ -278,7 +277,7 @@ def _residual_report(equation, cand, t, sides, tol):
     )
 
 
-def riccati_residual(cand, t, probes=None, tol=1e-6, seed=0):
+def riccati_residual(cand, t, tol=1e-6, seed=0):
     """Weak-form residual of the reversed-sign equation in the candidate's geometry:
 
         d/dt <P x, y>_W  =  - <A x, W P y>  -  <W P x, A y>  -  <B^T W P x, B^T W P y>
@@ -287,16 +286,16 @@ def riccati_residual(cand, t, probes=None, tol=1e-6, seed=0):
     ``HGeometry`` (the weighted equation, which the Gramian ratio solves),
     the identity for ``EuclideanGeometry`` (the plain equation, which the
     inverse Gramian solves).  The report's ``kind`` is the geometry's
-    ``equation``.  Probes default to a basis of range(Q_t) plus seeded random
-    vectors, normalized in the geometry.  The left side is the candidate's
-    ``derivative``, and the report's ``derivative`` names its kind.  The
-    pass threshold is
+    ``equation``.  The probes are a basis of range(Q_t) plus seeded random
+    vectors, normalized in the geometry (``residual_probes``).  The left
+    side is the candidate's ``derivative``, and the report's ``derivative``
+    names its kind.  The pass threshold is
     ``tol * max(1, ||P||)^2 * max(1, ||A||)``, the norm of P taken in the
     geometry.
     """
     return _residual_report(
         cand.geometry.equation, cand, t,
-        lambda tau: riccati_pairings(cand, tau, probes, seed), tol,
+        lambda tau: riccati_pairings(cand, tau, seed=seed), tol,
     )
 
 
@@ -336,7 +335,6 @@ def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, seed=0):
 class UniquenessReport:
     """Snapshot-matching reconstruction: does S(t)^{-1} Q_inf reproduce Q_t?"""
 
-    t0: float
     match_at_t0: float         # relative gap between S(t0) and the ratio family there
     times: tuple
     reconstruction_errors: tuple
@@ -345,13 +343,13 @@ class UniquenessReport:
     hypotheses_checked: tuple
 
 
-def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6):
+def uniqueness_reconstruction(cand, t0, t_grid):
     """Partial-uniqueness check for invertible solution families.
 
     Preconditions verified numerically: the family matches the Gramian
     ratio at t0 (1e-8 relative) and stays invertible on the weighted space
-    along the grid.  Conclusion checked: S(t)^{-1} Q_inf equals Q_t to
-    ``rtol`` at every grid time — i.e. a single correct snapshot pins the
+    along the grid.  Conclusion checked: S(t)^{-1} Q_inf equals Q_t to 1e-6
+    relative at every grid time — i.e. a single correct snapshot pins the
     family to the Gramian ratio.
     """
     sys = cand.sys
@@ -387,10 +385,9 @@ def uniqueness_reconstruction(cand, t0, t_grid, rtol=1e-6):
         err = np.linalg.norm(Pr @ (Q_rec - Q_t) @ Pr, 2) / max(np.linalg.norm(Q_t, 2), 1e-300)
         times.append(float(t))
         errors.append(float(err))
-        if err > rtol:
+        if err > 1e-6:
             ok = False
     return UniquenessReport(
-        t0=float(t0),
         match_at_t0=match,
         times=tuple(times),
         reconstruction_errors=tuple(errors),
@@ -491,22 +488,13 @@ def detect_t1(sys, K, margin=1e-6):
     return float(hi)
 
 
-@dataclass(frozen=True)
-class CommutingSolution:
-    """One member of the exponential solution family, with its safety margins."""
-
-    operator: np.ndarray
-    t: float
-    t1: float                  # detected invertibility threshold for this K
-    margin: float              # smallest singular value of the bracket at t
-
-
 def commuting_family(sys, K, t, margin=1e-6, t1=None):
     """Evaluate (I - e^{tA} K e^{tA})^{-1} for the commuting selfadjoint case.
 
     ``K`` must be plainly symmetric, to 1e-12 relative (``detect_t1``
     raises PreconditionError otherwise).  Times at or below the detected
-    threshold raise MarginError.
+    threshold, or where the bracket's smallest singular value is at most
+    ``margin``, raise MarginError.
     """
     K = np.asarray(K, dtype=float)
     if t1 is None:
@@ -523,7 +511,7 @@ def commuting_family(sys, K, t, margin=1e-6, t1=None):
         raise MarginError(
             f"bracket nearly singular at t={t:g}: smallest singular value {smin:.3e}"
         )
-    return CommutingSolution(operator=np.linalg.inv(G), t=t, t1=float(t1), margin=smin)
+    return np.linalg.inv(G)
 
 
 def commuting_candidate(sys, K, margin=1e-6):
@@ -535,7 +523,7 @@ def commuting_candidate(sys, K, margin=1e-6):
     t1 = detect_t1(sys, K, margin)
 
     def fn(t):
-        return commuting_family(sys, K, t, margin, t1=t1).operator
+        return commuting_family(sys, K, t, margin, t1=t1)
 
     def derivative(t):
         S = cand.evaluate(t)
@@ -554,7 +542,7 @@ class RecoverLReport:
 
     ``k_roundtrip_error`` is the relative 2-norm distance of
     e^{-T* A} L e^{-T* A} from the family's K; ``passed`` holds when every
-    forward prediction and that round trip are within ``rtol``.
+    forward prediction and that round trip are within 1e-6 relative.
     """
 
     L: np.ndarray
@@ -565,12 +553,13 @@ class RecoverLReport:
     k_roundtrip_error: float
 
 
-def recover_L(cand, t_star, t_grid=None, rtol=1e-6):
+def recover_L(cand, t_star):
     """Recover the family's mixing operator from one snapshot and verify forward.
 
     Given S from the exponential family of ``commuting_candidate`` on the
     system ``cand.sys``, L = I - S(T*)^{-1} regenerates the family as
-    (I - e^{(t-T*)A} L e^{(t-T*)A})^{-1}; agreement on a forward grid
+    (I - e^{(t-T*)A} L e^{(t-T*)A})^{-1}; agreement to 1e-6 relative on a
+    forward grid, 8 equal steps over 2 / max(omega, 1e-3) past T*,
     certifies the snapshot characterizes the family, and the round trip
     back to K that it recovers the operator.  A round trip that overflows
     raises NonFiniteError.
@@ -581,13 +570,11 @@ def recover_L(cand, t_star, t_grid=None, rtol=1e-6):
     if sigma[-1] <= 1e-12 * sigma[0]:
         raise MarginError(f"family is not invertible at T* = {t_star:g}")
     L = np.eye(sys.n) - np.linalg.inv(S_star)
-    if t_grid is None:
-        span = 2.0 / max(sys.omega, 1e-3)
-        t_grid = t_star + np.linspace(0.0, span, 9)[1:]
+    rtol = 1e-6
     times = []
     errors = []
     ok = True
-    for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
+    for t in t_star + np.linspace(0.0, 2.0 / max(sys.omega, 1e-3), 9)[1:]:
         E = expm(sys.A, t - t_star)
         G = np.eye(sys.n) - E @ L @ E
         sm = np.linalg.svd(G, compute_uv=False)[-1]
@@ -662,7 +649,7 @@ def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
         (lambda t: P @ cand.derivative(t) @ P) if cand.derivative_kind == "exact" else None,
     )
     # probes restricted to ran(P) (and to the weighted space)
-    probes = _probes(geometry, geometry.gram.Q.range_basis(), 10, seed, P=P)
+    probes = _probes(geometry, geometry.gram.Q.range_basis(), seed, P=P)
     if probes.shape[0] == 0:
         raise PreconditionError("P maps the weighted space to zero: there is nothing to probe")
     residual = riccati_residual_commuting(compressed, times, probes=probes, tol=tol)

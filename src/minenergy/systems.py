@@ -2,7 +2,6 @@
 every model answers."""
 
 import functools
-import hashlib
 
 import numpy as np
 
@@ -56,10 +55,9 @@ class Model:
 class LinearSystem(Model):
     """State matrix A (n x n) and input matrix B (n x m).
 
-    The decay margin ``omega = max(0, -max Re lambda(A))`` and the
-    ``fingerprint()`` of (A, B) are computed once; ``omega > 0`` means the
-    flow is uniformly exponentially stable, which is what infinite-horizon
-    computations require.  A, B and ``BBt`` = B Bᵀ, formed once, are
+    The decay margin ``omega = max(0, -max Re lambda(A))`` is computed once;
+    ``omega > 0`` means the flow is uniformly exponentially stable, which is
+    what infinite-horizon computations require.  A, B and ``BBt`` = B Bᵀ, formed once, are
     read-only, so ``gramian(t)`` keeps each Gramian that ``_compute_gramian``
     makes (here ``compute_gramian``), one per horizon.
     """
@@ -86,11 +84,6 @@ class LinearSystem(Model):
         self.n = A.shape[0]
         self.m = B.shape[1]
         self.omega = float(max(0.0, -np.max(np.linalg.eigvals(self.A).real)))
-        h = hashlib.sha256()
-        for M in (self.A, self.B):
-            h.update(np.array(M.shape, dtype=np.int64).tobytes())
-            h.update(np.ascontiguousarray(M).tobytes())
-        self._fingerprint = h.hexdigest()[:16]
 
     @property
     def dim(self):
@@ -114,29 +107,20 @@ class LinearSystem(Model):
     def stable(self):
         return self.omega > 0.0
 
-    def is_commuting_selfadjoint(self, tol=1e-10):
-        """True when A is symmetric and commutes with B B^T.
+    def is_commuting_selfadjoint(self):
+        """True when A is symmetric and commutes with B B^T, both to 1e-10
+        relative.
 
         This is the regime in which the Gramians have entrywise closed forms
         and the quadratic operator family admits the exponential solution
         formula.
         """
         scale = np.abs(self.A).max()
-        sym = scale == 0.0 or np.abs(self.A - self.A.T).max() <= tol * scale
-        return bool(sym and commutes(self.A, self.BBt, tol))
-
-    def fingerprint(self):
-        """Stable hex digest of (A, B), used to tag derived quantities."""
-        return self._fingerprint
+        sym = scale == 0.0 or np.abs(self.A - self.A.T).max() <= 1e-10 * scale
+        return bool(sym and commutes(self.A, self.BBt))
 
     def to_json_dict(self):
         return {"A": self.A.tolist(), "B": self.B.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, data):
-        if not isinstance(data, dict) or "A" not in data or "B" not in data:
-            raise ValueError("system description must be an object with 'A' and 'B'")
-        return cls(np.asarray(data["A"], dtype=float), np.asarray(data["B"], dtype=float))
 
 
 def random_stable_system(rng, n, m=None, margin=0.5):

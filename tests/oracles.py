@@ -24,4 +24,4 @@ def gramian_infinite(sys):
     _require_stable(sys)
     Q = scipy.linalg.solve_continuous_lyapunov(sys.A, -sys.BBt)
     _check_lyapunov_residual(sys, Q, "algebraic solve")
-    return _wrap(sys, Q, np.inf, "bartels_stewart")
+    return _wrap(Q, np.inf, "bartels_stewart")

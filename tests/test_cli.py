@@ -897,7 +897,7 @@ def test_run_builds_one_delay_gramian_per_horizon(tmp_path, monkeypatch):
     built = []
     wrap = delay._wrap
     monkeypatch.setattr(delay, "_wrap",
-                        lambda sys_, Q, t, method: built.append(t) or wrap(sys_, Q, t, method))
+                        lambda Q, t, method: built.append(t) or wrap(Q, t, method))
     scenario = {"model": "delay(-0.5,0.5,1,1)", "mesh": 8, "horizons": [1.5, 2.0],
                 "targets": [[1.0] + [0.0] * 8],
                 "tasks": ["gramian", "min-energy", "null-controllability"]}
@@ -918,7 +918,7 @@ def test_a_run_leaves_only_the_gramian_memo_on_the_system(tmp_path, monkeypatch)
                 "tasks": ["verify-riccati", "sweep", "commuting-family"]}
     assert cli.run_scenario(scenario, str(tmp_path)) == 0
     (sys_,) = models
-    assert sorted(vars(sys_)) == ["A", "B", "BBt", "_fingerprint", "_gramians", "m", "n", "omega"]
+    assert sorted(vars(sys_)) == ["A", "B", "BBt", "_gramians", "m", "n", "omega"]
     assert sorted(sys_._gramians) == [0.5, 1.0, 2.0, math.inf]
 
 
@@ -943,8 +943,8 @@ def test_a_spectral_run_reads_only_the_per_mode_gramians(tmp_path, monkeypatch):
                           "project-check", "null-controllability", "sweep"]}
     assert cli.run_scenario(scenario, str(tmp_path)) == 0
     (model,) = models
-    assert sorted(vars(model)) == ["A", "B", "BBt", "_fingerprint", "_gramians", "bs", "lambdas",
-                                   "m", "n", "omega"]
+    assert sorted(vars(model)) == ["A", "B", "BBt", "_gramians", "bs", "lambdas", "m", "n",
+                                   "omega"]
     assert sorted(model._gramians) == [0.5, 1.0, 2.0, math.inf]
     assert {g.method for g in model._gramians.values()} == {"closed_form"}
 

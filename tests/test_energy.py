@@ -50,7 +50,7 @@ def test_band_target_is_unreachable_not_undervalued():
     # target's 1e-3 along it lies outside range(Q); its exact value
     # (1/2) x^T Q^{-1} x is about 5e5, and no value summed over the first
     # direction alone may stand in for it
-    g = me.Gramian(me.SymmetricPSD(np.diag([1.0, 1e-12])), 1.0, "closed_form", "band")
+    g = me.Gramian(me.SymmetricPSD(np.diag([1.0, 1e-12])), 1.0, "closed_form")
     x = [1.0, 1e-3]
     s = me.steer(g, x)
     assert s.category == "unreachable"

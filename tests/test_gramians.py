@@ -349,3 +349,26 @@ def test_null_controllability_scalar(scalar_sys):
 def test_gramian_rejects_nonpositive_horizon(scalar_sys):
     with pytest.raises((ValueError, me.PreconditionError)):
         me.compute_gramian(scalar_sys, 0.0)
+
+
+_LG3 = me.landau_ginzburg(3)
+_DELAY = me.DelaySystem(a0=-0.7, a1=0.6, b0=1.0, delay=1.0, mesh=8)
+HORIZON_ENTRIES = {
+    "spectral_gramian": lambda t: me.spectral_gramian(_LG3, t),
+    "spectral_null_controllability": lambda t: me.spectral_null_controllability(_LG3, t),
+    "delay_gramian": lambda t: me.delay_gramian(_DELAY, t),
+    "delay_semigroup_matrix": lambda t: me.delay_semigroup_matrix(_DELAY, t),
+    "build_pv": lambda t: me.build_pv(_LG3, t),
+    "feedback_gain": lambda t: me.feedback_gain(_LG3, t),
+    "brute_force_min_energy": lambda t: me.brute_force_min_energy(_LG3, [1.0, 0.0, 0.0], t, 8),
+    "null_controllability_test": lambda t: me.null_controllability_test(_LG3, t),
+    "shift_gramian": lambda t: me.shift_gramian(me.ShiftSystem(8), t),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRIES))
+def test_every_horizon_entry_rejects_a_nan_horizon(entry):
+    # one check of the horizon: no entry computes on NaN, or fails on it
+    # with some other error
+    with pytest.raises(ValueError, match="horizon must be finite and positive, got nan"):
+        HORIZON_ENTRIES[entry](float("nan"))

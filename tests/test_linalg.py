@@ -166,7 +166,7 @@ def test_symmetric_psd_three_ways_agree():
     ways = [me.SymmetricPSD(Q), me.SymmetricPSD.from_factor(Z),
             me.SymmetricPSD.from_eigenpairs(lam, V)]
     x = rng.standard_normal(5)
-    steers = [me.steer(me.Gramian(P, 1.0, "closed_form", "three"), x) for P in ways]
+    steers = [me.steer(me.Gramian(P, 1.0, "closed_form"), x) for P in ways]
     for P, s in zip(ways, steers):
         assert_allclose(P.eigenvalues, lam, rtol=1e-12)
         assert_allclose(P.matrix, Q, rtol=0, atol=1e-12 * lam[-1])
@@ -295,7 +295,7 @@ def test_every_verdict_follows_the_one_cut(monkeypatch):
     assert me.SymmetricPSD(D).rank == 1
     assert_allclose(me.pinv(D), np.diag([1.0, 0.0]))
     assert np.linalg.matrix_rank(me.pinv(D)) == 1
-    s = me.steer(me.Gramian(me.SymmetricPSD(D), 1.0, "closed_form", "cut"), x)
+    s = me.steer(me.Gramian(me.SymmetricPSD(D), 1.0, "closed_form"), x)
     assert s.category == "in_range_Q"
     assert s.defect == pytest.approx(1e-5) and s.value == pytest.approx(0.5)
     assert me.range_inclusion(x[:, None], D).included

@@ -43,29 +43,37 @@ def test_spectral_gramian_closed_form():
     assert_allclose(g.Q.matrix, expected, rtol=1e-14)
 
 
-def test_spectral_fingerprint_is_computed_once(monkeypatch, tmp_path):
-    # a system hashes its A and B once, when it is built; every Gramian and
-    # every task of a run reads that one digest
+def test_a_run_hashes_nothing_and_a_gramian_reports_only_itself(monkeypatch, tmp_path):
+    # nothing tags a Gramian with a digest of its system: a spectral run of
+    # every task hashes nothing, and every model kind reports a Gramian by
+    # its matrix, horizon, method and formula alone
     import hashlib
 
     hashes = []
     sha256 = hashlib.sha256
     monkeypatch.setattr(hashlib, "sha256", lambda *a: hashes.append(1) or sha256(*a))
-    ssys = landau_ginzburg(n_modes=6)
-    assert len(hashes) == 1
-    fps = [spectral_gramian(ssys, t).system_fingerprint for t in (0.25, 0.5, 1.0, 2.0, math.inf)]
-    assert fps == [ssys.fingerprint()] * 5
-    assert len(hashes) == 1
     scenario = {"model": "spectral:landau-ginzburg(6)", "tasks": list(cli._TASKS),
                 "horizons": [0.5, 1.0], "targets": [[1.0] * 6], "K": np.diag([0.5] * 6).tolist(),
                 "projector": np.diag([1.0] * 3 + [0.0] * 3).tolist(), "t_star": 1.0}
-    hashes.clear()
-    cli.run_scenario(scenario, str(tmp_path))
-    with open(tmp_path / "report.json") as f:
+    cli.run_scenario(scenario, str(tmp_path / "spectral"))
+    with open(tmp_path / "spectral" / "report.json") as f:
         assert not [t for t in json.load(f)["tasks"] if "error" in t]
-    assert len(hashes) == 1
-    monkeypatch.undo()
-    assert fps[0] == me.LinearSystem(ssys.A, ssys.B).fingerprint()
+    assert hashes == []
+    models = {
+        "linear": ({"A": [[-1.0, 0.5], [0.0, -2.0]], "B": [[0.0], [1.0]]}, [0.5, "inf"]),
+        "spectral": ("spectral:landau-ginzburg(3)", [0.5, "inf"]),
+        "delay": ("delay(-0.7,0.6,1,1)", [1.5]),
+        "shift": ("shift(8)", [0.5]),
+    }
+    for kind, (model, horizons) in models.items():
+        cli.run_scenario({"model": model, "mesh": 8, "tasks": ["gramian"], "horizons": horizons},
+                         str(tmp_path / kind))
+        with open(tmp_path / kind / "report.json") as f:
+            report = json.load(f)
+        assert report["model"]["kind"] == kind
+        results = report["tasks"][0]["results"]
+        assert len(results) == len(horizons)
+        assert all(set(r) == {"Q", "formula", "horizon", "method"} for r in results), kind
 
 
 def test_spectral_matches_linear_route():
@@ -616,8 +624,7 @@ def test_shift_gramian_is_the_overlap_gramian(t):
     sh = me.ShiftSystem(16)
     L = shift_control_map(sh, t)
     gram = shift_gramian(sh, t)
-    assert (gram.horizon, gram.method, gram.system_fingerprint) == (t, "closed_form",
-                                                                    sh.fingerprint())
+    assert (gram.horizon, gram.method) == (t, "closed_form")
     # SymmetricPSD.from_factor rebuilds the matrix from the SVD of L: within
     # roundoff of the largest eigenvalue
     assert np.abs(gram.matrix - L @ L.T).max() <= 1e-15 * gram.Q.eigenvalues[-1]
@@ -690,7 +697,7 @@ def test_every_model_answers_the_cli_calls(kind):
     assert isinstance(model.to_json_dict(), dict)
     gram = model.gramian(t)
     assert isinstance(gram, me.Gramian)
-    assert gram.horizon == t and gram.system_fingerprint == model.fingerprint()
+    assert gram.horizon == t
     assert gram.matrix.shape == (model.dim, model.dim)
     targets = model.default_targets() or [np.linspace(1.0, 2.0, model.dim)]
     for x in targets:

@@ -291,13 +291,14 @@ def test_detect_t1_bisection_matches_the_closed_form(rates_and_kappas):
 def test_commuting_family_values(scalar_sys):
     sol = me.commuting_family(scalar_sys, [[2.0]], 1.0)
     want = 1.0 / (1.0 - 2.0 * np.exp(-2.0))
-    assert sol.operator[0, 0] == pytest.approx(want, rel=1e-12)
-    assert sol.t1 == pytest.approx(np.log(2.0 / (1.0 - 1e-6)) / 2.0, abs=1e-12)
+    assert sol[0, 0] == pytest.approx(want, rel=1e-12)
+    assert me.detect_t1(scalar_sys, [[2.0]]) == pytest.approx(np.log(2.0 / (1.0 - 1e-6)) / 2.0,
+                                                              abs=1e-12)
 
 
 def test_commuting_family_identity_for_zero_K(scalar_sys):
     sol = me.commuting_family(scalar_sys, [[0.0]], 0.5)
-    assert_allclose(sol.operator, np.eye(1), atol=1e-14)
+    assert_allclose(sol, np.eye(1), atol=1e-14)
 
 
 def test_commuting_family_below_threshold_raises(scalar_sys):
