@@ -1,10 +1,12 @@
 """Solution families built from one mixing operator, and their projections.
 
 S(t) = (I - e^{tA} K e^{tA})^{-1} solves the commuting-case equation once t is
-past the invertibility threshold.  The threshold is computed exactly in the
-commuting case; a single snapshot of the family recovers K; and compressing by
-a projection P works exactly when the family preserves ran(P) — both verdicts
-of that biconditional are demonstrated below.
+past the invertibility threshold.  ``commuting_candidate(sys, K)`` is the
+family: it carries K and the threshold t1, and ``evaluate(t)`` returns S(t).
+The threshold is computed exactly in the commuting case; a single snapshot of
+the family recovers K; and compressing by a projection P works exactly when
+the family preserves ran(P) — both verdicts of that biconditional are
+demonstrated below.
 """
 
 import numpy as np
@@ -19,16 +21,17 @@ t1 = me.detect_t1(sys_, K)
 print(f"detected threshold t1 = {t1:.12f}")
 print(f"closed form log(1.5)/2 = {np.log(1.5) / 2:.12f} (plus the margin shift)")
 
-sol = me.commuting_family(sys_, K, t1 + 0.5)
+# the candidate is the family: it carries K and t1 and evaluates S(t)
+cand = me.commuting_candidate(sys_, K)
+sol = cand.evaluate(t1 + 0.5)
 print(f"\nS(t1 + 0.5) =\n{sol}")
 
 try:
-    me.commuting_family(sys_, K, 0.5 * t1)
+    cand.evaluate(0.5 * t1)
 except me.MarginError as exc:
     print(f"\nbelow the threshold: {exc}")
 
 # the family passes the commuting residual check past t1
-cand = me.commuting_candidate(sys_, K)
 rep = me.riccati_residual_commuting(cand, [t1 + 0.3, t1 + 1.0])
 print(f"\nresiduals past t1: max {max(rep.residuals):.2e} -> passed = {rep.passed}")
 

@@ -339,12 +339,12 @@ def _task_verify_lyapunov(run):
     times = run.need("horizons", run.finite_horizons(), "verify-lyapunov")
     rep = lyapunov_residual(sys_lin, lambda t: sys_lin.gramian(t).matrix, times,
                             derivative=functools.partial(gramian_rate, sys_lin))
-    out = [_residual_entry("lyapunov-differential", rep, mode=rep.mode)]
+    out = [_residual_entry("lyapunov-differential", rep, mode=rep.kind)]
     all_passed = rep.passed
     if sys_lin.stable:
         qinf = sys_lin.gramian(math.inf).matrix
         rep_a = lyapunov_residual(sys_lin, qinf, tol=1e-10)
-        out.append({"formula": "lyapunov-algebraic", "mode": rep_a.mode,
+        out.append({"formula": "lyapunov-algebraic", "mode": rep_a.kind,
                     "residuals": list(rep_a.residuals), "tol_scaled": rep_a.tol_scaled,
                     "passed": rep_a.passed})
         all_passed = all_passed and rep_a.passed

@@ -1,7 +1,8 @@
 """Minimum-energy steering: value function, optimal controls and trajectories,
 reachability classification, and the two state geometries the Riccati
 residuals pair in: the Gramian-weighted space H (``HGeometry``) and the plain
-Euclidean space X (``EuclideanGeometry``).
+Euclidean space X (``EuclideanGeometry``), which is H for Q_inf = I and
+shares its norms, written once.
 
 Steering problem: drive the state from 0 at time -t to a target x at time 0
 with the least control energy (1/2) ∫ ||u||^2.  The value is
@@ -10,7 +11,6 @@ optimizer flows the Gramian inverse of the target through the adjoint
 dynamics.
 """
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonFiniteError, ReachabilityError, StiffnessError
 from .gramians import _finite_horizon, _van_loan_step
-from .linalg import (_LATTICE_WORK_CAP, _gaussian_coefficients, expm, negligible, pinv,
+from .linalg import (_LATTICE_WORK_CAP, _scaled, _spectral_norm, expm, negligible, pinv,
                      range_inclusion)
 
 __all__ = [
@@ -71,13 +71,6 @@ class ControlSignal:
         u, k = _scaled(self.values)
         with np.errstate(over="ignore"):
             return float(np.ldexp(0.5 * _trapz(np.sum(u ** 2, axis=1), self.grid), 2 * k))
-
-
-def _scaled(v):
-    """v / 2^k and k, with 2^k the power of two that brings max |v| into
-    [1/2, 1): exact, so its sums of squares times 4^k overflow only where v's do."""
-    k = math.frexp(np.abs(v).max(initial=0.0))[1]
-    return np.ldexp(v, -k), k
 
 
 @dataclass(frozen=True)
@@ -377,8 +370,9 @@ class HGeometry:
 
     ``sqrt_matrix`` is the factor Z of Q_inf (n x k, ``SymmetricPSD.factor``)
     and ``pinv_sqrt`` = (Z / lam_k)^T its left inverse, so that
-    ``pinv_sqrt @ M @ sqrt_matrix`` has the norms of Q_inf^{-1/2} M Q_inf^{1/2}.
-    ``equation`` names the Riccati equation this geometry pairs.
+    N = ``pinv_sqrt @ M @ sqrt_matrix`` has the norms of Q_inf^{-1/2} M Q_inf^{1/2}:
+    M in H coordinates.  ``equation`` names the Riccati equation this
+    geometry pairs.
     """
 
     equation = "weighted"
@@ -392,46 +386,34 @@ class HGeometry:
         self.metric = gram.Q.pinv()       # = pinv_sqrt^T pinv_sqrt
 
     def normalize(self, x):
-        """x over its H-norm; each column of a matrix over its own."""
+        """x over its norm; each column of a matrix over its own."""
         x = np.asarray(x, dtype=float)
         nx = np.linalg.norm(self.pinv_sqrt @ x, axis=0)
         if np.any(nx == 0.0):
             raise ValueError("cannot normalize a zero vector")
         return x / nx
 
+    def _coordinates(self, M):
+        return self.pinv_sqrt @ M @ self.sqrt_matrix
+
     def operator_norm(self, M):
-        """Norm of M as an operator on H: ||Q_inf^{-1/2} M Q_inf^{1/2}||_2."""
-        return float(np.linalg.norm(self.pinv_sqrt @ M @ self.sqrt_matrix, 2))
+        """Norm of M as an operator on the space: ||N||_2."""
+        return float(np.linalg.norm(self._coordinates(M), 2))
 
     def symmetry_defect(self, M):
-        """Max |<Mx,y>_H - <x,My>_H| over 8 seeded probe pairs, scaled by probe norms.
-
-        The pairs are random combinations of a basis of the space from seed
-        0, drawn x, y, x, y, ... and normalized in H."""
-        U = self.gram.Q.range_basis()
-        XY = self.normalize(U @ _gaussian_coefficients(0, U.shape[1], 16))
-        X, Y = XY[:, 0::2], XY[:, 1::2]
-        W = self.metric
-        gaps = np.einsum("ik,ik->k", M @ X, W @ Y) - np.einsum("ik,ik->k", X, W @ (M @ Y))
-        return float(np.abs(gaps).max(initial=0.0))
+        """sup |<Mx, y> - <x, My>| over unit x, y of the space: ||N - N^T||_2,
+        inf when N overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            N = self._coordinates(M)
+            return _spectral_norm(N - N.T)
 
 
-class EuclideanGeometry:
-    """The plain state space X of dimension n: the metric is the identity."""
+class EuclideanGeometry(HGeometry):
+    """The plain state space X of dimension n: the geometry of Q_inf = I, with
+    the identity for factor, left inverse and metric.  A product with the
+    identity is exact, so its norms are the plain ones bit for bit."""
 
     equation = "plain"
 
     def __init__(self, n):
-        self.metric = np.eye(n)
-
-    def normalize(self, x):
-        """x over its norm; each column of a matrix over its own."""
-        x = np.asarray(x, dtype=float)
-        nx = np.linalg.norm(x, axis=0)
-        if np.any(nx == 0.0):
-            raise ValueError("cannot normalize a zero vector")
-        return x / nx
-
-    def operator_norm(self, M):
-        return float(np.linalg.norm(M, 2))
-
+        self.sqrt_matrix = self.pinv_sqrt = self.metric = np.eye(n)

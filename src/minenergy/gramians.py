@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, PreconditionError, StiffnessError, UnstableSystemError
-from .linalg import SymmetricPSD, expm, range_inclusion, rank_mask
+from .linalg import SymmetricPSD, _symmetric_part, expm, range_inclusion, rank_mask
 
 __all__ = [
     "Gramian",
@@ -91,8 +91,7 @@ def _wrap(Q, t, method):
         raise NonFiniteError(
             f"{method} Gramian at horizon {t:g} overflows double precision"
         )
-    Q = 0.5 * (Q + Q.T)
-    return Gramian(SymmetricPSD(Q), float(t), method)
+    return Gramian(SymmetricPSD(_symmetric_part(Q)), float(t), method)
 
 
 def _halvings(A, h):
@@ -216,7 +215,7 @@ def _rk4_lyapunov(sys, t, n_steps):
             k3 = f(Q + 0.5 * h * k2)
             k4 = f(Q + h * k3)
             Q = Q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            Q = 0.5 * (Q + Q.T)
+            Q = _symmetric_part(Q)
             if not np.all(np.isfinite(Q)):
                 return np.full((sys.n, sys.n), np.inf)
     return Q

@@ -72,6 +72,26 @@ def as_matrix(M, name="matrix"):
     return M
 
 
+def _symmetric_part(M):
+    """(M + M^T) / 2, halved before the sum so that it overflows only where
+    an entry of M does: halving a normal double is exact, so the result has
+    the bits of 0.5 * (M + M^T) wherever that sum is finite."""
+    return 0.5 * M + 0.5 * M.T
+
+
+def _scaled(v):
+    """v / 2^k and k, with 2^k the power of two that brings max |v| into
+    [1/2, 1): exact, so products and sums of squares of the scaled entries,
+    times the powers of 2^k they carry, overflow only where v's do."""
+    k = math.frexp(np.abs(v).max(initial=0.0))[1]
+    return np.ldexp(v, -k), k
+
+
+def _spectral_norm(M):
+    """||M||_2, or inf when an entry of M is not finite (an overflow upstream)."""
+    return float(np.linalg.norm(M, 2)) if np.isfinite(M).all() else math.inf
+
+
 def _sym_error(M):
     scale = np.abs(M).max()
     if scale == 0.0:
@@ -111,7 +131,7 @@ class SymmetricPSD:
             raise NotSymmetricError(
                 f"matrix is not symmetric: relative asymmetry {err:.3e} exceeds {SYMMETRY_RTOL:.1e}"
             )
-        M = 0.5 * (M + M.T)
+        M = _symmetric_part(M)
         lam, V = np.linalg.eigh(M)
         lam_max = max(lam[-1], 0.0)
         floor = -REL_THRESHOLD * lam_max if lam_max > 0 else 0.0
@@ -154,8 +174,7 @@ class SymmetricPSD:
         self._lam = lam
         self._V = V
         self._mask = keep
-        self._M = (V * lam) @ V.T
-        self._M = 0.5 * (self._M + self._M.T)
+        self._M = _symmetric_part((V * lam) @ V.T)
         for arr in (self._lam, self._V, self._M, self._mask):
             arr.setflags(write=False)
 
@@ -194,8 +213,7 @@ class SymmetricPSD:
         keep = self._keep()
         inv = np.zeros_like(self._lam)
         inv[keep] = 1.0 / self._lam[keep]
-        P = (self._V * inv) @ self._V.T
-        return 0.5 * (P + P.T)
+        return _symmetric_part((self._V * inv) @ self._V.T)
 
     def factor(self):
         """The factor Z = V_k diag(sqrt(lam_k)) over the kept eigenpairs.
@@ -351,14 +369,18 @@ def pinv(M):
 def commutes(A, K, tol=1e-10):
     """Whether ``AK = KA`` up to ``tol`` relative to the product of norms.
 
-    For matrices this is equivalent to the exponential commutation
-    ``e^{tA} K = K e^{tA}`` for all t (one implies the other by the power
-    series); tests exercise that equivalence on sampled times.
+    Each operand is first scaled by a power of two (``_scaled``), which is
+    exact and leaves the relative test as it is, so that neither the
+    products nor the scale overflow.  For matrices this is equivalent to
+    the exponential commutation ``e^{tA} K = K e^{tA}`` for all t (one
+    implies the other by the power series); tests exercise that equivalence
+    on sampled times.
     """
     A = as_matrix(A, "A")
     K = as_matrix(K, "K")
     if A.shape[0] != A.shape[1] or A.shape != K.shape:
         raise ValueError(f"commutation needs equal square shapes, got {A.shape} and {K.shape}")
+    (A, _), (K, _) = _scaled(A), _scaled(K)
     scale = np.abs(A).max() * np.abs(K).max()
     if scale == 0.0:
         return True

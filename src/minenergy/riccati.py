@@ -6,14 +6,18 @@ quadratic differential equation whose linear part carries a reversed sign
 relative to the classical control Riccati equation, with the inverse family
 R(t) = Q_t^+ solving the same equation in the plain space X.  The two
 equations differ only in the metric W of the pairing (Q_inf^+ on H, the
-identity on X), so each candidate carries its geometry (``HGeometry`` or
-``EuclideanGeometry``) and one residual, ``riccati_residual``, checks either.
-Verification pairs both sides against probe vectors (the weak form), since
-the equations only hold tested against smooth directions.  The time
-derivative is the family's own exact one wherever it has one: every family
-built here from Gramians (through Q_t' = e^{tA} BB^T e^{tA^T}) or from the
-exponential formula supplies it.  Only an opaque family, a bare function of
-t, is differentiated by Richardson-extrapolated central differences.
+identity on X), so each candidate carries its geometry (``HGeometry``, or
+``EuclideanGeometry``: the same with Q_inf = I) and one residual,
+``riccati_residual``, checks either.  A family is built and evaluated only
+by its candidate (``pv_candidate``, ``inverse_candidate``,
+``commuting_candidate``).  Verification pairs both sides against probe
+vectors (the weak form), since the equations only hold tested against
+smooth directions.  The time derivative is the family's own exact one
+wherever it has one: every family built here from Gramians (through
+Q_t' = e^{tA} BB^T e^{tA^T}) or from the exponential formula supplies it.
+Only an opaque family, a bare function of t, is differentiated by
+Richardson-extrapolated central differences.  Every check, the Lyapunov
+one included, returns a ``ResidualReport``.
 
 In the commuting selfadjoint case the same equation admits the explicit
 solutions (I - e^{tA} K e^{tA})^{-1}, defined past the first time the
@@ -30,13 +34,12 @@ import numpy as np
 
 from .errors import MarginError, NonFiniteError, PreconditionError, UnstableSystemError
 from .gramians import _finite_horizon, gramian_rate
-from .linalg import _gaussian_coefficients, commutes, expm
+from .linalg import _gaussian_coefficients, _spectral_norm, _symmetric_part, commutes, expm
 from .energy import EuclideanGeometry, HGeometry, null_controllability_test
 
 __all__ = [
     "RiccatiCandidate",
     "ResidualReport",
-    "build_pv",
     "pv_candidate",
     "inverse_candidate",
     "commuting_candidate",
@@ -47,13 +50,11 @@ __all__ = [
     "uniqueness_reconstruction",
     "UniquenessReport",
     "detect_t1",
-    "commuting_family",
     "recover_L",
     "RecoverLReport",
     "projected_solution_check",
     "ProjectionReport",
     "lyapunov_residual",
-    "LyapunovReport",
 ]
 
 FD_STEP_FACTOR = 1e-4
@@ -109,39 +110,35 @@ def _inverse_rate(sys, t):
     return -R @ gramian_rate(sys, t) @ R
 
 
-def build_pv(sys, t, null_controllable_from=np.inf):
-    """The Gramian-ratio operator Q_inf Q_t^+ at a single time.
-
-    Defined for stable systems; outside the commuting selfadjoint case the
-    horizon must already make the system null controllable (the range test
-    is run and failure raises PreconditionError), which is what keeps the
-    ratio bounded in the weighted geometry.  Null controllability at s holds
-    at every t >= s (Q_t >= e^{(t-s)A} Q_s e^{(t-s)A^T}), so the test is
-    skipped at or above ``null_controllable_from``, a horizon where it passed.
-    """
-    if not sys.stable:
-        raise UnstableSystemError("the Gramian-ratio family needs a stable system")
-    t = _finite_horizon(t)
-    if not sys.is_commuting_selfadjoint() and t < null_controllable_from:
-        nc = null_controllability_test(sys, t)
-        if not nc.satisfied:
-            raise PreconditionError(
-                f"system is not null controllable at horizon {t:g} "
-                f"(range defect {nc.defect:.3e}); the ratio family is unbounded there"
-            )
-    return sys.gramian(np.inf).matrix @ sys.gramian(t).Q.pinv()
-
-
 def pv_candidate(sys):
-    """Candidate wrapping the Gramian-ratio family (``build_pv``), measured in
-    the geometry of the system's Q_inf.  Its Gramians are the system's
-    memoised ones, and its exact derivative is
-    P' = -Q_inf Q_t^+ Q_t' Q_t^+ with Q_t' = e^{tA} BB^T e^{tA^T}.  Each time
-    it has evaluated at was shown null controllable, so ``build_pv`` tests
-    only below the least of them."""
-    cand = RiccatiCandidate(sys, HGeometry(sys.gramian(np.inf)),
-                            lambda t: build_pv(sys, t, min(cand._memo, default=np.inf)),
-                            lambda t: sys.gramian(np.inf).matrix @ _inverse_rate(sys, t))
+    """Candidate wrapping the Gramian-ratio family P(t) = Q_inf Q_t^+, measured
+    in the geometry of the system's Q_inf, on the system's memoised Gramians,
+    with the exact derivative P' = -Q_inf Q_t^+ Q_t' Q_t^+ and
+    Q_t' = e^{tA} BB^T e^{tA^T}.
+
+    Building Q_inf refuses an unstable system (UnstableSystemError).
+    Outside the commuting selfadjoint case a horizon must make the system
+    null controllable, which keeps the ratio bounded on H, or its
+    evaluation raises PreconditionError.  That holds at every t >= s once it
+    holds at s (Q_t >= e^{(t-s)A} Q_s e^{(t-s)A^T}), so the range test runs
+    only below the least time evaluated.
+    """
+    geometry = HGeometry(sys.gramian(np.inf))
+    Q_inf = geometry.gram.matrix
+    commuting = sys.is_commuting_selfadjoint()
+
+    def ratio(t):
+        t = _finite_horizon(t)
+        if not commuting and t < min(cand._memo, default=np.inf):
+            nc = null_controllability_test(sys, t)
+            if not nc.satisfied:
+                raise PreconditionError(
+                    f"system is not null controllable at horizon {t:g} "
+                    f"(range defect {nc.defect:.3e}); the ratio family is unbounded there"
+                )
+        return Q_inf @ sys.gramian(t).Q.pinv()
+
+    cand = RiccatiCandidate(sys, geometry, ratio, lambda t: Q_inf @ _inverse_rate(sys, t))
     return cand
 
 
@@ -187,9 +184,12 @@ def residual_probes(cand, t, seed=0):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Max weak-form residual per time, with the scale-aware pass threshold
-    and the kind of time derivative the left side took: the family's own
-    ``"exact"`` one, or ``"richardson"`` differences of an opaque family."""
+    """Max residual per time, with the scale-aware pass threshold and the
+    kind of time derivative the left side took: the family's own
+    ``"exact"`` one, or ``"richardson"`` differences of an opaque family.
+    ``kind`` names the equation: ``"weighted"``, ``"plain"``, ``"commuting"``,
+    or ``lyapunov_residual``'s ``"differential"`` and ``"algebraic"``, which
+    pair no probes (``n_probes`` None); the algebraic one has no derivative."""
 
     kind: str
     times: tuple
@@ -222,10 +222,7 @@ def _scale(cand, t):
 
 
 def _as_times(t):
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0.0):
-        raise ValueError("times must be positive")
-    return ts
+    return [_finite_horizon(x) for x in np.atleast_1d(np.asarray(t, dtype=float))]
 
 
 def riccati_pairings(cand, t, probes=None, seed=0):
@@ -267,7 +264,7 @@ def _residual_report(equation, cand, t, sides, tol):
     tol_scaled = tol * worst_scale
     return ResidualReport(
         kind=equation,
-        times=tuple(float(x) for x in times),
+        times=tuple(times),
         residuals=tuple(residuals),
         tol=tol,
         tol_scaled=float(tol_scaled),
@@ -311,7 +308,7 @@ def riccati_residual_commuting(cand, t, probes=None, tol=1e-6, seed=0):
     """
     if not cand.sys.is_commuting_selfadjoint():
         raise PreconditionError("commuting-case residual requires symmetric A commuting with B B^T")
-    if not isinstance(cand.geometry, HGeometry):
+    if cand.geometry.equation != "weighted":
         raise PreconditionError("the commuting-case equation is posed in the weighted geometry")
     A = cand.sys.A
     W = cand.geometry.metric
@@ -357,7 +354,7 @@ def uniqueness_reconstruction(cand, t0, t_grid):
     Q_inf = gram_inf.matrix
     U = gram_inf.Q.range_basis()
 
-    Pv0 = build_pv(sys, t0)
+    Pv0 = pv_candidate(sys).evaluate(t0)
     S0 = cand.evaluate(t0)
     scale0 = max(np.linalg.norm(Pv0, 2), 1e-300)
     match = float(np.linalg.norm(
@@ -421,7 +418,7 @@ def _commuting_t1(lam, Kt, margin):
         while j + 1 < n and lam[j + 1] - lam[i] <= group_tol:
             j += 1
         block = Kt[i : j + 1, i : j + 1]
-        kappas = np.linalg.eigvalsh(0.5 * (block + block.T))
+        kappas = np.linalg.eigvalsh(_symmetric_part(block))
         lam_g = float(np.mean(lam[i : j + 1]))
         for kappa in kappas:
             if kappa >= 1.0 - margin and lam_g < 0.0:
@@ -478,7 +475,8 @@ def detect_t1(sys, K, margin=1e-6):
 
     if not unsafe(0.0):
         return 0.0
-    lo, hi = 0.0, math.log(2.0 * normK / (1.0 - margin)) / (2.0 * sys.omega)
+    # the log of 2 ||K|| / (1 - margin) as a sum, finite for every finite ||K||
+    lo, hi = 0.0, (math.log(2.0) + math.log(normK) - math.log1p(-margin)) / (2.0 * sys.omega)
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         if unsafe(mid):
@@ -488,42 +486,34 @@ def detect_t1(sys, K, margin=1e-6):
     return float(hi)
 
 
-def commuting_family(sys, K, t, margin=1e-6, t1=None):
-    """Evaluate (I - e^{tA} K e^{tA})^{-1} for the commuting selfadjoint case.
+def commuting_candidate(sys, K, margin=1e-6):
+    """Candidate wrapping the exponential family S(t) = (I - e^{tA} K e^{tA})^{-1}
+    of the commuting selfadjoint case for a fixed K, measured in the
+    geometry of the system's Q_inf; it carries K and its threshold t1.
 
     ``K`` must be plainly symmetric, to 1e-12 relative (``detect_t1``
-    raises PreconditionError otherwise).  Times at or below the detected
-    threshold, or where the bracket's smallest singular value is at most
-    ``margin``, raise MarginError.
+    raises PreconditionError otherwise).  Evaluating at a time at or below
+    t1, or where the bracket's smallest singular value is at most
+    ``margin``, raises MarginError.  The exact derivative is
+    S' = S (A E K E + E K E A) S with E = e^{tA}.
     """
-    K = np.asarray(K, dtype=float)
-    if t1 is None:
-        t1 = detect_t1(sys, K, margin)
-    t = float(t)
-    if t <= t1:
-        raise MarginError(
-            f"time {t:g} is at or below the invertibility threshold {t1:g} of this family"
-        )
-    E = expm(sys.A, t)
-    G = np.eye(sys.n) - E @ K @ E
-    smin = float(np.linalg.svd(G, compute_uv=False)[-1])
-    if smin <= margin:
-        raise MarginError(
-            f"bracket nearly singular at t={t:g}: smallest singular value {smin:.3e}"
-        )
-    return np.linalg.inv(G)
-
-
-def commuting_candidate(sys, K, margin=1e-6):
-    """Candidate wrapping the exponential family for a fixed K, measured in
-    the geometry of the system's Q_inf, and carries K and t1.  Its exact
-    derivative is S' = S (A E K E + E K E A) S with E = e^{tA}."""
     geometry = HGeometry(sys.gramian(np.inf))
     K = np.asarray(K, dtype=float)
     t1 = detect_t1(sys, K, margin)
 
     def fn(t):
-        return commuting_family(sys, K, t, margin, t1=t1)
+        if t <= t1:
+            raise MarginError(
+                f"time {t:g} is at or below the invertibility threshold {t1:g} of this family"
+            )
+        E = expm(sys.A, t)
+        G = np.eye(sys.n) - E @ K @ E
+        smin = float(np.linalg.svd(G, compute_uv=False)[-1])
+        if smin <= margin:
+            raise MarginError(
+                f"bracket nearly singular at t={t:g}: smallest singular value {smin:.3e}"
+            )
+        return np.linalg.inv(G)
 
     def derivative(t):
         S = cand.evaluate(t)
@@ -627,12 +617,13 @@ def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
     sys = cand.sys
     P = np.asarray(P, dtype=float)
     geometry = cand.geometry
-    if not isinstance(geometry, HGeometry):
+    if geometry.equation != "weighted":
         raise PreconditionError("the compression test is posed in the weighted geometry")
-    idem = np.linalg.norm(P @ P - P, 2)
-    if idem > 1e-10 * max(np.linalg.norm(P, 2), 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        idem = _spectral_norm(P @ P - P)
+    if not idem <= 1e-10 * max(np.linalg.norm(P, 2), 1.0):
         raise PreconditionError(f"P is not idempotent: ||P^2 - P|| = {idem:.3e}")
-    if geometry.symmetry_defect(P) > 1e-8:
+    if not geometry.symmetry_defect(P) <= 1e-8:
         raise PreconditionError("P is not an orthogonal projection in the weighted geometry")
     if not commutes(sys.A, P, tol=1e-10):
         raise PreconditionError("P must commute with A")
@@ -665,33 +656,25 @@ def projected_solution_check(cand, P, times, tol=1e-6, seed=0):
     )
 
 
-@dataclass(frozen=True)
-class LyapunovReport:
-    mode: str
-    times: tuple
-    residuals: tuple
-    tol_scaled: float
-    passed: bool
-    derivative: str = None     # mode 'differential': "exact" or "richardson"
-
-
 def lyapunov_residual(sys, Q, times=None, tol=1e-7, derivative=None):
     """Residual of the Gramian's own linear equation; the kind of Q picks the check.
 
-    A callable Q is a family (mode 'differential'), checked at ``times``
+    A callable Q is a family (kind ``"differential"``), checked at ``times``
     against d/dt Q(t) = A Q + Q A^T + B B^T.  The left side is
     ``derivative(t)`` when given (for the system's own Gramians,
     ``gramian_rate``: Q_t' = e^{tA} BB^T e^{tA^T}), else a Richardson
     difference of Q (``_richardson``); the report's ``derivative`` says
-    which.  A matrix Q (mode 'algebraic') is checked against
-    A Q + Q A^T + B B^T = 0.  Thresholds scale with ||B B^T||.
+    which.  A matrix Q (kind ``"algebraic"``, time inf, no derivative) is
+    checked against A Q + Q A^T + B B^T = 0.  Thresholds scale with
+    ||B B^T||.  Either way the report is a ``ResidualReport`` with no probes:
+    the residuals are 2-norms of the whole matrix equation.
     """
     C = sys.BBt
     tol_scaled = float(tol * max(np.linalg.norm(C, 2), 1e-300))
     if not callable(Q):
         resid = float(np.linalg.norm(sys.A @ Q + Q @ sys.A.T + C, 2))
-        return LyapunovReport("algebraic", (np.inf,), (resid,), tol_scaled,
-                              bool(resid <= tol_scaled))
+        return ResidualReport("algebraic", (np.inf,), (resid,), tol, tol_scaled,
+                              derivative=None, n_probes=None, passed=bool(resid <= tol_scaled))
     if times is None:
         raise ValueError("a Gramian family needs times")
     times = _as_times(times)
@@ -700,6 +683,6 @@ def lyapunov_residual(sys, Q, times=None, tol=1e-7, derivative=None):
         Qt = Q(t)
         dQ = _richardson(Q, t) if derivative is None else derivative(t)
         residuals.append(float(np.linalg.norm(dQ - (sys.A @ Qt + Qt @ sys.A.T + C), 2)))
-    return LyapunovReport("differential", tuple(float(t) for t in times),
-                          tuple(residuals), tol_scaled, bool(max(residuals) <= tol_scaled),
-                          "richardson" if derivative is None else "exact")
+    return ResidualReport("differential", tuple(times), tuple(residuals), tol, tol_scaled,
+                          derivative="richardson" if derivative is None else "exact",
+                          n_probes=None, passed=bool(max(residuals) <= tol_scaled))

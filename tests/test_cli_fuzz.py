@@ -86,6 +86,10 @@ SCENARIO = st.fixed_dictionaries(
 @example({"model": "delay(nan,0.5,1,1)", "tasks": ["gramian"], "horizons": [1.0]})
 @example({"model": "delay(inf,0.5,1,1)", "tasks": ["gramian"], "horizons": [1.0]})
 def test_run_keeps_the_exit_code_contract(scenario):
+    _assert_the_contract(scenario)
+
+
+def _assert_the_contract(scenario):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "scenario.json")
         with open(path, "w") as f:
@@ -94,6 +98,49 @@ def test_run_keeps_the_exit_code_contract(scenario):
         rc = cli.main(["run", path, "--out", out])
         assert rc in (0, 1, 2)
         assert os.path.exists(os.path.join(out, "report.json")) == (rc in (0, 1))
+
+
+# the exponential-family tasks on the models that run them past their
+# preconditions (spectral presets: symmetric A commuting with B B^T), with
+# operators of the model's size, symmetric or not, whose entries reach the
+# top of the double range
+HUGE_ENTRY = st.one_of(ENTRY, st.sampled_from([1.0, 1e200, 1e308]))
+
+
+def _square_matrix(n):
+    general = st.lists(st.lists(HUGE_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    symmetric = general.map(lambda M: [[M[max(i, j)][min(i, j)] for j in range(n)]
+                                       for i in range(n)])
+    diagonal = general.map(lambda M: [[M[i][j] if i == j else 0.0 for j in range(n)]
+                                      for i in range(n)])
+    return st.one_of(symmetric, diagonal, general)
+
+
+def _family_scenario(n):
+    return st.fixed_dictionaries(
+        {
+            "model": st.one_of(
+                st.just(f"spectral:landau-ginzburg({n})"),
+                st.builds(f"spectral:power-law({{}},{n})".format,
+                          st.sampled_from([-1.0, 0.0, 0.5, 2.0])),
+                st.just(f"spectral:thin-control({n})"),
+            ),
+            "tasks": st.lists(st.sampled_from(["commuting-family", "recover-L", "project-check"]),
+                              min_size=1, max_size=3),
+            "horizons": st.lists(st.one_of(HORIZON, st.sampled_from([50.0, 500.0])),
+                                 min_size=1, max_size=3),
+            "K": _square_matrix(n),
+            "projector": _square_matrix(n),
+            "t_star": st.sampled_from([0.1, 1.0, 500.0]),
+        },
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 4).flatmap(_family_scenario))
+def test_exponential_family_tasks_keep_the_exit_code_contract(scenario):
+    _assert_the_contract(scenario)
 
 
 # inputs that once escaped as untyped tracebacks
@@ -157,6 +204,20 @@ FOUND = [
       "targets": [[1.0]], "grid_points": 10**15}, 1, "StiffnessError"),
     ({"model": "delay(-0.7,0.6,1,1)", "mesh": 8, "tasks": ["min-energy"], "horizons": [1.5],
       "targets": [[0.5] + [0.0] * 8], "grid_points": 10**15}, 1, "StiffnessError"),
+    # a finite Gramian whose symmetrization 0.5 * (Q + Q^T) overflowed in the sum
+    ({"model": {"A": [[-1e-10]], "B": [[1e154]]}, "tasks": ["gramian"], "horizons": [1.0]},
+     0, None),
+    # a K whose commutation test overflowed, so that the threshold read inf
+    # and the horizon 500 past it was skipped
+    ({"model": "spectral:landau-ginzburg(3)", "tasks": ["commuting-family"],
+      "horizons": [1.0, 500.0], "K": [[1e308, 0.0, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, 1e308]]},
+     0, None),
+    # a projector whose square overflowed, with a NaN defect that passed the
+    # idempotence test and a RuntimeWarning
+    ({"model": "spectral:landau-ginzburg(3)", "tasks": ["project-check"], "horizons": [1.0],
+      "K": [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]],
+      "projector": [[1e200, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+     1, "PreconditionError: P is not idempotent"),
 ]
 
 

@@ -1,9 +1,10 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import minenergy as me
 from conftest import SCALAR_V11, SCALAR_U0, SCALAR_UM1
@@ -337,6 +338,42 @@ def test_h_geometry_rejects_outside_vectors():
         geom.normalize(np.array([0.0, 1.0]))
 
 
+def _h_system_and_operator():
+    rng = np.random.default_rng(1)
+    sys = me.random_stable_system(rng, 6, 3)
+    return sys, rng.standard_normal((6, 6))
+
+
+def test_symmetry_defect_is_the_supremum_over_the_space():
+    # sup over unit x, y of |<Mx, y>_H - <x, My>_H| is ||N - N^T|| with
+    # N = Q_inf^{-1/2} M Q_inf^{1/2}, here from scipy's square root; eight
+    # seeded probe pairs read 6.46 on this case
+    sys, M = _h_system_and_operator()
+    geom = me.HGeometry(sys.gramian(np.inf))
+    root = scipy.linalg.sqrtm(sys.gramian(np.inf).matrix).real
+    N = np.linalg.solve(root, M @ root)
+    want = np.linalg.norm(N - N.T, 2)
+    assert want == pytest.approx(71.5, abs=0.05)
+    assert geom.symmetry_defect(M) == pytest.approx(want, rel=1e-12)
+
+
+def test_an_h_orthogonal_projection_has_no_symmetry_defect():
+    sys, M = _h_system_and_operator()
+    geom = me.HGeometry(sys.gramian(np.inf))
+    U = np.linalg.qr(M[:, :2])[0]
+    P = geom.sqrt_matrix @ (U @ U.T) @ geom.pinv_sqrt
+    assert_allclose(P @ P, P, atol=1e-12)
+    assert geom.symmetry_defect(P) <= 1e-12
+
+
+def test_euclidean_geometry_keeps_the_plain_norms_bit_for_bit():
+    _, M = _h_system_and_operator()
+    geom = me.EuclideanGeometry(6)
+    assert geom.operator_norm(M) == np.linalg.norm(M, 2)
+    assert_array_equal(geom.normalize(M), M / np.linalg.norm(M, axis=0))
+    assert geom.symmetry_defect(M) == np.linalg.norm(M - M.T, 2)
+
+
 def test_value_decreasing_in_horizon(scalar_sys):
     values = []
     for t in (0.5, 1.0, 2.0, 4.0):
@@ -352,8 +389,8 @@ def test_value_decreasing_in_horizon(scalar_sys):
 def test_reachability_and_value_persist_over_longer_horizons(n, m, seed):
     # Q_t does not decrease with t, so a target in range(Q_0.5) stays in
     # range and its value does not increase; and null controllability at T
-    # carries over to 2T, which build_pv's cache of the least horizon that
-    # passed relies on
+    # carries over to 2T, which pv_candidate's test only below the least
+    # horizon it has evaluated at relies on
     rng = np.random.default_rng(seed)
     sys = me.random_stable_system(rng, n, min(m, n))
     Q = me.compute_gramian(sys, 0.5).Q

@@ -358,11 +358,16 @@ HORIZON_ENTRIES = {
     "spectral_null_controllability": lambda t: me.spectral_null_controllability(_LG3, t),
     "delay_gramian": lambda t: me.delay_gramian(_DELAY, t),
     "delay_semigroup_matrix": lambda t: me.delay_semigroup_matrix(_DELAY, t),
-    "build_pv": lambda t: me.build_pv(_LG3, t),
+    "pv_candidate": lambda t: me.pv_candidate(_LG3).evaluate(t),
     "feedback_gain": lambda t: me.feedback_gain(_LG3, t),
     "brute_force_min_energy": lambda t: me.brute_force_min_energy(_LG3, [1.0, 0.0, 0.0], t, 8),
     "null_controllability_test": lambda t: me.null_controllability_test(_LG3, t),
     "shift_gramian": lambda t: me.shift_gramian(me.ShiftSystem(8), t),
+    "riccati_residual": lambda t: me.riccati_residual(me.pv_candidate(_LG3), [1.0, t]),
+    "lyapunov_residual": lambda t: me.lyapunov_residual(
+        _LG3, lambda s: _LG3.gramian(s).matrix, [1.0, t]),
+    "projected_solution_check": lambda t: me.projected_solution_check(
+        me.commuting_candidate(_LG3, 0.5 * np.eye(3)), np.diag([1.0, 0.0, 0.0]), [1.0, t]),
 }
 
 

@@ -225,6 +225,26 @@ def test_commutes_detects_commutation():
     assert not me.commutes(A, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_commutes_near_the_top_of_the_double_range():
+    # unscaled, A K for K = 1e308 I overflowed to inf - inf = nan (read as
+    # "does not commute"), and a K that does not commute gave a residual and
+    # a scale both inf (read as "commutes")
+    A = np.diag([-1.0, -4.0, -9.0])
+    assert me.commutes(A, 1e308 * np.eye(3), tol=1e-12)
+    K = np.zeros((3, 3))
+    K[0, 1] = K[1, 0] = 1e308
+    assert not me.commutes(A, K, tol=1e-12)
+
+
+def test_symmetric_part_overflows_only_where_an_entry_does():
+    # 0.5 * (M + M^T) overflows in the sum for entries above half the
+    # largest double; halving first keeps the bits wherever the sum is finite
+    big = np.array([[1.7e308, 1.0], [1.0, 1.7e308]])
+    assert_array_equal(minenergy.linalg._symmetric_part(big), big)
+    M = np.array([[1.0, 0.3], [0.1, 2.0 / 3.0]])
+    assert_array_equal(minenergy.linalg._symmetric_part(M), 0.5 * (M + M.T))
+
+
 def test_commutes_iff_exponentials_commute(rng):
     for _ in range(10):
         A = rng.standard_normal((3, 3))

@@ -147,8 +147,8 @@ def test_commuting_checks_refuse_a_plain_candidate(diag_sys):
 
 def test_lyapunov_residual_reads_the_check_from_q(scalar_sys):
     family = lambda s: me.compute_gramian(scalar_sys, s).matrix
-    assert me.lyapunov_residual(scalar_sys, family, [1.0]).mode == "differential"
-    assert me.lyapunov_residual(scalar_sys, np.array([[0.5]])).mode == "algebraic"
+    assert me.lyapunov_residual(scalar_sys, family, [1.0]).kind == "differential"
+    assert me.lyapunov_residual(scalar_sys, np.array([[0.5]])).kind == "algebraic"
     with pytest.raises(ValueError):
         me.lyapunov_residual(scalar_sys, family)
 
@@ -244,7 +244,7 @@ def test_detect_t1_finds_the_dip_of_a_fast_branch():
 
 def test_commuting_family_refuses_a_time_inside_the_fast_dip():
     with pytest.raises(me.MarginError):
-        me.commuting_family(masked_dip_system(), MASKED_DIP_K, 0.00693)
+        me.commuting_candidate(masked_dip_system(), MASKED_DIP_K).evaluate(0.00693)
 
 
 def test_detect_t1_refuses_a_non_symmetric_K():
@@ -256,7 +256,7 @@ def test_detect_t1_refuses_a_non_symmetric_K():
     with pytest.raises(me.PreconditionError, match="symmetric"):
         me.detect_t1(sys, K)
     with pytest.raises(me.PreconditionError, match="symmetric"):
-        me.commuting_family(sys, K, 0.1)
+        me.commuting_candidate(sys, K).evaluate(0.1)
 
 
 @pytest.mark.parametrize("K, margin", [(np.eye(3), 1e-6), (np.eye(2), 0.0),
@@ -288,8 +288,26 @@ def test_detect_t1_bisection_matches_the_closed_form(rates_and_kappas):
     assert me.detect_t1(sys, K) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
+# ln(1e308 / (1 - 1e-6)) / (2 lambda) for lambda = 1 and 2.5, correctly
+# rounded (mpmath at 40 digits)
+T1_LARGE_DIAGONAL_K = 354.59810482108327
+T1_LARGE_COUPLING_K = 141.83924192843332
+
+
+def test_detect_t1_for_a_K_near_the_top_of_the_double_range():
+    # on modes 1, 4, 9: K = 1e308 I commutes with A, and the slowest mode
+    # crosses 1 - margin last; K = 1e308 on (0, 1) and (1, 0) does not, and
+    # its branch e^{-5t} 1e308 is bisected from a bound that stays finite.
+    # Unscaled, the commutation test read these as inf and 0.0.
+    sys = me.landau_ginzburg(3)
+    assert me.detect_t1(sys, 1e308 * np.eye(3)) == pytest.approx(T1_LARGE_DIAGONAL_K, rel=1e-15)
+    K = np.zeros((3, 3))
+    K[0, 1] = K[1, 0] = 1e308
+    assert me.detect_t1(sys, K) == pytest.approx(T1_LARGE_COUPLING_K, rel=1e-15)
+
+
 def test_commuting_family_values(scalar_sys):
-    sol = me.commuting_family(scalar_sys, [[2.0]], 1.0)
+    sol = me.commuting_candidate(scalar_sys, [[2.0]]).evaluate(1.0)
     want = 1.0 / (1.0 - 2.0 * np.exp(-2.0))
     assert sol[0, 0] == pytest.approx(want, rel=1e-12)
     assert me.detect_t1(scalar_sys, [[2.0]]) == pytest.approx(np.log(2.0 / (1.0 - 1e-6)) / 2.0,
@@ -297,13 +315,13 @@ def test_commuting_family_values(scalar_sys):
 
 
 def test_commuting_family_identity_for_zero_K(scalar_sys):
-    sol = me.commuting_family(scalar_sys, [[0.0]], 0.5)
+    sol = me.commuting_candidate(scalar_sys, [[0.0]]).evaluate(0.5)
     assert_allclose(sol, np.eye(1), atol=1e-14)
 
 
 def test_commuting_family_below_threshold_raises(scalar_sys):
     with pytest.raises(me.MarginError):
-        me.commuting_family(scalar_sys, [[2.0]], 0.2)
+        me.commuting_candidate(scalar_sys, [[2.0]]).evaluate(0.2)
 
 
 def test_commuting_candidate_solves_commuting_equation(diag_sys):
